@@ -3,7 +3,8 @@
 Subcommands: ``point`` (all analyzers at one parameter point, JSON),
 ``scan`` (correlation-plane or noise-axis grids, CSV), ``thresholds``
 (zero contours by bisection, CSV) and ``experiment`` (shot-level sweep,
-JSON plus optional shot dump).
+JSON plus optional shot dump).  Scans and contours evaluate the closed
+forms over whole grids at once through ``protocols.relay_metrics``.
 
 Flags carry the symbols used throughout the library (--tau, --omega, --g,
 --gp, --mu, --xi for the thermal family; --n, --c, --cp for the additive
@@ -19,7 +20,7 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,17 +31,7 @@ from . import protocols as prot
 from .gaussian import NumericDegeneracyError, ValidationError
 
 BISECTION_TOL = 1e-6
-
-SCAN_PROTOCOLS = (
-    "swap",
-    "teleport",
-    "distill",
-    "qkd",
-    "qkd-asymptotic",
-    "quad-entanglement",
-    "bipartite",
-    "tripartite",
-)
+MAX_CELLS = 1_000_000  # largest axis, and largest grid, a run accepts
 
 _METRIC_COLUMNS = {
     "swap": ["epsilon", "log_neg", "swap_ok"],
@@ -52,6 +43,10 @@ _METRIC_COLUMNS = {
     "bipartite": ["logneg_aAp", "logneg_aBp", "logneg_ab", "logneg_ApBp"],
     "tripartite": ["tri_class", "tri_certified"],
 }
+SCAN_PROTOCOLS = tuple(_METRIC_COLUMNS)
+# protocols whose columns come from relay_metrics, and the renamed columns' keys
+_CLOSED_FORM = ("swap", "teleport", "distill", "qkd", "qkd-asymptotic")
+_METRIC_KEYS = {"epsilon_opt": "epsilon", "rate_opt": "key_rate", "rate_lb": "key_rate_lb"}
 
 
 def _fmt(value) -> str:
@@ -103,14 +98,20 @@ def _parse_float(text: str) -> float:
 def _parse_axis(text: str, name: str) -> np.ndarray:
     """Parse 'lo:hi:step' into an inclusive grid, or a single value."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return np.array([_parse_float(parts[0])])
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValidationError(f"axis {name} must be 'lo:hi:step' or a single value")
-    lo, hi, step = (_parse_float(p) for p in parts)
+    values = [_parse_float(p) for p in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"axis {name} needs finite values, got {text!r}")
+    if len(values) == 1:
+        return np.array(values)
+    lo, hi, step = values
     if step <= 0 or hi <= lo:
         raise ValidationError(f"axis {name} needs hi > lo and step > 0")
-    count = int(round((hi - lo) / step)) + 1
+    span = (hi - lo) / step
+    count = int(round(span)) + 1 if span < MAX_CELLS else MAX_CELLS + 1
+    if count > MAX_CELLS:
+        raise ValidationError(f"axis {name} exceeds {MAX_CELLS} points")
     return np.linspace(lo, hi, count)
 
 
@@ -142,34 +143,34 @@ def _resolve(args: argparse.Namespace, key: str, default=None):
     return default
 
 
-def _build_env(args):
-    """Environment from flags; thermal wins when both families are given."""
-    tau = _resolve(args, "tau")
-    if tau is not None:
-        omega = _resolve(args, "omega")
-        if omega is None:
+def _family(args):
+    """Environment family of the flags, with its base and correlation parameters.
+
+    Thermal wins when both families are given.
+    """
+    if _resolve(args, "tau") is not None:
+        if _resolve(args, "omega") is None:
             raise ValidationError("thermal environment needs both --tau and --omega")
-        return envs.ThermalEnvironment(
-            float(tau),
-            float(omega),
-            float(_resolve(args, "g", 0.0)),
-            float(_resolve(args, "gp", 0.0)),
-        )
-    n = _resolve(args, "n")
-    if n is None:
+        return envs.ThermalEnvironment, ("tau", "omega"), ("g", "gp")
+    if _resolve(args, "n") is None:
         raise ValidationError("specify either --tau/--omega/--g/--gp or --n/--c/--cp")
-    return envs.AdditiveEnvironment(
-        float(n), float(_resolve(args, "c", 0.0)), float(_resolve(args, "cp", 0.0))
-    )
+    return envs.AdditiveEnvironment, ("n",), ("c", "cp")
+
+
+def _number(args, key: str, default=None) -> float:
+    return _parse_float(str(_resolve(args, key, default)))
+
+
+def _build_env(args):
+    family, base, correlations = _family(args)
+    return family(**{key: _number(args, key, 0.0) for key in base + correlations})
 
 
 def _mu_value(args) -> float:
     mu = _resolve(args, "mu")
     if mu is None:
         raise ValidationError("--mu is required")
-    if isinstance(mu, str) and mu.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(mu)
+    return _parse_float(str(mu))
 
 
 def _env_summary(env) -> dict:
@@ -202,12 +203,14 @@ def _write_text(args, text: str):
 def cmd_point(args) -> int:
     env = _build_env(args)
     mu = _mu_value(args)
-    xi = float(_resolve(args, "xi", 1.0))
-    if math.isinf(mu):
+    xi = _number(args, "xi", 1.0)
+    phi = _resolve(args, "phi")
+    if mu == math.inf:
+        if phi is not None:
+            raise ValidationError("--phi needs a finite --mu")
         report = prot.protocol_report_asymptotic(env)
     else:
-        phi = _resolve(args, "phi")
-        inp = prot.SwapInput(mu, env, None if phi is None else float(phi))
+        inp = prot.SwapInput(mu, env, None if phi is None else _parse_float(phi))
         report = prot.protocol_report(inp, xi)
     payload = {"env": _env_summary(env), "report": report.to_dict()}
     _write_text(args, json.dumps(_jsonable(payload), indent=2) + "\n")
@@ -215,52 +218,91 @@ def cmd_point(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# grids shared by scan and thresholds
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """Environment family of a scan or thresholds run and its swept axes."""
+
+    family: type  # envs.ThermalEnvironment or envs.AdditiveEnvironment
+    fixed: dict  # parameters held constant over the grid
+    names: tuple  # swept parameters, outermost first
+    axes: tuple  # their values
+
+    def params(self, coords) -> dict:
+        return {**self.fixed, **dict(zip(self.names, coords))}
+
+    def masks(self, coords):
+        """Physical, separable and boundary masks at the swept coordinates."""
+        p = self.params(coords)
+        if self.family is envs.ThermalEnvironment:
+            return envs.thermal_masks(p["omega"], p["g"], p["gp"])
+        return envs.additive_masks(p["n"], p["c"], p["cp"])
+
+    def kappas(self, coords):
+        if self.family is envs.ThermalEnvironment:
+            return envs.thermal_kappas(**self.params(coords))
+        return envs.additive_kappas(**self.params(coords))
+
+
+def _grid(args, n_axis: bool) -> _Grid:
+    """Resolve the family, the fixed parameters and the axes of a grid run.
+
+    Thermal runs sweep (g, g') at fixed (tau, omega).  Additive runs sweep
+    (c, c') at one n or, where ``n_axis`` allows it, n at fixed (c, c').
+    The fixed parameters are validated once, by building the environment
+    at the origin of the swept axes.
+    """
+    family, fixed, swept = _family(args)
+    if family is envs.AdditiveEnvironment and len(_parse_axis(str(_resolve(args, "n")), "n")) > 1:
+        if not n_axis:
+            raise ValidationError("an n axis is not supported here; give a single --n")
+        fixed, swept = swept, fixed
+    params = {key: _number(args, key, 0.0) for key in fixed}
+    family(**params, **dict.fromkeys(swept, 0.0))
+    axes = tuple(_parse_axis(str(_resolve(args, name, "")), name) for name in swept)
+    if math.prod(len(a) for a in axes) > MAX_CELLS:
+        raise ValidationError(f"grid exceeds {MAX_CELLS} cells")
+    return _Grid(family, params, swept, axes)
+
+
+# ---------------------------------------------------------------------------
 # scan
 
 
-def _cell_metrics(protocol, env, mu, xi, asym):
+def _metric_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
+    """Metric columns of a scan over its physical cells."""
+    if protocol in _CLOSED_FORM:
+        k, kp = grid.kappas(coords)
+        m = prot.relay_metrics(math.inf if protocol == "qkd-asymptotic" else mu, k, kp, xi)
+        return [m[_METRIC_KEYS.get(col, col)] for col in _METRIC_COLUMNS[protocol]]
+    if protocol == "quad-entanglement" and mu == math.inf:
+        g, gp = coords
+        tau, omega = grid.fixed["tau"], grid.fixed["omega"]
+        return [envs.thermal_mutual_information(omega, g, gp),
+                *ent.quadripartite_regions(tau, omega, g, gp)]
+    cells = zip(*(c.tolist() for c in coords))
+    inputs = [prot.SwapInput(mu, grid.family(**grid.params(cell))) for cell in cells]
     if protocol == "quad-entanglement":
-        info = envs.env_mutual_information(env)
-        if asym:
-            region = ent.quadripartite_classify(env)
-            return [info, region.sigma_prime, region.sigma_double_prime, region.region]
-        cm = prot.evolved_cm(prot.SwapInput(mu, env))
-        ml_a = ent.ppt_min_eigenvalue(cm, [0])
-        ml_ap = ent.ppt_min_eigenvalue(cm, [2])
-        tol = ent.PSD_ABS_TOL
-        if abs(ml_a) < tol or abs(ml_ap) < tol:
-            region = "boundary"
-        elif ml_a >= 0 and ml_ap >= 0:
-            region = "I"
-        elif ml_a >= 0:
-            region = "II"
-        elif ml_ap >= 0:
-            region = "III"
-        else:
-            region = "IV"
-        return [info, ml_a, ml_ap, region]
+        cms = [prot.evolved_cm(inp) for inp in inputs]
+        ml_a = np.array([ent.ppt_min_eigenvalue(cm, [0]) for cm in cms])
+        ml_ap = np.array([ent.ppt_min_eigenvalue(cm, [2]) for cm in cms])
+        info = envs.thermal_mutual_information(grid.fixed["omega"], *coords)
+        return [info, ml_a, ml_ap, ent.region_labels(ml_a, ml_ap, ent.PSD_ABS_TOL)]
     if protocol == "bipartite":
-        survey = ent.bipartite_survey(prot.SwapInput(mu, env))
-        return [survey["aAp"], survey["aBp"], survey["ab"], survey["ApBp"]]
-    if protocol == "tripartite":
-        verdict = ent.tripartite_classify_triplet(prot.SwapInput(mu, env))
-        return [verdict.class_id, verdict.certified]
-    if protocol == "qkd-asymptotic":
-        report = prot.protocol_report_asymptotic(env)
-        return [report.epsilon, report.key_rate, report.key_rate_lb, report.flags["qkd_ok"]]
-    if asym:
-        report = prot.protocol_report_asymptotic(env)
-    else:
-        report = prot.protocol_report(prot.SwapInput(mu, env), xi)
-    if protocol == "swap":
-        return [report.epsilon, report.log_neg, report.flags["swap_ok"]]
-    if protocol == "teleport":
-        return [report.fidelity, report.flags["tele_quantum"]]
-    if protocol == "distill":
-        return [report.coherent_info, report.flags["distill_ok"]]
-    if protocol == "qkd":
-        return [report.key_rate, report.flags["qkd_ok"]]
-    raise ValidationError(f"unknown protocol {protocol!r}")
+        surveys = [ent.bipartite_survey(inp) for inp in inputs]
+        return [[s[pair] for s in surveys] for pair in ("aAp", "aBp", "ab", "ApBp")]
+    verdicts = [ent.tripartite_classify_triplet(inp) for inp in inputs]
+    return [[v.class_id for v in verdicts], [v.certified for v in verdicts]]
+
+
+def _column(values, cells: list, size: int) -> list:
+    """Formatted column with ``values`` at ``cells`` and blanks elsewhere."""
+    out = [""] * size
+    for i, v in zip(cells, np.asarray(values).tolist()):
+        out[i] = _fmt(v)
+    return out
 
 
 def cmd_scan(args) -> int:
@@ -271,88 +313,29 @@ def cmd_scan(args) -> int:
         mu = math.inf  # inherently large-mu analyzers
     else:
         mu = _mu_value(args)
-    asym = math.isinf(mu)
-    if asym and protocol in ("bipartite", "tripartite"):
+    if mu == math.inf and protocol in ("bipartite", "tripartite"):
         raise ValidationError(f"{protocol} scans need a finite --mu")
-    xi = float(_resolve(args, "xi", 1.0))
-    threads = int(_resolve(args, "threads", 1))
-    if threads < 1:
-        raise ValidationError("--threads must be >= 1")
+    xi = _number(args, "xi", 1.0)
+    threads = str(_resolve(args, "threads", 1))  # accepted and ignored: evaluation is vectorised
+    if not threads.isdecimal() or int(threads) < 1:
+        raise ValidationError("--threads must be an integer >= 1")
 
-    tau = _resolve(args, "tau")
-    if protocol == "quad-entanglement" and tau is None:
+    grid = _grid(args, n_axis=True)
+    if protocol == "quad-entanglement" and grid.family is not envs.ThermalEnvironment:
         raise ValidationError("quad-entanglement scans are defined for the thermal family")
-    metric_cols = _METRIC_COLUMNS[protocol]
-    cells = []
-    if tau is not None:
-        tau = float(tau)
-        omega = _resolve(args, "omega")
-        if omega is None:
-            raise ValidationError("thermal scans need --omega")
-        omega = float(omega)
-        g_axis = _parse_axis(str(_resolve(args, "g", "")), "g")
-        gp_axis = _parse_axis(str(_resolve(args, "gp", "")), "gp")
-        if len(g_axis) < 2 or len(gp_axis) < 2:
-            raise ValidationError("scan axes need at least 2 points each")
-        header = ["g", "gp", "physical", "separable", "boundary", *metric_cols]
-        for g in g_axis:  # row-major: g outer, gp inner
-            for gp in gp_axis:
-                cells.append(("thermal", tau, omega, float(g), float(gp)))
-    else:
-        n = _resolve(args, "n")
-        c_spec, cp_spec = _resolve(args, "c"), _resolve(args, "cp")
-        if n is None:
-            raise ValidationError("additive scans need --n")
-        n_axis = _parse_axis(str(n), "n")
-        if len(n_axis) > 1:
-            c0, cp0 = float(c_spec or 0.0), float(cp_spec or 0.0)
-            header = ["n", "physical", "separable", "boundary", *metric_cols]
-            for nv in n_axis:
-                cells.append(("additive", float(nv), c0, cp0))
-        else:
-            c_axis = _parse_axis(str(c_spec or ""), "c")
-            cp_axis = _parse_axis(str(cp_spec or ""), "cp")
-            if len(c_axis) < 2 or len(cp_axis) < 2:
-                raise ValidationError("scan axes need at least 2 points each")
-            header = ["c", "cp", "physical", "separable", "boundary", *metric_cols]
-            for cv in c_axis:
-                for cpv in cp_axis:
-                    cells.append(("additive2", float(n_axis[0]), float(cv), float(cpv)))
+    if len(grid.axes) == 2 and min(len(a) for a in grid.axes) < 2:
+        raise ValidationError("scan axes need at least 2 points each")
+    coords = [c.ravel() for c in np.meshgrid(*grid.axes, indexing="ij")]  # row-major
+    physical, separable, boundary = grid.masks(coords)
+    metrics = _metric_columns(protocol, grid, [c[physical] for c in coords], mu, xi)
 
-    def evaluate(cell):
-        kind = cell[0]
-        try:
-            if kind == "thermal":
-                _, t, w, g, gp = cell
-                env = envs.ThermalEnvironment(t, w, g, gp)
-                coords = [g, gp]
-            elif kind == "additive":
-                _, nv, c0, cp0 = cell
-                env = envs.AdditiveEnvironment(nv, c0, cp0)
-                coords = [nv]
-            else:
-                _, nv, cv, cpv = cell
-                env = envs.AdditiveEnvironment(nv, cv, cpv)
-                coords = [cv, cpv]
-        except ValidationError:
-            coords = list(cell[3:5]) if kind == "thermal" else (
-                [cell[1]] if kind == "additive" else list(cell[2:4])
-            )
-            return coords + [False, None, None] + [None] * len(metric_cols)
-        separable = env.is_separable if isinstance(env, envs.ThermalEnvironment) else True
-        boundary = env.is_boundary if isinstance(env, envs.ThermalEnvironment) else False
-        metrics = _cell_metrics(protocol, env, mu, xi, asym)
-        return coords + [True, separable, boundary] + metrics
-
-    if threads == 1:
-        rows = [evaluate(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, cells))
-
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    cells, size = np.flatnonzero(physical).tolist(), len(physical)
+    columns = [[_fmt(v) for v in c.tolist()] for c in coords]
+    columns.append([_fmt(v) for v in physical.tolist()])
+    columns += [_column(col[physical], cells, size) for col in (separable, boundary)]
+    columns += [_column(col, cells, size) for col in metrics]
+    header = [*grid.names, "physical", "separable", "boundary", *_METRIC_COLUMNS[protocol]]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     _write_text(args, "\r\n".join(lines) + "\r\n")
     return 0
 
@@ -361,84 +344,55 @@ def cmd_scan(args) -> int:
 # thresholds
 
 
-_THRESHOLD_METRICS = ("swap", "distill", "qkd", "qkd-lb")
-
-
-def _threshold_metric(name, env, mu, xi):
-    """Signed distance to the protocol threshold; positive means active."""
-    if name == "swap":
-        if math.isinf(mu):
-            return 1.0 - prot.swap_epsilon_asymptotic(env)
-        return 1.0 - prot.swap_epsilon(prot.SwapInput(mu, env))
-    if name == "distill":
-        if math.isinf(mu):
-            val = prot.coherent_information_asymptotic(env)
-            return math.inf if val == math.inf else val
-        return prot.coherent_information(prot.SwapInput(mu, env))
-    if name == "qkd":
-        if math.isinf(mu):
-            return prot.qkd_rate_asymptotic(env)[0]
-        return prot.qkd_rate(prot.SwapInput(mu, env), xi)
-    if name == "qkd-lb":
-        if not math.isinf(mu):
-            raise ValidationError("qkd-lb is an asymptotic metric; use --mu inf")
-        return prot.qkd_rate_asymptotic(env)[1]
-    raise ValidationError(f"--metric must be one of {', '.join(_THRESHOLD_METRICS)}")
+# relay_metrics key of each contour metric; swap traces 1 - epsilon
+_THRESHOLD_METRICS = {"swap": "epsilon", "distill": "coherent_info", "qkd": "key_rate",
+                      "qkd-lb": "key_rate_lb"}
 
 
 def cmd_thresholds(args) -> int:
     metric = _resolve(args, "metric")
+    if metric not in _THRESHOLD_METRICS:
+        raise ValidationError(f"--metric must be one of {', '.join(_THRESHOLD_METRICS)}")
     mu = _mu_value(args)
-    xi = float(_resolve(args, "xi", 1.0))
-    tau = _resolve(args, "tau")
-    if tau is not None:
-        tau = float(tau)
-        omega = float(_resolve(args, "omega"))
-        col_axis = _parse_axis(str(_resolve(args, "gp", "")), "gp")
-        sweep_axis = _parse_axis(str(_resolve(args, "g", "")), "g")
-        header = ["gp", "g", "metric"]
-
-        def make_env(col, x):
-            return envs.ThermalEnvironment(tau, omega, x, col)
-
-    else:
-        n = float(_resolve(args, "n"))
-        col_axis = _parse_axis(str(_resolve(args, "cp", "")), "cp")
-        sweep_axis = _parse_axis(str(_resolve(args, "c", "")), "c")
-        header = ["cp", "c", "metric"]
-
-        def make_env(col, x):
-            return envs.AdditiveEnvironment(n, x, col)
-
+    if metric == "qkd-lb" and mu != math.inf:
+        raise ValidationError("qkd-lb is an asymptotic metric; use --mu inf")
+    xi = _number(args, "xi", 1.0)
+    grid = _grid(args, n_axis=False)
+    sweep_axis, col_axis = grid.axes
     if len(sweep_axis) < 2:
         raise ValidationError("the swept axis needs at least 2 points")
 
-    def value_at(col, x):
-        try:
-            env = make_env(col, x)
-        except ValidationError:
-            return None
-        return _threshold_metric(metric, env, mu, xi)
+    def value(x, col):
+        """Signed distance to the protocol threshold (positive means active)
+        and the physical mask; the distance is nan off the physical cells."""
+        physical = grid.masks((x, col))[0]
+        m = prot.relay_metrics(mu, *grid.kappas((x[physical], col[physical])), xi)
+        f = np.full(x.shape, np.nan)
+        f[physical] = m[_THRESHOLD_METRICS[metric]]
+        return (1.0 - f if metric == "swap" else f), physical
 
-    lines = [",".join(header)]
-    for col in col_axis:
-        samples = [(float(x), value_at(col, float(x))) for x in sweep_axis]
-        for (x0, f0), (x1, f1) in zip(samples, samples[1:]):
-            if f0 is None or f1 is None or math.isinf(f0) or math.isinf(f1):
-                continue
-            if (f0 > 0.0) == (f1 > 0.0):
-                continue
-            lo, hi, flo = x0, x1, f0
-            while hi - lo > BISECTION_TOL:
-                mid = 0.5 * (lo + hi)
-                fm = value_at(col, mid)
-                if fm is None:
-                    break
-                if (fm > 0.0) == (flo > 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            lines.append(",".join([_fmt(float(col)), _fmt(0.5 * (lo + hi)), metric]))
+    # sample every column, then bisect every bracketed sign change together
+    cols, xs = np.meshgrid(col_axis, sweep_axis, indexing="ij")
+    f, ok = value(xs, cols)
+    ok &= ~np.isinf(f)
+    ci, xj = np.nonzero(ok[:, :-1] & ok[:, 1:] & ((f[:, :-1] > 0.0) != (f[:, 1:] > 0.0)))
+    col, lo, hi, flo = col_axis[ci], sweep_axis[xj], sweep_axis[xj + 1], f[ci, xj]
+    live = np.ones(len(ci), dtype=bool)
+    while True:
+        live &= hi - lo > BISECTION_TOL
+        idx = np.flatnonzero(live)
+        if not len(idx):
+            break
+        mid = 0.5 * (lo[idx] + hi[idx])
+        fm, ok = value(mid, col[idx])
+        live[idx[~ok]] = False  # a non-physical midpoint ends that crossing
+        idx, mid, fm = idx[ok], mid[ok], fm[ok]
+        same = (fm > 0.0) == (flo[idx] > 0.0)
+        lo[idx[same]], flo[idx[same]] = mid[same], fm[same]
+        hi[idx[~same]] = mid[~same]
+
+    lines = [",".join([grid.names[1], grid.names[0], "metric"])]
+    lines += [f"{_fmt(c)},{_fmt(x)},{metric}" for c, x in zip(col.tolist(), (0.5 * (lo + hi)).tolist())]
     _write_text(args, "\r\n".join(lines) + "\r\n")
     return 0
 
@@ -449,11 +403,11 @@ def cmd_thresholds(args) -> int:
 
 def cmd_experiment(args) -> int:
     n_axis = _parse_axis(str(_resolve(args, "n", "")), "n")
-    mu = float(_resolve(args, "mu", 52.0))
-    c = float(_resolve(args, "c", 1.0))
-    cp = float(_resolve(args, "cp", 1.0))
-    eta = float(_resolve(args, "eta", 1.0))
-    xi = float(_resolve(args, "xi", 1.0))
+    mu = _number(args, "mu", 52.0)
+    c = _number(args, "c", 1.0)
+    cp = _number(args, "cp", 1.0)
+    eta = _number(args, "eta", 1.0)
+    xi = _number(args, "xi", 1.0)
     shots = int(_resolve(args, "shots", 10**6))
     seed = int(_resolve(args, "seed", 0))
     chunk = int(_resolve(args, "chunk_shots", expmt.DEFAULT_CHUNK))
@@ -597,6 +551,9 @@ def main(argv=None) -> int:
         args._config = _load_config(args.config) if getattr(args, "config", None) else {}
         return args.func(args)
     except ValidationError as exc:
+        sys.stdout.write(json.dumps({"error": {"code": 2, "message": str(exc)}}) + "\n")
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stdout.write(json.dumps({"error": {"code": 2, "message": str(exc)}}) + "\n")
         return 2
     except NumericDegeneracyError as exc:

@@ -207,8 +207,11 @@ class QuadripartiteRegion:
     region: str
 
 
-def quad_sigma_functions(tau: float, r: float, g: float, gp: float) -> dict[str, float]:
-    """Large-mu classifier polynomials at noise omega = r * omega_EB(tau)."""
+def quad_sigma_functions(tau: float, r: float, g, gp) -> dict:
+    """Large-mu classifier polynomials at noise omega = r * omega_EB(tau).
+
+    Array-friendly in (g, g').
+    """
     opt, omt = 1.0 + tau, 1.0 - tau
     f = opt**2 * (r * r - 1.0) - g * g * omt**2
     zeta = opt**4 * r**4 - opt**2 * (
@@ -221,9 +224,37 @@ def quad_sigma_functions(tau: float, r: float, g: float, gp: float) -> dict[str,
         "f_prime": f_prime,
         "f_double_prime": f_dprime,
         "zeta": zeta,
-        "sigma_prime": min(f, f_prime),
-        "sigma_double_prime": min(f, f_dprime),
+        "sigma_prime": np.minimum(f, f_prime),
+        "sigma_double_prime": np.minimum(f, f_dprime),
     }
+
+
+def region_labels(sigma_a, sigma_ap, tol: float):
+    """1x3 region labels from the classifiers of modes a and A' (array-friendly).
+
+    Positive means separable in that grouping: "I" both, "II" only the
+    mode-a classifier, "III" only the mode-A' one, "IV" neither, and
+    "boundary" when either lies within ``tol`` of zero.
+    """
+    sa, sap = np.asarray(sigma_a), np.asarray(sigma_ap)
+    return np.select(
+        [(np.abs(sa) < tol) | (np.abs(sap) < tol), (sa > 0.0) & (sap > 0.0), sa > 0.0, sap > 0.0],
+        ["boundary", "I", "II", "III"],
+        "IV",
+    )
+
+
+def quadripartite_regions(tau: float, omega: float, g, gp):
+    """Array-friendly core of ``quadripartite_classify``: (sigma', sigma'', regions)."""
+    r = omega / entanglement_breaking_threshold(tau)
+    if r <= 1.0:
+        raise ValidationError(
+            "analytic quadripartite classifier requires omega above the "
+            "entanglement-breaking threshold"
+        )
+    funcs = quad_sigma_functions(tau, r, g, gp)
+    sp, sdp = funcs["sigma_prime"], funcs["sigma_double_prime"]
+    return sp, sdp, region_labels(sp, sdp, BOUNDARY_SIGMA)
 
 
 def quadripartite_classify(env: ThermalEnvironment) -> QuadripartiteRegion:
@@ -232,25 +263,8 @@ def quadripartite_classify(env: ThermalEnvironment) -> QuadripartiteRegion:
     Valid above the entanglement-breaking threshold (r = omega/omega_EB > 1),
     where the only possibly surviving entanglement is quadripartite.
     """
-    r = env.omega / entanglement_breaking_threshold(env.tau)
-    if r <= 1.0:
-        raise ValidationError(
-            "analytic quadripartite classifier requires omega above the "
-            "entanglement-breaking threshold"
-        )
-    funcs = quad_sigma_functions(env.tau, r, env.g, env.gp)
-    sp, sdp = funcs["sigma_prime"], funcs["sigma_double_prime"]
-    if abs(sp) < BOUNDARY_SIGMA or abs(sdp) < BOUNDARY_SIGMA:
-        region = "boundary"
-    elif sp > 0.0 and sdp > 0.0:
-        region = "I"
-    elif sp > 0.0:
-        region = "II"
-    elif sdp > 0.0:
-        region = "III"
-    else:
-        region = "IV"
-    return QuadripartiteRegion(sp, sdp, region)
+    sp, sdp, region = quadripartite_regions(env.tau, env.omega, env.g, env.gp)
+    return QuadripartiteRegion(float(sp), float(sdp), str(region))
 
 
 def quadripartite_numeric(cm, grouping_mode: int | str) -> str:

@@ -14,6 +14,7 @@ since the interesting region extends right up to the physicality border.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,72 @@ import numpy as np
 from .gaussian import CovarianceMatrix, ValidationError, entropic_h
 
 BOUNDARY_BAND = 1e-9
+
+
+THERMAL_CONDITIONS = (
+    "|g| < omega",
+    "|g'| < omega",
+    "omega|g+g'| <= omega^2 + g g' - 1",
+)
+
+
+def thermal_slacks(omega, g, gp):
+    """Slacks of the thermal-family inequalities (array-friendly).
+
+    The three physicality conditions of ``THERMAL_CONDITIONS`` followed by
+    the separability condition omega |g - g'| <= omega^2 - g g' - 1; each
+    holds when its slack is >= 0.
+    """
+    return (
+        omega - abs(g),
+        omega - abs(gp),
+        omega * omega + g * gp - 1.0 - omega * abs(g + gp),
+        omega * omega - g * gp - 1.0 - omega * abs(g - gp),
+    )
+
+
+def additive_slacks(n, c, cp):
+    """Slacks of n >= 0, |c| <= 1 and |c'| <= 1 (array-friendly)."""
+    return n, 1.0 - abs(c), 1.0 - abs(cp)
+
+
+def holds(slacks):
+    """True where every slack clears the boundary band; NaN never holds."""
+    return functools.reduce(np.logical_and, [s >= -BOUNDARY_BAND for s in slacks])
+
+
+def thermal_masks(omega, g, gp):
+    """Physical, separable and boundary masks of thermal environments (array-friendly).
+
+    Boundary means that some inequality is saturated within the band.
+    """
+    slacks = thermal_slacks(omega, g, gp)
+    boundary = functools.reduce(np.logical_or, [abs(s) <= BOUNDARY_BAND for s in slacks])
+    return holds(slacks[:3]), holds(slacks[3:]), boundary
+
+
+def additive_masks(n, c, cp):
+    """Physical, separable and boundary masks of additive environments
+    (array-friendly); classical noise is always separable, never boundary."""
+    physical = holds(additive_slacks(n, c, cp))
+    return physical, np.ones_like(physical), np.zeros_like(physical)
+
+
+def thermal_kappas(tau, omega, g, gp):
+    """(kappa, kappa') of the thermal family, array-friendly; see kappa_params."""
+    f = 1.0 / tau - 1.0
+    return np.maximum(f * (omega - g), 0.0), np.maximum(f * (omega + gp), 0.0)
+
+
+def additive_kappas(n, c, cp):
+    """(kappa, kappa') of the additive family, array-friendly; see kappa_params."""
+    return np.maximum((1.0 - c) * n, 0.0), np.maximum((1.0 + cp) * n, 0.0)
+
+
+def _check_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,34 +106,24 @@ class ThermalEnvironment:
     gp: float = 0.0
 
     def __post_init__(self):
+        _check_finite(tau=self.tau, omega=self.omega, g=self.g, gp=self.gp)
         if not 0.0 < self.tau < 1.0:
             raise ValidationError(f"transmissivity must lie in (0, 1), got {self.tau!r}")
         if self.omega < 1.0 - BOUNDARY_BAND:
             raise ValidationError(f"thermal variance must be >= 1, got {self.omega!r}")
-        name, slack = min(self._physicality_slacks().items(), key=lambda kv: kv[1])
-        if slack < -BOUNDARY_BAND:
+        slacks = thermal_slacks(self.omega, self.g, self.gp)[:3]
+        if not holds(slacks):
+            name, slack = min(zip(THERMAL_CONDITIONS, slacks), key=lambda kv: kv[1])
             raise ValidationError(f"bona-fide violation: {name} fails by {-slack:.6g}")
-
-    def _physicality_slacks(self) -> dict[str, float]:
-        w, g, gp = self.omega, self.g, self.gp
-        return {
-            "|g| < omega": w - abs(g),
-            "|g'| < omega": w - abs(gp),
-            "omega|g+g'| <= omega^2 + g g' - 1": w * w + g * gp - 1.0 - w * abs(g + gp),
-        }
 
     @property
     def is_separable(self) -> bool:
-        w, g, gp = self.omega, self.g, self.gp
-        return w * abs(g - gp) <= w * w - g * gp - 1.0 + BOUNDARY_BAND
+        return bool(thermal_masks(self.omega, self.g, self.gp)[1])
 
     @property
     def is_boundary(self) -> bool:
         """True when any physicality or separability inequality is saturated."""
-        w, g, gp = self.omega, self.g, self.gp
-        slacks = list(self._physicality_slacks().values())
-        slacks.append(w * w - g * gp - 1.0 - w * abs(g - gp))
-        return any(abs(s) <= BOUNDARY_BAND for s in slacks)
+        return bool(thermal_masks(self.omega, self.g, self.gp)[2])
 
     def mirrored(self) -> "ThermalEnvironment":
         """Correlation-sign flip, the view seen by the conjugate Bell detection.
@@ -86,10 +143,12 @@ class AdditiveEnvironment:
     cp: float = 0.0
 
     def __post_init__(self):
-        if self.n < -BOUNDARY_BAND:
+        _check_finite(n=self.n, c=self.c, cp=self.cp)
+        n_slack, c_slack, cp_slack = additive_slacks(self.n, self.c, self.cp)
+        if not holds([n_slack]):
             raise ValidationError(f"additive noise variance must be >= 0, got {self.n!r}")
-        for name, value in (("c", self.c), ("cp", self.cp)):
-            if abs(value) > 1.0 + BOUNDARY_BAND:
+        for name, value, slack in (("c", self.c, c_slack), ("cp", self.cp, cp_slack)):
+            if not holds([slack]):
                 raise ValidationError(f"correlation coefficient {name}={value!r} outside [-1, 1]")
 
     def mirrored(self) -> "AdditiveEnvironment":
@@ -109,10 +168,6 @@ def thermal_env_cm(env: ThermalEnvironment) -> CovarianceMatrix:
         ) from None
 
 
-def is_separable_env(env: ThermalEnvironment) -> bool:
-    return env.is_separable
-
-
 def kappa_params(env) -> tuple[float, float]:
     """Effective relay noise parameters (kappa, kappa') of an environment.
 
@@ -121,13 +176,12 @@ def kappa_params(env) -> tuple[float, float]:
     boundary rounding is clamped at zero.
     """
     if isinstance(env, ThermalEnvironment):
-        f = 1.0 / env.tau - 1.0
-        k, kp = f * (env.omega - env.g), f * (env.omega + env.gp)
+        k, kp = thermal_kappas(env.tau, env.omega, env.g, env.gp)
     elif isinstance(env, AdditiveEnvironment):
-        k, kp = (1.0 - env.c) * env.n, (1.0 + env.cp) * env.n
+        k, kp = additive_kappas(env.n, env.c, env.cp)
     else:
         raise ValidationError(f"unsupported environment type {type(env).__name__}")
-    return max(k, 0.0), max(kp, 0.0)
+    return float(k), float(kp)
 
 
 def entanglement_breaking_threshold(tau: float) -> float:
@@ -137,33 +191,34 @@ def entanglement_breaking_threshold(tau: float) -> float:
     return (1.0 + tau) / (1.0 - tau)
 
 
-def _env_spectrum(env: ThermalEnvironment) -> tuple[float, float]:
+def _env_spectrum(omega, g, gp):
     # closed two-mode form; avoids building the (possibly boundary-singular) CM
-    w, g, gp = env.omega, env.g, env.gp
-    det_v = (w * w - g * g) * (w * w - gp * gp)
-    delta = 2.0 * w * w + 2.0 * g * gp
-    disc = max(delta * delta - 4.0 * det_v, 0.0)
-    lo = math.sqrt(max((delta - math.sqrt(disc)) / 2.0, 0.0))
-    hi = math.sqrt((delta + math.sqrt(disc)) / 2.0)
+    det_v = (omega * omega - g * g) * (omega * omega - gp * gp)
+    delta = 2.0 * omega * omega + 2.0 * g * gp
+    disc = np.maximum(delta * delta - 4.0 * det_v, 0.0)
+    lo = np.sqrt(np.maximum((delta - np.sqrt(disc)) / 2.0, 0.0))
+    hi = np.sqrt((delta + np.sqrt(disc)) / 2.0)
     return lo, hi
 
 
-def env_mutual_information(env: ThermalEnvironment) -> float:
+# entropic_h element by element, so arrays round exactly as single points do
+_entropic_h = np.frompyfunc(entropic_h, 1, 1)
+
+
+def thermal_mutual_information(omega, g, gp):
     """Quantum mutual information (bits) between the two environment modes.
 
-    Quantifies the amount of (separable) correlation the environment offers:
-    2 h(omega) minus the joint entropy.  Zero iff g = g' = 0.
+    Array-friendly.  Quantifies the amount of (separable) correlation the
+    environment offers: 2 h(omega) minus the joint entropy.  Zero iff
+    g = g' = 0.
     """
-    lo, hi = _env_spectrum(env)
-    return 2.0 * entropic_h(env.omega) - entropic_h(lo) - entropic_h(hi)
+    lo, hi = _env_spectrum(omega, g, gp)
+    return np.asarray(2.0 * _entropic_h(omega) - _entropic_h(lo) - _entropic_h(hi), dtype=float)
 
 
-def env_discord(env: ThermalEnvironment):
-    """Quantum discord of the environment pair. Not provided by this package."""
-    raise NotImplementedError(
-        "discord is not implemented; use env_mutual_information for the "
-        "total correlation content"
-    )
+def env_mutual_information(env: ThermalEnvironment) -> float:
+    """Quantum mutual information (bits) of an environment; see thermal_mutual_information."""
+    return float(thermal_mutual_information(env.omega, env.g, env.gp))
 
 
 def additive_limit(env: ThermalEnvironment) -> AdditiveEnvironment:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .gaussian import NumericDegeneracyError, ValidationError
 from .environments import AdditiveEnvironment, additive_env_classical_cm
@@ -52,8 +51,8 @@ class ExperimentConfig:
     stream: int = 0
 
     def __post_init__(self):
-        if self.mu < 1.0:
-            raise ValidationError(f"modulation variance must be >= 1, got {self.mu!r}")
+        if not 1.0 <= self.mu < math.inf:
+            raise ValidationError(f"modulation variance must be finite and >= 1, got {self.mu!r}")
         if self.shots < 1:
             raise ValidationError("shots must be a positive integer")
         if not 0 <= self.seed < 2**64:
@@ -124,6 +123,8 @@ def _chunk_normals(seed: int, stream: int, start: int, count: int) -> np.ndarray
     of the 4-output Philox counter block, so jumping the counter to shot
     ``start`` lands on the same values regardless of chunking.
     """
+    from scipy.special import ndtri  # here, not at the top: scipy dominates import time
+
     bitgen = np.random.Philox(key=[seed, stream])
     bitgen.advance(DRAWS_PER_SHOT * start // 4)  # advance() counts counter blocks
     u = np.random.Generator(bitgen).random((count, DRAWS_PER_SHOT))

@@ -5,10 +5,15 @@ entanglement/key distillation and practical relay QKD, each for finite
 resource variance mu and in the asymptotic large-mu limit, plus the
 single-repeater secret-key bound for additive-noise links.
 
-Everything funnels through the pair (kappa, kappa') delivered by
-``environments.kappa_params``, so the correlated-thermal and the
-correlated-additive families share one code path.  The kappa-level helpers
-accept numpy arrays and broadcast, which is what the scan layer relies on.
+Every closed-form figure of merit is a function of mu and the pair
+(kappa, kappa') delivered by ``environments.kappa_params`` (or, for whole
+grids, by ``thermal_kappas``/``additive_kappas``).  ``relay_metrics``
+evaluates all of them at once over numpy arrays of kappas; the per-point
+reports and the scalar helpers below are views of it, and the CLI's
+``scan`` and ``thresholds`` call it on whole grids.  Covariance-matrix
+builders (``evolved_cm``, ``swapped_cm``) and the generic
+``key_rate_from_cm`` stay separate: they are the independent path the
+closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -47,10 +52,10 @@ class SwapInput:
     phi: float | None = None
 
     def __post_init__(self):
-        if self.mu < 1.0:
-            raise ValidationError(f"mu must be >= 1, got {self.mu!r}")
-        if self.phi is not None and self.phi < 1.0:
-            raise ValidationError(f"phi must be >= 1, got {self.phi!r}")
+        if not 1.0 <= self.mu < math.inf:
+            raise ValidationError(f"mu must be finite and >= 1, got {self.mu!r}")
+        if self.phi is not None and not 1.0 <= self.phi < math.inf:
+            raise ValidationError(f"phi must be finite and >= 1, got {self.phi!r}")
 
     @property
     def phi_value(self) -> float:
@@ -117,11 +122,115 @@ class ProtocolReport:
         return out
 
 
-def _flag(value: float, threshold: float, want_greater: bool):
-    gap = (value - threshold) if want_greater else (threshold - value)
-    if abs(gap) <= FLAG_GUARD:
-        return "marginal"
-    return bool(gap > 0.0)
+def _flag(value, threshold, want_greater: bool):
+    """Success flags, elementwise: True, False, or "marginal" inside the guard band."""
+    gap = np.asarray((value - threshold) if want_greater else (threshold - value))
+    flags = np.array((gap > 0.0).tolist(), dtype=object)  # Python bools, as JSON wants
+    flags[np.abs(gap) <= FLAG_GUARD] = "marginal"
+    return flags
+
+
+def _nu_pair(mu, k, kp):
+    """Symplectic eigenvalues of the symmetric swapped state, kappa's then kappa''s."""
+    return np.sqrt(mu * (1.0 + mu * k) / (mu + k)), np.sqrt(mu * (1.0 + mu * kp) / (mu + kp))
+
+
+def relay_metrics(mu, k, kp, xi: float = 1.0) -> dict:
+    """Every closed-form relay metric from (mu, kappa, kappa'), array-friendly.
+
+    Returns arrays keyed like ``ProtocolReport``: epsilon, log_neg, fidelity,
+    coherent_info, mutual_info_ab, holevo_eve, key_rate, key_rate_lb and
+    the four success flags.  At finite mu the fidelity is pinned to 1/2 at
+    mu = 1, where there is no entanglement resource, and key_rate_lb is
+    None.  ``mu = inf`` gives the large-mu set: epsilon_opt = sqrt(kappa
+    kappa'), ideal-reconciliation rate R_opt with its epsilon-only lower
+    bound R_LB, infinite mutual information and Holevo terms, and xi is
+    ignored.
+    """
+    k, kp = np.asarray(k, float), np.asarray(kp, float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if np.ndim(mu) == 0 and mu == math.inf:
+            out = _large_mu_metrics(k, kp)
+        else:
+            _check_xi(xi)
+            mu = np.asarray(mu, float)
+            if not np.all(mu >= 1.0):
+                raise ValidationError("mu must be >= 1")
+            out = _finite_mu_metrics(mu, k, kp, xi)
+        out["log_neg"] = np.maximum(-np.log2(out["epsilon"]), 0.0)
+    out.update(
+        swap_ok=_flag(out["epsilon"], 1.0, want_greater=False),
+        tele_quantum=_flag(out["fidelity"], 0.5, want_greater=True),
+        distill_ok=_flag(out["coherent_info"], 0.0, want_greater=True),
+        qkd_ok=_flag(out["key_rate"], 0.0, want_greater=True),
+    )
+    return out
+
+
+def _finite_mu_metrics(mu, k, kp, xi):
+    nlo, nhi = _nu_pair(mu, k, kp)
+    # swapping: smallest PTS eigenvalue; teleportation: average fidelity
+    eps = np.sqrt((1.0 + mu * k) * (1.0 + mu * kp) / ((mu + k) * (mu + kp)))
+    tmu2 = mu * mu - 1.0
+    n = (
+        (2.0 / tmu2)
+        * np.sqrt((1.0 + mu + 2.0 * k) * (1.0 + mu + 2.0 * kp))
+        * np.sqrt(1.0 + kp + mu * (1.0 + k))
+        * np.sqrt(1.0 + k + mu * (1.0 + kp))
+    )
+    # distillation: h(nu_b) - h(nu_-) - h(nu_+) with Bob's reduced eigenvalue nu_b
+    nb = 0.5 * np.sqrt(
+        (1.0 + 2.0 * mu * k + mu * mu) * (1.0 + 2.0 * mu * kp + mu * mu) / ((mu + k) * (mu + kp))
+    )
+    # QKD: heterodyne mutual information and Holevo bound h(nu_-) + h(nu_+) - h(nu_c)
+    # products, not ** 2: numpy squares arrays but calls pow() on scalars
+    sq, sqp = (1.0 + mu + 2.0 * k), (1.0 + mu + 2.0 * kp)
+    sigma = (sq * sq) * (sqp * sqp) / (16.0 * (1.0 + k) * (1.0 + kp) * (mu + k) * (mu + kp))
+    nc = np.sqrt(
+        (1.0 + mu + 2.0 * mu * k) * (1.0 + mu + 2.0 * mu * kp)
+        / ((1.0 + mu + 2.0 * k) * (1.0 + mu + 2.0 * kp))
+    )
+    mutual = 0.5 * np.log2(sigma)
+    holevo = _h_arr(nlo) + _h_arr(nhi) - _h_arr(nc)
+    return {
+        "epsilon": eps,
+        "fidelity": np.where(mu > 1.0, 2.0 / n, 0.5),
+        "coherent_info": _h_arr(nb) - _h_arr(nlo) - _h_arr(nhi),
+        "mutual_info_ab": mutual,
+        "holevo_eve": holevo,
+        "key_rate": xi * mutual - holevo,
+        "key_rate_lb": None,
+    }
+
+
+def _large_mu_metrics(k, kp):
+    eps = np.sqrt(k * kp)
+    f_opt = 1.0 / np.sqrt((1.0 + k) * (1.0 + kp))
+    r_opt = np.where(
+        eps > 0.0,
+        np.log2(1.0 / (math.e**2 * np.sqrt((1.0 + k) * (1.0 + kp) * k * kp)))
+        + _h_arr(np.sqrt((1.0 + 2.0 * k) * (1.0 + 2.0 * kp))),
+        np.inf,
+    )
+    r_lb = np.where(
+        eps > 0.0,
+        np.log2(f_opt) - np.log2(math.e**2 * eps) + _h_arr(1.0 + 2.0 * eps),
+        np.inf,
+    )
+    return {
+        "epsilon": eps,
+        "fidelity": f_opt,
+        "coherent_info": -np.log2(math.e * eps),
+        "mutual_info_ab": np.full_like(eps, np.inf),
+        "holevo_eve": np.full_like(eps, np.inf),
+        "key_rate": r_opt,
+        "key_rate_lb": r_lb,
+    }
+
+
+def _metrics(inp: SwapInput, xi: float = 1.0) -> dict:
+    k, kp = kappa_params(inp.env)
+    return relay_metrics(inp.mu, k, kp, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +271,6 @@ def evolved_cm(inp: SwapInput) -> CovarianceMatrix:
     return CovarianceMatrix(m)
 
 
-def additive_evolved_cm(mu: float, env: AdditiveEnvironment) -> CovarianceMatrix:
-    """Four-mode pre-measurement state for the additive family."""
-    return evolved_cm(SwapInput(mu, env))
-
-
 # ---------------------------------------------------------------------------
 # swapping
 
@@ -199,31 +303,18 @@ def additive_swapped_cm(mu: float, env: AdditiveEnvironment) -> CovarianceMatrix
     return swapped_cm(SwapInput(mu, env))
 
 
-def epsilon_from_kappas(mu, k, kp):
-    """Smallest PTS eigenvalue of the symmetric swapped state (array-friendly).
+def swap_epsilon(inp: SwapInput) -> float:
+    """Smallest PTS eigenvalue of the symmetric swapped state.
 
     sqrt[(1 + mu k)(1 + mu k') / ((mu + k)(mu + k'))]; equals 1 at mu = 1 and
     drops below 1, for any mu > 1, exactly when k k' < 1.
     """
-    mu, k, kp = np.asarray(mu, float), np.asarray(k, float), np.asarray(kp, float)
-    return np.sqrt((1.0 + mu * k) * (1.0 + mu * kp) / ((mu + k) * (mu + kp)))
-
-
-def swap_epsilon(inp: SwapInput) -> float:
-    if not inp.symmetric:
-        raise ValidationError("the closed epsilon form assumes identical sources; set phi = mu")
-    k, kp = kappa_params(inp.env)
-    return float(epsilon_from_kappas(inp.mu, k, kp))
+    return protocol_report(inp).epsilon
 
 
 def swap_epsilon_asymptotic(env) -> float:
     """Large-mu optimum sqrt(kappa kappa')."""
-    k, kp = kappa_params(env)
-    return math.sqrt(k * kp)
-
-
-def swap_log_negativity(inp: SwapInput) -> float:
-    return max(0.0, -math.log2(swap_epsilon(inp)))
+    return protocol_report_asymptotic(env).epsilon
 
 
 def swapped_spectrum(inp: SwapInput) -> tuple[float, float]:
@@ -231,25 +322,8 @@ def swapped_spectrum(inp: SwapInput) -> tuple[float, float]:
     if not inp.symmetric:
         return two_mode_spectrum(swapped_cm(inp))
     k, kp = kappa_params(inp.env)
-    mu = inp.mu
-    pair = sorted(
-        (
-            math.sqrt(mu * (1.0 + mu * k) / (mu + k)),
-            math.sqrt(mu * (1.0 + mu * kp) / (mu + kp)),
-        )
-    )
-    return pair[0], pair[1]
-
-
-def swapped_reduced_eigenvalue(inp: SwapInput) -> float:
-    """Symplectic eigenvalue of Bob's reduced conditional state."""
-    k, kp = kappa_params(inp.env)
-    mu = inp.mu
-    return 0.5 * math.sqrt(
-        (1.0 + 2.0 * mu * k + mu * mu)
-        * (1.0 + 2.0 * mu * kp + mu * mu)
-        / ((mu + k) * (mu + kp))
-    )
+    lo, hi = sorted(float(nu) for nu in _nu_pair(inp.mu, k, kp))
+    return lo, hi
 
 
 def thermal_reactivation_g(tau: float, gp, omega: float | None = None):
@@ -306,30 +380,11 @@ def teleport_correction(inp: SwapInput) -> TeleportCorrection:
     return TeleportCorrection(r, eta, t1, t1p, v_out)
 
 
-def fidelity_from_kappas(mu, k, kp):
-    """Average coherent-state teleportation fidelity (array-friendly)."""
-    mu, k, kp = np.asarray(mu, float), np.asarray(k, float), np.asarray(kp, float)
-    tmu2 = mu * mu - 1.0
-    n = (
-        (2.0 / tmu2)
-        * np.sqrt((1.0 + mu + 2.0 * k) * (1.0 + mu + 2.0 * kp))
-        * np.sqrt(1.0 + kp + mu * (1.0 + k))
-        * np.sqrt(1.0 + k + mu * (1.0 + kp))
-    )
-    return 2.0 / n
-
-
 def teleport_fidelity(inp: SwapInput) -> float:
     """Outcome-independent average fidelity; > 1/2 certifies quantum operation."""
     if inp.mu <= 1.0:
         raise ValidationError("no entanglement resource: teleportation needs mu > 1")
-    k, kp = kappa_params(inp.env)
-    return float(fidelity_from_kappas(inp.mu, k, kp))
-
-
-def fidelity_asymptotic_from_kappas(k, kp):
-    k, kp = np.asarray(k, float), np.asarray(kp, float)
-    return 1.0 / np.sqrt((1.0 + k) * (1.0 + kp))
+    return float(_metrics(inp)["fidelity"])
 
 
 def teleport_fidelity_asymptotic(env) -> float:
@@ -338,67 +393,25 @@ def teleport_fidelity_asymptotic(env) -> float:
     Never exceeds 1/(1 + sqrt(kappa kappa')), with equality under
     antisymmetric correlations (kappa = kappa').
     """
-    k, kp = kappa_params(env)
-    return float(fidelity_asymptotic_from_kappas(k, kp))
+    return protocol_report_asymptotic(env).fidelity
 
 
 # ---------------------------------------------------------------------------
 # distillation (coherent information)
 
 
-def coherent_info_from_kappas(mu, k, kp):
-    """One-way distillation lower bound h(nu_b) - h(nu_-) - h(nu_+) in bits."""
-    mu, k, kp = np.asarray(mu, float), np.asarray(k, float), np.asarray(kp, float)
-    nb = 0.5 * np.sqrt(
-        (1.0 + 2.0 * mu * k + mu * mu) * (1.0 + 2.0 * mu * kp + mu * mu) / ((mu + k) * (mu + kp))
-    )
-    nlo = np.sqrt(mu * (1.0 + mu * k) / (mu + k))
-    nhi = np.sqrt(mu * (1.0 + mu * kp) / (mu + kp))
-    return _h_arr(nb) - _h_arr(nlo) - _h_arr(nhi)
-
-
 def coherent_information(inp: SwapInput) -> float:
-    if not inp.symmetric:
-        raise ValidationError("coherent information is defined for the symmetric protocol")
-    k, kp = kappa_params(inp.env)
-    return float(coherent_info_from_kappas(inp.mu, k, kp))
+    """One-way distillation lower bound h(nu_b) - h(nu_-) - h(nu_+) in bits."""
+    return protocol_report(inp).coherent_info
 
 
 def coherent_information_asymptotic(env) -> float:
     """Large-mu limit -log2(e * sqrt(kappa kappa')); +inf for noiseless links."""
-    eps = swap_epsilon_asymptotic(env)
-    if eps == 0.0:
-        return math.inf
-    return -math.log2(math.e * eps)
+    return protocol_report_asymptotic(env).coherent_info
 
 
 # ---------------------------------------------------------------------------
 # practical QKD
-
-
-def qkd_mutual_information_from_kappas(mu, k, kp):
-    """Alice-Bob mutual information (bits) of the heterodyne protocol."""
-    mu, k, kp = np.asarray(mu, float), np.asarray(k, float), np.asarray(kp, float)
-    sigma = ((1.0 + mu + 2.0 * k) ** 2 * (1.0 + mu + 2.0 * kp) ** 2) / (
-        16.0 * (1.0 + k) * (1.0 + kp) * (mu + k) * (mu + kp)
-    )
-    return 0.5 * np.log2(sigma)
-
-
-def qkd_holevo_from_kappas(mu, k, kp):
-    """Eavesdropper Holevo bound h(nu_-) + h(nu_+) - h(nu_c) in bits."""
-    mu, k, kp = np.asarray(mu, float), np.asarray(k, float), np.asarray(kp, float)
-    nlo = np.sqrt(mu * (1.0 + mu * k) / (mu + k))
-    nhi = np.sqrt(mu * (1.0 + mu * kp) / (mu + kp))
-    nc = np.sqrt(
-        (1.0 + mu + 2.0 * mu * k) * (1.0 + mu + 2.0 * mu * kp)
-        / ((1.0 + mu + 2.0 * k) * (1.0 + mu + 2.0 * kp))
-    )
-    return _h_arr(nlo) + _h_arr(nhi) - _h_arr(nc)
-
-
-def rate_from_kappas(xi, mu, k, kp):
-    return xi * qkd_mutual_information_from_kappas(mu, k, kp) - qkd_holevo_from_kappas(mu, k, kp)
 
 
 def _check_xi(xi: float):
@@ -407,13 +420,13 @@ def _check_xi(xi: float):
 
 
 def qkd_mutual_information(inp: SwapInput) -> float:
-    k, kp = kappa_params(inp.env)
-    return float(qkd_mutual_information_from_kappas(inp.mu, k, kp))
+    """Alice-Bob mutual information (bits) of the heterodyne protocol."""
+    return float(_metrics(inp)["mutual_info_ab"])
 
 
 def qkd_holevo_bound(inp: SwapInput) -> float:
-    k, kp = kappa_params(inp.env)
-    return float(qkd_holevo_from_kappas(inp.mu, k, kp))
+    """Eavesdropper Holevo bound h(nu_-) + h(nu_+) - h(nu_c) in bits."""
+    return float(_metrics(inp)["holevo_eve"])
 
 
 def qkd_rate(inp: SwapInput, xi: float = 1.0) -> float:
@@ -422,33 +435,11 @@ def qkd_rate(inp: SwapInput, xi: float = 1.0) -> float:
     Non-positive results are returned as such (mu = 1 gives exactly zero
     mutual information and zero rate).
     """
-    _check_xi(xi)
-    k, kp = kappa_params(inp.env)
-    return float(rate_from_kappas(xi, inp.mu, k, kp))
+    return float(_metrics(inp, xi)["key_rate"])
 
 
 def additive_qkd_rate(mu: float, env: AdditiveEnvironment, xi: float = 1.0) -> float:
     return qkd_rate(SwapInput(mu, env), xi)
-
-
-def asymptotic_rates_from_kappas(k, kp):
-    """Large-mu ideal-reconciliation rate and its epsilon-only lower bound."""
-    k, kp = np.asarray(k, float), np.asarray(kp, float)
-    eps = np.sqrt(k * kp)
-    with np.errstate(divide="ignore"):
-        r_opt = np.where(
-            eps > 0.0,
-            np.log2(1.0 / (math.e**2 * np.sqrt((1.0 + k) * (1.0 + kp) * k * kp)))
-            + _h_arr(np.sqrt((1.0 + 2.0 * k) * (1.0 + 2.0 * kp))),
-            np.inf,
-        )
-        f_opt = 1.0 / np.sqrt((1.0 + k) * (1.0 + kp))
-        r_lb = np.where(
-            eps > 0.0,
-            np.log2(f_opt) - np.log2(math.e**2 * eps) + _h_arr(1.0 + 2.0 * eps),
-            np.inf,
-        )
-    return r_opt, r_lb
 
 
 def qkd_rate_asymptotic(env) -> tuple[float, float]:
@@ -458,9 +449,8 @@ def qkd_rate_asymptotic(env) -> tuple[float, float]:
     correlations; R_LB can only be positive below epsilon_opt ~ 0.192.
     Both are +inf when kappa kappa' = 0.
     """
-    k, kp = kappa_params(env)
-    r_opt, r_lb = asymptotic_rates_from_kappas(k, kp)
-    return float(r_opt), float(r_lb)
+    report = protocol_report_asymptotic(env)
+    return report.key_rate, report.key_rate_lb
 
 
 def key_rate_from_cm(cm, xi: float = 1.0) -> dict:
@@ -521,59 +511,32 @@ def repeater_bound_phi(n: float) -> float:
 
 def protocol_report(inp: SwapInput, xi: float = 1.0) -> ProtocolReport:
     """Run every finite-mu analyzer at one parameter point."""
-    _check_xi(xi)
+    if not inp.symmetric:
+        raise ValidationError("the closed forms assume identical sources; set phi = mu")
     k, kp = kappa_params(inp.env)
-    eps = swap_epsilon(inp)
-    fid = teleport_fidelity(inp) if inp.mu > 1.0 else 0.5
-    coh = coherent_information(inp)
-    mutual = qkd_mutual_information(inp)
-    holevo = qkd_holevo_bound(inp)
-    rate = xi * mutual - holevo
-    return ProtocolReport(
-        epsilon=eps,
-        log_neg=max(0.0, -math.log2(eps)),
-        fidelity=fid,
-        coherent_info=coh,
-        mutual_info_ab=mutual,
-        holevo_eve=holevo,
-        key_rate=rate,
-        flags={
-            "swap_ok": _flag(eps, 1.0, want_greater=False),
-            "tele_quantum": _flag(fid, 0.5, want_greater=True),
-            "distill_ok": _flag(coh, 0.0, want_greater=True),
-            "qkd_ok": _flag(rate, 0.0, want_greater=True),
-        },
-        kappa=k,
-        kappa_prime=kp,
-        mu=inp.mu,
-        xi=xi,
-    )
+    return _report(relay_metrics(inp.mu, k, kp, xi), k, kp, inp.mu, xi)
 
 
 def protocol_report_asymptotic(env) -> ProtocolReport:
     """Large-mu report: optimal swapping, teleportation, distillation and QKD."""
     k, kp = kappa_params(env)
-    eps = math.sqrt(k * kp)
-    fid = teleport_fidelity_asymptotic(env)
-    coh = coherent_information_asymptotic(env)
-    r_opt, r_lb = qkd_rate_asymptotic(env)
+    return _report(relay_metrics(math.inf, k, kp), k, kp, math.inf, 1.0)
+
+
+def _report(m: dict, k: float, kp: float, mu: float, xi: float) -> ProtocolReport:
+    lb = m["key_rate_lb"]
     return ProtocolReport(
-        epsilon=eps,
-        log_neg=math.inf if eps == 0.0 else max(0.0, -math.log2(eps)),
-        fidelity=fid,
-        coherent_info=coh,
-        mutual_info_ab=math.inf,
-        holevo_eve=math.inf,
-        key_rate=r_opt,
-        flags={
-            "swap_ok": _flag(eps, 1.0, want_greater=False),
-            "tele_quantum": _flag(fid, 0.5, want_greater=True),
-            "distill_ok": True if coh == math.inf else _flag(coh, 0.0, want_greater=True),
-            "qkd_ok": True if r_opt == math.inf else _flag(r_opt, 0.0, want_greater=True),
-        },
+        epsilon=float(m["epsilon"]),
+        log_neg=float(m["log_neg"]),
+        fidelity=float(m["fidelity"]),
+        coherent_info=float(m["coherent_info"]),
+        mutual_info_ab=float(m["mutual_info_ab"]),
+        holevo_eve=float(m["holevo_eve"]),
+        key_rate=float(m["key_rate"]),
+        flags={name: m[name].item() for name in ("swap_ok", "tele_quantum", "distill_ok", "qkd_ok")},
         kappa=k,
         kappa_prime=kp,
-        mu=math.inf,
-        xi=1.0,
-        key_rate_lb=r_lb,
+        mu=mu,
+        xi=xi,
+        key_rate_lb=None if lb is None else float(lb),
     )

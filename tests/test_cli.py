@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cvrelay.cli import main
 
 
@@ -322,3 +324,166 @@ def test_scan_quad_ring_topology(capsys):
     assert by_coord[("0", "0")][8] == "I"  # gray ring surrounds the origin
     regions = {r[8] for r in rows if r[2] == "1" and r[3] == "1"}
     assert {"I", "IV"} <= regions
+
+
+THERMAL = ["--tau", "0.9", "--omega", "19.38"]
+
+
+@pytest.mark.parametrize("axis", ["nan:1:1", "0:inf:1", "0:1:nan"])
+def test_scan_rejects_non_finite_axes(capsys, axis):
+    code, out = run_cli(["scan", "--protocol", "swap", *THERMAL, "--mu", "6.5",
+                         "--g", axis, "--gp", "0:1:1"], capsys)
+    assert code == 2 and json.loads(out)["error"]["code"] == 2
+
+
+@pytest.mark.parametrize("grid", [
+    ["--n", "1", "--c", "0:1:1e-300", "--cp", "0:1:1"],
+    ["--n", "1", "--c", "-1e308:1e308:1", "--cp", "0:1:1"],
+    [*THERMAL, "--g", "0:1999:1", "--gp", "0:1999:1"],  # each axis fits, the grid does not
+])
+def test_scan_rejects_grids_above_the_cell_cap(capsys, grid):
+    code, out = run_cli(["scan", "--protocol", "swap", "--mu", "6.5", *grid], capsys)
+    assert code == 2 and "exceeds" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("family", [
+    ["--tau", "0.9", "--g", "0:19:1", "--gp", "0"],
+    ["--c", "0:1:0.1", "--cp", "0.5"],
+])
+def test_thresholds_without_required_family_flags(capsys, family):
+    code, out = run_cli(["thresholds", "--metric", "swap", "--mu", "6.5", *family], capsys)
+    assert code == 2 and json.loads(out)["error"]["code"] == 2
+
+
+@pytest.mark.parametrize("name", ["missing.cfg", "."])
+def test_unreadable_config_exits_2(capsys, tmp_path, name):
+    code, out = run_cli(["point", "--config", str(tmp_path / name), "--n", "1", "--mu", "2"], capsys)
+    assert code == 2 and json.loads(out)["error"]["code"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", *THERMAL, "--g", "1", "--gp", "0", "--mu", "6.5", "--omega", "nan"],
+    ["point", *THERMAL, "--g", "nan", "--gp", "0", "--mu", "6.5"],
+    ["point", "--n", "1", "--mu", "nan"],
+    ["point", "--n", "inf", "--mu", "6.5"],
+    ["point", "--n", "1", "--mu=-inf"],
+    ["point", *THERMAL, "--g", "1", "--gp", "0", "--mu", "inf", "--phi", "3"],
+    ["scan", "--protocol", "swap", "--tau", "1.5", "--omega", "19.38", "--mu", "6.5",
+     "--g", "0:1:1", "--gp", "0:1:1"],
+    ["scan", "--protocol", "qkd", "--tau", "0.9", "--omega", "0.5", "--mu", "6.5",
+     "--g", "0:1:1", "--gp", "0:1:1"],
+    ["scan", "--protocol", "qkd", "--n", "-1", "--mu", "6.5", "--c", "0:1:1", "--cp", "0:1:1"],
+    ["thresholds", "--metric", "qkd", "--tau", "1.5", "--omega", "19.38", "--mu", "6.5",
+     "--gp", "0", "--g", "0:1:0.5"],
+    ["point", "--n", "1", "--mu", "6.5", "--xi", "abc"],
+    ["experiment", "--n", "1", "--mu", "abc", "--shots", "10"],
+    ["experiment", "--n", "1", "--mu", "nan", "--shots", "10"],
+])
+def test_non_finite_or_invalid_parameters_exit_2(capsys, argv):
+    code, out = run_cli(argv, capsys)
+    assert code == 2 and json.loads(out)["error"]["code"] == 2
+
+
+# Grids for the parity test, each with the kinds of row it must produce: cells
+# on the physicality and separability boundaries (omega - |g| = 1 at the
+# corners of the first plane), non-physical cells, and "marginal" flags, which
+# the point n = 1, c = c' = 0 gives at every mu (epsilon = 1 exactly).  The mu
+# values of the test include mu = 1, where the fidelity is pinned to 1/2.
+PARITY_GRIDS = {
+    "thermal-boundary": ([*THERMAL, "--g", "-18.38:18.38:9.19", "--gp", "-18.38:18.38:9.19"],
+                         {"boundary"}),
+    "thermal-wide": ([*THERMAL, "--g", "-25:25:5", "--gp", "-25:25:5"], {"nonphysical"}),
+    "c-plane": (["--n", "1", "--c", "-1.5:1.5:0.5", "--cp", "-1.5:1.5:0.5"],
+                {"nonphysical", "marginal"}),
+    "n-axis": (["--n", "-1:3:0.5", "--c", "0.5", "--cp", "-0.5"], {"nonphysical"}),
+}
+CLOSED_FORM_COLUMNS = {
+    "swap": lambda r: [r.epsilon, r.log_neg, r.flags["swap_ok"]],
+    "teleport": lambda r: [r.fidelity, r.flags["tele_quantum"]],
+    "distill": lambda r: [r.coherent_info, r.flags["distill_ok"]],
+    "qkd": lambda r: [r.key_rate, r.flags["qkd_ok"]],
+}
+
+
+def _reference_row(protocol, grid, coords, mu, xi):
+    """One scan row through the per-point API: environment, report, classifier."""
+    from cvrelay import entanglement as ent
+    from cvrelay import environments as envs
+    from cvrelay import protocols as prot
+    from cvrelay.cli import _METRIC_COLUMNS, _fmt
+    from cvrelay.gaussian import ValidationError
+
+    flags = dict(zip(grid[0::2], grid[1::2]))
+    names = [name for name in ("g", "gp", "n", "c", "cp") if ":" in flags.get("--" + name, "")]
+    params = {k[2:]: float(v) for k, v in flags.items() if k[2:] not in names}
+    params.update(zip(names, coords))
+    thermal = "tau" in params
+    try:
+        env = (envs.ThermalEnvironment if thermal else envs.AdditiveEnvironment)(**params)
+    except ValidationError:
+        row = [*coords, False, None, None] + [None] * len(_METRIC_COLUMNS[protocol])
+        return ",".join(_fmt(v) for v in row)
+    row = [*coords, True, env.is_separable if thermal else True, env.is_boundary if thermal else False]
+    if protocol == "quad-entanglement":
+        region = ent.quadripartite_classify(env)
+        row += [envs.env_mutual_information(env), region.sigma_prime, region.sigma_double_prime,
+                region.region]
+    elif protocol == "qkd-asymptotic":
+        r = prot.protocol_report_asymptotic(env)
+        row += [r.epsilon, r.key_rate, r.key_rate_lb, r.flags["qkd_ok"]]
+    else:
+        r = (prot.protocol_report_asymptotic(env) if mu == "inf"
+             else prot.protocol_report(prot.SwapInput(float(mu), env), xi))
+        row += CLOSED_FORM_COLUMNS[protocol](r)
+    return ",".join(_fmt(v) for v in row)
+
+
+@pytest.mark.parametrize("name", PARITY_GRIDS)
+def test_scan_rows_match_the_per_point_api(capsys, name):
+    grid, features = PARITY_GRIDS[name]
+    seen = set()
+    runs = [(p, mu) for p in CLOSED_FORM_COLUMNS for mu in ("1", "6.5", "inf")]
+    runs.append(("qkd-asymptotic", "inf"))
+    if "--tau" in grid:
+        runs.append(("quad-entanglement", "inf"))
+    for protocol, mu in runs:
+        code, out = run_cli(["scan", "--protocol", protocol, "--mu", mu, "--xi", "0.97", *grid], capsys)
+        assert code == 0
+        lines = out.split("\r\n")
+        assert lines[-1] == ""
+        header = lines[0].split(",")
+        width = header.index("physical")
+        for line in lines[1:-1]:
+            fields = line.split(",")
+            coords = [float(v) for v in fields[:width]]
+            assert line == _reference_row(protocol, grid, coords, mu, 0.97), (protocol, mu)
+            seen.update({"nonphysical"} if fields[width] == "0" else set())
+            seen.update({"boundary"} if fields[width + 2] == "1" else set())
+            if mu != "1" and "marginal" in fields:
+                seen.add("marginal")
+            if protocol == "teleport" and mu == "1" and fields[width] == "1":
+                assert fields[width + 3] == "0.5"
+    assert features <= seen
+
+
+@pytest.mark.parametrize("argv", [
+    [*THERMAL, "--mu", "52", "--xi", "0.97", "--gp", "-19:19:2", "--g", "-19:19.3:0.1"],
+    ["--n", "2.5", "--mu", "52", "--xi", "0.97", "--cp", "0.2:1:0.2", "--c", "-1:1:0.02"],
+])
+def test_thresholds_qkd_points_bracket_a_sign_change(capsys, argv):
+    from cvrelay.environments import AdditiveEnvironment, ThermalEnvironment
+    from cvrelay.protocols import SwapInput, qkd_rate
+
+    code, out = run_cli(["thresholds", "--metric", "qkd", *argv], capsys)
+    assert code == 0
+    lines = out.strip().split("\r\n")[1:]
+    assert len(lines) >= 3
+    for line in lines:
+        col, x, _ = line.split(",")
+        col, x = float(col), float(x)
+        if "--tau" in argv:
+            envs = [ThermalEnvironment(0.9, 19.38, x + d, col) for d in (-1e-6, 1e-6)]
+        else:
+            envs = [AdditiveEnvironment(2.5, x + d, col) for d in (-1e-6, 1e-6)]
+        lo, hi = (qkd_rate(SwapInput(52.0, env), 0.97) for env in envs)
+        assert (lo > 0.0) != (hi > 0.0), line

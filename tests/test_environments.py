@@ -87,11 +87,6 @@ def test_env_mutual_information_positive_and_zero_only_at_origin():
             assert info > 0.0
 
 
-def test_env_discord_hook_is_unimplemented():
-    with pytest.raises(NotImplementedError):
-        envs.env_discord(ThermalEnvironment(0.9, 19.0, 1.0, -1.0))
-
-
 def test_additive_limit():
     env = ThermalEnvironment(0.999, 2000.0, 0.0, 0.0)
     add = envs.additive_limit(env)

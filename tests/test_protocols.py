@@ -121,7 +121,7 @@ def test_swap_monotonicity_in_mu():
     k, kp = envs.kappa_params(EB_ENV)
     assert k * kp < 1.0
     mus = np.linspace(1.01, 200.0, 80)
-    eps = prot.epsilon_from_kappas(mus, k, kp)
+    eps = prot.relay_metrics(mus, k, kp)["epsilon"]
     assert np.all(np.diff(eps) < 0.0)  # strictly decreasing when k k' < 1
 
 
@@ -211,7 +211,7 @@ def test_teleport_fidelity_limits():
 def test_fidelity_increases_with_mu():
     k, kp = envs.kappa_params(EB_ENV)
     mus = np.linspace(1.01, 100.0, 60)
-    fid = prot.fidelity_from_kappas(mus, k, kp)
+    fid = prot.relay_metrics(mus, k, kp)["fidelity"]
     assert np.all(np.diff(fid) > 0.0)
     assert prot.teleport_fidelity(SwapInput(6.5, EB_ENV)) > 0.5  # reactivated
 
@@ -279,7 +279,7 @@ def test_qkd_rate_monotone_in_xi_and_mu():
     assert r097 < r1
     k, kp = envs.kappa_params(env)
     mus = np.linspace(1.5, 200.0, 50)
-    rates = prot.rate_from_kappas(1.0, mus, k, kp)
+    rates = prot.relay_metrics(mus, k, kp, 1.0)["key_rate"]
     assert np.all(np.diff(rates) > 0.0)
 
 
