@@ -4,7 +4,9 @@ Subcommands: ``point`` (all analyzers at one parameter point, JSON),
 ``scan`` (correlation-plane or noise-axis grids, CSV), ``thresholds``
 (zero contours by bisection, CSV) and ``experiment`` (shot-level sweep,
 JSON plus optional shot dump).  Scans and contours evaluate the closed
-forms over whole grids at once through ``protocols.relay_metrics``.
+forms over whole grids at once through ``protocols.relay_metrics``; the
+finite-mu entanglement scans evaluate stacks of covariance matrices, one
+block of cells at a time.
 
 Flags carry the symbols used throughout the library (--tau, --omega, --g,
 --gp, --mu, --xi for the thermal family; --n, --c, --cp for the additive
@@ -32,6 +34,7 @@ from .gaussian import NumericDegeneracyError, ValidationError
 
 BISECTION_TOL = 1e-6
 MAX_CELLS = 1_000_000  # largest axis, and largest grid, a run accepts
+MATRIX_BLOCK = 4096  # cells per stacked covariance-matrix pass; bounds scan memory
 
 _METRIC_COLUMNS = {
     "swap": ["epsilon", "log_neg", "swap_ok"],
@@ -93,6 +96,13 @@ def _parse_float(text: str) -> float:
         return float(text)
     except ValueError:
         raise ValidationError(f"not a number: {text!r}") from None
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"not an integer: {text!r}") from None
 
 
 def _parse_axis(text: str, name: str) -> np.ndarray:
@@ -282,19 +292,25 @@ def _metric_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
         tau, omega = grid.fixed["tau"], grid.fixed["omega"]
         return [envs.thermal_mutual_information(omega, g, gp),
                 *ent.quadripartite_regions(tau, omega, g, gp)]
-    cells = zip(*(c.tolist() for c in coords))
-    inputs = [prot.SwapInput(mu, grid.family(**grid.params(cell))) for cell in cells]
+    blocks = [_matrix_columns(protocol, grid, [c[at : at + MATRIX_BLOCK] for c in coords], mu)
+              for at in range(0, max(len(coords[0]), 1), MATRIX_BLOCK)]
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
+def _matrix_columns(protocol, grid: _Grid, coords, mu) -> list:
+    """Columns of the covariance-matrix protocols over one block of cells:
+    one stacked build of the evolved states, then stacked tests."""
+    cm = prot.evolved_cm(mu, grid.family, grid.params(coords))
     if protocol == "quad-entanglement":
-        cms = [prot.evolved_cm(inp) for inp in inputs]
-        ml_a = np.array([ent.ppt_min_eigenvalue(cm, [0]) for cm in cms])
-        ml_ap = np.array([ent.ppt_min_eigenvalue(cm, [2]) for cm in cms])
+        ml_a = ent.ppt_min_eigenvalue(cm, [0])
+        ml_ap = ent.ppt_min_eigenvalue(cm, [2])
         info = envs.thermal_mutual_information(grid.fixed["omega"], *coords)
         return [info, ml_a, ml_ap, ent.region_labels(ml_a, ml_ap, ent.PSD_ABS_TOL)]
     if protocol == "bipartite":
-        surveys = [ent.bipartite_survey(inp) for inp in inputs]
-        return [[s[pair] for s in surveys] for pair in ("aAp", "aBp", "ab", "ApBp")]
-    verdicts = [ent.tripartite_classify_triplet(inp) for inp in inputs]
-    return [[v.class_id for v in verdicts], [v.certified for v in verdicts]]
+        survey = ent._pair_log_negativities(cm)
+        return [survey[col.removeprefix("logneg_")] for col in _METRIC_COLUMNS["bipartite"]]
+    class_id, _, certified = ent._tripartite_core(cm.reduced((0, 2, 3)).m)
+    return [class_id, certified]
 
 
 def _column(values, cells: list, size: int) -> list:
@@ -371,10 +387,11 @@ def cmd_thresholds(args) -> int:
         f[physical] = m[_THRESHOLD_METRICS[metric]]
         return (1.0 - f if metric == "swap" else f), physical
 
-    # sample every column, then bisect every bracketed sign change together
+    # sample every column, then bisect every bracketed sign change together;
+    # samples inside the flags' guard band are rounding noise and bracket nothing
     cols, xs = np.meshgrid(col_axis, sweep_axis, indexing="ij")
     f, ok = value(xs, cols)
-    ok &= ~np.isinf(f)
+    ok &= ~np.isinf(f) & (np.abs(f) > prot.FLAG_GUARD)
     ci, xj = np.nonzero(ok[:, :-1] & ok[:, 1:] & ((f[:, :-1] > 0.0) != (f[:, 1:] > 0.0)))
     col, lo, hi, flo = col_axis[ci], sweep_axis[xj], sweep_axis[xj + 1], f[ci, xj]
     live = np.ones(len(ci), dtype=bool)
@@ -408,9 +425,9 @@ def cmd_experiment(args) -> int:
     cp = _number(args, "cp", 1.0)
     eta = _number(args, "eta", 1.0)
     xi = _number(args, "xi", 1.0)
-    shots = int(_resolve(args, "shots", 10**6))
-    seed = int(_resolve(args, "seed", 0))
-    chunk = int(_resolve(args, "chunk_shots", expmt.DEFAULT_CHUNK))
+    shots = _parse_int(str(_resolve(args, "shots", 10**6)))
+    seed = _parse_int(str(_resolve(args, "seed", 0)))
+    chunk = _parse_int(str(_resolve(args, "chunk_shots", expmt.DEFAULT_CHUNK)))
     dump = getattr(args, "dump", None)
     if dump and len(n_axis) != 1:
         raise ValidationError("--dump needs a single-point sweep (one n value)")

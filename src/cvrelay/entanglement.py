@@ -6,10 +6,15 @@ bipartitions are decisive for Gaussian states, so the bipartite and
 quadripartite verdicts below are exact up to numerics; the tripartite
 classification additionally needs the pure-state witness test separating
 bound entanglement (class 4) from full separability (class 5).
+
+The PPT tests, log-negativities and the tripartite classification run on
+stacks of covariance matrices, shaped (..., 2n, 2n), in one pass; the
+per-state functions are views of the stacked ones.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,9 +23,12 @@ import numpy as np
 from .gaussian import (
     CovarianceMatrix,
     ValidationError,
+    _as_matrix,
+    _transpose,
+    _unstack,
+    log_negativity,
     pt_reflection,
     symplectic_form,
-    log_negativity,
 )
 from .environments import ThermalEnvironment, entanglement_breaking_threshold
 from .protocols import SwapInput, evolved_cm
@@ -33,29 +41,48 @@ PSD_REL_TOL = 1e-14
 
 BOUNDARY_SIGMA = 1e-9  # |Sigma| below this is reported as a boundary cell
 
-# tripartite witness search grid: pure-state sigma = R(phi) diag(s, 1/s) R(phi)^T
-_SQUEEZE_GRID = np.exp(2.0 * np.logspace(math.log10(1e-4), math.log10(5.0), 200))
-_ANGLE_GRID = np.linspace(0.0, math.pi, 96, endpoint=False)
+
+@functools.cache
+def _witness_grid():
+    """Entries (qq, pp, qp) of the pure single-mode states
+    sigma = R(phi) diag(s, 1/s) R(phi)^T over a 200 x 96 (squeeze, angle) grid.
+
+    Built on first use, as most runs never get past the vacuum shortcut and
+    the grid takes half a megabyte.
+    """
+    s = np.exp(2.0 * np.logspace(math.log10(1e-4), math.log10(5.0), 200))[:, None]
+    angle = np.linspace(0.0, math.pi, 96, endpoint=False)
+    cos, sin = np.cos(angle)[None, :], np.sin(angle)[None, :]
+    return s * cos * cos + sin * sin / s, s * sin * sin + cos * cos / s, (s - 1.0 / s) * cos * sin
+
+
+_WITNESS_BLOCK = 4  # states searched together; bounds the grid temporaries to a few MB
 
 _MODE_NAMES = ("a", "b", "Ap", "Bp")
+_PAIRS = {"aAp": (0, 2), "aBp": (0, 3), "ab": (0, 1), "ApBp": (2, 3)}
 
 
-def _min_eig_tol(m: np.ndarray) -> float:
-    return max(PSD_ABS_TOL, PSD_REL_TOL * float(np.linalg.norm(m, 2)))
+def _min_eig_tol(m: np.ndarray):
+    """PSD tolerance of every matrix in a stack, widened with its spectral norm."""
+    return np.maximum(PSD_ABS_TOL, PSD_REL_TOL * np.linalg.norm(m, 2, axis=(-2, -1)))
 
 
-def ppt_min_eigenvalue(cm, modes) -> float:
-    """Smallest eigenvalue of Lambda V Lambda + i Omega for the given modes."""
-    m = cm.m if isinstance(cm, CovarianceMatrix) else np.asarray(cm, dtype=float)
-    n = m.shape[0] // 2
+def ppt_min_eigenvalue(cm, modes):
+    """Smallest eigenvalue of Lambda V Lambda + i Omega for the given modes.
+
+    A float for one matrix, an array over the leading axes for a stack.
+    """
+    m = _as_matrix(cm)
+    n = m.shape[-1] // 2
     d = pt_reflection(n, modes)
     test = (d[:, None] * m * d[None, :]).astype(complex) + 1j * symplectic_form(n)
-    return float(np.linalg.eigvalsh(test).min())
+    return _unstack(np.linalg.eigvalsh(test).min(axis=-1))
 
 
-def is_ppt(cm, modes) -> bool:
-    m = cm.m if isinstance(cm, CovarianceMatrix) else np.asarray(cm, dtype=float)
-    return ppt_min_eigenvalue(cm, modes) >= -_min_eig_tol(m)
+def is_ppt(cm, modes):
+    """PPT verdict for the given modes: a bool, or an array for a stack."""
+    m = _as_matrix(cm)
+    return _unstack(np.asarray(ppt_min_eigenvalue(m, modes)) >= -_min_eig_tol(m))
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +96,12 @@ def bipartite_survey(inp: SwapInput) -> dict[str, float]:
     aA', aB', ab and A'B'.  Above the entanglement-breaking noise all four
     vanish for every separable environment.
     """
-    cm = evolved_cm(inp)
-    pairs = {"aAp": (0, 2), "aBp": (0, 3), "ab": (0, 1), "ApBp": (2, 3)}
-    return {
-        name: log_negativity(cm.reduced(pair), [0]) for name, pair in pairs.items()
-    }
+    return _pair_log_negativities(evolved_cm(inp))
+
+
+def _pair_log_negativities(cm: CovarianceMatrix) -> dict:
+    """Log-negativities of the four pairings over a stack of evolved states."""
+    return {name: log_negativity(cm.reduced(pair), [0]) for name, pair in _PAIRS.items()}
 
 
 def logneg_kept_vs_transmitted_asymptotic(tau: float, omega: float) -> float:
@@ -126,61 +154,61 @@ class TripartiteClass:
 
 
 def _witness_pair(m: np.ndarray):
-    """Test matrices for the class-4/5 criterion of a PPT three-mode state."""
+    """Test matrices for the class-4/5 criterion of PPT three-mode states (stackable)."""
     omega2 = symplectic_form(2)
     lam = np.diag(pt_reflection(2, [0]))
-    a = m[:2, :2].astype(complex)
-    w = m[:2, 2:].astype(complex)
-    v_bc = m[2:, 2:].astype(complex)
-    t = a - w @ np.linalg.pinv(v_bc + 1j * omega2, rcond=1e-12) @ w.conj().T
-    t_tilde = a - w @ np.linalg.pinv(v_bc + 1j * lam @ omega2 @ lam, rcond=1e-12) @ w.conj().T
-    return 0.5 * (t + t.conj().T), 0.5 * (t_tilde + t_tilde.conj().T)
+    a = m[..., :2, :2].astype(complex)
+    w = m[..., :2, 2:].astype(complex)
+    v_bc = m[..., 2:, 2:].astype(complex)
+    w_h = _transpose(w.conj())
+    t = a - w @ np.linalg.pinv(v_bc + 1j * omega2, rcond=1e-12) @ w_h
+    t_tilde = a - w @ np.linalg.pinv(v_bc + 1j * lam @ omega2 @ lam, rcond=1e-12) @ w_h
+    return 0.5 * (t + _transpose(t.conj())), 0.5 * (t_tilde + _transpose(t_tilde.conj()))
 
 
-def _dominates_pure_state(t: np.ndarray, t_tilde: np.ndarray) -> bool:
-    """Search for a single-mode pure-state CM sigma with T >= sigma, T~ >= sigma."""
-    tol = max(_min_eig_tol(t.real), _min_eig_tol(t_tilde.real))
+def _dominates_pure_state(t: np.ndarray, t_tilde: np.ndarray) -> np.ndarray:
+    """Search, per state of a stack, for a single-mode pure-state CM sigma
+    with T >= sigma and T~ >= sigma."""
+    tol = np.maximum(_min_eig_tol(t.real), _min_eig_tol(t_tilde.real))
     # vacuum shortcut: sigma = I certifies most separable states immediately
     eye = np.eye(2)
-    if (
-        np.linalg.eigvalsh(t - eye).min() >= -tol
-        and np.linalg.eigvalsh(t_tilde - eye).min() >= -tol
-    ):
-        return True
-    s = _SQUEEZE_GRID[:, None]
-    cos, sin = np.cos(_ANGLE_GRID)[None, :], np.sin(_ANGLE_GRID)[None, :]
-    # sigma = R diag(s, 1/s) R^T entries over the (squeeze, angle) grid
-    sqq = s * cos * cos + sin * sin / s
-    spp = s * sin * sin + cos * cos / s
-    sqp = (s - 1.0 / s) * cos * sin
+    found = ((np.linalg.eigvalsh(t - eye).min(axis=-1) >= -tol)
+             & (np.linalg.eigvalsh(t_tilde - eye).min(axis=-1) >= -tol))
 
-    def dominated(mat):
-        a = mat[0, 0].real - sqq
-        d = mat[1, 1].real - spp
-        off = mat[0, 1] - sqp
+    def dominated(mat, tol):
+        sqq, spp, sqp = _witness_grid()
+        a = mat[:, 0, 0, None, None].real - sqq
+        d = mat[:, 1, 1, None, None].real - spp
+        off = mat[:, 0, 1, None, None] - sqp
         min_eig = 0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2 + np.abs(off) ** 2)
-        return min_eig >= -tol
+        return min_eig >= -tol[:, None, None]
 
-    return bool((dominated(t) & dominated(t_tilde)).any())
+    rest = np.flatnonzero(~found)
+    for at in range(0, len(rest), _WITNESS_BLOCK):
+        idx = rest[at : at + _WITNESS_BLOCK]
+        both = dominated(t[idx], tol[idx]) & dominated(t_tilde[idx], tol[idx])
+        found[idx] = both.any(axis=(1, 2))
+    return found
+
+
+def _tripartite_core(m: np.ndarray):
+    """Stacked classification of (N, 6, 6) states: class ids, per-mode PPT
+    verdicts (N, 3) and certification flags, as in ``tripartite_classify``."""
+    tol = _min_eig_tol(m)  # is_ppt per mode, with the norm taken once for all three
+    ppt = np.stack([ppt_min_eigenvalue(m, [k]) >= -tol for k in range(3)], axis=-1)
+    class_id = ppt.sum(axis=-1) + 1
+    full = np.flatnonzero(class_id == 4)
+    class_id[full[_dominates_pure_state(*_witness_pair(m[full]))]] = 5
+    return class_id, ppt, class_id != 4
 
 
 def tripartite_classify(cm) -> TripartiteClass:
     """Classify a three-mode Gaussian state by per-mode PPT plus witness test."""
-    m = cm.m if isinstance(cm, CovarianceMatrix) else np.asarray(cm, dtype=float)
+    m = _as_matrix(cm)
     if m.shape != (6, 6):
         raise ValidationError("tripartite classification requires a three-mode state")
-    ppt = tuple(is_ppt(m, [k]) for k in range(3))
-    n_ppt = sum(ppt)
-    if n_ppt == 0:
-        return TripartiteClass(1, ppt)
-    if n_ppt == 1:
-        return TripartiteClass(2, ppt)
-    if n_ppt == 2:
-        return TripartiteClass(3, ppt)
-    t, t_tilde = _witness_pair(m)
-    if _dominates_pure_state(t, t_tilde):
-        return TripartiteClass(5, ppt)
-    return TripartiteClass(4, ppt, certified=False)
+    class_id, ppt, certified = _tripartite_core(m[None])
+    return TripartiteClass(int(class_id[0]), tuple(ppt[0].tolist()), bool(certified[0]))
 
 
 def tripartite_classify_triplet(inp: SwapInput, triplet=(0, 2, 3)) -> TripartiteClass:
@@ -279,7 +307,7 @@ def quadripartite_numeric(cm, grouping_mode: int | str) -> str:
             grouping_mode = _MODE_NAMES.index(grouping_mode)
         except ValueError:
             raise ValidationError(f"unknown mode name {grouping_mode!r}") from None
-    m = cm.m if isinstance(cm, CovarianceMatrix) else np.asarray(cm, dtype=float)
+    m = _as_matrix(cm)
     if m.shape != (8, 8):
         raise ValidationError("quadripartite test requires a four-mode state")
     return "separable-PPT" if is_ppt(m, [grouping_mode]) else "entangled"

@@ -8,10 +8,16 @@ The module provides the covariance-matrix container, symplectic spectra and
 entropies, partial transposition / log-negativity, Gaussian unitaries, and a
 general Schur-complement oracle for conditioning on heterodyne and CV Bell
 measurements.  All functions are pure; none of them mutates its arguments.
+
+The container and the spectral functions also take stacks of matrices,
+shaped (..., 2n, 2n): every matrix is validated and evaluated on its own,
+and a single matrix is simply a stack without leading axes.  Stacked calls
+return arrays; single-matrix calls return Python floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,76 +41,128 @@ class NumericDegeneracyError(ArithmeticError):
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode."""
+    """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode.
+
+    The array is cached per mode count and read-only.
+    """
     if n_modes < 1:
         raise ValidationError("n_modes must be a positive integer")
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return _symplectic_form(n_modes)
+
+
+@functools.lru_cache(maxsize=None)
+def _symplectic_form(n_modes: int) -> np.ndarray:
+    omega = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    omega.flags.writeable = False
+    return omega
 
 
 def _as_matrix(cm) -> np.ndarray:
     return cm.m if isinstance(cm, CovarianceMatrix) else np.asarray(cm, dtype=float)
 
 
+def _transpose(m: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return np.swapaxes(m, -1, -2)
+
+
+def _unstack(x):
+    """Python scalar for a 0-d result, the array itself for a stacked one."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def _check_symmetric(m: np.ndarray, what: str):
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    if np.any(np.abs(m - _transpose(m)).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
+        raise ValidationError(f"{what} is not symmetric")
+
+
+def _check_positive_definite(m: np.ndarray, what: str):
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise ValidationError(f"{what} is not positive definite") from None
+
+
 def _spectrum_of(m: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a symmetric positive-definite matrix.
+    """Symplectic spectra of a stack of symmetric positive-definite matrices.
 
     Computed as the moduli of the eigenvalues of i*Omega*m, which come in
     +/- pairs; the pairs are collapsed to n values, ascending.
     """
-    n = m.shape[0] // 2
+    n = m.shape[-1] // 2
     ev = np.linalg.eigvals(1j * symplectic_form(n) @ m)
-    mods = np.sort(np.abs(ev)).reshape(n, 2)
-    gap = mods[:, 1] - mods[:, 0]
-    if np.any(gap > _PAIR_RTOL * np.maximum(mods[:, 1], 1.0)):
+    mods = np.sort(np.abs(ev), axis=-1).reshape(*ev.shape[:-1], n, 2)
+    gap = mods[..., 1] - mods[..., 0]
+    if np.any(gap > _PAIR_RTOL * np.maximum(mods[..., 1], 1.0)):
         raise NumericDegeneracyError("eigenvalue moduli of i*Omega*V did not pair up")
-    return mods.mean(axis=1)
+    return mods.mean(axis=-1)
 
 
 class CovarianceMatrix:
-    """A 2n x 2n quadrature covariance matrix in shot-noise units.
+    """A 2n x 2n quadrature covariance matrix in shot-noise units, or a
+    stack of them shaped (..., 2n, 2n).
 
-    Construction validates symmetry, positive definiteness and the
-    uncertainty principle (smallest symplectic eigenvalue >= 1 within
-    ``UNCERTAINTY_TOL``).  The stored array is read-only.
+    Construction validates every matrix of the stack at once: symmetry,
+    positive definiteness (one stacked Cholesky) and the uncertainty
+    principle (smallest symplectic eigenvalue >= 1 within
+    ``UNCERTAINTY_TOL``, from one stacked eigenvalue call).  One bad matrix
+    rejects the whole stack.  The stored array is read-only.
     """
 
     __slots__ = ("m", "n_modes")
 
     def __init__(self, entries):
         m = np.array(entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0 or m.shape[0] % 2:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0 or m.shape[-1] % 2:
             raise ValidationError(f"covariance matrix must be 2n x 2n, got shape {m.shape}")
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * scale:
-            raise ValidationError("covariance matrix is not symmetric")
-        m = 0.5 * (m + m.T)
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise ValidationError("covariance matrix is not positive definite") from None
-        nu_min = float(_spectrum_of(m).min())
-        if nu_min < 1.0 - UNCERTAINTY_TOL:
+        if not np.isfinite(m).all():
+            raise ValidationError("covariance matrix has non-finite entries")
+        _check_symmetric(m, "covariance matrix")
+        m = 0.5 * (m + _transpose(m))
+        _check_positive_definite(m, "covariance matrix")
+        nu_min = _spectrum_of(m).min(axis=-1)
+        bad = np.flatnonzero(nu_min < 1.0 - UNCERTAINTY_TOL)
+        if len(bad):
+            where = f" (stack entry {bad[0]})" if m.ndim > 2 else ""
             raise ValidationError(
-                f"uncertainty principle violated: smallest symplectic eigenvalue {nu_min:.12g} < 1"
+                "uncertainty principle violated: smallest symplectic eigenvalue "
+                f"{nu_min.flat[bad[0]]:.12g} < 1{where}"
             )
+        self._store(m)
+
+    @classmethod
+    def _trusted(cls, m: np.ndarray) -> "CovarianceMatrix":
+        """Wrap a matrix that is valid by construction, skipping the checks."""
+        cm = object.__new__(cls)
+        cm._store(m)
+        return cm
+
+    def _store(self, m: np.ndarray):
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n_modes", m.shape[0] // 2)
+        object.__setattr__(self, "n_modes", m.shape[-1] // 2)
 
     def __setattr__(self, name, value):
         raise AttributeError("CovarianceMatrix is immutable")
 
     def __repr__(self):
-        return f"CovarianceMatrix(n_modes={self.n_modes})"
+        stack = f", stack={self.m.shape[:-2]}" if self.m.ndim > 2 else ""
+        return f"CovarianceMatrix(n_modes={self.n_modes}{stack})"
 
     def reduced(self, modes) -> "CovarianceMatrix":
-        """Covariance matrix of a subset of modes (partial trace of the rest)."""
-        idx = _quad_indices(self.n_modes, modes)
-        return CovarianceMatrix(self.m[np.ix_(idx, idx)])
+        """Covariance matrix of a subset of modes (partial trace of the rest).
+
+        A principal block of a valid covariance matrix is itself valid (its
+        smallest symplectic eigenvalue is no smaller), so it is not checked
+        again.
+        """
+        idx = np.asarray(_quad_indices(self.n_modes, modes))
+        return CovarianceMatrix._trusted(self.m[..., idx[:, None], idx])
 
     def block(self, i: int, j: int) -> np.ndarray:
         """The 2x2 block coupling mode i to mode j."""
-        return self.m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].copy()
+        return self.m[..., 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].copy()
 
 
 def _quad_indices(n_modes: int, modes) -> list[int]:
@@ -268,37 +326,33 @@ def symplectic_spectrum(cm) -> np.ndarray:
     """
     m = _as_matrix(cm)
     if not isinstance(cm, CovarianceMatrix):
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * scale:
-            raise ValidationError("matrix is not symmetric")
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise ValidationError("matrix is not positive definite") from None
+        _check_symmetric(m, "matrix")
+        _check_positive_definite(m, "matrix")
     return _spectrum_of(m)
 
 
-def two_mode_spectrum(cm, transposed: bool = False) -> tuple[float, float]:
+def two_mode_spectrum(cm, transposed: bool = False):
     """Closed-form symplectic spectrum of a two-mode covariance matrix.
 
     With ``transposed=True`` the invariant det A + det B + 2 det C is replaced
     by det A + det B - 2 det C, which yields the spectrum of the partial
-    transpose.  Returns (nu_minus, nu_plus).
+    transpose.  Returns (nu_minus, nu_plus): floats for one matrix, arrays
+    over the leading axes for a stack.
     """
     m = _as_matrix(cm)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise ValidationError("closed form requires a two-mode (4x4) matrix")
-    det_a = float(np.linalg.det(m[:2, :2]))
-    det_b = float(np.linalg.det(m[2:, 2:]))
-    det_c = float(np.linalg.det(m[:2, 2:]))
-    det_v = float(np.linalg.det(m))
+    det_a = np.linalg.det(m[..., :2, :2])
+    det_b = np.linalg.det(m[..., 2:, 2:])
+    det_c = np.linalg.det(m[..., :2, 2:])
+    det_v = np.linalg.det(m)
     delta = det_a + det_b + (-2.0 if transposed else 2.0) * det_c
-    disc = max(delta * delta - 4.0 * det_v, 0.0)
-    hi_sq = (delta + math.sqrt(disc)) / 2.0
-    if hi_sq <= 0.0:
+    disc = np.maximum(delta * delta - 4.0 * det_v, 0.0)
+    hi_sq = (delta + np.sqrt(disc)) / 2.0
+    if np.any(hi_sq <= 0.0):
         raise ValidationError("matrix has no real symplectic spectrum")
     # small root via the product form: avoids cancellation when hi >> lo
-    return math.sqrt(max(det_v, 0.0) / hi_sq), math.sqrt(hi_sq)
+    return _unstack(np.sqrt(np.maximum(det_v, 0.0) / hi_sq)), _unstack(np.sqrt(hi_sq))
 
 
 def entropic_h(x: float) -> float:
@@ -348,28 +402,33 @@ def partial_transpose(cm, modes) -> np.ndarray:
     twice restores the input bit-exactly.
     """
     m = _as_matrix(cm)
-    d = pt_reflection(m.shape[0] // 2, modes)
+    d = pt_reflection(m.shape[-1] // 2, modes)
     return d[:, None] * m * d[None, :]
 
 
-def smallest_pts_eigenvalue(cm, modes) -> float:
+def smallest_pts_eigenvalue(cm, modes):
     """Smallest symplectic eigenvalue of the partial transpose.
 
     A value < 1 certifies entanglement across the chosen bipartition.  The
     two-mode single-mode-transpose case uses the closed form; otherwise the
-    spectrum of the transposed matrix is computed numerically.
+    spectrum of the transposed matrix is computed numerically.  A float for
+    one matrix, an array over the leading axes for a stack.
     """
     m = _as_matrix(cm)
     modes = list(modes)
-    if m.shape == (4, 4) and len(modes) == 1:
+    if m.shape[-2:] == (4, 4) and len(modes) == 1:
         return two_mode_spectrum(m, transposed=True)[0]
-    return float(_spectrum_of(partial_transpose(m, modes)).min())
+    return _unstack(_spectrum_of(partial_transpose(m, modes)).min(axis=-1))
 
 
-def log_negativity(cm, modes) -> float:
-    """Entanglement monotone max{0, -log2(smallest PTS eigenvalue)} in bits."""
-    eps = smallest_pts_eigenvalue(cm, modes)
-    return max(0.0, -math.log2(eps))
+def log_negativity(cm, modes):
+    """Entanglement monotone max{0, -log2(smallest PTS eigenvalue)} in bits.
+
+    A float for one matrix, an array over the leading axes for a stack.
+    """
+    eps = np.asarray(smallest_pts_eigenvalue(cm, modes))
+    with np.errstate(divide="ignore"):
+        return _unstack(np.where(eps < 1.0, -np.log2(eps), 0.0))
 
 
 # ---------------------------------------------------------------------------

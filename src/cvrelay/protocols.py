@@ -39,7 +39,6 @@ from .environments import (
 FLAG_GUARD = 1e-12  # open-inequality guard band for protocol success flags
 
 _I2 = np.eye(2)
-_Z2 = np.diag([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -237,37 +236,51 @@ def _metrics(inp: SwapInput, xi: float = 1.0) -> dict:
 # pre-measurement four-mode state
 
 
-def evolved_cm(inp: SwapInput) -> CovarianceMatrix:
+def _links(family, params):
+    """Link map (t, e, h, h') of an environment family, array-friendly.
+
+    Each link takes a transmitted arm of variance v to t v + e and scales
+    its coupling to the kept arm by sqrt(t); h and h' are the q and p
+    correlations the environment leaves between A' and B'.
+    """
+    if family is ThermalEnvironment:
+        tau = params["tau"]
+        loss = 1.0 - tau
+        return tau, loss * params["omega"], loss * params["g"], loss * params["gp"]
+    if family is AdditiveEnvironment:
+        n = params["n"]
+        return 1.0, n, n * params["c"], n * params["cp"]
+    raise ValidationError(f"unsupported environment type {getattr(family, '__name__', family)!r}")
+
+
+def evolved_cm(inp, family=None, params=None) -> CovarianceMatrix:
     """Covariance matrix of modes (a, b, A', B') after the noisy links.
 
     Mode a is Alice's kept arm (variance phi), b is Bob's kept arm
     (variance mu); A' and B' are the transmitted arms arriving at the relay.
+
+    ``evolved_cm(SwapInput)`` builds one 8x8 state.  ``evolved_cm(mu, family,
+    params)`` builds a stack with phi = mu in one pass: ``family`` is
+    ``ThermalEnvironment`` or ``AdditiveEnvironment`` and ``params`` maps its
+    fields to broadcastable values, whose broadcast shape the stack takes.
+    Either way the result is validated as one ``CovarianceMatrix``.
     """
-    phi, mu = inp.phi_value, inp.mu
-    tphi = math.sqrt(phi * phi - 1.0)
-    tmu = math.sqrt(mu * mu - 1.0)
-    z = np.zeros((2, 2))
-    if isinstance(inp.env, ThermalEnvironment):
-        env = inp.env
-        st = math.sqrt(env.tau)
-        y = env.tau * phi + (1.0 - env.tau) * env.omega
-        x = env.tau * mu + (1.0 - env.tau) * env.omega
-        gmat = (1.0 - env.tau) * np.diag([env.g, env.gp])
-        ca, cb = tphi * st * _Z2, tmu * st * _Z2
+    if isinstance(inp, SwapInput):
+        phi, mu, family, params = inp.phi_value, inp.mu, type(inp.env), vars(inp.env)
     else:
-        env = inp.env
-        y = phi + env.n
-        x = mu + env.n
-        gmat = env.n * np.diag([env.c, env.cp])
-        ca, cb = tphi * _Z2, tmu * _Z2
-    m = np.block(
-        [
-            [phi * _I2, z, ca, z],
-            [z, mu * _I2, z, cb],
-            [ca, z, y * _I2, gmat],
-            [z, cb, gmat, x * _I2],
-        ]
-    )
+        phi = mu = np.asarray(inp, dtype=float)
+        if not np.all((mu >= 1.0) & (mu < math.inf)):
+            raise ValidationError("mu must be finite and >= 1")
+    t, e, h, hp = _links(family, params)
+    s = np.sqrt(t)
+    ca, cb = np.sqrt(phi * phi - 1.0) * s, np.sqrt(mu * mu - 1.0) * s
+    y, x = t * phi + e, t * mu + e
+    entries = {(0, 0): phi, (1, 1): phi, (2, 2): mu, (3, 3): mu, (4, 4): y, (5, 5): y,
+               (6, 6): x, (7, 7): x, (0, 4): ca, (1, 5): -ca, (2, 6): cb, (3, 7): -cb,
+               (4, 6): h, (5, 7): hp}
+    m = np.zeros(np.broadcast_shapes(*map(np.shape, entries.values())) + (8, 8))
+    for (i, j), value in entries.items():
+        m[..., i, j] = m[..., j, i] = value
     return CovarianceMatrix(m)
 
 

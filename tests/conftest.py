@@ -1,10 +1,16 @@
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from cvrelay import gaussian as g
 from cvrelay.environments import ThermalEnvironment
 from cvrelay.gaussian import ValidationError
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_symplectic_matrix(rng, n_modes, layers=4) -> np.ndarray:

@@ -424,10 +424,21 @@ def _reference_row(protocol, grid, coords, mu, xi):
         row = [*coords, False, None, None] + [None] * len(_METRIC_COLUMNS[protocol])
         return ",".join(_fmt(v) for v in row)
     row = [*coords, True, env.is_separable if thermal else True, env.is_boundary if thermal else False]
-    if protocol == "quad-entanglement":
+    if protocol == "quad-entanglement" and mu == "inf":
         region = ent.quadripartite_classify(env)
         row += [envs.env_mutual_information(env), region.sigma_prime, region.sigma_double_prime,
                 region.region]
+    elif protocol == "quad-entanglement":
+        cm = prot.evolved_cm(prot.SwapInput(float(mu), env))
+        ml_a, ml_ap = ent.ppt_min_eigenvalue(cm, [0]), ent.ppt_min_eigenvalue(cm, [2])
+        row += [envs.env_mutual_information(env), ml_a, ml_ap,
+                str(ent.region_labels(ml_a, ml_ap, ent.PSD_ABS_TOL))]
+    elif protocol == "bipartite":
+        survey = ent.bipartite_survey(prot.SwapInput(float(mu), env))
+        row += [survey[pair] for pair in ("aAp", "aBp", "ab", "ApBp")]
+    elif protocol == "tripartite":
+        verdict = ent.tripartite_classify_triplet(prot.SwapInput(float(mu), env))
+        row += [verdict.class_id, verdict.certified]
     elif protocol == "qkd-asymptotic":
         r = prot.protocol_report_asymptotic(env)
         row += [r.epsilon, r.key_rate, r.key_rate_lb, r.flags["qkd_ok"]]
@@ -436,6 +447,23 @@ def _reference_row(protocol, grid, coords, mu, xi):
              else prot.protocol_report(prot.SwapInput(float(mu), env), xi))
         row += CLOSED_FORM_COLUMNS[protocol](r)
     return ",".join(_fmt(v) for v in row)
+
+
+def _rows_checked_against_reference(protocol, mu, grid, capsys):
+    """Run one scan and compare every row with ``_reference_row``; returns the
+    index of the "physical" column and every row's fields."""
+    code, out = run_cli(["scan", "--protocol", protocol, "--mu", mu, "--xi", "0.97", *grid], capsys)
+    assert code == 0
+    lines = out.split("\r\n")
+    assert lines[-1] == ""
+    width = lines[0].split(",").index("physical")
+    rows = []
+    for line in lines[1:-1]:
+        fields = line.split(",")
+        coords = [float(v) for v in fields[:width]]
+        assert line == _reference_row(protocol, grid, coords, mu, 0.97), (protocol, mu)
+        rows.append(fields)
+    return width, rows
 
 
 @pytest.mark.parametrize("name", PARITY_GRIDS)
@@ -447,16 +475,8 @@ def test_scan_rows_match_the_per_point_api(capsys, name):
     if "--tau" in grid:
         runs.append(("quad-entanglement", "inf"))
     for protocol, mu in runs:
-        code, out = run_cli(["scan", "--protocol", protocol, "--mu", mu, "--xi", "0.97", *grid], capsys)
-        assert code == 0
-        lines = out.split("\r\n")
-        assert lines[-1] == ""
-        header = lines[0].split(",")
-        width = header.index("physical")
-        for line in lines[1:-1]:
-            fields = line.split(",")
-            coords = [float(v) for v in fields[:width]]
-            assert line == _reference_row(protocol, grid, coords, mu, 0.97), (protocol, mu)
+        width, rows = _rows_checked_against_reference(protocol, mu, grid, capsys)
+        for fields in rows:
             seen.update({"nonphysical"} if fields[width] == "0" else set())
             seen.update({"boundary"} if fields[width + 2] == "1" else set())
             if mu != "1" and "marginal" in fields:
@@ -464,6 +484,61 @@ def test_scan_rows_match_the_per_point_api(capsys, name):
             if protocol == "teleport" and mu == "1" and fields[width] == "1":
                 assert fields[width + 3] == "0.5"
     assert features <= seen
+
+
+# Finite-mu matrix scans against the per-cell library calls.  The first plane
+# sits just above omega_EB with non-physical, one-mode biseparable (class 2)
+# and fully separable (class 5) cells.  In the second, the eight cells
+# (+-14.5, +-2.5) and (+-2.5, +-14.5) at mu = 6.5 pass every PPT test but not
+# the vacuum witness, so the search over squeezed pure states decides them.
+MATRIX_GRIDS = {
+    "thermal-above-eb": ([*THERMAL, "--g", "-20:20:2.5", "--gp", "-20:20:2.5"],
+                         {"nonphysical", "class 2", "class 5"}),
+    "thermal-witness-search": (["--tau", "0.9", "--omega", "20.5", "--g", "-14.5:-2.5:12",
+                                "--gp", "-14.5:14.5:1"], {"class 5"}),
+    "c-plane": (PARITY_GRIDS["c-plane"][0], {"nonphysical", "entangled pair"}),
+    "n-axis": (PARITY_GRIDS["n-axis"][0], {"nonphysical", "entangled pair"}),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_GRIDS)
+def test_matrix_scan_rows_match_the_per_cell_api(capsys, name):
+    grid, features = MATRIX_GRIDS[name]
+    protocols = ["bipartite", "tripartite"] + (["quad-entanglement"] if "--tau" in grid else [])
+    seen = set()
+    for protocol in protocols:
+        for mu in ("1", "6.5", "52"):
+            width, rows = _rows_checked_against_reference(protocol, mu, grid, capsys)
+            for fields in rows:
+                if fields[width] == "0":
+                    seen.add("nonphysical")
+                elif protocol == "tripartite":
+                    seen.add(f"class {fields[width + 3]}")
+                elif protocol == "bipartite" and any(float(v) > 0.0 for v in fields[width + 3:]):
+                    seen.add("entangled pair")
+    assert features <= seen
+
+
+@pytest.mark.parametrize("protocol", ["quad-entanglement", "bipartite", "tripartite"])
+def test_matrix_scan_output_does_not_depend_on_the_block_size(capsys, monkeypatch, protocol):
+    argv = ["scan", "--protocol", protocol, "--mu", "6.5", *MATRIX_GRIDS["thermal-above-eb"][0]]
+    whole = run_cli(argv, capsys)
+    monkeypatch.setattr("cvrelay.cli.MATRIX_BLOCK", 7)
+    assert run_cli(argv, capsys) == whole
+
+
+@pytest.mark.parametrize("flag", ["--shots", "--seed", "--chunk-shots"])
+def test_experiment_integer_flags_reject_non_integers(capsys, flag):
+    flags = {"--shots": "10", flag: "1e3"}
+    code, out = run_cli(["experiment", "--n", "1", *[t for kv in flags.items() for t in kv]], capsys)
+    assert code == 2 and json.loads(out)["error"]["code"] == 2
+
+
+def test_thresholds_find_no_crossing_in_rounding_noise(capsys):
+    # at mu = 1 the key rate is zero up to rounding everywhere
+    code, out = run_cli(["thresholds", "--metric", "qkd", "--mu", "1", *THERMAL, "--gp", "-16",
+                         "--g", "-19:19.3:0.5"], capsys)
+    assert code == 0 and out == "gp,g,metric\r\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import random_thermal_env
 from cvrelay import entanglement as ent
 from cvrelay import environments as envs
 from cvrelay import gaussian as g
 from cvrelay import protocols as prot
-from cvrelay.environments import ThermalEnvironment
+from cvrelay.environments import AdditiveEnvironment, ThermalEnvironment
 from cvrelay.gaussian import ValidationError
 from cvrelay.protocols import SwapInput
 
@@ -280,3 +282,47 @@ def test_quadripartite_analytic_matches_numeric_other_panels(tau, r):
             funcs["sigma_double_prime"] > 0.0
         )
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation against single cells
+
+_UNIT = st.floats(-1.0, 1.0)
+_MU = st.floats(1.0, 1e4)
+
+
+def _assert_stack_matches_cells(mu, family, params):
+    cells = np.broadcast_arrays(*params.values())
+    try:
+        singles = [
+            prot.evolved_cm(SwapInput(mu, family(**dict(zip(params, map(float, values))))))
+            for values in zip(*cells)
+        ]
+    except ValidationError:  # then the stack that holds the cell is rejected too
+        with pytest.raises(ValidationError):
+            prot.evolved_cm(mu, family, params)
+        return
+    stack = prot.evolved_cm(mu, family, params)
+    assert np.array_equal(stack.m, np.stack([cm.m for cm in singles]))
+    for modes in ([0], [1], [2], [3]):
+        assert ent.ppt_min_eigenvalue(stack, modes).tolist() == [
+            ent.ppt_min_eigenvalue(cm, modes) for cm in singles
+        ]
+
+
+@given(tau=st.floats(0.05, 0.95), omega=st.floats(1.0, 40.0), mu=_MU,
+       cells=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=6))
+def test_stacked_thermal_states_equal_single_cells(tau, omega, mu, cells):
+    g_, gp = (omega * np.array(c) for c in zip(*cells))
+    physical, _, boundary = envs.thermal_masks(omega, g_, gp)
+    keep = physical & ~boundary
+    assume(keep.any())
+    _assert_stack_matches_cells(mu, ThermalEnvironment,
+                                {"tau": tau, "omega": omega, "g": g_[keep], "gp": gp[keep]})
+
+
+@given(n=st.floats(0.0, 10.0), mu=_MU,
+       cells=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=6))
+def test_stacked_additive_states_equal_single_cells(n, mu, cells):
+    c, cp = (np.array(v) for v in zip(*cells))
+    _assert_stack_matches_cells(mu, AdditiveEnvironment, {"n": n, "c": c, "cp": cp})

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_symplectic_matrix, random_two_mode_cm
 from cvrelay import gaussian as g
+from cvrelay.entanglement import ppt_min_eigenvalue
 from cvrelay.gaussian import (
     CovarianceMatrix,
     GaussianState,
@@ -32,6 +33,68 @@ def test_covariance_matrix_rejects_bad_input():
         CovarianceMatrix(np.diag([0.5, 0.5]))  # below vacuum
     with pytest.raises(ValidationError):
         CovarianceMatrix(-np.eye(2))
+
+
+def test_symplectic_form_is_cached_and_read_only():
+    assert g.symplectic_form(3) is g.symplectic_form(3)
+    with pytest.raises(ValueError):
+        g.symplectic_form(3)[0, 1] = 2.0
+
+
+def _stack_of_two_mode_cms(seed, count=12):
+    """Random two-mode states, entangled and not, plus a TMSV and a product state."""
+    rng = np.random.default_rng(seed)
+    mats = [random_two_mode_cm(rng)[0] for _ in range(count)]
+    mats += [g.tmsv_cm(3.0).m, g.direct_sum(g.thermal_cm(2.0), g.thermal_cm(1.0)).m]
+    return np.stack(mats)
+
+
+def test_stacked_covariance_matrix_rejects_one_bad_member():
+    good = _stack_of_two_mode_cms(5, count=4)
+    stack = CovarianceMatrix(good)
+    assert stack.n_modes == 2 and stack.m.shape == (6, 4, 4)
+    assert np.array_equal(stack.reduced([1]).m, good[:, 2:, 2:])
+    assert np.array_equal(stack.block(0, 1), good[:, :2, 2:])
+    bad = {
+        "below vacuum": np.diag([0.5, 0.5, 1.0, 1.0]),
+        "not positive definite": -np.eye(4),
+        "not symmetric": np.eye(4) + np.triu(np.ones((4, 4)), 1),
+        "not finite": np.diag([np.inf, 1.0, 1.0, 1.0]),
+    }
+    for name, m in bad.items():
+        with pytest.raises(ValidationError):
+            CovarianceMatrix(np.concatenate([good[:3], m[None], good[3:]]))
+        with pytest.raises(ValidationError):
+            CovarianceMatrix(m)
+
+
+def test_stacked_spectral_functions_equal_the_per_matrix_results():
+    mats = _stack_of_two_mode_cms(11)
+    stack = CovarianceMatrix(mats)
+    for transposed in (False, True):
+        lo, hi = g.two_mode_spectrum(stack, transposed=transposed)
+        assert [*zip(lo.tolist(), hi.tolist())] == [
+            g.two_mode_spectrum(m, transposed=transposed) for m in mats
+        ]
+    logneg = g.log_negativity(stack, [0])
+    assert logneg.tolist() == [g.log_negativity(m, [0]) for m in mats]
+    assert (logneg > 0.0).any() and (logneg == 0.0).any()
+    for modes in ([0], [1]):
+        assert ppt_min_eigenvalue(stack, modes).tolist() == [
+            ppt_min_eigenvalue(m, modes) for m in mats
+        ]
+    # three modes: the numeric partial-transpose spectrum
+    rng = np.random.default_rng(12)
+    three = []
+    for _ in range(6):
+        s = random_symplectic_matrix(rng, 3)
+        v = s @ np.diag(np.repeat(rng.uniform(1.0, 4.0, 3), 2)) @ s.T
+        three.append(0.5 * (v + v.T))
+    three = np.stack(three)
+    assert g.smallest_pts_eigenvalue(three, [2]).tolist() == [
+        g.smallest_pts_eigenvalue(m, [2]) for m in three
+    ]
+    assert isinstance(g.log_negativity(mats[0], [0]), float)
 
 
 def test_spectrum_thermal_single_mode():
