@@ -18,6 +18,7 @@ success, 2 validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -428,6 +429,8 @@ def cmd_experiment(args) -> int:
     shots = _parse_int(str(_resolve(args, "shots", 10**6)))
     seed = _parse_int(str(_resolve(args, "seed", 0)))
     chunk = _parse_int(str(_resolve(args, "chunk_shots", expmt.DEFAULT_CHUNK)))
+    if chunk < 1:
+        raise ValidationError("chunk_shots must be a positive integer")
     dump = getattr(args, "dump", None)
     if dump and len(n_axis) != 1:
         raise ValidationError("--dump needs a single-point sweep (one n value)")
@@ -444,13 +447,17 @@ def cmd_experiment(args) -> int:
             xi=xi,
             stream=idx,
         )
-        batch = expmt.simulate_shot_batch(config, chunk_shots=chunk)
-        if dump:
-            with open(dump, "w", encoding="utf-8", newline="") as fh:
-                batch.write_csv(fh)
+        # one chunk of shots in memory at a time; simulate and estimate stay apart
+        moments = expmt._CoMoments()
+        with open(dump, "w", encoding="utf-8", newline="") if dump else contextlib.nullcontext() as fh:
+            for start in range(0, shots, chunk):
+                batch = expmt.simulate_shot_batch(config, start=start, stop=min(start + chunk, shots))
+                moments.add(batch)
+                if fh:
+                    batch.write_csv(fh, header=not start)
         point = {"n": float(nv)}
         try:
-            est = expmt.estimate_conditional_cm(batch, mu, xi)
+            est = moments.estimate(mu, xi)
             point.update(
                 {
                     "key_rate_hat": est.key_rate_hat,

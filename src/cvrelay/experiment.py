@@ -12,6 +12,20 @@ from which the secret-key rate follows by the generic analyzer.
 Randomness comes from a counter-based Philox generator; every shot consumes
 exactly DRAWS_PER_SHOT uniform draws, so the stream can be partitioned at
 any chunk boundary without changing a single sample.
+
+The estimator streams: a run's shots may arrive in chunks of any size, in
+shot order, and only running moments are kept.  The shots are re-cut into
+fixed blocks of MOMENT_BLOCK, aligned to the absolute shot index.  Each
+block gives its size n_b, mean m_b and centred co-moment
+M_b = sum (x - m_b)(x - m_b)^T, and the blocks are merged in index order by
+the pairwise update of Chan, Golub & LeVeque (1983) and Pebay
+(SAND2008-6212):
+
+    n = n_a + n_b,  d = m_b - m_a,  m = m_a + d n_b / n,
+    M = M_a + M_b + d d^T n_a n_b / n.
+
+Every sum is therefore taken in the same order whatever the chunking, and
+the estimate is bit-identical for any chunk size.
 """
 
 from __future__ import annotations
@@ -28,8 +42,11 @@ from .protocols import key_rate_from_cm
 RNG_ALGORITHM = "philox4x64"
 DRAWS_PER_SHOT = 16  # 4 signal + 4 side-channel + 4 shot-noise + 4 loss draws
 DEFAULT_CHUNK = 1 << 16
+DRAW_BLOCK = 1 << 12  # most shots drawn and mixed at once; bounds the draw buffers
+MOMENT_BLOCK = 1 << 12  # shots per co-moment block, aligned to the absolute shot index
 
 _SQRT2 = math.sqrt(2.0)
+_COLUMNS = ("qa", "pa", "qb", "pb", "qg", "pg")
 
 
 @dataclass(frozen=True)
@@ -64,15 +81,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ShotRecord:
-    """One relay use: prepared amplitudes and the broadcast Bell outcome."""
-
-    alice_amp: complex
-    bob_amp: complex
-    gamma: complex
-
-
-@dataclass(frozen=True)
 class ShotBatch:
     """Column-wise shot data: amplitudes (qa, pa, qb, pb) and gamma (qg, pg)."""
 
@@ -86,19 +94,12 @@ class ShotBatch:
     def __len__(self) -> int:
         return self.qa.shape[0]
 
-    def records(self):
-        for k in range(len(self)):
-            yield ShotRecord(
-                complex(self.qa[k], self.pa[k]),
-                complex(self.qb[k], self.pb[k]),
-                complex(self.qg[k], self.pg[k]),
-            )
-
-    def write_csv(self, fileobj):
-        """Dump the shots: header qa,pa,qb,pb,qg,pg, 12 significant digits."""
-        fileobj.write("qa,pa,qb,pb,qg,pg\r\n")
-        cols = (self.qa, self.pa, self.qb, self.pb, self.qg, self.pg)
-        for row in zip(*cols):
+    def write_csv(self, fileobj, header: bool = True):
+        """Dump the shots: header qa,pa,qb,pb,qg,pg (``header=False`` for a
+        later chunk of the same dump), 12 significant digits."""
+        if header:
+            fileobj.write(",".join(_COLUMNS) + "\r\n")
+        for row in zip(*(getattr(self, name) for name in _COLUMNS)):
             fileobj.write(",".join(f"{v:.12g}" for v in row) + "\r\n")
 
 
@@ -115,73 +116,72 @@ def _noise_sqrt(env: AdditiveEnvironment) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def _chunk_normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """Standard normals for shots [start, start + count), any partition plan.
+def _philox(seed: int, stream: int, start: int) -> np.random.Generator:
+    """Generator positioned at the first draw of shot ``start``.
 
-    Uniform draws are mapped through the inverse normal CDF; each uniform
-    costs exactly one 64-bit Philox output and DRAWS_PER_SHOT is a multiple
-    of the 4-output Philox counter block, so jumping the counter to shot
-    ``start`` lands on the same values regardless of chunking.
+    Each uniform costs exactly one 64-bit Philox output and DRAWS_PER_SHOT
+    is a multiple of the 4-output Philox counter block, so jumping the
+    counter to shot ``start`` lands on the same values for any partition.
     """
-    from scipy.special import ndtri  # here, not at the top: scipy dominates import time
-
     bitgen = np.random.Philox(key=[seed, stream])
     bitgen.advance(DRAWS_PER_SHOT * start // 4)  # advance() counts counter blocks
-    u = np.random.Generator(bitgen).random((count, DRAWS_PER_SHOT))
-    return ndtri(np.clip(u, 1e-300, np.nextafter(1.0, 0.0)))
+    return np.random.Generator(bitgen)
 
 
-def _batch_from_normals(config: ExperimentConfig, z: np.ndarray) -> ShotBatch:
-    sig = math.sqrt(config.mu - 1.0)
-    lroot = _noise_sqrt(config.env)
-    t = math.sqrt(config.relay_efficiency)
-    r = math.sqrt(1.0 - config.relay_efficiency)
-    amps = sig * z[:, 0:4]  # (qa, pa, qb, pb) coherent amplitudes
-    # fixed-order column arithmetic: BLAS matmul kernels vary with the chunk
-    # shape and would break bit-identity across partition plans
-    xi = np.stack(
-        [sum(lroot[j, k] * z[:, 4 + k] for k in range(4)) for j in range(4)], axis=1
-    )
-    quads = amps + xi + z[:, 8:12]  # side channel + shot noise
-    lossy = t * quads + r * z[:, 12:16]  # relay loss, vacuum admixture
-    return ShotBatch(
-        qa=amps[:, 0],
-        pa=amps[:, 1],
-        qb=amps[:, 2],
-        pb=amps[:, 3],
-        qg=(lossy[:, 0] - lossy[:, 2]) / _SQRT2,
-        pg=(lossy[:, 1] + lossy[:, 3]) / _SQRT2,
-    )
+def _draw_normals(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (shots x DRAWS_PER_SHOT) with standard normals, in place:
+    one uniform per entry through the inverse normal CDF."""
+    from scipy.special import ndtri  # here, not at the top: scipy dominates import time
+
+    gen.random(out=out)
+    np.clip(out, 1e-300, np.nextafter(1.0, 0.0), out=out)
+    return ndtri(out, out=out)
 
 
-def _chunks(config: ExperimentConfig, chunk_shots: int):
+def simulate_shot_batch(
+    config: ExperimentConfig, chunk_shots: int = DEFAULT_CHUNK, start: int = 0, stop: int | None = None
+) -> ShotBatch:
+    """Simulate the shots [start, stop) of a configuration (default: all).
+
+    A shot depends only on the seed, the stream and its index, so any split
+    of a run into ranges and any ``chunk_shots`` give bit-identical shots.
+    Normals are drawn and mixed min(chunk_shots, DRAW_BLOCK) shots at a time
+    into one (6, stop - start) array whose rows are the returned columns.
+    """
+    stop = config.shots if stop is None else stop
     if chunk_shots < 1:
         raise ValidationError("chunk_shots must be a positive integer")
-    for start in range(0, config.shots, chunk_shots):
-        count = min(chunk_shots, config.shots - start)
-        z = _chunk_normals(config.seed, config.stream, start, count)
-        yield _batch_from_normals(config, z)
-
-
-def simulate_shot_batch(config: ExperimentConfig, chunk_shots: int = DEFAULT_CHUNK) -> ShotBatch:
-    """Simulate all shots of a configuration as column arrays.
-
-    Deterministic and partition-independent: identical seeds give
-    bit-identical batches for any ``chunk_shots``.
-    """
-    parts = list(_chunks(config, chunk_shots))
-    return ShotBatch(
-        **{
-            name: np.concatenate([getattr(p, name) for p in parts])
-            for name in ("qa", "pa", "qb", "pb", "qg", "pg")
-        }
-    )
-
-
-def simulate_shots(config: ExperimentConfig, chunk_shots: int = DEFAULT_CHUNK):
-    """Stream the shots of a configuration one record at a time."""
-    for batch in _chunks(config, chunk_shots):
-        yield from batch.records()
+    if not 0 <= start < stop <= config.shots:
+        raise ValidationError(f"shot range [{start}, {stop}) is not a non-empty part of [0, {config.shots})")
+    sig = math.sqrt(config.mu - 1.0)
+    t, r = math.sqrt(config.relay_efficiency), math.sqrt(1.0 - config.relay_efficiency)
+    # n [[I, C], [C, I]] couples q1 with q2 and p1 with p2 only: arm j takes
+    # root entries (j, j mod 2) on draw 4 + j mod 2 and (j, 2 + j mod 2) on
+    # draw 6 + j mod 2; the other two entries are exact zeros.
+    lroot = _noise_sqrt(config.env)
+    near = lroot[[0, 1, 2, 3], [0, 1, 0, 1]].reshape(2, 2, 1)
+    far = lroot[[0, 1, 2, 3], [2, 3, 2, 3]].reshape(2, 2, 1)
+    out = np.empty((6, stop - start))
+    block = min(chunk_shots, DRAW_BLOCK, stop - start)
+    u, z = np.empty((block, DRAWS_PER_SHOT)), np.empty((DRAWS_PER_SHOT, block))
+    xi, tmp = np.empty((2, 2, 2, block))
+    gen = _philox(config.seed, config.stream, start)
+    for lo in range(0, stop - start, block):
+        k = min(block, stop - start - lo)
+        zk, xk, o = z[:, :k], xi[..., :k], out[:, lo : lo + k]
+        zk[...] = _draw_normals(gen, u[:k]).T  # one contiguous row per draw
+        np.multiply(zk[0:4], sig, out=o[0:4])  # (qa, pa, qb, pb) coherent amplitudes
+        np.multiply(zk[4:6], near, out=xk)
+        xk += np.multiply(zk[6:8], far, out=tmp[..., :k])
+        quads = xk.reshape(4, k)  # arms (q1, p1, q2, p2)
+        quads += o[0:4]
+        quads += zk[8:12]  # side channel + shot noise
+        quads *= t
+        quads += np.multiply(zk[12:16], r, out=zk[12:16])  # relay loss, vacuum admixture
+        np.subtract(quads[0], quads[2], out=o[4])
+        np.add(quads[1], quads[3], out=o[5])
+        o[4:6] /= _SQRT2
+    return ShotBatch(*out)
 
 
 @dataclass(frozen=True)
@@ -202,22 +202,61 @@ class EstimatedState:
     xi: float
 
 
-def _second_moments(batch: ShotBatch, mu: float) -> tuple[np.ndarray, int]:
-    scale = (mu + 1.0) / math.sqrt(mu * mu - 1.0)
-    x = np.stack(
-        [
-            scale * batch.qa,
-            -scale * batch.pa,
-            scale * batch.qb,
-            -scale * batch.pb,
-            batch.qg,
-            batch.pg,
-        ]
-    )
-    n = x.shape[1]
-    centered = x - x.mean(axis=1, keepdims=True)
-    cov = centered @ centered.T / (n - 1 if n > 1 else 1)
-    return cov, n
+class _CoMoments:
+    """Streamed size, mean and centred co-moment of the raw
+    (qa, pa, qb, pb, qg, pg) rows, by the block merge of the module docstring.
+
+    Chunks are added in shot order.  Shots wait in one block buffer until it
+    holds MOMENT_BLOCK of them, or the run ends, and every block's
+    statistics are computed from that buffer, so a block yields the same
+    bits whichever chunks it came from.  The heterodyne scale is applied to
+    the finished 6x6 matrix, not to the rows.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.mean = np.zeros(6)
+        self.m2 = np.zeros((6, 6))
+        self._block = np.empty((6, MOMENT_BLOCK))
+        self._centred = np.empty((6, MOMENT_BLOCK))
+        self._fill = 0
+
+    def add(self, batch: ShotBatch):
+        lo = 0
+        while lo < len(batch):
+            k = min(MOMENT_BLOCK - self._fill, len(batch) - lo)
+            for row, name in zip(self._block, _COLUMNS):
+                row[self._fill : self._fill + k] = getattr(batch, name)[lo : lo + k]
+            self._fill, lo = self._fill + k, lo + k
+            if self._fill == MOMENT_BLOCK:
+                self._merge_block()
+
+    def _merge_block(self):
+        nb, self._fill = self._fill, 0
+        x = self._block[:, :nb]
+        mb = x.mean(axis=1)
+        c = np.subtract(x, mb[:, None], out=self._centred[:, :nb])
+        n = self.count + nb
+        d = mb - self.mean
+        self.mean += d * (nb / n)
+        self.m2 += c @ c.T
+        self.m2 += np.outer(d, d) * (self.count * nb / n)
+        self.count = n
+
+    def estimate(self, mu: float, xi: float) -> EstimatedState:
+        """Estimate from all shots, after the last chunk: the unfinished
+        block is merged as the final one.  The heterodyne scale
+        (mu + 1)/sqrt(mu^2 - 1) needs actual modulation, mu > 1."""
+        if mu <= 1.0 + 1e-12:
+            raise ValidationError("covariance reconstruction needs signal modulation (mu > 1)")
+        if self._fill:
+            self._merge_block()
+        if not self.count:
+            raise ValidationError("no shots to estimate from")
+        scale = (mu + 1.0) / math.sqrt(mu * mu - 1.0)
+        d = np.array([scale, -scale, scale, -scale, 1.0, 1.0])
+        cov = self.m2 / max(self.count - 1, 1) * np.outer(d, d)
+        return estimate_from_second_moments(cov, self.count, xi)
 
 
 def estimate_from_second_moments(cov: np.ndarray, sample_count: int, xi: float = 1.0) -> EstimatedState:
@@ -253,28 +292,16 @@ def estimate_from_second_moments(cov: np.ndarray, sample_count: int, xi: float =
 def estimate_conditional_cm(shots, mu: float, xi: float = 1.0) -> EstimatedState:
     """Reconstruct the conditional covariance matrix from recorded shots.
 
-    ``shots`` is a ShotBatch or an iterable of ShotRecord.  Amplitudes are
-    mapped to heterodyne-equivalent variables with the reflection-and-scale
-    factor (mu + 1)/sqrt(mu^2 - 1), which requires actual modulation
-    (mu > 1).  As the sample grows and at unit relay efficiency the estimate
-    converges to the analytic swapped covariance matrix.
+    ``shots`` is a ShotBatch or an iterable of ShotBatch chunks of one run,
+    in shot order; both go through the same block merge, so the estimate is
+    bit-identical however the run is chunked.  As the sample grows and at
+    unit relay efficiency the estimate converges to the analytic swapped
+    covariance matrix.
     """
-    if mu <= 1.0 + 1e-12:
-        raise ValidationError("covariance reconstruction needs signal modulation (mu > 1)")
-    if not isinstance(shots, ShotBatch):
-        recs = list(shots)
-        if not recs:
-            raise ValidationError("no shots to estimate from")
-        shots = ShotBatch(
-            qa=np.array([r.alice_amp.real for r in recs]),
-            pa=np.array([r.alice_amp.imag for r in recs]),
-            qb=np.array([r.bob_amp.real for r in recs]),
-            pb=np.array([r.bob_amp.imag for r in recs]),
-            qg=np.array([r.gamma.real for r in recs]),
-            pg=np.array([r.gamma.imag for r in recs]),
-        )
-    cov, n = _second_moments(shots, mu)
-    return estimate_from_second_moments(cov, n, xi)
+    moments = _CoMoments()
+    for batch in [shots] if isinstance(shots, ShotBatch) else shots:
+        moments.add(batch)
+    return moments.estimate(mu, xi)
 
 
 def exact_second_moments(config: ExperimentConfig) -> np.ndarray:

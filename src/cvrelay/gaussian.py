@@ -27,6 +27,10 @@ import numpy as np
 # involves one matrix inversion, so physics checks get an order of headroom.
 SYMMETRY_RTOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
+# The rounding of eig(i*Omega*V) grows like eps * max|V|^2 (measured at most
+# ~1.3 eps max|V|^2 on evolved relay states up to mu = 1e7); the uncertainty
+# check allows this many times that, where it exceeds UNCERTAINTY_TOL.
+_SPECTRUM_ROUNDING = 16.0
 SYMPLECTIC_TOL = 1e-10
 _PAIR_RTOL = 1e-8  # pairing tolerance for the moduli of eig(i*Omega*V)
 _COND_LIMIT = 1e13  # conditioning blocks beyond this are treated as singular
@@ -106,8 +110,10 @@ class CovarianceMatrix:
     Construction validates every matrix of the stack at once: symmetry,
     positive definiteness (one stacked Cholesky) and the uncertainty
     principle (smallest symplectic eigenvalue >= 1 within
-    ``UNCERTAINTY_TOL``, from one stacked eigenvalue call).  One bad matrix
-    rejects the whole stack.  The stored array is read-only.
+    ``UNCERTAINTY_TOL``, or within the eigensolver's rounding where a
+    matrix's entries are large enough to make that the wider band; one
+    stacked eigenvalue call).  One bad matrix rejects the whole stack.  The
+    stored array is read-only.
     """
 
     __slots__ = ("m", "n_modes")
@@ -122,7 +128,9 @@ class CovarianceMatrix:
         m = 0.5 * (m + _transpose(m))
         _check_positive_definite(m, "covariance matrix")
         nu_min = _spectrum_of(m).min(axis=-1)
-        bad = np.flatnonzero(nu_min < 1.0 - UNCERTAINTY_TOL)
+        scale = np.abs(m).max(axis=(-2, -1))
+        tol = np.maximum(UNCERTAINTY_TOL, _SPECTRUM_ROUNDING * np.finfo(float).eps * scale * scale)
+        bad = np.flatnonzero(nu_min < 1.0 - tol)
         if len(bad):
             where = f" (stack entry {bad[0]})" if m.ndim > 2 else ""
             raise ValidationError(

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cvrelay import experiment as expmt
 from cvrelay.cli import main
 
 
@@ -203,6 +208,53 @@ def test_experiment_shot_dump(capsys, tmp_path):
     lines = dump.read_bytes().decode().strip().split("\r\n")
     assert lines[0] == "qa,pa,qb,pb,qg,pg"
     assert len(lines) == 6
+    # streamed chunk by chunk, the dump is the same file
+    chunked = tmp_path / "chunked.csv"
+    code, _ = run_cli(["experiment", "--n", "2", "--mu", "52", "--shots", "5", "--seed", "3",
+                       "--chunk-shots", "2", "--dump", str(chunked)], capsys)
+    assert code == 0 and chunked.read_bytes() == dump.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [None, 40_000])
+def test_experiment_holds_one_chunk_of_shots_at_a_time(capsys, monkeypatch, chunk):
+    sizes = []
+    simulate = expmt.simulate_shot_batch
+
+    def spy(*args, **kwargs):
+        batch = simulate(*args, **kwargs)
+        sizes.append(len(batch))
+        return batch
+
+    monkeypatch.setattr(expmt, "simulate_shot_batch", spy)
+    argv = ["experiment", "--n", "1", "--mu", "52", "--shots", "150000", "--seed", "2"]
+    code, out = run_cli(argv + (["--chunk-shots", str(chunk)] if chunk else []), capsys)
+    assert code == 0 and json.loads(out)["points"][0]["sample_count"] == 150_000
+    limit = chunk or expmt.DEFAULT_CHUNK
+    assert len(sizes) > 1 and max(sizes) <= limit and sum(sizes) == 150_000
+
+
+def test_experiment_rejects_a_zero_chunk_size(capsys):
+    code, out = run_cli(["experiment", "--n", "1", "--shots", "10", "--chunk-shots", "0"], capsys)
+    assert code == 2 and json.loads(out)["error"]["code"] == 2
+
+
+def _experiment_report(argv) -> dict:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    report = json.loads(buf.getvalue())
+    report["rng"].pop("chunk_shots")
+    return report
+
+
+@settings(max_examples=25)
+@given(shots=st.integers(2, 20_000), chunk=st.integers(7, 70_000), n=st.sampled_from([0.0, 1.5, 3.0]))
+@example(shots=2 * expmt.MOMENT_BLOCK, chunk=expmt.MOMENT_BLOCK, n=1.5)
+@example(shots=3 * expmt.MOMENT_BLOCK + 1, chunk=13, n=3.0)
+def test_experiment_report_does_not_depend_on_the_chunk_size(shots, chunk, n):
+    argv = ["experiment", "--n", repr(n), "--mu", "52", "--c", "0.6", "--cp", "0.4", "--eta", "0.98",
+            "--shots", str(shots), "--seed", "3"]
+    assert _experiment_report(argv + ["--chunk-shots", str(chunk)]) == _experiment_report(argv)
 
 
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):
@@ -532,6 +584,19 @@ def test_experiment_integer_flags_reject_non_integers(capsys, flag):
     flags = {"--shots": "10", flag: "1e3"}
     code, out = run_cli(["experiment", "--n", "1", *[t for kv in flags.items() for t in kv]], capsys)
     assert code == 2 and json.loads(out)["error"]["code"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--protocol", "bipartite", "--mu", "2388", "--n", "0:1:0.5", "--c", "0", "--cp", "0"],
+    ["--protocol", "tripartite", "--mu", "1e6", "--n", "0.5", "--c", "0:1:0.5", "--cp", "0:1:0.5"],
+])
+def test_matrix_scans_accept_low_noise_states_at_large_mu(capsys, argv):
+    # the rounding of the symplectic spectrum grows like mu^2 * eps here
+    code, out = run_cli(["scan", *argv], capsys)
+    assert code == 0
+    header, *rows = out.strip().split("\r\n")
+    physical = header.split(",").index("physical")
+    assert rows and all(row.split(",")[physical] == "1" for row in rows)
 
 
 def test_thresholds_find_no_crossing_in_rounding_noise(capsys):

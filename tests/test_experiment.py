@@ -52,14 +52,49 @@ def test_partition_plan_independence():
         assert batches_equal(full, ex.simulate_shot_batch(config(shots=2500), chunk_shots=chunk))
 
 
-def test_stream_matches_batch():
-    batch = ex.simulate_shot_batch(config(shots=64))
-    records = list(ex.simulate_shots(config(shots=64), chunk_shots=17))
-    assert len(records) == 64
-    for k, rec in enumerate(records):
-        assert rec.alice_amp == complex(batch.qa[k], batch.pa[k])
-        assert rec.bob_amp == complex(batch.qb[k], batch.pb[k])
-        assert rec.gamma == complex(batch.qg[k], batch.pg[k])
+def range_chunks(cfg, chunk):
+    for start in range(0, cfg.shots, chunk):
+        yield ex.simulate_shot_batch(cfg, start=start, stop=min(start + chunk, cfg.shots))
+
+
+def test_shot_ranges_concatenate_to_the_whole_run():
+    cfg = config(shots=2500, relay_efficiency=0.9)
+    parts = list(range_chunks(cfg, 999))
+    assert [len(p) for p in parts] == [999, 999, 502]
+    full = ex.simulate_shot_batch(cfg)
+    joined = ex.ShotBatch(*(np.concatenate([getattr(p, k) for p in parts]) for k in ex._COLUMNS))
+    assert batches_equal(full, joined)
+
+
+@pytest.mark.parametrize("start, stop", [(0, 0), (5, 3), (-1, 10), (0, 1001)])
+def test_shot_range_must_be_a_non_empty_part_of_the_run(start, stop):
+    with pytest.raises(ValidationError):
+        ex.simulate_shot_batch(config(), start=start, stop=stop)
+
+
+@pytest.mark.parametrize("chunk", [1, 13, 999, 4096, 65536])
+def test_streamed_estimate_equals_the_whole_batch_estimate(chunk):
+    # 9001 shots: two full moment blocks and a tail, cut at every chunk size
+    cfg = config(env=AdditiveEnvironment(1.0, 0.6, 0.4), shots=9001, seed=8, relay_efficiency=0.98)
+    whole = ex.estimate_conditional_cm(ex.simulate_shot_batch(cfg), 52.0, 0.97)
+    streamed = ex.estimate_conditional_cm(range_chunks(cfg, chunk), 52.0, 0.97)
+    assert np.array_equal(whole.cm_hat, streamed.cm_hat)
+    assert np.array_equal(whole.stderr, streamed.stderr)
+    assert whole.key_rate_hat == streamed.key_rate_hat
+    assert whole.sample_count == streamed.sample_count == 9001
+
+
+def test_block_merge_matches_the_two_pass_moments():
+    # the fixed-block merge reorders the sums; it must still be the sample covariance
+    batch = ex.simulate_shot_batch(config(shots=10_000, seed=4))
+    moments = ex._CoMoments()
+    moments.add(batch)
+    moments.estimate(52.0, 1.0)
+    x = np.stack([getattr(batch, k) for k in ex._COLUMNS])
+    centred = x - x.mean(axis=1, keepdims=True)
+    assert moments.count == 10_000
+    np.testing.assert_allclose(moments.mean, x.mean(axis=1), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(moments.m2, centred @ centred.T, rtol=1e-12)
 
 
 def test_gamma_variance_noiseless():
@@ -76,7 +111,7 @@ def test_perfectly_correlated_noise_is_identical_per_arm():
     lroot = ex._noise_sqrt(AdditiveEnvironment(3.0, 1.0, 1.0))
     assert np.array_equal(lroot[0], lroot[2])
     assert np.array_equal(lroot[1], lroot[3])
-    z = ex._chunk_normals(5, 0, 0, 2000)
+    z = ex._draw_normals(ex._philox(5, 0, 0), np.empty((2000, ex.DRAWS_PER_SHOT)))
     xi = z[:, 4:8] @ lroot.T
     assert np.array_equal(xi[:, 0], xi[:, 2])
     assert np.array_equal(xi[:, 1], xi[:, 3])
@@ -103,11 +138,9 @@ def test_estimator_rejects_degenerate_input():
         ex.estimate_conditional_cm(ex.simulate_shot_batch(config(shots=1)), 52.0)
 
 
-def test_estimator_accepts_record_iterables():
-    batch = ex.simulate_shot_batch(config(shots=5000, seed=3))
-    via_batch = ex.estimate_conditional_cm(batch, 52.0)
-    via_records = ex.estimate_conditional_cm(batch.records(), 52.0)
-    assert np.array_equal(via_batch.cm_hat, via_records.cm_hat)
+def test_estimator_rejects_an_empty_chunk_stream():
+    with pytest.raises(ValidationError):
+        ex.estimate_conditional_cm(iter(()), 52.0)
 
 
 def test_estimate_converges_to_analytic_cm():
@@ -213,3 +246,9 @@ def test_shot_dump_schema():
     first = lines[1].split(",")
     assert len(first) == 6
     assert float(first[0]) == pytest.approx(batch.qa[0], rel=1e-11)
+    # a dump written chunk by chunk has one header and the same bytes
+    cfg = config(shots=3)
+    chunked = io.StringIO()
+    for start in range(3):
+        ex.simulate_shot_batch(cfg, start=start, stop=start + 1).write_csv(chunked, header=not start)
+    assert chunked.getvalue() == buf.getvalue()

@@ -68,6 +68,20 @@ def test_stacked_covariance_matrix_rejects_one_bad_member():
             CovarianceMatrix(m)
 
 
+def test_uncertainty_tolerance_follows_the_size_of_each_matrix():
+    # a pure two-mode squeezed state at mu = 1e6: its smallest symplectic
+    # eigenvalue comes out of eig(i Omega V) ~4e-5 below 1, far beyond 1e-9
+    mu = 1e6
+    c = math.sqrt(mu * mu - 1.0)
+    tmsv = np.array([[mu, 0, c, 0], [0, mu, 0, -c], [c, 0, mu, 0], [0, -c, 0, mu]])
+    assert CovarianceMatrix(tmsv).m.shape == (4, 4)
+    below = (1.0 - 1e-6) * np.eye(4)
+    with pytest.raises(ValidationError, match="stack entry 1"):
+        CovarianceMatrix(np.stack([tmsv, below, tmsv]))
+    with pytest.raises(ValidationError):
+        CovarianceMatrix(below)
+
+
 def test_stacked_spectral_functions_equal_the_per_matrix_results():
     mats = _stack_of_two_mode_cms(11)
     stack = CovarianceMatrix(mats)
