@@ -63,12 +63,17 @@ def _fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.12g}"
+    return f"{float(value):.12g}"  # also spells nan, inf, -inf and -0
+
+
+def _fmt_all(values) -> list:
+    """``_fmt`` of every entry of an array, the formatter picked once by dtype."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        return [f"{x:.12g}" for x in a.tolist()]
+    if a.dtype.kind == "b":
+        return ["1" if x else "0" for x in a.tolist()]
+    return list(map(str if a.dtype.kind in "iu" else _fmt, a.tolist()))
 
 
 def _jsonable(value):
@@ -81,12 +86,7 @@ def _jsonable(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return float(f"{x:.12g}")
+        return float(_fmt(value)) if math.isfinite(value) else _fmt(value)  # nan, inf, -inf as text
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     return value
@@ -317,8 +317,8 @@ def _matrix_columns(protocol, grid: _Grid, coords, mu) -> list:
 def _column(values, cells: list, size: int) -> list:
     """Formatted column with ``values`` at ``cells`` and blanks elsewhere."""
     out = [""] * size
-    for i, v in zip(cells, np.asarray(values).tolist()):
-        out[i] = _fmt(v)
+    for i, text in zip(cells, _fmt_all(values)):
+        out[i] = text
     return out
 
 
@@ -347,8 +347,7 @@ def cmd_scan(args) -> int:
     metrics = _metric_columns(protocol, grid, [c[physical] for c in coords], mu, xi)
 
     cells, size = np.flatnonzero(physical).tolist(), len(physical)
-    columns = [[_fmt(v) for v in c.tolist()] for c in coords]
-    columns.append([_fmt(v) for v in physical.tolist()])
+    columns = [_fmt_all(c) for c in (*coords, physical)]
     columns += [_column(col[physical], cells, size) for col in (separable, boundary)]
     columns += [_column(col, cells, size) for col in metrics]
     header = [*grid.names, "physical", "separable", "boundary", *_METRIC_COLUMNS[protocol]]
@@ -410,7 +409,7 @@ def cmd_thresholds(args) -> int:
         hi[idx[~same]] = mid[~same]
 
     lines = [",".join([grid.names[1], grid.names[0], "metric"])]
-    lines += [f"{_fmt(c)},{_fmt(x)},{metric}" for c, x in zip(col.tolist(), (0.5 * (lo + hi)).tolist())]
+    lines += [f"{c},{x},{metric}" for c, x in zip(_fmt_all(col), _fmt_all(0.5 * (lo + hi)))]
     _write_text(args, "\r\n".join(lines) + "\r\n")
     return 0
 

@@ -27,6 +27,7 @@ from .gaussian import (
     _transpose,
     _unstack,
     log_negativity,
+    partial_transpose,
     pt_reflection,
     symplectic_form,
 )
@@ -72,10 +73,8 @@ def ppt_min_eigenvalue(cm, modes):
 
     A float for one matrix, an array over the leading axes for a stack.
     """
-    m = _as_matrix(cm)
-    n = m.shape[-1] // 2
-    d = pt_reflection(n, modes)
-    test = (d[:, None] * m * d[None, :]).astype(complex) + 1j * symplectic_form(n)
+    m = partial_transpose(cm, modes)
+    test = m.astype(complex) + 1j * symplectic_form(m.shape[-1] // 2)
     return _unstack(np.linalg.eigvalsh(test).min(axis=-1))
 
 

@@ -27,6 +27,7 @@ from .gaussian import (
     CovarianceMatrix,
     ValidationError,
     _h_arr,
+    symplectic_spectrum,
     two_mode_spectrum,
 )
 from .environments import (
@@ -488,7 +489,10 @@ def key_rate_from_cm(cm, xi: float = 1.0) -> dict:
     if denom <= 0.0 or numer <= 0.0:
         raise ValidationError("conditional state is unphysical; more samples needed")
     mutual = 0.5 * math.log2(numer / denom)
-    nlo, nhi = two_mode_spectrum(m)
+    try:
+        nlo, nhi = symplectic_spectrum(cm)
+    except ValidationError:
+        raise ValidationError("conditional state is unphysical; more samples needed") from None
     nc = math.sqrt(max(np.linalg.det(b_cond), 0.0))
     holevo = float(_h_arr(nlo) + _h_arr(nhi) - _h_arr(nc))
     return {

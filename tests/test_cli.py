@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -278,6 +279,17 @@ def test_numeric_formatting_is_12_significant_digits(capsys):
     doc = json.loads(out)
     eps = doc["report"]["epsilon"]
     assert eps == float(f"{eps:.12g}")
+
+
+def test_column_formatter_equals_the_value_formatter():
+    from cvrelay.cli import _fmt, _fmt_all
+
+    floats = np.array([0.25, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1.23456789012e14, 1.0 / 3.0])
+    assert _fmt_all(floats) == ["0.25", "-0", "nan", "inf", "-inf", "1e-300", "1.23456789012e+14",
+                                "0.333333333333"]
+    for column in (floats, np.array([True, False]), np.array([0, -7, 2**40]),
+                   np.array([3], dtype=np.uint8), np.array(["I", "IV", ""])):
+        assert _fmt_all(column) == [_fmt(v) for v in column.tolist()]
 
 
 def test_out_file(capsys, tmp_path):
@@ -597,6 +609,17 @@ def test_matrix_scans_accept_low_noise_states_at_large_mu(capsys, argv):
     header, *rows = out.strip().split("\r\n")
     physical = header.split(",").index("physical")
     assert rows and all(row.split(",")[physical] == "1" for row in rows)
+
+
+def test_quad_entanglement_scan_fills_every_physical_cell_at_mu_1e10(capsys):
+    # matrix entries ~1e10: every physical state must still pass validation
+    code, out = run_cli(["scan", "--protocol", "quad-entanglement", "--tau", "0.9", "--omega", "19.38",
+                         "--mu", "1e10", "--g", "-19:19:9.5", "--gp", "-19:19:9.5"], capsys)
+    assert code == 0
+    header, *rows = (line.split(",") for line in out.strip().split("\r\n"))
+    physical = [row for row in rows if row[header.index("physical")] == "1"]
+    assert len(physical) == 23
+    assert all(cell not in ("", "nan") for row in physical for cell in row)
 
 
 def test_thresholds_find_no_crossing_in_rounding_noise(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_symplectic_matrix, random_two_mode_cm
 from cvrelay import gaussian as g
@@ -69,9 +71,9 @@ def test_stacked_covariance_matrix_rejects_one_bad_member():
 
 
 def test_uncertainty_tolerance_follows_the_size_of_each_matrix():
-    # a pure two-mode squeezed state at mu = 1e6: its smallest symplectic
-    # eigenvalue comes out of eig(i Omega V) ~4e-5 below 1, far beyond 1e-9
-    mu = 1e6
+    # a pure two-mode squeezed state at mu = 7e5: its smallest symplectic
+    # eigenvalue comes out ~1.4e-5 below 1, far beyond 1e-9
+    mu = 7e5
     c = math.sqrt(mu * mu - 1.0)
     tmsv = np.array([[mu, 0, c, 0], [0, mu, 0, -c], [c, 0, mu, 0], [0, -c, 0, mu]])
     assert CovarianceMatrix(tmsv).m.shape == (4, 4)
@@ -109,6 +111,30 @@ def test_stacked_spectral_functions_equal_the_per_matrix_results():
         g.smallest_pts_eigenvalue(m, [2]) for m in three
     ]
     assert isinstance(g.log_negativity(mats[0], [0]), float)
+
+
+@st.composite
+def _williamson_cm(draw, n_modes):
+    """V = S diag(nu_1, nu_1, ..., nu_n, nu_n) S^T with S drawn from rotations,
+    squeezers and beam splitters; returns V and its spectrum, ascending."""
+    nus = draw(st.lists(st.floats(1.0, 1e3), min_size=n_modes, max_size=n_modes))
+    s = SymplecticMatrix(np.eye(2 * n_modes))
+    for k in range(draw(st.integers(n_modes, 3 * n_modes))):
+        local = g.rotation(draw(st.floats(0.0, 2.0 * math.pi))) @ g.quadrature_squeezer(
+            math.exp(draw(st.floats(-1.0, 1.0))))
+        pair = [k % n_modes, (k + 1) % n_modes]
+        mix = g.expand_symplectic(g.beam_splitter(draw(st.floats(0.0, 1.0))), pair, n_modes)
+        s = mix @ g.expand_symplectic(local, pair[:1], n_modes) @ s
+    v = s.m @ np.diag(np.repeat(nus, 2)) @ s.m.T
+    return 0.5 * (v + v.T), sorted(nus)
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(_williamson_cm(n), min_size=1, max_size=4)))
+def test_symplectic_spectrum_inverts_the_williamson_form(cases):
+    stack = g.symplectic_spectrum(np.stack([v for v, _ in cases]))
+    for (v, nus), from_stack in zip(cases, stack):
+        assert from_stack == pytest.approx(nus, rel=1e-9)
+        assert np.array_equal(g.symplectic_spectrum(v), from_stack)
 
 
 def test_spectrum_thermal_single_mode():

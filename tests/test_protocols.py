@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import random_thermal_env
@@ -450,8 +450,26 @@ def test_generic_key_rate_equals_the_closed_form_over_additive_environments(n, c
     env = AdditiveEnvironment(n, c, cp)
     generic = prot.key_rate_from_cm(prot.swapped_cm(SwapInput(mu, env)), xi)["rate"]
     closed = prot.relay_metrics(mu, *envs.kappa_params(env), xi)["key_rate"]
-    # Below n ~ 0.1 the swapped state is nearly pure: the closed-form
-    # two_mode_spectrum of the generic path then rounds nu by ~sqrt(eps) mu^2,
-    # and h'(nu) diverges at nu = 1, so that path drifts by up to ~3e-5 bits
-    # (2e-7 at n = 0, mu = 3; sampled maximum 2.9e-5 up to mu = 200).
-    assert float(closed) == pytest.approx(generic, abs=1e-9 if n >= 0.1 else 1e-4)
+    # h'(nu) diverges at nu = 1, so near-pure states (small n) need a spectrum
+    # that rounds like eps, not sqrt(eps)
+    assert float(closed) == pytest.approx(generic, abs=1e-9)
+
+
+def test_generic_key_rate_of_a_pure_swapped_state():
+    pure = prot.swapped_cm(SwapInput(3.0, AdditiveEnvironment(0.0, 0.0, 0.0)))
+    assert prot.key_rate_from_cm(pure)["rate"] == pytest.approx(math.log2(4.0 / 3.0), abs=1e-15)
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@given(thermal=st.booleans(), tau=st.floats(0.05, 0.95), omega=st.floats(1.0, 40.0),
+       n=st.floats(0.0, 10.0), u=_UNIT, v=_UNIT, mu=st.floats(1.0, 200.0, exclude_min=True))
+def test_swapped_cm_equals_bell_conditioning_over_random_environments(thermal, tau, omega, n, u, v, mu):
+    try:
+        env = (ThermalEnvironment(tau, omega, u * omega, v * omega) if thermal
+               else AdditiveEnvironment(n, u, v))
+    except ValidationError:
+        assume(False)
+    inp = SwapInput(mu, env)
+    assert np.abs(bell_conditioned(inp).cm.m - prot.swapped_cm(inp).m).max() < 1e-10
