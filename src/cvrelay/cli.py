@@ -18,7 +18,6 @@ success, 2 validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import re
@@ -446,17 +445,9 @@ def cmd_experiment(args) -> int:
             xi=xi,
             stream=idx,
         )
-        # one chunk of shots in memory at a time; simulate and estimate stay apart
-        moments = expmt._CoMoments()
-        with open(dump, "w", encoding="utf-8", newline="") if dump else contextlib.nullcontext() as fh:
-            for start in range(0, shots, chunk):
-                batch = expmt.simulate_shot_batch(config, start=start, stop=min(start + chunk, shots))
-                moments.add(batch)
-                if fh:
-                    batch.write_csv(fh, header=not start)
         point = {"n": float(nv)}
         try:
-            est = moments.estimate(mu, xi)
+            est = expmt.run_point(config, chunk, dump)
             point.update(
                 {
                     "key_rate_hat": est.key_rate_hat,
@@ -469,7 +460,7 @@ def cmd_experiment(args) -> int:
             )
         except (ValidationError, NumericDegeneracyError) as exc:
             point["error"] = str(exc)
-        point["key_rate_theory"] = prot.additive_qkd_rate(mu, env, xi)
+        point["key_rate_theory"] = prot.qkd_rate(prot.SwapInput(mu, env), xi)
         point["repeater_bound"] = prot.repeater_bound_phi(float(nv))
         points.append(point)
 

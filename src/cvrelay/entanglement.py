@@ -32,7 +32,6 @@ from .gaussian import (
     symplectic_form,
 )
 from .environments import ThermalEnvironment, entanglement_breaking_threshold
-from .protocols import SwapInput, evolved_cm
 
 # Positivity of the Hermitian PPT test matrices is judged on the smallest
 # eigenvalue; the absolute floor is widened in proportion to the matrix norm
@@ -88,18 +87,10 @@ def is_ppt(cm, modes):
 # bipartite layer
 
 
-def bipartite_survey(inp: SwapInput) -> dict[str, float]:
-    """Log-negativity of the four distinct pairings of (a, b, A', B').
-
-    By the a/b symmetry of the symmetric protocol it suffices to inspect
-    aA', aB', ab and A'B'.  Above the entanglement-breaking noise all four
-    vanish for every separable environment.
-    """
-    return _pair_log_negativities(evolved_cm(inp))
-
-
 def _pair_log_negativities(cm: CovarianceMatrix) -> dict:
-    """Log-negativities of the four pairings over a stack of evolved states."""
+    """Log-negativities of the pairings aA', aB', ab and A'B' over a stack of
+    evolved states; by the a/b symmetry of identical sources they cover
+    every pair."""
     return {name: log_negativity(cm.reduced(pair), [0]) for name, pair in _PAIRS.items()}
 
 
@@ -208,11 +199,6 @@ def tripartite_classify(cm) -> TripartiteClass:
         raise ValidationError("tripartite classification requires a three-mode state")
     class_id, ppt, certified = _tripartite_core(m[None])
     return TripartiteClass(int(class_id[0]), tuple(ppt[0].tolist()), bool(certified[0]))
-
-
-def tripartite_classify_triplet(inp: SwapInput, triplet=(0, 2, 3)) -> TripartiteClass:
-    """Classify a mode triplet of the evolved state; default is (a, A', B')."""
-    return tripartite_classify(evolved_cm(inp).reduced(triplet))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ Randomness comes from a counter-based Philox generator; every shot consumes
 exactly DRAWS_PER_SHOT uniform draws, so the stream can be partitioned at
 any chunk boundary without changing a single sample.
 
-The estimator streams: a run's shots may arrive in chunks of any size, in
-shot order, and only running moments are kept.  The shots are re-cut into
-fixed blocks of MOMENT_BLOCK, aligned to the absolute shot index.  Each
-block gives its size n_b, mean m_b and centred co-moment
+The estimator streams: ``run_point`` feeds it a run's shots in chunks of
+any size, in shot order, and only running moments are kept.  The shots
+are re-cut into fixed blocks of MOMENT_BLOCK, aligned to the absolute shot
+index.  Each block gives its size n_b, mean m_b and centred co-moment
 M_b = sum (x - m_b)(x - m_b)^T, and the blocks are merged in index order by
 the pairwise update of Chan, Golub & LeVeque (1983) and Pebay
 (SAND2008-6212):
@@ -30,6 +30,7 @@ the estimate is bit-identical for any chunk size.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -259,6 +260,27 @@ class _CoMoments:
         return estimate_from_second_moments(cov, self.count, xi)
 
 
+def run_point(
+    config: ExperimentConfig, chunk_shots: int = DEFAULT_CHUNK, dump: str | None = None
+) -> EstimatedState:
+    """Simulate and estimate one configuration, ``chunk_shots`` shots at a time.
+
+    Only one chunk of shots is in memory at once; the estimate is
+    bit-identical for any ``chunk_shots``.  ``dump`` names an optional CSV
+    file that receives every shot (one header) as the chunks are simulated.
+    """
+    if chunk_shots < 1:
+        raise ValidationError("chunk_shots must be a positive integer")
+    moments = _CoMoments()
+    with open(dump, "w", encoding="utf-8", newline="") if dump else contextlib.nullcontext() as fh:
+        for start in range(0, config.shots, chunk_shots):
+            batch = simulate_shot_batch(config, start=start, stop=min(start + chunk_shots, config.shots))
+            moments.add(batch)
+            if fh:
+                batch.write_csv(fh, header=not start)
+    return moments.estimate(config.mu, config.xi)
+
+
 def estimate_from_second_moments(cov: np.ndarray, sample_count: int, xi: float = 1.0) -> EstimatedState:
     """Schur-complement the joint (Alice, Bob, gamma) moments on gamma.
 
@@ -268,6 +290,8 @@ def estimate_from_second_moments(cov: np.ndarray, sample_count: int, xi: float =
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (6, 6):
         raise ValidationError("joint second-moment matrix must be 6x6")
+    if not np.all(np.isfinite(cov)):
+        raise NumericDegeneracyError("joint second moments are not finite")
     gg = cov[4:, 4:]
     if np.linalg.cond(gg) > 1e13:
         raise NumericDegeneracyError("gamma second-moment block is singular")
@@ -287,21 +311,6 @@ def estimate_from_second_moments(cov: np.ndarray, sample_count: int, xi: float =
         stderr=stderr,
         xi=xi,
     )
-
-
-def estimate_conditional_cm(shots, mu: float, xi: float = 1.0) -> EstimatedState:
-    """Reconstruct the conditional covariance matrix from recorded shots.
-
-    ``shots`` is a ShotBatch or an iterable of ShotBatch chunks of one run,
-    in shot order; both go through the same block merge, so the estimate is
-    bit-identical however the run is chunked.  As the sample grows and at
-    unit relay efficiency the estimate converges to the analytic swapped
-    covariance matrix.
-    """
-    moments = _CoMoments()
-    for batch in [shots] if isinstance(shots, ShotBatch) else shots:
-        moments.add(batch)
-    return moments.estimate(mu, xi)
 
 
 def exact_second_moments(config: ExperimentConfig) -> np.ndarray:
@@ -330,8 +339,3 @@ def exact_second_moments(config: ExperimentConfig) -> np.ndarray:
     cov[4, 4] = var_q
     cov[5, 5] = var_p
     return cov
-
-
-def experimental_key_rate(est: EstimatedState, xi: float) -> float:
-    """Secret-key rate of a reconstructed state at reconciliation efficiency xi."""
-    return key_rate_from_cm(est.cm_hat, xi)["rate"]

@@ -8,12 +8,13 @@ single-repeater secret-key bound for additive-noise links.
 Every closed-form figure of merit is a function of mu and the pair
 (kappa, kappa') delivered by ``environments.kappa_params`` (or, for whole
 grids, by ``thermal_kappas``/``additive_kappas``).  ``relay_metrics``
-evaluates all of them at once over numpy arrays of kappas; the per-point
-reports and the scalar helpers below are views of it, and the CLI's
-``scan`` and ``thresholds`` call it on whole grids.  Covariance-matrix
-builders (``evolved_cm``, ``swapped_cm``) and the generic
-``key_rate_from_cm`` stay separate: they are the independent path the
-closed forms are checked against.
+evaluates all of them at once over numpy arrays of kappas, and the CLI's
+``scan`` and ``thresholds`` call it on whole grids.  The scalar API is its
+two per-point views, ``protocol_report`` and ``protocol_report_asymptotic``,
+whose fields name every figure of merit (``qkd_rate`` is the report's
+``key_rate``).  Covariance-matrix builders (``evolved_cm``, ``swapped_cm``)
+and the generic ``key_rate_from_cm`` stay separate: they are the
+independent path the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .gaussian import (
     ValidationError,
     _h_arr,
     symplectic_spectrum,
-    two_mode_spectrum,
 )
 from .environments import (
     AdditiveEnvironment,
@@ -228,11 +228,6 @@ def _large_mu_metrics(k, kp):
     }
 
 
-def _metrics(inp: SwapInput, xi: float = 1.0) -> dict:
-    k, kp = kappa_params(inp.env)
-    return relay_metrics(inp.mu, k, kp, xi)
-
-
 # ---------------------------------------------------------------------------
 # pre-measurement four-mode state
 
@@ -313,33 +308,6 @@ def swapped_cm(inp: SwapInput) -> CovarianceMatrix:
     return CovarianceMatrix(m)
 
 
-def additive_swapped_cm(mu: float, env: AdditiveEnvironment) -> CovarianceMatrix:
-    return swapped_cm(SwapInput(mu, env))
-
-
-def swap_epsilon(inp: SwapInput) -> float:
-    """Smallest PTS eigenvalue of the symmetric swapped state.
-
-    sqrt[(1 + mu k)(1 + mu k') / ((mu + k)(mu + k'))]; equals 1 at mu = 1 and
-    drops below 1, for any mu > 1, exactly when k k' < 1.
-    """
-    return protocol_report(inp).epsilon
-
-
-def swap_epsilon_asymptotic(env) -> float:
-    """Large-mu optimum sqrt(kappa kappa')."""
-    return protocol_report_asymptotic(env).epsilon
-
-
-def swapped_spectrum(inp: SwapInput) -> tuple[float, float]:
-    """Symplectic spectrum (nu_minus, nu_plus) of the swapped state."""
-    if not inp.symmetric:
-        return two_mode_spectrum(swapped_cm(inp))
-    k, kp = kappa_params(inp.env)
-    lo, hi = sorted(float(nu) for nu in _nu_pair(inp.mu, k, kp))
-    return lo, hi
-
-
 def thermal_reactivation_g(tau: float, gp, omega: float | None = None):
     """Swapping-reactivation threshold g(g') where kappa kappa' = 1.
 
@@ -394,36 +362,6 @@ def teleport_correction(inp: SwapInput) -> TeleportCorrection:
     return TeleportCorrection(r, eta, t1, t1p, v_out)
 
 
-def teleport_fidelity(inp: SwapInput) -> float:
-    """Outcome-independent average fidelity; > 1/2 certifies quantum operation."""
-    if inp.mu <= 1.0:
-        raise ValidationError("no entanglement resource: teleportation needs mu > 1")
-    return float(_metrics(inp)["fidelity"])
-
-
-def teleport_fidelity_asymptotic(env) -> float:
-    """Large-mu fidelity [(1+kappa)(1+kappa')]^(-1/2).
-
-    Never exceeds 1/(1 + sqrt(kappa kappa')), with equality under
-    antisymmetric correlations (kappa = kappa').
-    """
-    return protocol_report_asymptotic(env).fidelity
-
-
-# ---------------------------------------------------------------------------
-# distillation (coherent information)
-
-
-def coherent_information(inp: SwapInput) -> float:
-    """One-way distillation lower bound h(nu_b) - h(nu_-) - h(nu_+) in bits."""
-    return protocol_report(inp).coherent_info
-
-
-def coherent_information_asymptotic(env) -> float:
-    """Large-mu limit -log2(e * sqrt(kappa kappa')); +inf for noiseless links."""
-    return protocol_report_asymptotic(env).coherent_info
-
-
 # ---------------------------------------------------------------------------
 # practical QKD
 
@@ -433,38 +371,14 @@ def _check_xi(xi: float):
         raise ValidationError(f"reconciliation efficiency must lie in (0, 1], got {xi!r}")
 
 
-def qkd_mutual_information(inp: SwapInput) -> float:
-    """Alice-Bob mutual information (bits) of the heterodyne protocol."""
-    return float(_metrics(inp)["mutual_info_ab"])
-
-
-def qkd_holevo_bound(inp: SwapInput) -> float:
-    """Eavesdropper Holevo bound h(nu_-) + h(nu_+) - h(nu_c) in bits."""
-    return float(_metrics(inp)["holevo_eve"])
-
-
 def qkd_rate(inp: SwapInput, xi: float = 1.0) -> float:
-    """Secret-key rate xi * I_AB - chi_E in bits per relay use.
+    """Secret-key rate xi * I_AB - chi_E in bits per relay use:
+    ``protocol_report(inp, xi).key_rate``, for identical sources.
 
     Non-positive results are returned as such (mu = 1 gives exactly zero
     mutual information and zero rate).
     """
-    return float(_metrics(inp, xi)["key_rate"])
-
-
-def additive_qkd_rate(mu: float, env: AdditiveEnvironment, xi: float = 1.0) -> float:
-    return qkd_rate(SwapInput(mu, env), xi)
-
-
-def qkd_rate_asymptotic(env) -> tuple[float, float]:
-    """(R_opt, R_LB) for large mu and ideal reconciliation.
-
-    R_LB never exceeds R_opt and the two coincide under antisymmetric
-    correlations; R_LB can only be positive below epsilon_opt ~ 0.192.
-    Both are +inf when kappa kappa' = 0.
-    """
-    report = protocol_report_asymptotic(env)
-    return report.key_rate, report.key_rate_lb
+    return protocol_report(inp, xi).key_rate
 
 
 def key_rate_from_cm(cm, xi: float = 1.0) -> dict:

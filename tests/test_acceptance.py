@@ -81,20 +81,20 @@ def test_criterion_2_swapped_entanglement_formula():
     rng = np.random.default_rng(2026)
     worst = 0.0
     for inp in _sample_inputs(rng, 1000):
-        eps = prot.swap_epsilon(inp)
+        eps = prot.protocol_report(inp).epsilon
         oracle = g.smallest_pts_eigenvalue(prot.swapped_cm(inp), [0])
         worst = max(worst, abs(eps - oracle))
     assert worst < 1e-10, worst
     # mu = 1: no input entanglement, eps is exactly one
     for _ in range(25):
         env = random_thermal_env(rng)
-        assert prot.swap_epsilon(SwapInput(1.0, env)) == 1.0
+        assert prot.protocol_report(SwapInput(1.0, env)).epsilon == 1.0
     # mu -> infinity approaches sqrt(kappa kappa'); 1e-3 absolute in the
     # swapping regime and relative above it, where eps itself is large
     for _ in range(200):
         env = random_thermal_env(rng)
-        eps_opt = prot.swap_epsilon_asymptotic(env)
-        diff = abs(prot.swap_epsilon(SwapInput(1e6, env)) - eps_opt)
+        eps_opt = prot.protocol_report_asymptotic(env).epsilon
+        diff = abs(prot.protocol_report(SwapInput(1e6, env)).epsilon - eps_opt)
         assert diff < 1e-3 * max(1.0, eps_opt)
     print(f"criterion 2 (swapped-entanglement formula): PASS  worst |diff| = {worst:.3g}")
 
@@ -123,13 +123,13 @@ def test_criterion_3_entanglement_breaking_reproduction():
     sample.append(ThermalEnvironment(TAU, EB_NOISE, -18.0, 18.0))
     for env in sample:
         inp = SwapInput(mu, env)
-        survey = ent.bipartite_survey(inp)
-        assert all(v == 0.0 for v in survey.values()), (env, survey)
         cm = prot.evolved_cm(inp)
+        survey = ent._pair_log_negativities(cm)
+        assert all(v == 0.0 for v in survey.values()), (env, survey)
         assert ent.tripartite_classify(cm.reduced([0, 2, 1])).class_id == 5
         assert ent.tripartite_classify(cm.reduced([0, 3, 1])).class_id == 5
     # the aA'B' triplet is fully separable at the Markovian point
-    markov = ent.tripartite_classify_triplet(SwapInput(mu, sample[0]))
+    markov = ent.tripartite_classify(prot.evolved_cm(SwapInput(mu, sample[0])).reduced((0, 2, 3)))
     assert markov.class_id == 5 and markov.certified
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, elapsed
@@ -222,9 +222,8 @@ def test_criterion_5_protocol_nesting():
                 continue
             if not env.is_separable:
                 continue
-            eps = prot.swap_epsilon_asymptotic(env)
-            coh = prot.coherent_information_asymptotic(env)
-            r_lb = prot.qkd_rate_asymptotic(env)[1]
+            rep = prot.protocol_report_asymptotic(env)
+            eps, coh, r_lb = rep.epsilon, rep.coherent_info, rep.key_rate_lb
             swap_ok, dist_ok, lb_ok = eps < 1.0, coh > 0.0, r_lb > 0.0
             # pointwise nesting
             if lb_ok:
@@ -240,18 +239,20 @@ def test_criterion_5_protocol_nesting():
 
     # threshold values recovered by bisection along the antidiagonal g' = -g
     def eps_at(gv):
-        return prot.swap_epsilon_asymptotic(ThermalEnvironment(TAU, EB_NOISE, gv, -gv))
+        return prot.protocol_report_asymptotic(ThermalEnvironment(TAU, EB_NOISE, gv, -gv)).epsilon
 
     g_swap = _bisect(lambda gv: 1.0 - eps_at(gv), 5.0, 18.3)
     g_dist = _bisect(
-        lambda gv: prot.coherent_information_asymptotic(
+        lambda gv: prot.protocol_report_asymptotic(
             ThermalEnvironment(TAU, EB_NOISE, gv, -gv)
-        ),
+        ).coherent_info,
         5.0,
         18.3,
     )
     g_lb = _bisect(
-        lambda gv: prot.qkd_rate_asymptotic(ThermalEnvironment(TAU, EB_NOISE, gv, -gv))[1],
+        lambda gv: prot.protocol_report_asymptotic(
+            ThermalEnvironment(TAU, EB_NOISE, gv, -gv)
+        ).key_rate_lb,
         5.0,
         18.3,
     )
@@ -273,15 +274,15 @@ def test_criterion_6_teleportation_link():
     worst = 0.0
     for gv in np.linspace(0.0, 18.3, 400):
         env = ThermalEnvironment(TAU, EB_NOISE, float(gv), float(-gv))
-        f_opt = prot.teleport_fidelity_asymptotic(env)
-        eps_opt = prot.swap_epsilon_asymptotic(env)
+        f_opt = prot.protocol_report_asymptotic(env).fidelity
+        eps_opt = prot.protocol_report_asymptotic(env).epsilon
         worst = max(worst, abs(f_opt - 1.0 / (1.0 + eps_opt)))
     assert worst < 1e-12, worst
     # quantum teleportation at mu = 6.5 survives entanglement-breaking noise
     quantum_cells = 0
     for gv in np.linspace(14.0, 18.3, 40):
         env = ThermalEnvironment(TAU, EB_NOISE, float(gv), float(-gv))
-        if env.is_separable and prot.teleport_fidelity(SwapInput(6.5, env)) > 0.5:
+        if env.is_separable and prot.protocol_report(SwapInput(6.5, env)).fidelity > 0.5:
             quantum_cells += 1
     assert quantum_cells > 0
     print(
@@ -297,12 +298,13 @@ def test_criterion_6_teleportation_link():
 def test_criterion_7_additive_qkd():
     assert prot.repeater_bound_phi(2.0) == 0.0
     ns = np.linspace(2.01, 4.0, 120)
-    rates = [prot.additive_qkd_rate(52.0, AdditiveEnvironment(float(n), 1.0, 1.0), 1.0) for n in ns]
+    rates = [prot.qkd_rate(SwapInput(52.0, AdditiveEnvironment(float(n), 1.0, 1.0)), 1.0) for n in ns]
     assert all(r > 0.0 for r in rates)
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def gap(n):
-        return prot.additive_qkd_rate(52.0, AdditiveEnvironment(n, 1.0, 1.0), 1.0) - prot.repeater_bound_phi(n)
+        rate = prot.qkd_rate(SwapInput(52.0, AdditiveEnvironment(n, 1.0, 1.0)), 1.0)
+        return rate - prot.repeater_bound_phi(n)
 
     crossing = _bisect(gap, 0.2, 1.5)
     assert abs(crossing - 0.369) < 0.01, crossing
@@ -337,14 +339,14 @@ def experiment_sweep():
             xi=0.97,
             stream=idx,
         )
-        est = ex.estimate_conditional_cm(ex.simulate_shot_batch(config), 52.0)
+        est = ex.run_point(config)
         points.append(
             {
                 "n": float(n),
-                "rate_097": ex.experimental_key_rate(est, 0.97),
-                "rate_1": ex.experimental_key_rate(est, 1.0),
-                "theory_097": prot.additive_qkd_rate(52.0, env, 0.97),
-                "theory_1": prot.additive_qkd_rate(52.0, env, 1.0),
+                "rate_097": prot.key_rate_from_cm(est.cm_hat, 0.97)["rate"],
+                "rate_1": prot.key_rate_from_cm(est.cm_hat, 1.0)["rate"],
+                "theory_097": prot.qkd_rate(SwapInput(52.0, env), 0.97),
+                "theory_1": prot.qkd_rate(SwapInput(52.0, env), 1.0),
             }
         )
     return points, time.monotonic() - started
@@ -366,13 +368,13 @@ def test_criterion_8_below_lossless_theory(experiment_sweep):
 
 def test_criterion_8_estimator_consistency_slope():
     env = AdditiveEnvironment(1.0, 0.6, 0.4)
-    r_true = prot.additive_qkd_rate(52.0, env, 1.0)
+    r_true = prot.qkd_rate(SwapInput(52.0, env), 1.0)
     maes = []
     for shots in (10**4, 10**5, 10**6):
         errs = []
         for seed in range(12):
             cfg = ex.ExperimentConfig(mu=52.0, env=env, shots=shots, seed=seed)
-            est = ex.estimate_conditional_cm(ex.simulate_shot_batch(cfg), 52.0)
+            est = ex.run_point(cfg)
             errs.append(abs(est.key_rate_hat - r_true))
         maes.append(float(np.mean(errs)))
     slope = float(np.polyfit(np.log10([1e4, 1e5, 1e6]), np.log10(maes), 1)[0])

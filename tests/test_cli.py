@@ -198,6 +198,13 @@ def test_experiment_single_shot_no_crash(capsys):
     assert "error" in doc["points"][0]  # estimation impossible, reported per point
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the co-moment sums overflow on purpose
+def test_experiment_reports_overflowing_moments_per_point(capsys):
+    code, out = run_cli(["experiment", "--n", "1", "--mu", "1e308", "--shots", "1000"], capsys)
+    assert code == 0
+    assert "not finite" in json.loads(out)["points"][0]["error"]
+
+
 def test_experiment_shot_dump(capsys, tmp_path):
     dump = tmp_path / "shots.csv"
     code, _ = run_cli(
@@ -313,12 +320,12 @@ def test_thresholds_additive_family(capsys):
     assert lines[0] == "cp,c,metric"
     assert len(lines) >= 2
     from cvrelay.environments import AdditiveEnvironment
-    from cvrelay.protocols import additive_qkd_rate
+    from cvrelay.protocols import SwapInput, qkd_rate
 
     for line in lines[1:]:
         cp, c, name = line.split(",")
         assert name == "qkd"
-        rate = additive_qkd_rate(52.0, AdditiveEnvironment(2.5, float(c), float(cp)), 1.0)
+        rate = qkd_rate(SwapInput(52.0, AdditiveEnvironment(2.5, float(c), float(cp))), 1.0)
         assert abs(rate) < 1e-3  # sits on the R = 0 contour
 
 
@@ -498,10 +505,11 @@ def _reference_row(protocol, grid, coords, mu, xi):
         row += [envs.env_mutual_information(env), ml_a, ml_ap,
                 str(ent.region_labels(ml_a, ml_ap, ent.PSD_ABS_TOL))]
     elif protocol == "bipartite":
-        survey = ent.bipartite_survey(prot.SwapInput(float(mu), env))
+        survey = ent._pair_log_negativities(prot.evolved_cm(prot.SwapInput(float(mu), env)))
         row += [survey[pair] for pair in ("aAp", "aBp", "ab", "ApBp")]
     elif protocol == "tripartite":
-        verdict = ent.tripartite_classify_triplet(prot.SwapInput(float(mu), env))
+        cm = prot.evolved_cm(prot.SwapInput(float(mu), env))
+        verdict = ent.tripartite_classify(cm.reduced((0, 2, 3)))
         row += [verdict.class_id, verdict.certified]
     elif protocol == "qkd-asymptotic":
         r = prot.protocol_report_asymptotic(env)

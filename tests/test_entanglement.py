@@ -23,7 +23,7 @@ def test_bipartite_survey_separable_under_eb_noise():
         env = random_thermal_env(rng, tau_range=(TAU, TAU), omega_max=30.0)
         if env.omega <= envs.entanglement_breaking_threshold(env.tau):
             continue
-        survey = ent.bipartite_survey(SwapInput(6.5, env))
+        survey = ent._pair_log_negativities(prot.evolved_cm(SwapInput(6.5, env)))
         assert all(v == 0.0 for v in survey.values()), (env, survey)
 
 
@@ -31,7 +31,7 @@ def test_bipartite_survey_ab_always_separable():
     rng = np.random.default_rng(73)
     for _ in range(10):
         env = random_thermal_env(rng)
-        survey = ent.bipartite_survey(SwapInput(rng.uniform(1.0, 30.0), env))
+        survey = ent._pair_log_negativities(prot.evolved_cm(SwapInput(rng.uniform(1.0, 30.0), env)))
         assert survey["ab"] == 0.0
         assert survey["aBp"] == 0.0
 
@@ -39,7 +39,7 @@ def test_bipartite_survey_ab_always_separable():
 def test_bipartite_survey_matches_ppt_oracle():
     env = ThermalEnvironment(TAU, 10.0, 5.0, -5.0)  # below EB: aA' entangled
     inp = SwapInput(6.5, env)
-    survey = ent.bipartite_survey(inp)
+    survey = ent._pair_log_negativities(prot.evolved_cm(inp))
     cm = prot.evolved_cm(inp)
     assert survey["aAp"] == pytest.approx(
         g.log_negativity(cm.reduced([0, 2]), [0]), abs=1e-12
@@ -81,7 +81,7 @@ def test_tripartite_markovian_class_5_with_witness_spectrum():
 
 def test_tripartite_correlated_class_2_at_threshold():
     env = ThermalEnvironment(TAU, W_EB, 10.0, -10.0)
-    verdict = ent.tripartite_classify_triplet(SwapInput(1e6, env))
+    verdict = ent.tripartite_classify(prot.evolved_cm(SwapInput(1e6, env)).reduced((0, 2, 3)))
     assert verdict.class_id == 2
     assert verdict.mode_ppt == (False, False, True)  # only B' stays PPT
 
@@ -90,7 +90,7 @@ def test_tripartite_class_5_above_threshold():
     for gg, gp in ((0.0, 0.0), (15.0, -15.0), (18.0, -18.0)):
         env = ThermalEnvironment(TAU, EB_NOISE, gg, gp)
         assert env.is_separable
-        verdict = ent.tripartite_classify_triplet(SwapInput(1e6, env))
+        verdict = ent.tripartite_classify(prot.evolved_cm(SwapInput(1e6, env)).reduced((0, 2, 3)))
         assert verdict.class_id == 5, (gg, gp, verdict)
 
 

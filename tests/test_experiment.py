@@ -8,6 +8,7 @@ from cvrelay import experiment as ex
 from cvrelay import protocols as prot
 from cvrelay.environments import AdditiveEnvironment
 from cvrelay.gaussian import NumericDegeneracyError, ValidationError
+from cvrelay.protocols import SwapInput
 
 ENV11 = AdditiveEnvironment(1.0, 1.0, 1.0)
 
@@ -75,9 +76,11 @@ def test_shot_range_must_be_a_non_empty_part_of_the_run(start, stop):
 @pytest.mark.parametrize("chunk", [1, 13, 999, 4096, 65536])
 def test_streamed_estimate_equals_the_whole_batch_estimate(chunk):
     # 9001 shots: two full moment blocks and a tail, cut at every chunk size
-    cfg = config(env=AdditiveEnvironment(1.0, 0.6, 0.4), shots=9001, seed=8, relay_efficiency=0.98)
-    whole = ex.estimate_conditional_cm(ex.simulate_shot_batch(cfg), 52.0, 0.97)
-    streamed = ex.estimate_conditional_cm(range_chunks(cfg, chunk), 52.0, 0.97)
+    cfg = config(
+        env=AdditiveEnvironment(1.0, 0.6, 0.4), shots=9001, seed=8, relay_efficiency=0.98, xi=0.97
+    )
+    whole = ex.run_point(cfg, chunk_shots=cfg.shots)
+    streamed = ex.run_point(cfg, chunk_shots=chunk)
     assert np.array_equal(whole.cm_hat, streamed.cm_hat)
     assert np.array_equal(whole.stderr, streamed.stderr)
     assert whole.key_rate_hat == streamed.key_rate_hat
@@ -132,21 +135,26 @@ def test_antidiagonal_noise_cancels_in_gamma():
 
 def test_estimator_rejects_degenerate_input():
     with pytest.raises(ValidationError):
-        ex.estimate_conditional_cm(ex.simulate_shot_batch(config(mu=1.0)), 1.0)
+        ex.run_point(config(mu=1.0))
     with pytest.raises(NumericDegeneracyError):
         # a single shot cannot support the gamma block inversion
-        ex.estimate_conditional_cm(ex.simulate_shot_batch(config(shots=1)), 52.0)
+        ex.run_point(config(shots=1))
+
+
+def test_run_point_rejects_a_non_positive_chunk():
+    with pytest.raises(ValidationError):
+        ex.run_point(config(), chunk_shots=0)
 
 
 def test_estimator_rejects_an_empty_chunk_stream():
     with pytest.raises(ValidationError):
-        ex.estimate_conditional_cm(iter(()), 52.0)
+        ex._CoMoments().estimate(52.0, 1.0)
 
 
 def test_estimate_converges_to_analytic_cm():
     cfg = config(shots=10**6, seed=7)
-    est = ex.estimate_conditional_cm(ex.simulate_shot_batch(cfg), 52.0)
-    analytic = prot.additive_swapped_cm(52.0, ENV11).m
+    est = ex.run_point(cfg)
+    analytic = prot.swapped_cm(SwapInput(52.0, ENV11)).m
     # entrywise agreement within a 5-standard-error band
     assert np.all(np.abs(est.cm_hat - analytic) < 5.0 * est.stderr)
     assert est.sample_count == 10**6
@@ -158,7 +166,7 @@ def test_infinite_statistics_reduction_is_exact():
     for env in (ENV11, AdditiveEnvironment(2.5, 0.3, -0.7), AdditiveEnvironment(0.0)):
         cfg = config(env=env, shots=10)
         est = ex.estimate_from_second_moments(ex.exact_second_moments(cfg), 10**9)
-        analytic = prot.additive_swapped_cm(52.0, env).m
+        analytic = prot.swapped_cm(SwapInput(52.0, env)).m
         assert np.abs(est.cm_hat - analytic).max() < 1e-12
 
 
@@ -182,19 +190,17 @@ def test_lossy_infinite_statistics_shifts_kappas():
         ]
     )
     assert np.abs(est.cm_hat - shifted).max() < 1e-12
-    assert est.key_rate_hat < prot.additive_qkd_rate(mu, ENV11, 1.0)
+    assert est.key_rate_hat < prot.qkd_rate(SwapInput(mu, ENV11), 1.0)
 
 
 def test_estimated_cm_statistical_soundness():
     # over many independent seeds each entry stays within 4 standard errors
     # of the analytic value in at least 99% of runs
-    analytic = prot.additive_swapped_cm(52.0, ENV11).m
+    analytic = prot.swapped_cm(SwapInput(52.0, ENV11)).m
     inside = np.zeros((4, 4), dtype=int)
     runs = 100
     for seed in range(runs):
-        est = ex.estimate_conditional_cm(
-            ex.simulate_shot_batch(config(shots=10**5, seed=seed)), 52.0
-        )
+        est = ex.run_point(config(shots=10**5, seed=seed))
         inside += (np.abs(est.cm_hat - analytic) < 4.0 * est.stderr).astype(int)
     assert inside.min() >= 99, inside
 
@@ -202,36 +208,15 @@ def test_estimated_cm_statistical_soundness():
 def test_estimated_cm_uncertainty_within_band():
     from cvrelay.gaussian import symplectic_spectrum
 
-    est = ex.estimate_conditional_cm(
-        ex.simulate_shot_batch(config(shots=10**5, seed=123)), 52.0
-    )
+    est = ex.run_point(config(shots=10**5, seed=123))
     nu_min = min(symplectic_spectrum(0.5 * (est.cm_hat + est.cm_hat.T)))
     assert nu_min >= 1.0 - 5.0 * est.stderr.max()
 
 
-def test_rate_estimator_consistency_slope():
-    # |R_hat - R| ~ shots^(-1/2) at a generic smooth parameter point
-    env = AdditiveEnvironment(1.0, 0.6, 0.4)
-    r_true = prot.additive_qkd_rate(52.0, env, 1.0)
-    maes = []
-    for shots in (10**4, 10**5, 10**6):
-        errs = []
-        for seed in range(12):
-            est = ex.estimate_conditional_cm(
-                ex.simulate_shot_batch(config(env=env, shots=shots, seed=seed)), 52.0
-            )
-            errs.append(abs(est.key_rate_hat - r_true))
-        maes.append(np.mean(errs))
-    slope = np.polyfit(np.log10([1e4, 1e5, 1e6]), np.log10(maes), 1)[0]
-    assert -0.65 <= slope <= -0.35, (maes, slope)
-
-
 def test_experimental_key_rate_xi_dependence():
-    est = ex.estimate_conditional_cm(
-        ex.simulate_shot_batch(config(shots=200_000, seed=5)), 52.0
-    )
-    r1 = ex.experimental_key_rate(est, 1.0)
-    r097 = ex.experimental_key_rate(est, 0.97)
+    est = ex.run_point(config(shots=200_000, seed=5))
+    r1 = prot.key_rate_from_cm(est.cm_hat, 1.0)["rate"]
+    r097 = prot.key_rate_from_cm(est.cm_hat, 0.97)["rate"]
     assert r097 < r1
     assert r1 == pytest.approx(est.key_rate_hat)
 

@@ -97,15 +97,15 @@ def test_swapped_cm_outcome_and_permutation_symmetry():
 
 
 def test_swap_epsilon_formula_and_oracle():
-    assert prot.swap_epsilon(SwapInput(1.0, EB_ENV)) == 1.0  # exactly
+    assert prot.protocol_report(SwapInput(1.0, EB_ENV)).epsilon == 1.0  # exactly
     rng = np.random.default_rng(29)
     for _ in range(200):
         env = random_thermal_env(rng)
         inp = SwapInput(rng.uniform(1.01, 100.0), env)
-        eps = prot.swap_epsilon(inp)
+        eps = prot.protocol_report(inp).epsilon
         oracle = g.smallest_pts_eigenvalue(prot.swapped_cm(inp), [0])
         assert abs(eps - oracle) < 1e-10
-        nus = prot.swapped_spectrum(inp)
+        nus = prot._nu_pair(inp.mu, *envs.kappa_params(inp.env))
         assert eps == pytest.approx(nus[0] * nus[1] / inp.mu, abs=1e-12)
 
 
@@ -113,10 +113,10 @@ def test_swap_epsilon_large_mu_limit():
     rng = np.random.default_rng(31)
     for _ in range(50):
         env = random_thermal_env(rng)
-        eps_opt = prot.swap_epsilon_asymptotic(env)
+        eps_opt = prot.protocol_report_asymptotic(env).epsilon
         # 1e-3 absolute in the swapping regime, relative far above it
         tol = 1e-3 * max(1.0, eps_opt)
-        assert abs(prot.swap_epsilon(SwapInput(1e6, env)) - eps_opt) < tol
+        assert abs(prot.protocol_report(SwapInput(1e6, env)).epsilon - eps_opt) < tol
 
 
 def test_swap_monotonicity_in_mu():
@@ -189,25 +189,25 @@ def test_teleport_mean_recovery_pipeline():
     v_out = corr.gain_eta * (sq.m @ b0.cm.m @ sq.m.T) + (corr.gain_eta - 1.0) * np.eye(2)
     assert np.abs(v_out - corr.output_cm).max() < 1e-12
     f_pipeline = 2.0 / math.sqrt(np.linalg.det(corr.output_cm + np.eye(2)))
-    assert prot.teleport_fidelity(inp) == pytest.approx(f_pipeline, abs=1e-12)
+    assert prot.protocol_report(SwapInput(mu, env)).fidelity == pytest.approx(f_pipeline, abs=1e-12)
 
 
 def test_teleport_fidelity_limits():
     # noiseless, large mu: F -> 1
     env = ThermalEnvironment(0.999999, 1.0)
-    assert prot.teleport_fidelity(SwapInput(1e6, env)) == pytest.approx(1.0, abs=1e-4)
+    assert prot.protocol_report(SwapInput(1e6, env)).fidelity == pytest.approx(1.0, abs=1e-4)
     # antisymmetric correlations: F_opt = 1/(1 + eps_opt) exactly
     for gg in (5.0, 12.0, 19.0):
         env = ThermalEnvironment(0.9, 19.38, gg, -gg)
-        f_opt = prot.teleport_fidelity_asymptotic(env)
-        eps_opt = prot.swap_epsilon_asymptotic(env)
+        f_opt = prot.protocol_report_asymptotic(env).fidelity
+        eps_opt = prot.protocol_report_asymptotic(env).epsilon
         assert abs(f_opt - 1.0 / (1.0 + eps_opt)) < 1e-12
     # the bound F_opt <= 1/(1 + eps_opt) holds everywhere
     rng = np.random.default_rng(37)
     for _ in range(200):
         env = random_thermal_env(rng)
-        f_opt = prot.teleport_fidelity_asymptotic(env)
-        assert f_opt <= 1.0 / (1.0 + prot.swap_epsilon_asymptotic(env)) + 1e-12
+        f_opt = prot.protocol_report_asymptotic(env).fidelity
+        assert f_opt <= 1.0 / (1.0 + prot.protocol_report_asymptotic(env).epsilon) + 1e-12
 
 
 def test_fidelity_increases_with_mu():
@@ -215,35 +215,35 @@ def test_fidelity_increases_with_mu():
     mus = np.linspace(1.01, 100.0, 60)
     fid = prot.relay_metrics(mus, k, kp)["fidelity"]
     assert np.all(np.diff(fid) > 0.0)
-    assert prot.teleport_fidelity(SwapInput(6.5, EB_ENV)) > 0.5  # reactivated
+    assert prot.protocol_report(SwapInput(6.5, EB_ENV)).fidelity > 0.5  # reactivated
 
 
 def test_coherent_information():
     # distillation threshold: asymptotic I_C crosses zero at eps_opt = 1/e
     env = ThermalEnvironment(0.9, 19.38, 19.0, -19.0)
-    assert prot.coherent_information_asymptotic(env) > 0.0
+    assert prot.protocol_report_asymptotic(env).coherent_info > 0.0
     # entropy-oracle cross-check against the generic path
     inp = SwapInput(6.5, env)
     cm = prot.swapped_cm(inp)
     nus = g.symplectic_spectrum(cm)
     nb = math.sqrt(np.linalg.det(cm.m[2:, 2:]))
     generic = g.entropic_h(nb) - g.entropic_h(nus[0]) - g.entropic_h(nus[1])
-    assert prot.coherent_information(inp) == pytest.approx(generic, abs=1e-9)
+    assert prot.protocol_report(inp).coherent_info == pytest.approx(generic, abs=1e-9)
 
 
 def test_coherent_information_asymptotic_consistency():
     rng = np.random.default_rng(41)
     for _ in range(40):
         env = random_thermal_env(rng)
-        eps_opt = prot.swap_epsilon_asymptotic(env)
+        eps_opt = prot.protocol_report_asymptotic(env).epsilon
         if eps_opt < 1e-3:
             continue
-        finite = prot.coherent_information(SwapInput(1e6, env))
+        finite = prot.protocol_report(SwapInput(1e6, env)).coherent_info
         assert abs(finite + math.log2(math.e * eps_opt)) < 1e-3
 
 
 def test_qkd_rate_zero_at_mu_one():
-    assert prot.qkd_mutual_information(SwapInput(1.0, EB_ENV)) == pytest.approx(0.0)
+    assert prot.protocol_report(SwapInput(1.0, EB_ENV)).mutual_info_ab == pytest.approx(0.0)
     assert prot.qkd_rate(SwapInput(1.0, EB_ENV)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -255,10 +255,10 @@ def test_qkd_rate_against_generic_oracle():
         xi = rng.uniform(0.5, 1.0)
         generic = prot.key_rate_from_cm(prot.swapped_cm(inp), xi)
         assert prot.qkd_rate(inp, xi) == pytest.approx(generic["rate"], abs=1e-9)
-        assert prot.qkd_mutual_information(inp) == pytest.approx(
+        assert prot.protocol_report(inp).mutual_info_ab == pytest.approx(
             generic["mutual_info"], abs=1e-9
         )
-        assert prot.qkd_holevo_bound(inp) == pytest.approx(generic["holevo"], abs=1e-9)
+        assert prot.protocol_report(inp).holevo_eve == pytest.approx(generic["holevo"], abs=1e-9)
 
 
 def test_qkd_rate_heterodyne_conditioning_identity():
@@ -287,20 +287,22 @@ def test_qkd_rate_monotone_in_xi_and_mu():
 
 def test_qkd_asymptotic_rates():
     env = ThermalEnvironment(0.9, 19.38, 19.2, -19.1)
-    r_opt, r_lb = prot.qkd_rate_asymptotic(env)
+    rep = prot.protocol_report_asymptotic(env)
+    r_opt, r_lb = rep.key_rate, rep.key_rate_lb
     assert r_lb <= r_opt
     # equality under antisymmetric correlations
     env_a = ThermalEnvironment(0.9, 19.38, 19.0, -19.0)
-    r_opt, r_lb = prot.qkd_rate_asymptotic(env_a)
+    rep = prot.protocol_report_asymptotic(env_a)
+    r_opt, r_lb = rep.key_rate, rep.key_rate_lb
     assert r_opt == pytest.approx(r_lb, abs=1e-12)
     # finite-mu convergence
     rng = np.random.default_rng(47)
     for _ in range(25):
         env = random_thermal_env(rng)
-        if prot.swap_epsilon_asymptotic(env) < 1e-3:
+        if prot.protocol_report_asymptotic(env).epsilon < 1e-3:
             continue
         finite = prot.qkd_rate(SwapInput(1e6, env), 1.0)
-        assert abs(finite - prot.qkd_rate_asymptotic(env)[0]) < 1e-2
+        assert abs(finite - prot.protocol_report_asymptotic(env).key_rate) < 1e-2
 
 
 def test_qkd_lower_bound_positivity_window():
@@ -308,15 +310,15 @@ def test_qkd_lower_bound_positivity_window():
     rng = np.random.default_rng(53)
     for _ in range(300):
         env = random_thermal_env(rng)
-        _, r_lb = prot.qkd_rate_asymptotic(env)
+        r_lb = prot.protocol_report_asymptotic(env).key_rate_lb
         if r_lb > 0.0:
-            assert prot.swap_epsilon_asymptotic(env) < 0.1922
+            assert prot.protocol_report_asymptotic(env).epsilon < 0.1922
 
 
 def test_additive_swapped_cm_noise_cancellation():
     # (c, c') = (1, -1) erases the environment: lossless swapped state
     mu = 4.0
-    m = prot.additive_swapped_cm(mu, AdditiveEnvironment(5.0, 1.0, -1.0)).m
+    m = prot.swapped_cm(SwapInput(mu, AdditiveEnvironment(5.0, 1.0, -1.0))).m
     z = np.diag([1.0, -1.0])
     expect = np.block(
         [
@@ -326,7 +328,7 @@ def test_additive_swapped_cm_noise_cancellation():
     )
     assert np.abs(m - expect).max() < 1e-12
     # n = 0 gives the same noiseless swapped state
-    m0 = prot.additive_swapped_cm(mu, AdditiveEnvironment(0.0, 0.0, 0.0)).m
+    m0 = prot.swapped_cm(SwapInput(mu, AdditiveEnvironment(0.0, 0.0, 0.0))).m
     assert np.abs(m0 - expect).max() < 1e-12
 
 
@@ -343,9 +345,9 @@ def test_additive_swapped_cm_matches_conditioning_oracle():
 
 def test_additive_qkd_rate_window():
     for n in (2.25, 3.0, 4.0):
-        assert prot.additive_qkd_rate(52.0, AdditiveEnvironment(n, 1.0, 1.0), 1.0) > 0.0
+        assert prot.qkd_rate(SwapInput(52.0, AdditiveEnvironment(n, 1.0, 1.0)), 1.0) > 0.0
     ns = np.linspace(2.01, 4.0, 40)
-    rates = [prot.additive_qkd_rate(52.0, AdditiveEnvironment(float(n), 1.0, 1.0), 1.0) for n in ns]
+    rates = [prot.qkd_rate(SwapInput(52.0, AdditiveEnvironment(float(n), 1.0, 1.0)), 1.0) for n in ns]
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
@@ -386,7 +388,6 @@ def test_protocol_report_asymptotic():
     assert rep.mu == math.inf
     assert rep.key_rate_lb is not None
     assert rep.key_rate_lb <= rep.key_rate
-    assert rep.epsilon == pytest.approx(prot.swap_epsilon_asymptotic(EB_ENV))
     # noiseless additive point: infinite asymptotic rates, flags stay sane
     rep0 = prot.protocol_report_asymptotic(AdditiveEnvironment(0.0))
     assert math.isinf(rep0.key_rate)
@@ -410,7 +411,7 @@ def test_qkd_security_threshold_stability():
     def antidiag(g):
         return ThermalEnvironment(0.9, 19.38, g, -g)
 
-    g_inf = root(lambda g: prot.qkd_rate_asymptotic(antidiag(g))[0])
+    g_inf = root(lambda g: prot.protocol_report_asymptotic(antidiag(g)).key_rate)
     g_52 = root(lambda g: prot.qkd_rate(SwapInput(52.0, antidiag(g)), 1.0))
     g_097 = root(lambda g: prot.qkd_rate(SwapInput(52.0, antidiag(g)), 0.97))
     assert abs(g_52 - g_inf) < 0.1
@@ -420,7 +421,7 @@ def test_qkd_security_threshold_stability():
 def test_additive_swapped_cm_one_one_point():
     # the (c, c') = (1, 1) environment cancels noise in one quadrature only
     mu, n = 5.0, 2.0
-    m = prot.additive_swapped_cm(mu, AdditiveEnvironment(n, 1.0, 1.0)).m
+    m = prot.swapped_cm(SwapInput(mu, AdditiveEnvironment(n, 1.0, 1.0))).m
     tmu2 = mu * mu - 1.0
     expect = np.array(
         [
@@ -441,7 +442,7 @@ def test_fidelity_identity_in_epsilon_and_kappa_sum():
         k, kp = envs.kappa_params(env)
         eps = math.sqrt(k * kp)
         expect = 1.0 / math.sqrt(1.0 + eps * eps + k + kp)
-        assert prot.teleport_fidelity_asymptotic(env) == pytest.approx(expect, abs=1e-12)
+        assert prot.protocol_report_asymptotic(env).fidelity == pytest.approx(expect, abs=1e-12)
 
 
 @given(n=st.floats(0.0, 10.0), c=st.floats(-1.0, 1.0), cp=st.floats(-1.0, 1.0),
