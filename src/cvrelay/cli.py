@@ -184,17 +184,10 @@ def _mu_value(args) -> float:
 
 
 def _env_summary(env) -> dict:
+    """Kind, fields and separability of an environment; thermal ones add the boundary flag."""
     if isinstance(env, envs.ThermalEnvironment):
-        return {
-            "kind": "thermal",
-            "tau": env.tau,
-            "omega": env.omega,
-            "g": env.g,
-            "gp": env.gp,
-            "separable": env.is_separable,
-            "boundary": env.is_boundary,
-        }
-    return {"kind": "additive", "n": env.n, "c": env.c, "cp": env.cp, "separable": True}
+        return {"kind": "thermal", **vars(env), "separable": env.is_separable, "boundary": env.is_boundary}
+    return {"kind": "additive", **vars(env), "separable": True}
 
 
 def _write_text(args, text: str):
@@ -245,15 +238,10 @@ class _Grid:
 
     def masks(self, coords):
         """Physical, separable and boundary masks at the swept coordinates."""
-        p = self.params(coords)
-        if self.family is envs.ThermalEnvironment:
-            return envs.thermal_masks(p["omega"], p["g"], p["gp"])
-        return envs.additive_masks(p["n"], p["c"], p["cp"])
+        return self.family.masks(**self.params(coords))
 
     def kappas(self, coords):
-        if self.family is envs.ThermalEnvironment:
-            return envs.thermal_kappas(**self.params(coords))
-        return envs.additive_kappas(**self.params(coords))
+        return self.family.kappas(**self.params(coords))
 
 
 def _grid(args, n_axis: bool) -> _Grid:
@@ -540,21 +528,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = ("--g", "--gp", "--c", "--cp", "--n", "--mu", "--phi", "--tau", "--omega", "--xi")
+_FLAG = re.compile(r"^--[^=]+$")
 _NEGATIVE_VALUE = re.compile(r"^-(\d|\.)[\d.:eE+-]*$")
 
 
 def _merge_negative_values(argv):
-    """Join '--flag -lo:hi:step' into '--flag=-lo:hi:step' for argparse."""
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and _NEGATIVE_VALUE.match(argv[i + 1]):
-            out.append(tok + "=" + argv[i + 1])
-            i += 2
+    """Join '--flag -lo:hi:step' into '--flag=-lo:hi:step' for argparse;
+    every option of this CLI takes a value."""
+    out = []
+    for tok in argv:
+        if out and _FLAG.match(out[-1]) and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 

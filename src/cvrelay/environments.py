@@ -10,6 +10,10 @@ with variance n and correlation coefficients (c, c').
 Inequalities are evaluated with a ``BOUNDARY_BAND`` guard: parameter points
 within the band of an equality are accepted and flagged as boundary cases,
 since the interesting region extends right up to the physicality border.
+
+Each family class owns its array-friendly maps ``masks``, ``kappas`` and
+``links``: static methods taking the class's fields as keywords, so a caller
+holding a family and its parameters never branches on the family.
 """
 
 from __future__ import annotations
@@ -57,34 +61,6 @@ def holds(slacks):
     return functools.reduce(np.logical_and, [s >= -BOUNDARY_BAND for s in slacks])
 
 
-def thermal_masks(omega, g, gp):
-    """Physical, separable and boundary masks of thermal environments (array-friendly).
-
-    Boundary means that some inequality is saturated within the band.
-    """
-    slacks = thermal_slacks(omega, g, gp)
-    boundary = functools.reduce(np.logical_or, [abs(s) <= BOUNDARY_BAND for s in slacks])
-    return holds(slacks[:3]), holds(slacks[3:]), boundary
-
-
-def additive_masks(n, c, cp):
-    """Physical, separable and boundary masks of additive environments
-    (array-friendly); classical noise is always separable, never boundary."""
-    physical = holds(additive_slacks(n, c, cp))
-    return physical, np.ones_like(physical), np.zeros_like(physical)
-
-
-def thermal_kappas(tau, omega, g, gp):
-    """(kappa, kappa') of the thermal family, array-friendly; see kappa_params."""
-    f = 1.0 / tau - 1.0
-    return np.maximum(f * (omega - g), 0.0), np.maximum(f * (omega + gp), 0.0)
-
-
-def additive_kappas(n, c, cp):
-    """(kappa, kappa') of the additive family, array-friendly; see kappa_params."""
-    return np.maximum((1.0 - c) * n, 0.0), np.maximum((1.0 + cp) * n, 0.0)
-
-
 def _check_finite(**values):
     for name, value in values.items():
         if not math.isfinite(value):
@@ -116,14 +92,36 @@ class ThermalEnvironment:
             name, slack = min(zip(THERMAL_CONDITIONS, slacks), key=lambda kv: kv[1])
             raise ValidationError(f"bona-fide violation: {name} fails by {-slack:.6g}")
 
+    @staticmethod
+    def masks(tau, omega, g, gp):
+        """Physical, separable and boundary masks (array-friendly).
+
+        Boundary means that some inequality is saturated within the band.
+        """
+        slacks = thermal_slacks(omega, g, gp)
+        boundary = functools.reduce(np.logical_or, [abs(s) <= BOUNDARY_BAND for s in slacks])
+        return holds(slacks[:3]), holds(slacks[3:]), boundary
+
+    @staticmethod
+    def kappas(tau, omega, g, gp):
+        """(kappa, kappa') = (1/tau - 1)(omega - g, omega + g'), array-friendly."""
+        f = 1.0 / tau - 1.0
+        return np.maximum(f * (omega - g), 0.0), np.maximum(f * (omega + gp), 0.0)
+
+    @staticmethod
+    def links(tau, omega, g, gp):
+        """Link map (t, e, h, h') of ``protocols.evolved_cm``, array-friendly."""
+        loss = 1.0 - tau
+        return tau, loss * omega, loss * g, loss * gp
+
     @property
     def is_separable(self) -> bool:
-        return bool(thermal_masks(self.omega, self.g, self.gp)[1])
+        return bool(self.masks(**vars(self))[1])
 
     @property
     def is_boundary(self) -> bool:
         """True when any physicality or separability inequality is saturated."""
-        return bool(thermal_masks(self.omega, self.g, self.gp)[2])
+        return bool(self.masks(**vars(self))[2])
 
     def mirrored(self) -> "ThermalEnvironment":
         """Correlation-sign flip, the view seen by the conjugate Bell detection.
@@ -151,8 +149,32 @@ class AdditiveEnvironment:
             if not holds([slack]):
                 raise ValidationError(f"correlation coefficient {name}={value!r} outside [-1, 1]")
 
+    @staticmethod
+    def masks(n, c, cp):
+        """Physical, separable and boundary masks (array-friendly); classical
+        noise is always separable, never boundary."""
+        physical = holds(additive_slacks(n, c, cp))
+        return physical, np.ones_like(physical), np.zeros_like(physical)
+
+    @staticmethod
+    def kappas(n, c, cp):
+        """(kappa, kappa') = ((1 - c) n, (1 + c') n), array-friendly."""
+        return np.maximum((1.0 - c) * n, 0.0), np.maximum((1.0 + cp) * n, 0.0)
+
+    @staticmethod
+    def links(n, c, cp):
+        """Link map (t, e, h, h') of ``protocols.evolved_cm``, array-friendly."""
+        return 1.0, n, n * c, n * cp
+
     def mirrored(self) -> "AdditiveEnvironment":
         return AdditiveEnvironment(self.n, -self.c, -self.cp)
+
+
+def _checked_family(family):
+    """``family`` if it is one of the two environment classes; else a ValidationError."""
+    if family not in (ThermalEnvironment, AdditiveEnvironment):
+        raise ValidationError(f"unsupported environment type {getattr(family, '__name__', family)!r}")
+    return family
 
 
 def thermal_env_cm(env: ThermalEnvironment) -> CovarianceMatrix:
@@ -169,18 +191,9 @@ def thermal_env_cm(env: ThermalEnvironment) -> CovarianceMatrix:
 
 
 def kappa_params(env) -> tuple[float, float]:
-    """Effective relay noise parameters (kappa, kappa') of an environment.
-
-    Thermal family: kappa = (1/tau - 1)(omega - g), kappa' = (1/tau - 1)(omega + g').
-    Additive family: kappa = (1 - c) n, kappa' = (1 + c') n.  Both are >= 0;
-    boundary rounding is clamped at zero.
-    """
-    if isinstance(env, ThermalEnvironment):
-        k, kp = thermal_kappas(env.tau, env.omega, env.g, env.gp)
-    elif isinstance(env, AdditiveEnvironment):
-        k, kp = additive_kappas(env.n, env.c, env.cp)
-    else:
-        raise ValidationError(f"unsupported environment type {type(env).__name__}")
+    """Effective relay noise parameters (kappa, kappa') of an environment:
+    its family's ``kappas``, both >= 0 (boundary rounding is clamped at zero)."""
+    k, kp = _checked_family(type(env)).kappas(**vars(env))
     return float(k), float(kp)
 
 

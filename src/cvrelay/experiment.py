@@ -139,19 +139,15 @@ def _draw_normals(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return ndtri(out, out=out)
 
 
-def simulate_shot_batch(
-    config: ExperimentConfig, chunk_shots: int = DEFAULT_CHUNK, start: int = 0, stop: int | None = None
-) -> ShotBatch:
+def simulate_shot_batch(config: ExperimentConfig, start: int = 0, stop: int | None = None) -> ShotBatch:
     """Simulate the shots [start, stop) of a configuration (default: all).
 
     A shot depends only on the seed, the stream and its index, so any split
-    of a run into ranges and any ``chunk_shots`` give bit-identical shots.
-    Normals are drawn and mixed min(chunk_shots, DRAW_BLOCK) shots at a time
-    into one (6, stop - start) array whose rows are the returned columns.
+    of a run into ranges gives bit-identical shots.  Normals are drawn and
+    mixed min(DRAW_BLOCK, stop - start) shots at a time into one
+    (6, stop - start) array whose rows are the returned columns.
     """
     stop = config.shots if stop is None else stop
-    if chunk_shots < 1:
-        raise ValidationError("chunk_shots must be a positive integer")
     if not 0 <= start < stop <= config.shots:
         raise ValidationError(f"shot range [{start}, {stop}) is not a non-empty part of [0, {config.shots})")
     sig = math.sqrt(config.mu - 1.0)
@@ -163,7 +159,7 @@ def simulate_shot_batch(
     near = lroot[[0, 1, 2, 3], [0, 1, 0, 1]].reshape(2, 2, 1)
     far = lroot[[0, 1, 2, 3], [2, 3, 2, 3]].reshape(2, 2, 1)
     out = np.empty((6, stop - start))
-    block = min(chunk_shots, DRAW_BLOCK, stop - start)
+    block = min(DRAW_BLOCK, stop - start)
     u, z = np.empty((block, DRAWS_PER_SHOT)), np.empty((DRAWS_PER_SHOT, block))
     xi, tmp = np.empty((2, 2, 2, block))
     gen = _philox(config.seed, config.stream, start)

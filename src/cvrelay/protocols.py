@@ -6,21 +6,23 @@ resource variance mu and in the asymptotic large-mu limit, plus the
 single-repeater secret-key bound for additive-noise links.
 
 Every closed-form figure of merit is a function of mu and the pair
-(kappa, kappa') delivered by ``environments.kappa_params`` (or, for whole
-grids, by ``thermal_kappas``/``additive_kappas``).  ``relay_metrics``
-evaluates all of them at once over numpy arrays of kappas, and the CLI's
-``scan`` and ``thresholds`` call it on whole grids.  The scalar API is its
-two per-point views, ``protocol_report`` and ``protocol_report_asymptotic``,
+(kappa, kappa'): ``environments.kappa_params`` gives it for one
+environment, and an environment family's ``kappas`` map gives it for whole
+grids of that family's parameters.  ``relay_metrics`` evaluates every
+figure at once over numpy arrays of kappas, and the CLI's ``scan`` and
+``thresholds`` call it on whole grids.  The scalar API is its two
+per-point views, ``protocol_report`` and ``protocol_report_asymptotic``,
 whose fields name every figure of merit (``qkd_rate`` is the report's
 ``key_rate``).  Covariance-matrix builders (``evolved_cm``, ``swapped_cm``)
 and the generic ``key_rate_from_cm`` stay separate: they are the
-independent path the closed forms are checked against.
+independent path the closed forms are checked against; ``evolved_cm``
+reads the environment through its family's ``links`` map.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .gaussian import (
 from .environments import (
     AdditiveEnvironment,
     ThermalEnvironment,
+    _checked_family,
     entanglement_breaking_threshold,
     kappa_params,
 )
@@ -80,7 +83,7 @@ class TeleportCorrection:
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """All analyzer outputs at one parameter point.
+    """All analyzer outputs at one parameter point, fields in ``to_dict`` order.
 
     ``flags`` holds swap_ok / tele_quantum / distill_ok / qkd_ok, each True,
     False or "marginal" when the defining inequality sits inside the guard
@@ -88,6 +91,10 @@ class ProtocolReport:
     information / Holevo terms whose difference (the rate) stays finite.
     """
 
+    mu: float
+    xi: float
+    kappa: float
+    kappa_prime: float
     epsilon: float
     log_neg: float
     fidelity: float
@@ -96,29 +103,13 @@ class ProtocolReport:
     holevo_eve: float
     key_rate: float
     flags: dict
-    kappa: float
-    kappa_prime: float
-    mu: float
-    xi: float
     key_rate_lb: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "mu": self.mu,
-            "xi": self.xi,
-            "kappa": self.kappa,
-            "kappa_prime": self.kappa_prime,
-            "epsilon": self.epsilon,
-            "log_neg": self.log_neg,
-            "fidelity": self.fidelity,
-            "coherent_info": self.coherent_info,
-            "mutual_info_ab": self.mutual_info_ab,
-            "holevo_eve": self.holevo_eve,
-            "key_rate": self.key_rate,
-            "flags": dict(self.flags),
-        }
-        if self.key_rate_lb is not None:
-            out["key_rate_lb"] = self.key_rate_lb
+        """The fields in order, without ``key_rate_lb`` when it is None."""
+        out = asdict(self)
+        if self.key_rate_lb is None:
+            del out["key_rate_lb"]
         return out
 
 
@@ -232,28 +223,15 @@ def _large_mu_metrics(k, kp):
 # pre-measurement four-mode state
 
 
-def _links(family, params):
-    """Link map (t, e, h, h') of an environment family, array-friendly.
-
-    Each link takes a transmitted arm of variance v to t v + e and scales
-    its coupling to the kept arm by sqrt(t); h and h' are the q and p
-    correlations the environment leaves between A' and B'.
-    """
-    if family is ThermalEnvironment:
-        tau = params["tau"]
-        loss = 1.0 - tau
-        return tau, loss * params["omega"], loss * params["g"], loss * params["gp"]
-    if family is AdditiveEnvironment:
-        n = params["n"]
-        return 1.0, n, n * params["c"], n * params["cp"]
-    raise ValidationError(f"unsupported environment type {getattr(family, '__name__', family)!r}")
-
-
 def evolved_cm(inp, family=None, params=None) -> CovarianceMatrix:
     """Covariance matrix of modes (a, b, A', B') after the noisy links.
 
     Mode a is Alice's kept arm (variance phi), b is Bob's kept arm
     (variance mu); A' and B' are the transmitted arms arriving at the relay.
+    The family's link map (t, e, h, h') takes each transmitted arm of
+    variance v to t v + e and scales its coupling to the kept arm by
+    sqrt(t); h and h' are the q and p correlations the environment leaves
+    between A' and B'.
 
     ``evolved_cm(SwapInput)`` builds one 8x8 state.  ``evolved_cm(mu, family,
     params)`` builds a stack with phi = mu in one pass: ``family`` is
@@ -262,12 +240,14 @@ def evolved_cm(inp, family=None, params=None) -> CovarianceMatrix:
     Either way the result is validated as one ``CovarianceMatrix``.
     """
     if isinstance(inp, SwapInput):
-        phi, mu, family, params = inp.phi_value, inp.mu, type(inp.env), vars(inp.env)
+        family = _checked_family(type(inp.env))  # before vars(), which needs a __dict__
+        phi, mu, params = inp.phi_value, inp.mu, vars(inp.env)
     else:
+        family = _checked_family(family)
         phi = mu = np.asarray(inp, dtype=float)
         if not np.all((mu >= 1.0) & (mu < math.inf)):
             raise ValidationError("mu must be finite and >= 1")
-    t, e, h, hp = _links(family, params)
+    t, e, h, hp = family.links(**params)
     s = np.sqrt(t)
     ca, cb = np.sqrt(phi * phi - 1.0) * s, np.sqrt(mu * mu - 1.0) * s
     y, x = t * phi + e, t * mu + e
@@ -454,20 +434,13 @@ def protocol_report_asymptotic(env) -> ProtocolReport:
     return _report(relay_metrics(math.inf, k, kp), k, kp, math.inf, 1.0)
 
 
+# relay_metrics keys of the report's figures, in field order, and of its flags
+_FIGURES = ("epsilon", "log_neg", "fidelity", "coherent_info", "mutual_info_ab", "holevo_eve",
+            "key_rate")
+_FLAGS = ("swap_ok", "tele_quantum", "distill_ok", "qkd_ok")
+
+
 def _report(m: dict, k: float, kp: float, mu: float, xi: float) -> ProtocolReport:
     lb = m["key_rate_lb"]
-    return ProtocolReport(
-        epsilon=float(m["epsilon"]),
-        log_neg=float(m["log_neg"]),
-        fidelity=float(m["fidelity"]),
-        coherent_info=float(m["coherent_info"]),
-        mutual_info_ab=float(m["mutual_info_ab"]),
-        holevo_eve=float(m["holevo_eve"]),
-        key_rate=float(m["key_rate"]),
-        flags={name: m[name].item() for name in ("swap_ok", "tele_quantum", "distill_ok", "qkd_ok")},
-        kappa=k,
-        kappa_prime=kp,
-        mu=mu,
-        xi=xi,
-        key_rate_lb=None if lb is None else float(lb),
-    )
+    return ProtocolReport(mu, xi, k, kp, *(float(m[name]) for name in _FIGURES),
+                          {name: m[name].item() for name in _FLAGS}, None if lb is None else float(lb))

@@ -449,6 +449,12 @@ def test_unreadable_config_exits_2(capsys, tmp_path, name):
     ["point", "--n", "1", "--mu", "6.5", "--xi", "abc"],
     ["experiment", "--n", "1", "--mu", "abc", "--shots", "10"],
     ["experiment", "--n", "1", "--mu", "nan", "--shots", "10"],
+    ["experiment", "--n", "1", "--shots", "1000", "--eta", "-1e-3"],
+    ["experiment", "--n", "1", "--shots", "-1e-3"],
+    ["experiment", "--n", "1", "--shots", "1000", "--seed", "-1e-3"],
+    ["experiment", "--n", "1", "--shots", "1000", "--chunk-shots", "-1e-3"],
+    ["scan", "--protocol", "swap", "--n", "1", "--mu", "6.5", "--c", "0:1:1", "--cp", "0:1:1",
+     "--threads", "-1e-3"],
 ])
 def test_non_finite_or_invalid_parameters_exit_2(capsys, argv):
     code, out = run_cli(argv, capsys)

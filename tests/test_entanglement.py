@@ -314,7 +314,7 @@ def _assert_stack_matches_cells(mu, family, params):
        cells=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=6))
 def test_stacked_thermal_states_equal_single_cells(tau, omega, mu, cells):
     g_, gp = (omega * np.array(c) for c in zip(*cells))
-    physical, _, boundary = envs.thermal_masks(omega, g_, gp)
+    physical, _, boundary = ThermalEnvironment.masks(tau=tau, omega=omega, g=g_, gp=gp)
     keep = physical & ~boundary
     assume(keep.any())
     _assert_stack_matches_cells(mu, ThermalEnvironment,

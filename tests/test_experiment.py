@@ -47,21 +47,19 @@ def test_determinism_same_seed():
     assert not batches_equal(a, c)
 
 
-def test_partition_plan_independence():
-    full = ex.simulate_shot_batch(config(shots=2500))
-    for chunk in (1, 13, 999, 4096):
-        assert batches_equal(full, ex.simulate_shot_batch(config(shots=2500), chunk_shots=chunk))
-
-
 def range_chunks(cfg, chunk):
     for start in range(0, cfg.shots, chunk):
         yield ex.simulate_shot_batch(cfg, start=start, stop=min(start + chunk, cfg.shots))
 
 
-def test_shot_ranges_concatenate_to_the_whole_run():
+@pytest.mark.parametrize("chunk, sizes", [
+    (1, [1] * 2500), (13, [13] * 192 + [4]), (999, [999, 999, 502]), (4096, [2500]),
+], ids=["1", "13", "999", "4096"])
+def test_shot_ranges_concatenate_to_the_whole_run(chunk, sizes):
+    # each range is drawn min(DRAW_BLOCK, its length) shots at a time
     cfg = config(shots=2500, relay_efficiency=0.9)
-    parts = list(range_chunks(cfg, 999))
-    assert [len(p) for p in parts] == [999, 999, 502]
+    parts = list(range_chunks(cfg, chunk))
+    assert [len(p) for p in parts] == sizes
     full = ex.simulate_shot_batch(cfg)
     joined = ex.ShotBatch(*(np.concatenate([getattr(p, k) for p in parts]) for k in ex._COLUMNS))
     assert batches_equal(full, joined)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -33,6 +34,22 @@ def six_mode_pipeline(inp):
     mix2 = g.expand_symplectic(g.beam_splitter(env.tau).transposed(), [4, 5], 6)
     st = g.apply_symplectic(st, mix2 @ mix)
     return st.reduced([0, 1, 2, 5]).cm  # a b A' B'
+
+
+def test_unknown_environment_family_is_a_validation_error():
+    @dataclass(frozen=True)
+    class Lookalike:  # the additive family's fields, but not the family
+        n: float = 1.0
+        c: float = 0.0
+        cp: float = 0.0
+
+    for env in (Lookalike(), 3.0):
+        with pytest.raises(ValidationError, match="unsupported environment type"):
+            envs.kappa_params(env)
+        with pytest.raises(ValidationError, match="unsupported environment type"):
+            prot.evolved_cm(SwapInput(2.0, env))
+    with pytest.raises(ValidationError, match="unsupported environment type"):
+        prot.evolved_cm(2.0, Lookalike, {"n": 1.0, "c": 0.0, "cp": 0.0})
 
 
 def test_evolved_cm_vacuum_inputs():
