@@ -86,8 +86,8 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return float(_fmt(value)) if math.isfinite(value) else _fmt(value)  # nan, inf, -inf as text
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, np.ndarray):  # flat, in row-major order
+        return [_jsonable(v) for v in value.reshape(-1).tolist()]
     return value
 
 
@@ -405,15 +405,16 @@ def cmd_thresholds(args) -> int:
 # experiment
 
 
+# the sweep's settings as (name, parser, default), in the order the report echoes them
+_EXPERIMENT_SETTINGS = (("mu", _parse_float, 52.0), ("c", _parse_float, 1.0), ("cp", _parse_float, 1.0),
+                        ("eta", _parse_float, 1.0), ("xi", _parse_float, 1.0), ("shots", _parse_int, 10**6),
+                        ("seed", _parse_int, 0))
+
+
 def cmd_experiment(args) -> int:
     n_axis = _parse_axis(str(_resolve(args, "n", "")), "n")
-    mu = _number(args, "mu", 52.0)
-    c = _number(args, "c", 1.0)
-    cp = _number(args, "cp", 1.0)
-    eta = _number(args, "eta", 1.0)
-    xi = _number(args, "xi", 1.0)
-    shots = _parse_int(str(_resolve(args, "shots", 10**6)))
-    seed = _parse_int(str(_resolve(args, "seed", 0)))
+    settings = {name: parse(str(_resolve(args, name, default)))
+                for name, parse, default in _EXPERIMENT_SETTINGS}
     chunk = _parse_int(str(_resolve(args, "chunk_shots", expmt.DEFAULT_CHUNK)))
     if chunk < 1:
         raise ValidationError("chunk_shots must be a positive integer")
@@ -423,46 +424,27 @@ def cmd_experiment(args) -> int:
 
     points = []
     for idx, nv in enumerate(n_axis):
-        env = envs.AdditiveEnvironment(float(nv), c, cp)
+        env = envs.AdditiveEnvironment(float(nv), settings["c"], settings["cp"])
         config = expmt.ExperimentConfig(
-            mu=mu,
+            mu=settings["mu"],
             env=env,
-            shots=shots,
-            seed=seed,
-            relay_efficiency=eta,
-            xi=xi,
+            shots=settings["shots"],
+            seed=settings["seed"],
+            relay_efficiency=settings["eta"],
+            xi=settings["xi"],
             stream=idx,
         )
         point = {"n": float(nv)}
         try:
-            est = expmt.run_point(config, chunk, dump)
-            point.update(
-                {
-                    "key_rate_hat": est.key_rate_hat,
-                    "mutual_info": est.mutual_info,
-                    "holevo": est.holevo,
-                    "cm_hat": est.cm_hat.reshape(-1),
-                    "stderr_bands": est.stderr.reshape(-1),
-                    "sample_count": est.sample_count,
-                }
-            )
+            point.update(vars(expmt.run_point(config, chunk, dump)))
         except (ValidationError, NumericDegeneracyError) as exc:
             point["error"] = str(exc)
-        point["key_rate_theory"] = prot.qkd_rate(prot.SwapInput(mu, env), xi)
+        point["key_rate_theory"] = prot.qkd_rate(prot.SwapInput(config.mu, env), config.xi)
         point["repeater_bound"] = prot.repeater_bound_phi(float(nv))
         points.append(point)
 
     payload = {
-        "config": {
-            "mu": mu,
-            "c": c,
-            "cp": cp,
-            "eta": eta,
-            "xi": xi,
-            "shots": shots,
-            "seed": seed,
-            "n_values": list(map(float, n_axis)),
-        },
+        "config": {**settings, "n_values": list(map(float, n_axis))},
         "rng": {
             "algorithm": expmt.RNG_ALGORITHM,
             "key_scheme": "key=[seed, point_index]",
@@ -550,15 +532,10 @@ def main(argv=None) -> int:
     try:
         args._config = _load_config(args.config) if getattr(args, "config", None) else {}
         return args.func(args)
-    except ValidationError as exc:
-        sys.stdout.write(json.dumps({"error": {"code": 2, "message": str(exc)}}) + "\n")
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
-        sys.stdout.write(json.dumps({"error": {"code": 2, "message": str(exc)}}) + "\n")
-        return 2
-    except NumericDegeneracyError as exc:
-        sys.stdout.write(json.dumps({"error": {"code": 3, "message": str(exc)}}) + "\n")
-        return 3
+    except (ValidationError, OSError, UnicodeDecodeError, NumericDegeneracyError) as exc:
+        code = 3 if isinstance(exc, NumericDegeneracyError) else 2
+        sys.stdout.write(json.dumps({"error": {"code": code, "message": str(exc)}}) + "\n")
+        return code
 
 
 if __name__ == "__main__":

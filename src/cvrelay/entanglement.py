@@ -132,16 +132,6 @@ class TripartiteClass:
     mode_ppt: tuple[bool, bool, bool]
     certified: bool = True
 
-    @property
-    def label(self) -> str:
-        return {
-            1: "fully entangled",
-            2: "one-mode biseparable",
-            3: "two-mode biseparable",
-            4: "bound entangled (not certified)" if not self.certified else "bound entangled",
-            5: "fully separable",
-        }[self.class_id]
-
 
 def _witness_pair(m: np.ndarray):
     """Test matrices for the class-4/5 criterion of PPT three-mode states (stackable)."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,7 +47,6 @@ DRAW_BLOCK = 1 << 12  # most shots drawn and mixed at once; bounds the draw buff
 MOMENT_BLOCK = 1 << 12  # shots per co-moment block, aligned to the absolute shot index
 
 _SQRT2 = math.sqrt(2.0)
-_COLUMNS = ("qa", "pa", "qb", "pb", "qg", "pg")
 
 
 @dataclass(frozen=True)
@@ -102,6 +101,9 @@ class ShotBatch:
             fileobj.write(",".join(_COLUMNS) + "\r\n")
         for row in zip(*(getattr(self, name) for name in _COLUMNS)):
             fileobj.write(",".join(f"{v:.12g}" for v in row) + "\r\n")
+
+
+_COLUMNS = tuple(f.name for f in fields(ShotBatch))  # the shot columns, in dump order
 
 
 def _noise_sqrt(env: AdditiveEnvironment) -> np.ndarray:
@@ -183,20 +185,20 @@ def simulate_shot_batch(config: ExperimentConfig, start: int = 0, stop: int | No
 
 @dataclass(frozen=True)
 class EstimatedState:
-    """Reconstructed conditional state and the rate extracted from it.
+    """Reconstructed conditional state and the rate extracted from it; the
+    fields, in order, are those of an ``experiment`` report's point.
 
     ``cm_hat`` is the raw estimate: a finite-sample matrix that satisfies
     the uncertainty principle only within its statistical error band.
-    ``stderr`` holds the per-entry standard errors of ``cm_hat``.
+    ``stderr_bands`` holds the per-entry standard errors of ``cm_hat``.
     """
 
-    cm_hat: np.ndarray
-    sample_count: int
     key_rate_hat: float
     mutual_info: float
     holevo: float
-    stderr: np.ndarray
-    xi: float
+    cm_hat: np.ndarray
+    stderr_bands: np.ndarray
+    sample_count: int
 
 
 class _CoMoments:
@@ -299,13 +301,12 @@ def estimate_from_second_moments(cov: np.ndarray, sample_count: int, xi: float =
     stderr = np.sqrt((np.outer(np.diag(cond), np.diag(cond)) + cond**2) / count)
     metrics = key_rate_from_cm(cm_hat, xi)
     return EstimatedState(
-        cm_hat=cm_hat,
-        sample_count=sample_count,
         key_rate_hat=metrics["rate"],
         mutual_info=metrics["mutual_info"],
         holevo=metrics["holevo"],
-        stderr=stderr,
-        xi=xi,
+        cm_hat=cm_hat,
+        stderr_bands=stderr,
+        sample_count=sample_count,
     )
 
 

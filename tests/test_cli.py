@@ -455,9 +455,23 @@ def test_unreadable_config_exits_2(capsys, tmp_path, name):
     ["experiment", "--n", "1", "--shots", "1000", "--chunk-shots", "-1e-3"],
     ["scan", "--protocol", "swap", "--n", "1", "--mu", "6.5", "--c", "0:1:1", "--cp", "0:1:1",
      "--threads", "-1e-3"],
+    ["scan", "--protocol", "swap", *THERMAL, "--mu", "6.5", "--g", "0:1", "--gp", "0:1:1"],
+    ["scan", "--protocol", "swap", *THERMAL, "--mu", "6.5", "--g", "1:0:0.5", "--gp", "0:1:1"],
+    ["point", "--config", "{bare_omega}", "--g", "1", "--gp", "0", "--mu", "6.5"],
+    ["point", *THERMAL, "--g", "1", "--gp", "0"],
+    ["thresholds", "--metric", "qkd", "--n", "0:2:1", "--c", "0:1:0.5", "--cp", "0", "--mu", "52"],
+    ["scan", "--protocol", "nope", *THERMAL, "--mu", "6.5", "--g", "0:1:1", "--gp", "0:1:1"],
+    ["scan", "--protocol", "quad-entanglement", "--n", "1", "--c", "0:1:1", "--cp", "0:1:1"],
+    ["scan", "--protocol", "swap", *THERMAL, "--mu", "6.5", "--g", "1", "--gp", "0:1:1"],
+    ["thresholds", "--metric", "nope", *THERMAL, "--mu", "52", "--gp", "0", "--g", "0:1:0.5"],
+    ["thresholds", "--metric", "qkd-lb", *THERMAL, "--mu", "52", "--gp", "0", "--g", "0:1:0.5"],
+    ["thresholds", "--metric", "qkd", *THERMAL, "--mu", "52", "--gp", "0:1:0.5", "--g", "0"],
+    ["experiment", "--n", "1:2:1", "--shots", "10", "--dump", "{dump}"],
 ])
-def test_non_finite_or_invalid_parameters_exit_2(capsys, argv):
-    code, out = run_cli(argv, capsys)
+def test_non_finite_or_invalid_parameters_exit_2(capsys, tmp_path, argv):
+    (tmp_path / "bare.cfg").write_text("omega\n", encoding="utf-8")  # a key without a value
+    paths = {"bare_omega": tmp_path / "bare.cfg", "dump": tmp_path / "shots.csv"}
+    code, out = run_cli([a.format_map(paths) for a in argv], capsys)
     assert code == 2 and json.loads(out)["error"]["code"] == 2
 
 

@@ -80,7 +80,7 @@ def test_streamed_estimate_equals_the_whole_batch_estimate(chunk):
     whole = ex.run_point(cfg, chunk_shots=cfg.shots)
     streamed = ex.run_point(cfg, chunk_shots=chunk)
     assert np.array_equal(whole.cm_hat, streamed.cm_hat)
-    assert np.array_equal(whole.stderr, streamed.stderr)
+    assert np.array_equal(whole.stderr_bands, streamed.stderr_bands)
     assert whole.key_rate_hat == streamed.key_rate_hat
     assert whole.sample_count == streamed.sample_count == 9001
 
@@ -154,7 +154,7 @@ def test_estimate_converges_to_analytic_cm():
     est = ex.run_point(cfg)
     analytic = prot.swapped_cm(SwapInput(52.0, ENV11)).m
     # entrywise agreement within a 5-standard-error band
-    assert np.all(np.abs(est.cm_hat - analytic) < 5.0 * est.stderr)
+    assert np.all(np.abs(est.cm_hat - analytic) < 5.0 * est.stderr_bands)
     assert est.sample_count == 10**6
 
 
@@ -199,7 +199,7 @@ def test_estimated_cm_statistical_soundness():
     runs = 100
     for seed in range(runs):
         est = ex.run_point(config(shots=10**5, seed=seed))
-        inside += (np.abs(est.cm_hat - analytic) < 4.0 * est.stderr).astype(int)
+        inside += (np.abs(est.cm_hat - analytic) < 4.0 * est.stderr_bands).astype(int)
     assert inside.min() >= 99, inside
 
 
@@ -208,7 +208,7 @@ def test_estimated_cm_uncertainty_within_band():
 
     est = ex.run_point(config(shots=10**5, seed=123))
     nu_min = min(symplectic_spectrum(0.5 * (est.cm_hat + est.cm_hat.T)))
-    assert nu_min >= 1.0 - 5.0 * est.stderr.max()
+    assert nu_min >= 1.0 - 5.0 * est.stderr_bands.max()
 
 
 def test_experimental_key_rate_xi_dependence():

@@ -479,15 +479,36 @@ def test_generic_key_rate_of_a_pure_swapped_state():
 
 
 _UNIT = st.floats(-1.0, 1.0)
+# a random environment of either family, its correlations as fractions u, v
+# of their largest value, and a finite modulation
+_SWAP_DRAWS = dict(thermal=st.booleans(), tau=st.floats(0.05, 0.95), omega=st.floats(1.0, 40.0),
+                   n=st.floats(0.0, 10.0), u=_UNIT, v=_UNIT, mu=st.floats(1.0, 200.0, exclude_min=True))
 
 
-@given(thermal=st.booleans(), tau=st.floats(0.05, 0.95), omega=st.floats(1.0, 40.0),
-       n=st.floats(0.0, 10.0), u=_UNIT, v=_UNIT, mu=st.floats(1.0, 200.0, exclude_min=True))
-def test_swapped_cm_equals_bell_conditioning_over_random_environments(thermal, tau, omega, n, u, v, mu):
+def _drawn_input(thermal, tau, omega, n, u, v, mu) -> SwapInput:
     try:
         env = (ThermalEnvironment(tau, omega, u * omega, v * omega) if thermal
                else AdditiveEnvironment(n, u, v))
     except ValidationError:
         assume(False)
-    inp = SwapInput(mu, env)
+    return SwapInput(mu, env)
+
+
+@given(**_SWAP_DRAWS)
+def test_swapped_cm_equals_bell_conditioning_over_random_environments(thermal, tau, omega, n, u, v, mu):
+    inp = _drawn_input(thermal, tau, omega, n, u, v, mu)
     assert np.abs(bell_conditioned(inp).cm.m - prot.swapped_cm(inp).m).max() < 1e-10
+
+
+@given(**_SWAP_DRAWS)
+def test_mirrored_environment_is_the_conjugate_bell_detection(thermal, tau, omega, n, u, v, mu):
+    """Detecting (q_plus, p_minus), i.e. the standard Bell detection after a
+    pi rotation of B', leaves (a, b) in the state that the standard detection
+    leaves on the mirrored environment, up to a pi rotation of b."""
+    inp = _drawn_input(thermal, tau, omega, n, u, v, mu)
+    evolved = GaussianState(np.zeros(8), prot.evolved_cm(inp), ("a", "b", "Ap", "Bp"))
+    flipped = g.apply_symplectic(evolved, g.expand_symplectic(g.rotation(math.pi), [3], 4))
+    conjugate = g.condition_on_gaussian_measurement(flipped, [2, 3], "bell")
+    mirrored = bell_conditioned(SwapInput(inp.mu, inp.env.mirrored()))
+    mirrored = g.apply_symplectic(mirrored, g.expand_symplectic(g.rotation(math.pi), [1], 2))
+    assert np.abs(conjugate.cm.m - mirrored.cm.m).max() < 1e-10
