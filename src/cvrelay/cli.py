@@ -18,6 +18,7 @@ success, 2 validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -475,7 +476,10 @@ def _add_common(p):
     p.add_argument("--xi")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every ``main``
+    call; each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="cvrelay",
         description="Quantum-relay protocols in correlated Gaussian environments",
@@ -511,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _FLAG = re.compile(r"^--[^=]+$")
-_NEGATIVE_VALUE = re.compile(r"^-(\d|\.)[\d.:eE+-]*$")
+# a minus sign, then a number, an axis or a float() spelling of inf or nan
+_NEGATIVE_VALUE = re.compile(r"^-(\d|\.|inf|nan)([\d.:e+-]|inf|inity|nan)*$", re.IGNORECASE)
 
 
 def _merge_negative_values(argv):
@@ -527,8 +532,7 @@ def _merge_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    args = build_parser().parse_args(_merge_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         args._config = _load_config(args.config) if getattr(args, "config", None) else {}
         return args.func(args)

@@ -245,9 +245,8 @@ class _CoMoments:
     def estimate(self, mu: float, xi: float) -> EstimatedState:
         """Estimate from all shots, after the last chunk: the unfinished
         block is merged as the final one.  The heterodyne scale
-        (mu + 1)/sqrt(mu^2 - 1) needs actual modulation, mu > 1."""
-        if mu <= 1.0 + 1e-12:
-            raise ValidationError("covariance reconstruction needs signal modulation (mu > 1)")
+        (mu + 1)/sqrt(mu^2 - 1) needs actual modulation, mu > 1, which
+        ``run_point`` checks before it simulates."""
         if self._fill:
             self._merge_block()
         if not self.count:
@@ -266,9 +265,13 @@ def run_point(
     Only one chunk of shots is in memory at once; the estimate is
     bit-identical for any ``chunk_shots``.  ``dump`` names an optional CSV
     file that receives every shot (one header) as the chunks are simulated.
+    The estimate needs modulation, mu > 1; a point without it is rejected
+    before any shot is drawn, so it writes no dump.
     """
     if chunk_shots < 1:
         raise ValidationError("chunk_shots must be a positive integer")
+    if config.mu <= 1.0 + 1e-12:
+        raise ValidationError("covariance reconstruction needs signal modulation (mu > 1)")
     moments = _CoMoments()
     with open(dump, "w", encoding="utf-8", newline="") if dump else contextlib.nullcontext() as fh:
         for start in range(0, config.shots, chunk_shots):

@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cvrelay import cli
 from cvrelay import experiment as expmt
 from cvrelay.cli import main
 
@@ -241,6 +246,26 @@ def test_experiment_holds_one_chunk_of_shots_at_a_time(capsys, monkeypatch, chun
     assert len(sizes) > 1 and max(sizes) <= limit and sum(sizes) == 150_000
 
 
+def test_experiment_rejects_mu_1_before_drawing_a_shot(capsys, monkeypatch, tmp_path):
+    calls = []
+    simulate = expmt.simulate_shot_batch
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(expmt, "simulate_shot_batch", spy)
+    argv = ["experiment", "--n", "1", "--mu", "1", "--shots", "1000000"]
+    code, out = run_cli(argv, capsys)
+    (point,) = json.loads(out)["points"]
+    assert code == 0 and calls == []
+    assert point["error"] == "covariance reconstruction needs signal modulation (mu > 1)"
+    # a point rejected before its shots are drawn leaves no dump
+    dump = tmp_path / "shots.csv"
+    assert run_cli(argv + ["--dump", str(dump)], capsys) == (0, out)
+    assert calls == [] and not dump.exists()
+
+
 def test_experiment_rejects_a_zero_chunk_size(capsys):
     code, out = run_cli(["experiment", "--n", "1", "--shots", "10", "--chunk-shots", "0"], capsys)
     assert code == 2 and json.loads(out)["error"]["code"] == 2
@@ -275,6 +300,52 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     code, out2 = run_cli(["point", "--config", str(cfg), "--g", "10"], capsys)
     doc = json.loads(out2)
     assert doc["env"]["g"] == 10.0  # explicit flag wins
+
+
+README_POINT = ["point", "--n", "3", "--c", "1", "--cp", "1", "--mu", "52", "--xi", "0.97"]
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of one in-process call, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = tmp_path / "env.cfg"
+    cfg.write_text("tau 0.9\nomega = 19.38\ng 18\ngp -18\nmu 6.5\n")
+    sequence = [
+        ["point", "--config", str(cfg)],
+        ["point", "--g", "10"],  # the file's tau, omega and mu must not carry over
+        ["point", "--n", "1", "--mu"],  # argparse exits: --mu needs a value
+        README_POINT,
+    ]
+    shared = [_outcome(argv, capsys) for argv in sequence]
+    assert [code for code, _, _ in shared] == [0, 2, 2, 0]
+    assert shared[2][1] == "" and "expected one argument" in shared[2][2]
+    for argv, outcome in zip(sequence, shared):
+        cli.build_parser.cache_clear()
+        assert _outcome(argv, capsys) == outcome, argv
+
+
+def test_module_entry_point_matches_in_process_main(capsys):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(argv):
+        return subprocess.run([sys.executable, "-m", "cvrelay", *argv], capture_output=True, env=env,
+                              timeout=60)
+
+    proc = run(README_POINT)
+    code, out = run_cli(README_POINT, capsys)
+    assert proc.returncode == code == 0 and proc.stdout == out.encode()
+    proc = run(["point", "--n", "1", "--mu", "-inf"])
+    assert proc.returncode == 2 and json.loads(proc.stdout)["error"]["code"] == 2
 
 
 def test_numeric_formatting_is_12_significant_digits(capsys):
@@ -467,6 +538,13 @@ def test_unreadable_config_exits_2(capsys, tmp_path, name):
     ["thresholds", "--metric", "qkd-lb", *THERMAL, "--mu", "52", "--gp", "0", "--g", "0:1:0.5"],
     ["thresholds", "--metric", "qkd", *THERMAL, "--mu", "52", "--gp", "0:1:0.5", "--g", "0"],
     ["experiment", "--n", "1:2:1", "--shots", "10", "--dump", "{dump}"],
+    ["point", *THERMAL, "--g", "-inf", "--gp", "0", "--mu", "6.5"],
+    ["point", "--n", "1", "--mu", "-Infinity"],
+    ["point", "--n", "-nan", "--mu", "6.5"],
+    ["scan", "--protocol", "swap", "--n", "1", "--mu", "6.5", "--c", "-inf:0:0.5", "--cp", "0:1:1"],
+    ["scan", "--protocol", "swap", *THERMAL, "--mu", "6.5", "--g", "-1:-INF:1", "--gp", "0:1:1"],
+    ["thresholds", "--metric", "qkd", *THERMAL, "--mu", "52", "--gp", "-INFINITY", "--g", "0:1:0.5"],
+    ["experiment", "--n", "1", "--c", "-NaN", "--shots", "10"],
 ])
 def test_non_finite_or_invalid_parameters_exit_2(capsys, tmp_path, argv):
     (tmp_path / "bare.cfg").write_text("omega\n", encoding="utf-8")  # a key without a value
