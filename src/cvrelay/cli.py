@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 
@@ -514,17 +513,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG = re.compile(r"^--[^=]+$")
-# a minus sign, then a number, an axis or a float() spelling of inf or nan
-_NEGATIVE_VALUE = re.compile(r"^-(\d|\.|inf|nan)([\d.:e+-]|inf|inity|nan)*$", re.IGNORECASE)
-
-
 def _merge_negative_values(argv):
-    """Join '--flag -lo:hi:step' into '--flag=-lo:hi:step' for argparse;
-    every option of this CLI takes a value."""
+    """Join '--flag -value' into '--flag=-value' for argparse, which reads a
+    token that starts with '-' as an option; every option of this CLI takes
+    a value."""
     out = []
     for tok in argv:
-        if out and _FLAG.match(out[-1]) and _NEGATIVE_VALUE.match(tok):
+        flag = out[-1] if out else ""
+        bare_flag = len(flag) > 2 and flag.startswith("--") and "=" not in flag
+        if bare_flag and tok.startswith("-") and not tok.startswith("--"):
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -14,9 +14,10 @@ exactly DRAWS_PER_SHOT uniform draws, so the stream can be partitioned at
 any chunk boundary without changing a single sample.
 
 The estimator streams: ``run_point`` feeds it a run's shots in chunks of
-any size, in shot order, and only running moments are kept.  The shots
-are re-cut into fixed blocks of MOMENT_BLOCK, aligned to the absolute shot
-index.  Each block gives its size n_b, mean m_b and centred co-moment
+whole MOMENT_BLOCKs, in shot order, and only running moments are kept.
+Draws, moments, chunks and dumps share one grid of MOMENT_BLOCK shots,
+aligned to the absolute shot index; only a run's last block may be short.
+Each block gives its size n_b, mean m_b and centred co-moment
 M_b = sum (x - m_b)(x - m_b)^T, and the blocks are merged in index order by
 the pairwise update of Chan, Golub & LeVeque (1983) and Pebay
 (SAND2008-6212):
@@ -43,8 +44,7 @@ from .protocols import key_rate_from_cm
 RNG_ALGORITHM = "philox4x64"
 DRAWS_PER_SHOT = 16  # 4 signal + 4 side-channel + 4 shot-noise + 4 loss draws
 DEFAULT_CHUNK = 1 << 16
-DRAW_BLOCK = 1 << 12  # most shots drawn and mixed at once; bounds the draw buffers
-MOMENT_BLOCK = 1 << 12  # shots per co-moment block, aligned to the absolute shot index
+MOMENT_BLOCK = 1 << 12  # shots per draw, mixing and co-moment block, aligned to the absolute shot index
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -146,7 +146,7 @@ def simulate_shot_batch(config: ExperimentConfig, start: int = 0, stop: int | No
 
     A shot depends only on the seed, the stream and its index, so any split
     of a run into ranges gives bit-identical shots.  Normals are drawn and
-    mixed min(DRAW_BLOCK, stop - start) shots at a time into one
+    mixed min(MOMENT_BLOCK, stop - start) shots at a time into one
     (6, stop - start) array whose rows are the returned columns.
     """
     stop = config.shots if stop is None else stop
@@ -161,7 +161,7 @@ def simulate_shot_batch(config: ExperimentConfig, start: int = 0, stop: int | No
     near = lroot[[0, 1, 2, 3], [0, 1, 0, 1]].reshape(2, 2, 1)
     far = lroot[[0, 1, 2, 3], [2, 3, 2, 3]].reshape(2, 2, 1)
     out = np.empty((6, stop - start))
-    block = min(DRAW_BLOCK, stop - start)
+    block = min(MOMENT_BLOCK, stop - start)
     u, z = np.empty((block, DRAWS_PER_SHOT)), np.empty((DRAWS_PER_SHOT, block))
     xi, tmp = np.empty((2, 2, 2, block))
     gen = _philox(config.seed, config.stream, start)
@@ -205,11 +205,10 @@ class _CoMoments:
     """Streamed size, mean and centred co-moment of the raw
     (qa, pa, qb, pb, qg, pg) rows, by the block merge of the module docstring.
 
-    Chunks are added in shot order.  Shots wait in one block buffer until it
-    holds MOMENT_BLOCK of them, or the run ends, and every block's
-    statistics are computed from that buffer, so a block yields the same
-    bits whichever chunks it came from.  The heterodyne scale is applied to
-    the finished 6x6 matrix, not to the rows.
+    Batches are added in shot order and each starts on a block boundary, so
+    every MOMENT_BLOCK shots of a batch (fewer at the run's end) are one
+    block, merged as it arrives through one reused scratch buffer.  The
+    heterodyne scale is applied to the finished 6x6 matrix, not to the rows.
     """
 
     def __init__(self):
@@ -217,38 +216,28 @@ class _CoMoments:
         self.mean = np.zeros(6)
         self.m2 = np.zeros((6, 6))
         self._block = np.empty((6, MOMENT_BLOCK))
-        self._centred = np.empty((6, MOMENT_BLOCK))
-        self._fill = 0
 
     def add(self, batch: ShotBatch):
-        lo = 0
-        while lo < len(batch):
-            k = min(MOMENT_BLOCK - self._fill, len(batch) - lo)
-            for row, name in zip(self._block, _COLUMNS):
-                row[self._fill : self._fill + k] = getattr(batch, name)[lo : lo + k]
-            self._fill, lo = self._fill + k, lo + k
-            if self._fill == MOMENT_BLOCK:
-                self._merge_block()
-
-    def _merge_block(self):
-        nb, self._fill = self._fill, 0
-        x = self._block[:, :nb]
-        mb = x.mean(axis=1)
-        c = np.subtract(x, mb[:, None], out=self._centred[:, :nb])
-        n = self.count + nb
-        d = mb - self.mean
-        self.mean += d * (nb / n)
-        self.m2 += c @ c.T
-        self.m2 += np.outer(d, d) * (self.count * nb / n)
-        self.count = n
+        if self.count % MOMENT_BLOCK:
+            raise ValidationError("a batch must start on a block boundary; only the last may end inside one")
+        for lo in range(0, len(batch), MOMENT_BLOCK):
+            nb = min(MOMENT_BLOCK, len(batch) - lo)
+            x = self._block[:, :nb]
+            for row, name in zip(x, _COLUMNS):
+                row[...] = getattr(batch, name)[lo : lo + nb]
+            mb = x.mean(axis=1)
+            x -= mb[:, None]
+            n = self.count + nb
+            d = mb - self.mean
+            self.mean += d * (nb / n)
+            self.m2 += x @ x.T
+            self.m2 += np.outer(d, d) * (self.count * nb / n)
+            self.count = n
 
     def estimate(self, mu: float, xi: float) -> EstimatedState:
-        """Estimate from all shots, after the last chunk: the unfinished
-        block is merged as the final one.  The heterodyne scale
-        (mu + 1)/sqrt(mu^2 - 1) needs actual modulation, mu > 1, which
-        ``run_point`` checks before it simulates."""
-        if self._fill:
-            self._merge_block()
+        """Estimate from all shots, after the last batch.  The heterodyne
+        scale (mu + 1)/sqrt(mu^2 - 1) needs actual modulation, mu > 1,
+        which ``run_point`` checks before it simulates."""
         if not self.count:
             raise ValidationError("no shots to estimate from")
         scale = (mu + 1.0) / math.sqrt(mu * mu - 1.0)
@@ -260,22 +249,24 @@ class _CoMoments:
 def run_point(
     config: ExperimentConfig, chunk_shots: int = DEFAULT_CHUNK, dump: str | None = None
 ) -> EstimatedState:
-    """Simulate and estimate one configuration, ``chunk_shots`` shots at a time.
+    """Simulate and estimate one configuration, chunk by chunk.
 
-    Only one chunk of shots is in memory at once; the estimate is
-    bit-identical for any ``chunk_shots``.  ``dump`` names an optional CSV
-    file that receives every shot (one header) as the chunks are simulated.
-    The estimate needs modulation, mu > 1; a point without it is rejected
-    before any shot is drawn, so it writes no dump.
+    ``chunk_shots`` is rounded down to whole MOMENT_BLOCKs, at least one, so
+    at most max(chunk_shots, MOMENT_BLOCK) shots are in memory at once; the
+    estimate is bit-identical for any ``chunk_shots``.  ``dump`` names an
+    optional CSV file that receives every shot (one header) as the chunks
+    are simulated.  The estimate needs modulation, mu > 1; a point without
+    it is rejected before any shot is drawn, so it writes no dump.
     """
     if chunk_shots < 1:
         raise ValidationError("chunk_shots must be a positive integer")
     if config.mu <= 1.0 + 1e-12:
         raise ValidationError("covariance reconstruction needs signal modulation (mu > 1)")
+    chunk = max(1, chunk_shots // MOMENT_BLOCK) * MOMENT_BLOCK
     moments = _CoMoments()
     with open(dump, "w", encoding="utf-8", newline="") if dump else contextlib.nullcontext() as fh:
-        for start in range(0, config.shots, chunk_shots):
-            batch = simulate_shot_batch(config, start=start, stop=min(start + chunk_shots, config.shots))
+        for start in range(0, config.shots, chunk):
+            batch = simulate_shot_batch(config, start=start, stop=min(start + chunk, config.shots))
             moments.add(batch)
             if fh:
                 batch.write_csv(fh, header=not start)

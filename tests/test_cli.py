@@ -228,13 +228,14 @@ def test_experiment_shot_dump(capsys, tmp_path):
     assert code == 0 and chunked.read_bytes() == dump.read_bytes()
 
 
-@pytest.mark.parametrize("chunk", [None, 40_000])
+@pytest.mark.parametrize("chunk", [None, 13, 5000, 40_000])
 def test_experiment_holds_one_chunk_of_shots_at_a_time(capsys, monkeypatch, chunk):
-    sizes = []
+    starts, sizes = [], []
     simulate = expmt.simulate_shot_batch
 
     def spy(*args, **kwargs):
         batch = simulate(*args, **kwargs)
+        starts.append(kwargs["start"])
         sizes.append(len(batch))
         return batch
 
@@ -242,8 +243,10 @@ def test_experiment_holds_one_chunk_of_shots_at_a_time(capsys, monkeypatch, chun
     argv = ["experiment", "--n", "1", "--mu", "52", "--shots", "150000", "--seed", "2"]
     code, out = run_cli(argv + (["--chunk-shots", str(chunk)] if chunk else []), capsys)
     assert code == 0 and json.loads(out)["points"][0]["sample_count"] == 150_000
-    limit = chunk or expmt.DEFAULT_CHUNK
+    limit = max(chunk or expmt.DEFAULT_CHUNK, expmt.MOMENT_BLOCK)
     assert len(sizes) > 1 and max(sizes) <= limit and sum(sizes) == 150_000
+    # every chunk is cut on the moment-block grid
+    assert all(start % expmt.MOMENT_BLOCK == 0 for start in starts)
 
 
 def test_experiment_rejects_mu_1_before_drawing_a_shot(capsys, monkeypatch, tmp_path):
@@ -545,6 +548,7 @@ def test_unreadable_config_exits_2(capsys, tmp_path, name):
     ["scan", "--protocol", "swap", *THERMAL, "--mu", "6.5", "--g", "-1:-INF:1", "--gp", "0:1:1"],
     ["thresholds", "--metric", "qkd", *THERMAL, "--mu", "52", "--gp", "-INFINITY", "--g", "0:1:0.5"],
     ["experiment", "--n", "1", "--c", "-NaN", "--shots", "10"],
+    ["point", "--n", "1", "--c", "-1_0", "--mu", "6.5"],
 ])
 def test_non_finite_or_invalid_parameters_exit_2(capsys, tmp_path, argv):
     (tmp_path / "bare.cfg").write_text("omega\n", encoding="utf-8")  # a key without a value

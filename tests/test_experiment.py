@@ -56,7 +56,7 @@ def range_chunks(cfg, chunk):
     (1, [1] * 2500), (13, [13] * 192 + [4]), (999, [999, 999, 502]), (4096, [2500]),
 ], ids=["1", "13", "999", "4096"])
 def test_shot_ranges_concatenate_to_the_whole_run(chunk, sizes):
-    # each range is drawn min(DRAW_BLOCK, its length) shots at a time
+    # each range is drawn min(MOMENT_BLOCK, its length) shots at a time
     cfg = config(shots=2500, relay_efficiency=0.9)
     parts = list(range_chunks(cfg, chunk))
     assert [len(p) for p in parts] == sizes
@@ -71,9 +71,10 @@ def test_shot_range_must_be_a_non_empty_part_of_the_run(start, stop):
         ex.simulate_shot_batch(config(), start=start, stop=stop)
 
 
-@pytest.mark.parametrize("chunk", [1, 13, 999, 4096, 65536])
+@pytest.mark.parametrize("chunk", [1, 13, 999, 4096, 8192, 65536])
 def test_streamed_estimate_equals_the_whole_batch_estimate(chunk):
-    # 9001 shots: two full moment blocks and a tail, cut at every chunk size
+    # 9001 shots: two full moment blocks and a tail; chunks below one block
+    # run as one block, 8192 as two
     cfg = config(
         env=AdditiveEnvironment(1.0, 0.6, 0.4), shots=9001, seed=8, relay_efficiency=0.98, xi=0.97
     )
@@ -96,6 +97,15 @@ def test_block_merge_matches_the_two_pass_moments():
     assert moments.count == 10_000
     np.testing.assert_allclose(moments.mean, x.mean(axis=1), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(moments.m2, centred @ centred.T, rtol=1e-12)
+
+
+def test_block_merge_rejects_a_batch_after_a_short_one():
+    # only a run's last batch may end inside a moment block
+    cfg = config(shots=ex.MOMENT_BLOCK + 10)
+    moments = ex._CoMoments()
+    moments.add(ex.simulate_shot_batch(cfg, start=0, stop=10))
+    with pytest.raises(ValidationError):
+        moments.add(ex.simulate_shot_batch(cfg, start=10, stop=cfg.shots))
 
 
 def test_gamma_variance_noiseless():

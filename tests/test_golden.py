@@ -1,0 +1,89 @@
+"""Golden outputs: the sha256 of every README command's stdout, of the seed-1
+commands of every benchmark workload and of a chunked ``--dump``, against
+the digests committed in ``golden_digests.json``.
+
+A digest that moves is an output change; make it on purpose and rewrite the
+file with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from cvrelay.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+THERMAL = ["--tau", "0.9", "--omega", "19.38"]
+# the README's commands; its experiment sweep at 1e4 shots instead of 1e6
+README = [
+    ["point", *THERMAL, "--g", "18", "--gp", "-18", "--mu", "6.5"],
+    ["point", "--n", "3", "--c", "1", "--cp", "1", "--mu", "52", "--xi", "0.97"],
+    ["scan", "--protocol", "qkd-asymptotic", *THERMAL, "--g", "-19.38:19.38:0.1",
+     "--gp", "-19.38:19.38:0.1", "--threads", "4"],
+    ["scan", "--protocol", "quad-entanglement", *THERMAL, "--g", "-19.38:19.38:0.2",
+     "--gp", "-19.38:19.38:0.2"],
+    ["scan", "--protocol", "qkd", "--n", "0:4:0.25", "--c", "1", "--cp", "1", "--mu", "52"],
+    ["thresholds", "--metric", "qkd", *THERMAL, "--mu", "52", "--xi", "0.97",
+     "--gp", "-19:19:0.25", "--g", "-19:19.3:0.1"],
+    ["experiment", "--n", "0:4:0.25", "--mu", "52", "--c", "1", "--cp", "1", "--eta", "0.98",
+     "--xi", "0.97", "--shots", "10000", "--seed", "42"],
+]
+# a dumped point cut off the moment-block grid and on it; {dump} is the CSV path
+DUMPS = [["experiment", "--n", "1", "--mu", "52", "--shots", "70000", "--seed", "5",
+          "--chunk-shots", chunk, "--dump", "{dump}"] for chunk in ("777", "65536")]
+
+
+def _workload_commands() -> list[list[str]]:
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    return [list(cmd.argv) for w in workloads.values() for cmd in w.commands(1)]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def output_digests(tmp_dir: Path) -> dict[str, str]:
+    """Digest of each command's stdout, keyed by its argv, and of each dump CSV."""
+    digests = {}
+    for argv in README + _workload_commands() + DUMPS:
+        key = " ".join(argv)
+        dump = tmp_dir / "shots.csv"
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([a.format(dump=dump) for a in argv]) == 0, key
+        digests[key] = _sha256(buf.getvalue().encode())
+        if "{dump}" in argv:
+            digests[key + " [csv]"] = _sha256(dump.read_bytes())
+            dump.unlink()
+    return digests
+
+
+def test_every_golden_output_is_byte_identical(tmp_path):
+    golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    digests = output_digests(tmp_path)
+    moved = sorted(key for key in golden["digests"].keys() | digests.keys()
+                   if golden["digests"].get(key) != digests.get(key))
+    versions = f"digests from numpy {golden['numpy']}, scipy {golden['scipy']}; " \
+               f"running numpy {np.__version__}, scipy {scipy.__version__}"
+    assert moved == [], f"{len(moved)} outputs moved ({versions})"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {"numpy": np.__version__, "scipy": scipy.__version__, "digests": output_digests(Path(tmp))}
+    DIGESTS.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(record['digests'])} digests to {DIGESTS}", file=sys.stderr)
