@@ -30,7 +30,7 @@ from . import environments as envs
 from . import entanglement as ent
 from . import experiment as expmt
 from . import protocols as prot
-from .gaussian import NumericDegeneracyError, ValidationError
+from .gaussian import NotPositiveDefiniteError, NumericDegeneracyError, ValidationError
 
 BISECTION_TOL = 1e-6
 MAX_CELLS = 1_000_000  # largest axis, and largest grid, a run accepts
@@ -287,8 +287,18 @@ def _metric_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
 
 def _matrix_columns(protocol, grid: _Grid, coords, mu) -> list:
     """Columns of the covariance-matrix protocols over one block of cells:
-    one stacked build of the evolved states, then stacked tests."""
-    cm = prot.evolved_cm(mu, grid.family, grid.params(coords))
+    one stacked build of the evolved states, then stacked tests.
+
+    The cells have passed the family's ``physical`` mask, so their states
+    are positive definite in exact arithmetic, and a failed Cholesky
+    factorisation of the stack is a float64 failure rather than bad input.
+    """
+    try:
+        cm = prot.evolved_cm(mu, grid.family, grid.params(coords))
+    except NotPositiveDefiniteError as exc:
+        raise NumericDegeneracyError(
+            f"the evolved states at mu={mu:g} cannot be held in float64 ({exc}); "
+            "use a smaller --mu") from None
     if protocol == "quad-entanglement":
         ml_a = ent.ppt_min_eigenvalue(cm, [0])
         ml_ap = ent.ppt_min_eigenvalue(cm, [2])

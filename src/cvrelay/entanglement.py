@@ -63,8 +63,12 @@ _PAIRS = {"aAp": (0, 2), "aBp": (0, 3), "ab": (0, 1), "ApBp": (2, 3)}
 
 
 def _min_eig_tol(m: np.ndarray):
-    """PSD tolerance of every matrix in a stack, widened with its spectral norm."""
-    return np.maximum(PSD_ABS_TOL, PSD_REL_TOL * np.linalg.norm(m, 2, axis=(-2, -1)))
+    """PSD tolerance of every matrix in a stack, widened with its spectral norm.
+
+    For the symmetric matrices it is applied to, the spectral norm is the
+    largest eigenvalue modulus.
+    """
+    return np.maximum(PSD_ABS_TOL, PSD_REL_TOL * np.abs(np.linalg.eigvalsh(m)).max(axis=-1))
 
 
 def ppt_min_eigenvalue(cm, modes):

@@ -28,9 +28,10 @@ import numpy as np
 SYMMETRY_RTOL = 1e-12
 UNCERTAINTY_TOL = 1e-9
 # The rounding of the symplectic spectrum grows like eps * max|V|^2 (on 2,000
-# evolved relay states up to mu = 1e7: nu_min within 3.8 eps max|V|^2 of its
-# 40-digit value, at most 1.6 eps max|V|^2 below 1); the uncertainty check
-# allows this many times that, where it exceeds UNCERTAINTY_TOL.
+# evolved relay states up to mu = 1e7, through the q/p-separated SVD of
+# _spectrum_of: nu_min within 1.1 eps max|V|^2 of its 40-digit value, at
+# most 1.4 eps max|V|^2 below 1); the uncertainty check allows this many
+# times that, where it exceeds UNCERTAINTY_TOL.
 _SPECTRUM_ROUNDING = 16.0
 SYMPLECTIC_TOL = 1e-10
 _COND_LIMIT = 1e13  # conditioning blocks beyond this are treated as singular
@@ -42,6 +43,10 @@ class ValidationError(ValueError):
 
 class NumericDegeneracyError(ArithmeticError):
     """A conditioning or estimation block is singular to working precision."""
+
+
+class NotPositiveDefiniteError(ValidationError):
+    """A matrix that must be positive definite failed its Cholesky factorisation."""
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -88,20 +93,30 @@ def _check_positive_definite(m: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        raise ValidationError(f"{what} is not positive definite") from None
+        raise NotPositiveDefiniteError(f"{what} is not positive definite") from None
 
 
 def _spectrum_of(m: np.ndarray, chol: np.ndarray | None = None) -> np.ndarray:
     """Symplectic spectra of a stack of symmetric matrices, ascending.
 
     With m = L L^T, i*Omega*m is similar to the Hermitian i L^T Omega L, whose
-    eigenvalues are the spectrum and its negatives (Williamson); one stacked
-    ``eigvalsh`` gives them, so the +/- pairs hold by construction.  ``chol``
-    is L where the caller has factored m already.
+    eigenvalues are the spectrum and its negatives (Williamson), so the +/-
+    pairs hold by construction.  ``chol`` is L where the caller has factored
+    m already.
+
+    When no matrix of the stack couples a q to a p quadrature (every state
+    the relay builds, and their partial transposes), neither does L, and
+    i L^T Omega L is unitarily similar to [[0, iM], [-iM^T, 0]] with the real
+    n x n M = Lq^T Lp: the spectrum is the singular values of M, from one
+    stacked real SVD.  Otherwise one stacked ``eigvalsh`` of i L^T Omega L
+    gives it.
     """
     n = m.shape[-1] // 2
     if chol is None:
         chol = _check_positive_definite(m, "matrix")
+    if not (chol[..., ::2, 1::2].any() or chol[..., 1::2, ::2].any()):
+        qp = _transpose(chol[..., ::2, ::2]) @ chol[..., 1::2, 1::2]
+        return np.linalg.svd(qp, compute_uv=False)[..., ::-1]
     return np.linalg.eigvalsh(1j * (_transpose(chol) @ symplectic_form(n) @ chol))[..., n:]
 
 
@@ -114,8 +129,10 @@ class CovarianceMatrix:
     principle (smallest symplectic eigenvalue >= 1 within
     ``UNCERTAINTY_TOL``, or within the spectrum's rounding where a matrix's
     entries are large enough to make that the wider band; one stacked
-    Hermitian eigenvalue call on the Cholesky factors).  One bad matrix
-    rejects the whole stack.  The stored array is read-only.
+    spectral call on the Cholesky factors, a real n x n SVD when the stack
+    couples no q to a p quadrature, as every state the relay builds, and a
+    Hermitian 2n x 2n eigenvalue call otherwise).  One bad matrix rejects
+    the whole stack.  The stored array is read-only.
     """
 
     __slots__ = ("m", "n_modes")

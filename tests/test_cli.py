@@ -732,6 +732,18 @@ def test_quad_entanglement_scan_fills_every_physical_cell_at_mu_1e10(capsys):
     assert all(cell not in ("", "nan") for row in physical for cell in row)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--protocol", "bipartite", "--n", "0", "--c", "0:1:0.5", "--cp", "0:1:0.5", "--mu", "1e9"],
+    ["--protocol", "tripartite", "--n", "0", "--c", "0:1:0.5", "--cp", "0:1:0.5", "--mu", "1e12"],
+])
+def test_matrix_scans_beyond_float64_exit_3(capsys, argv):
+    # every cell is physical, but a float64 matrix cannot hold these states
+    code, out = run_cli(["scan", *argv], capsys)
+    error = json.loads(out)["error"]
+    assert code == 3 and error["code"] == 3
+    assert f"mu={float(argv[-1]):g}" in error["message"]
+
+
 def test_thresholds_find_no_crossing_in_rounding_noise(capsys):
     # at mu = 1 the key rate is zero up to rounding everywhere
     code, out = run_cli(["thresholds", "--metric", "qkd", "--mu", "1", *THERMAL, "--gp", "-16",

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import random_symplectic_matrix, random_two_mode_cm
 from cvrelay import gaussian as g
+from cvrelay import protocols as prot
+from cvrelay.environments import BOUNDARY_BAND, AdditiveEnvironment, ThermalEnvironment
 from cvrelay.entanglement import ppt_min_eigenvalue
 from cvrelay.gaussian import (
     CovarianceMatrix,
@@ -135,6 +137,91 @@ def test_symplectic_spectrum_inverts_the_williamson_form(cases):
     for (v, nus), from_stack in zip(cases, stack):
         assert from_stack == pytest.approx(nus, rel=1e-9)
         assert np.array_equal(g.symplectic_spectrum(v), from_stack)
+
+
+def _rounding_band(*stacks):
+    """Allowance for the rounding of a symplectic spectrum, per matrix: the
+    uncertainty check's _SPECTRUM_ROUNDING eps max|V|^2, but no less than the
+    same multiple of eps ||V|| <= 8 eps max|V| (the solvers' backward error,
+    which is the larger term near the vacuum)."""
+    scale = np.max([np.abs(m).max(axis=(-2, -1)) for m in stacks], axis=0)
+    return g._SPECTRUM_ROUNDING * np.finfo(float).eps * scale * np.maximum(scale, 8.0)
+
+
+@st.composite
+def _evolved_stack(draw):
+    """Evolved states (a, b, A', B') over physical cells of either family at
+    1 <= mu <= 1e7, each validated as one stack; about half of the cells are
+    drawn on a physicality edge, within the boundary band.  Additive edge
+    cells stay at |c| <= 1: beyond it the band admits nonphysical states
+    (``test_additive_cells_beyond_unit_correlation_fail_validation``)."""
+    size = draw(st.integers(1, 6))
+    units = np.array(draw(st.lists(st.floats(-0.95, 0.95), min_size=size, max_size=size)))
+    edge = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    band = np.array(draw(st.lists(st.floats(-BOUNDARY_BAND, BOUNDARY_BAND), min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        tau, omega = draw(st.floats(0.05, 0.95)), draw(st.floats(1.0, 40.0))
+        gp = omega * units
+        # the edge omega (g + g') = omega^2 + g g' - 1, solved for g
+        g_ = np.where(edge, omega - 1.0 / (omega - gp) + band, omega * np.roll(units, 1))
+        family, params = ThermalEnvironment, {"tau": tau, "omega": omega, "g": g_, "gp": gp}
+    else:
+        c = np.where(edge, np.copysign(1.0 - np.abs(band), units), units)
+        family, params = AdditiveEnvironment, {"n": draw(st.floats(0.0, 10.0)), "c": c, "cp": units[::-1]}
+    physical = family.masks(**params)[0]
+    assume(physical.any())
+    params = {key: value[physical] if np.ndim(value) else value for key, value in params.items()}
+    return prot.evolved_cm(draw(st.floats(1.0, 1e7)), family, params).m
+
+
+@given(_evolved_stack())
+def test_qp_separated_spectra_match_the_hermitian_path(v):
+    assert not v[..., ::2, 1::2].any()
+    for m in (v, g.partial_transpose(v, [0]), g.partial_transpose(v, [2, 3])):
+        chol = np.linalg.cholesky(m)
+        hermitian = np.linalg.eigvalsh(1j * (g._transpose(chol) @ g.symplectic_form(4) @ chol))[..., 4:]
+        assert np.all(np.abs(g._spectrum_of(m) - hermitian) <= _rounding_band(m)[:, None])
+
+
+@given(_evolved_stack(), st.integers(0, 3), st.floats(0.1, math.pi - 0.1))
+def test_a_phase_rotation_takes_the_general_path_with_the_same_spectrum(v, mode, theta):
+    s = g.expand_symplectic(g.rotation(theta), [mode], 4).m
+    rotated = CovarianceMatrix(s @ v @ s.T).m
+    assume(rotated[..., ::2, 1::2].any())  # q and p now mix: the Hermitian path
+    spectrum = g.symplectic_spectrum(rotated)
+    assert np.all(np.abs(spectrum - g.symplectic_spectrum(v)) <= _rounding_band(v, rotated)[:, None])
+
+
+def test_additive_cells_beyond_unit_correlation_fail_validation():
+    # the physical mask admits |c| up to 1 + BOUNDARY_BAND, but the state of
+    # such a cell is nonphysical, and more so as mu grows
+    params = {"n": 5.0, "c": np.array([0.5, 1.0 + 0.5 * BOUNDARY_BAND]), "cp": 0.0}
+    assert AdditiveEnvironment.masks(**params)[0].all()
+    prot.evolved_cm(1e5, AdditiveEnvironment, {**params, "c": params["c"][:1]})  # validates
+    with pytest.raises(ValidationError, match=r"eigenvalue 0\.9998\d+ < 1 \(stack entry 1\)"):
+        prot.evolved_cm(1e5, AdditiveEnvironment, params)
+
+
+def test_a_factor_that_couples_only_p_rows_to_q_columns_takes_the_general_path():
+    chol = math.sqrt(3.0) * np.array([[1, 0, 0, 0], [0.5, 1, 0, 0], [0, 0, 1, 0], [0.3, 0, 0.2, 1]])
+    assert not chol[::2, 1::2].any()
+    hermitian = np.linalg.eigvalsh(1j * (chol.T @ g.symplectic_form(2) @ chol))[2:]
+    assert g.symplectic_spectrum(CovarianceMatrix(chol @ chol.T)) == pytest.approx(hermitian, rel=1e-12)
+
+
+def test_qp_separated_matrices_are_rejected_with_the_usual_messages():
+    def correlated(mu, c):  # q/p-separated two-mode state, TMSV-like correlations c
+        return np.array([[mu, 0, c, 0], [0, mu, 0, -c], [c, 0, mu, 0], [0, -c, 0, mu]])
+
+    pure = correlated(3.0, math.sqrt(8.0))
+    assert g.symplectic_spectrum(CovarianceMatrix(pure)) == pytest.approx([1.0, 1.0])
+    # nu = sqrt(3^2 - 2.9^2) = 0.768...
+    with pytest.raises(ValidationError, match=r"smallest symplectic eigenvalue 0\.768114574787 < 1$"):
+        CovarianceMatrix(correlated(3.0, 2.9))
+    with pytest.raises(ValidationError, match=r"eigenvalue 0\.768114574787 < 1 \(stack entry 1\)"):
+        CovarianceMatrix(np.stack([pure, correlated(3.0, 2.9)]))
+    with pytest.raises(ValidationError, match="^covariance matrix is not positive definite$"):
+        CovarianceMatrix(correlated(3.0, 3.5))
 
 
 def test_spectrum_thermal_single_mode():
