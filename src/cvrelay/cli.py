@@ -449,7 +449,10 @@ def cmd_experiment(args) -> int:
             point.update(vars(expmt.run_point(config, chunk, dump)))
         except (ValidationError, NumericDegeneracyError) as exc:
             point["error"] = str(exc)
-        point["key_rate_theory"] = prot.qkd_rate(prot.SwapInput(config.mu, env), config.xi)
+        try:
+            point["key_rate_theory"] = prot.qkd_rate(prot.SwapInput(config.mu, env), config.xi)
+        except NumericDegeneracyError as exc:
+            point.setdefault("error", str(exc))  # the estimate's error, if any, stays
         point["repeater_bound"] = prot.repeater_bound_phi(float(nv))
         points.append(point)
 

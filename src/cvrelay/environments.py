@@ -163,7 +163,9 @@ class AdditiveEnvironment:
 
     @staticmethod
     def links(n, c, cp):
-        """Link map (t, e, h, h') of ``protocols.evolved_cm``, array-friendly."""
+        """Link map (t, e, h, h') of ``protocols.evolved_cm``, array-friendly; a
+        cell the band admits past n = 0 or |c|, |c'| = 1 gets its edge state."""
+        n, c, cp = np.maximum(n, 0.0), np.clip(c, -1.0, 1.0), np.clip(cp, -1.0, 1.0)
         return 1.0, n, n * c, n * cp
 
     def mirrored(self) -> "AdditiveEnvironment":

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gaussian import NumericDegeneracyError, ValidationError
+from .gaussian import NumericDegeneracyError, ValidationError, _condition
 from .environments import AdditiveEnvironment, additive_env_classical_cm
 from .protocols import key_rate_from_cm
 
@@ -284,11 +284,7 @@ def estimate_from_second_moments(cov: np.ndarray, sample_count: int, xi: float =
         raise ValidationError("joint second-moment matrix must be 6x6")
     if not np.all(np.isfinite(cov)):
         raise NumericDegeneracyError("joint second moments are not finite")
-    gg = cov[4:, 4:]
-    if np.linalg.cond(gg) > 1e13:
-        raise NumericDegeneracyError("gamma second-moment block is singular")
-    xg = cov[:4, 4:]
-    cond = cov[:4, :4] - xg @ np.linalg.solve(gg, xg.T)
+    cond = _condition(cov, range(4), [4, 5], 0.0, "gamma second-moment block is singular")[0]
     cond = 0.5 * (cond + cond.T)
     cm_hat = cond - np.eye(4)  # heterodyne variables carry one unit of vacuum
     count = max(sample_count, 1)

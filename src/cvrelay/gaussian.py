@@ -7,7 +7,8 @@ physical covariance matrix has all symplectic eigenvalues >= 1.
 The module provides the covariance-matrix container, symplectic spectra and
 entropies, partial transposition / log-negativity, Gaussian unitaries, and a
 general Schur-complement oracle for conditioning on heterodyne and CV Bell
-measurements.  All functions are pure; none of them mutates its arguments.
+measurements, whose one conditioning core the key rate and the experiment's
+estimator share.  All functions are pure; none of them mutates its arguments.
 
 The container and the spectral functions also take stacks of matrices,
 shaped (..., 2n, 2n): every matrix is validated and evaluated on its own,
@@ -34,7 +35,6 @@ UNCERTAINTY_TOL = 1e-9
 # times that, where it exceeds UNCERTAINTY_TOL.
 _SPECTRUM_ROUNDING = 16.0
 SYMPLECTIC_TOL = 1e-10
-_COND_LIMIT = 1e13  # conditioning blocks beyond this are treated as singular
 
 
 class ValidationError(ValueError):
@@ -183,10 +183,6 @@ class CovarianceMatrix:
         """
         idx = np.asarray(_quad_indices(self.n_modes, modes))
         return CovarianceMatrix._trusted(self.m[..., idx[:, None], idx])
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """The 2x2 block coupling mode i to mode j."""
-        return self.m[..., 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].copy()
 
 
 def _quad_indices(n_modes: int, modes) -> list[int]:
@@ -475,15 +471,19 @@ def displace(state: GaussianState, d) -> GaussianState:
     return GaussianState(state.mean + d, state.cm, state.labels)
 
 
-def _condition_quadrature(mean, v, j, z):
-    # Condition a joint Gaussian on quadrature j taking value z (homodyne).
-    vjj = v[j, j]
-    if vjj <= 1e-13 * max(1.0, float(np.abs(np.diag(v)).max())):
-        raise NumericDegeneracyError("homodyne conditioning block is singular")
-    col = v[:, j].copy()
-    mean = mean + col * ((z - mean[j]) / vjj)
-    v = v - np.outer(col, col) / vjj
-    return mean, v
+def _condition(v, kept, measured, noise: float, message: str):
+    """Schur complement of a Gaussian on the quadratures ``measured``: the
+    covariance V_kk - V_km theta^-1 V_mk of the ``kept`` ones, unsymmetrised,
+    and the gain V_km theta^-1 onto their mean, with theta = V_mm + noise I
+    (noise 0 for homodyne or classical variables, 1 for heterodyne).  theta
+    is singular, NumericDegeneracyError(message), where its smallest
+    eigenvalue is at most 1e-13 max(1, max|diag V|)."""
+    theta = v[np.ix_(measured, measured)] + noise * np.eye(len(measured))
+    if np.linalg.eigvalsh(theta)[0] <= 1e-13 * max(1.0, float(np.abs(np.diag(v)).max())):
+        raise NumericDegeneracyError(message)
+    cross = v[np.ix_(kept, measured)]
+    solved = np.linalg.solve(theta, cross.T)
+    return v[np.ix_(kept, kept)] - cross @ solved, solved.T
 
 
 def condition_on_gaussian_measurement(
@@ -500,48 +500,26 @@ def condition_on_gaussian_measurement(
     """
     measured = list(measured_modes)
     n = state.n_modes
-    _quad_indices(n, measured)  # validates range and duplicates
+    mi = _quad_indices(n, measured)  # validates range and duplicates
     if len(measured) == n:
         raise ValidationError("at least one mode must be retained")
     kept = [k for k in range(n) if k not in set(measured)]
 
     if kind == "heterodyne":
-        z = np.zeros(2 * len(measured)) if outcome is None else np.asarray(outcome, float)
-        if z.shape != (2 * len(measured),):
-            raise ValidationError("heterodyne outcome needs two entries per measured mode")
-        mi = _quad_indices(n, measured)
-        ki = _quad_indices(n, kept)
-        v = state.cm.m
-        theta = v[np.ix_(mi, mi)] + np.eye(len(mi))
-        if np.linalg.cond(theta) > _COND_LIMIT:
-            raise NumericDegeneracyError("heterodyne conditioning block is singular")
-        cross = v[np.ix_(ki, mi)]
-        gain = np.linalg.solve(theta, cross.T).T
-        mean = state.mean[ki] + gain @ (z - state.mean[mi])
-        cond = v[np.ix_(ki, ki)] - gain @ cross.T
-        cond = 0.5 * (cond + cond.T)
-        return GaussianState(mean, CovarianceMatrix(cond), tuple(state.labels[k] for k in kept))
-
-    if kind == "bell":
+        noise, what = 1.0, "heterodyne"
+    elif kind == "bell":
         if len(measured) != 2:
             raise ValidationError("bell measurement requires exactly two measured modes")
-        z = np.zeros(2) if outcome is None else np.asarray(outcome, float)
-        if z.shape != (2,):
-            raise ValidationError("bell outcome is the pair (q_minus, p_plus)")
         i, j = measured
-        # mode i -> (i - j)/sqrt(2), mode j -> (i + j)/sqrt(2)
-        half = np.eye(2) / math.sqrt(2.0)
-        mix = expand_symplectic(
-            SymplecticMatrix(np.block([[half, -half], [half, half]])), [i, j], n
-        )
-        rotated = apply_symplectic(state, mix)
-        mean, v = rotated.mean.copy(), rotated.cm.m.copy()
-        mean, v = _condition_quadrature(mean, v, 2 * i, z[0])  # q of difference mode
-        mean, v = _condition_quadrature(mean, v, 2 * j + 1, z[1])  # p of sum mode
-        ki = _quad_indices(n, kept)
-        cond = 0.5 * (v[np.ix_(ki, ki)] + v[np.ix_(ki, ki)].T)
-        return GaussianState(
-            mean[ki], CovarianceMatrix(cond), tuple(state.labels[k] for k in kept)
-        )
-
-    raise ValidationError(f"unknown measurement kind {kind!r}")
+        # mode i -> (i - j)/sqrt(2), mode j -> (i + j)/sqrt(2); homodyne of q_i and p_j
+        state = apply_symplectic(state, expand_symplectic(beam_splitter(0.5), [j, i], n))
+        mi, noise, what = [2 * i, 2 * j + 1], 0.0, "homodyne"
+    else:
+        raise ValidationError(f"unknown measurement kind {kind!r}")
+    z = np.zeros(len(mi)) if outcome is None else np.asarray(outcome, float)
+    if z.shape != (len(mi),):
+        raise ValidationError(f"{kind} outcome needs {len(mi)} entries, got shape {z.shape}")
+    ki = _quad_indices(n, kept)
+    cond, gain = _condition(state.cm.m, ki, mi, noise, f"{what} conditioning block is singular")
+    mean = state.mean[ki] + gain @ (z - state.mean[mi])
+    return GaussianState(mean, CovarianceMatrix(0.5 * (cond + cond.T)), tuple(state.labels[k] for k in kept))

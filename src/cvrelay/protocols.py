@@ -28,7 +28,9 @@ import numpy as np
 
 from .gaussian import (
     CovarianceMatrix,
+    NumericDegeneracyError,
     ValidationError,
+    _condition,
     _h_arr,
     symplectic_spectrum,
 )
@@ -136,10 +138,11 @@ def relay_metrics(mu, k, kp, xi: float = 1.0) -> dict:
     None.  ``mu = inf`` gives the large-mu set: epsilon_opt = sqrt(kappa
     kappa'), ideal-reconciliation rate R_opt with its epsilon-only lower
     bound R_LB, infinite mutual information and Holevo terms, and xi is
-    ignored.
+    ignored.  A figure that float64 cannot hold comes out nan, and then
+    NumericDegeneracyError is raised, naming mu.
     """
     k, kp = np.asarray(k, float), np.asarray(kp, float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if np.ndim(mu) == 0 and mu == math.inf:
             out = _large_mu_metrics(k, kp)
         else:
@@ -149,6 +152,10 @@ def relay_metrics(mu, k, kp, xi: float = 1.0) -> dict:
                 raise ValidationError("mu must be >= 1")
             out = _finite_mu_metrics(mu, k, kp, xi)
         out["log_neg"] = np.maximum(-np.log2(out["epsilon"]), 0.0)
+    bad = np.isnan(np.broadcast_arrays(*(v for v in out.values() if v is not None))).any(axis=0)
+    if bad.any():
+        mu_bad = np.broadcast_to(mu, bad.shape)[bad][0]
+        raise NumericDegeneracyError(f"the closed-form metrics at mu={mu_bad:g} overflow float64")
     out.update(
         swap_ok=_flag(out["epsilon"], 1.0, want_greater=False),
         tele_quantum=_flag(out["fidelity"], 0.5, want_greater=True),
@@ -367,8 +374,10 @@ def key_rate_from_cm(cm, xi: float = 1.0) -> dict:
     Generic path used both as the independent oracle for the closed-form
     rate and for experimentally reconstructed covariance matrices: Alice
     heterodynes mode 0, Bob mode 1, the eavesdropper holds the full
-    purification.  Symplectic eigenvalues of estimated matrices may dip
-    below 1 by statistical noise and are clamped at 1.
+    purification.  Bob's state conditioned on Alice's heterodyne comes from
+    the Schur complement in ``gaussian``; a singular heterodyne block raises
+    NumericDegeneracyError.  Symplectic eigenvalues of estimated matrices
+    may dip below 1 by statistical noise and are clamped at 1.
 
     Returns a dict with mutual_info, holevo, rate and nu_c.
     """
@@ -376,8 +385,8 @@ def key_rate_from_cm(cm, xi: float = 1.0) -> dict:
     m = cm.m if isinstance(cm, CovarianceMatrix) else np.asarray(cm, dtype=float)
     if m.shape != (4, 4):
         raise ValidationError("key-rate evaluation requires a two-mode covariance matrix")
-    a, b, c = m[:2, :2], m[2:, 2:], m[:2, 2:]
-    b_cond = b - c.T @ np.linalg.solve(a + _I2, c)
+    b = m[2:, 2:]
+    b_cond = _condition(m, [2, 3], [0, 1], 1.0, "heterodyne conditioning block is singular")[0]
     denom = 1.0 + np.linalg.det(b_cond) + np.trace(b_cond)
     numer = 1.0 + np.linalg.det(b) + np.trace(b)
     if denom <= 0.0 or numer <= 0.0:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -772,3 +773,100 @@ def test_thresholds_qkd_points_bracket_a_sign_change(capsys, argv):
             envs = [AdditiveEnvironment(2.5, x + d, col) for d in (-1e-6, 1e-6)]
         lo, hi = (qkd_rate(SwapInput(52.0, env), 0.97) for env in envs)
         assert (lo > 0.0) != (hi > 0.0), line
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--n", "1", "--c", "0", "--cp", "0", "--mu", "1e308"],
+    ["point", "--n", "1e308", "--c", "0", "--cp", "0", "--mu", "52"],
+    ["point", "--tau", "0.9", "--omega", "1e308", "--g", "0", "--gp", "0", "--mu", "52"],
+    ["scan", "--protocol", "qkd", "--n", "1", "--c", "0:1:0.5", "--cp", "0:1:0.5", "--mu", "1e200"],
+    ["thresholds", "--metric", "qkd", "--n", "1", "--c", "0:1:0.5", "--cp", "-1:1:0.5", "--mu", "1e308"],
+])
+def test_closed_form_overflow_exits_3(capsys, argv):
+    # valid input whose closed forms float64 cannot hold: no nan with exit 0
+    code, out = run_cli(argv, capsys)
+    error = json.loads(out)["error"]
+    assert code == 3 and error["code"] == 3
+    assert f"mu={float(argv[-1]):g}" in error["message"]
+
+
+def test_experiment_reports_a_singular_heterodyne_block_per_point(capsys):
+    # at mu = 1e300 Alice's estimated block is singular to working precision
+    code, out = run_cli(["experiment", "--n", "1", "--mu", "1e300", "--c", "1", "--cp", "1",
+                         "--shots", "1000", "--seed", "3"], capsys)
+    assert code == 0
+    point = json.loads(out)["points"][0]
+    assert point["error"] == "heterodyne conditioning block is singular"
+    assert "key_rate_theory" not in point  # its closed form overflows too
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "0:10:5", "--c", "1.0000000005", "--cp", "0", "--mu", "1e5"],
+    ["--n=-9e-10", "--c", "0:1:0.5", "--cp", "0:1:0.5", "--mu", "52"],
+])
+def test_additive_cells_beyond_an_edge_scan_as_boundary_points(capsys, argv):
+    # inside the boundary band but past n = 0 or |c| = 1: the edge state
+    code, out = run_cli(["scan", "--protocol", "bipartite", *argv], capsys)
+    assert code == 0
+    header, *rows = (line.split(",") for line in out.strip().split("\r\n"))
+    assert len(rows) in (3, 9)
+    assert all(row[header.index("physical")] == "1" and "" not in row and "nan" not in row
+               for row in rows)
+
+
+# The CLI fuzz test starts from a valid command of either family and
+# overrides or drops a few of its flags, with tokens from an alphabet of
+# scalars across the float64 range, invalid spellings and tiny, reversed or
+# zero-step axes.
+_TOKENS = ["0", "1", "-1", "1e300", "-1e300", "1e-300", "1e308", "nan", "inf", "-inf", "-1_0", "",
+           "abc", "0.5", "2", "52", "0.9", "19.38", "0:1:0.5", "-1:1:1", "1:0:0.5", "0:1:0"]
+_FUZZ_BASES = {
+    "point": ({"--tau": "0.9", "--omega": "19.38", "--g": "1", "--gp": "0", "--mu": "52"},
+              {"--n": "1", "--c": "0.5", "--cp": "0", "--mu": "52"}),
+    "scan": ({"--tau": "0.9", "--omega": "19.38", "--g": "-19:19:9.5", "--gp": "-19:19:9.5", "--mu": "52"},
+             {"--n": "1", "--c": "-1:1:0.5", "--cp": "-1:1:0.5", "--mu": "52"}),
+    "thresholds": ({"--tau": "0.9", "--omega": "19.38", "--g": "-19:19:0.5", "--gp": "-16:16:16", "--mu": "52"},
+                   {"--n": "2.5", "--c": "-1:1:0.1", "--cp": "0:1:0.5", "--mu": "52"}),
+    "experiment": ({"--n": "0:1:0.5", "--c": "1", "--cp": "1", "--mu": "52", "--shots": "1000"},),
+}
+_FUZZ_FLAGS = {
+    "point": ["--tau", "--omega", "--g", "--gp", "--n", "--c", "--cp", "--mu", "--xi", "--phi"],
+    "scan": ["--tau", "--omega", "--g", "--gp", "--n", "--c", "--cp", "--mu", "--xi", "--threads"],
+    "thresholds": ["--tau", "--omega", "--g", "--gp", "--n", "--c", "--cp", "--mu", "--xi"],
+    "experiment": ["--n", "--c", "--cp", "--mu", "--xi", "--eta", "--seed", "--chunk-shots", "--shots"],
+}
+_FUZZ_CHOICES = {"--protocol": [*cli.SCAN_PROTOCOLS, "nope"],
+                 "--metric": ["swap", "distill", "qkd", "qkd-lb", "nope"],
+                 "--shots": ["1", "10", "0", "-1_0", "1e3", "abc"]}  # at most 1e3 shots
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_BASES)))
+    flags = dict(draw(st.sampled_from(_FUZZ_BASES[command])))
+    for flag in draw(st.sets(st.sampled_from(sorted(flags.keys() - {"--shots"})), max_size=1)):
+        del flags[flag]  # the default of --shots is 1e6
+    for flag in draw(st.lists(st.sampled_from(_FUZZ_FLAGS[command]), unique=True, max_size=3)):
+        flags[flag] = draw(st.sampled_from(_FUZZ_CHOICES.get(flag, _TOKENS)))
+    named = {"scan": "--protocol", "thresholds": "--metric"}.get(command)
+    if named:
+        flags[named] = draw(st.sampled_from(_FUZZ_CHOICES[named]))
+    return [command, *(token for item in flags.items() for token in item)]
+
+
+@settings(max_examples=300)
+@given(_fuzz_argv())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # open: kappas and co-moments overflow at 1e308
+def test_every_argv_ends_in_a_contract_exit_code(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 2, 3), argv
+    if code == 0 and argv[0] == "scan":
+        header, *rows = (line.split(",") for line in out.getvalue().strip().split("\r\n"))
+        assert all("nan" not in row for row in rows if row[header.index("physical")] == "1"), argv
+    elif code == 0:
+        assert "nan" not in re.findall(r"[\w.+-]+", out.getvalue()), argv

@@ -58,7 +58,6 @@ def test_stacked_covariance_matrix_rejects_one_bad_member():
     stack = CovarianceMatrix(good)
     assert stack.n_modes == 2 and stack.m.shape == (6, 4, 4)
     assert np.array_equal(stack.reduced([1]).m, good[:, 2:, 2:])
-    assert np.array_equal(stack.block(0, 1), good[:, :2, 2:])
     bad = {
         "below vacuum": np.diag([0.5, 0.5, 1.0, 1.0]),
         "not positive definite": -np.eye(4),
@@ -152,9 +151,8 @@ def _rounding_band(*stacks):
 def _evolved_stack(draw):
     """Evolved states (a, b, A', B') over physical cells of either family at
     1 <= mu <= 1e7, each validated as one stack; about half of the cells are
-    drawn on a physicality edge, within the boundary band.  Additive edge
-    cells stay at |c| <= 1: beyond it the band admits nonphysical states
-    (``test_additive_cells_beyond_unit_correlation_fail_validation``)."""
+    drawn on a physicality edge, on either side within the boundary band,
+    and additive stacks draw n at its edge as often as above it."""
     size = draw(st.integers(1, 6))
     units = np.array(draw(st.lists(st.floats(-0.95, 0.95), min_size=size, max_size=size)))
     edge = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
@@ -166,8 +164,9 @@ def _evolved_stack(draw):
         g_ = np.where(edge, omega - 1.0 / (omega - gp) + band, omega * np.roll(units, 1))
         family, params = ThermalEnvironment, {"tau": tau, "omega": omega, "g": g_, "gp": gp}
     else:
-        c = np.where(edge, np.copysign(1.0 - np.abs(band), units), units)
-        family, params = AdditiveEnvironment, {"n": draw(st.floats(0.0, 10.0)), "c": c, "cp": units[::-1]}
+        c = np.where(edge, np.copysign(1.0 + band, units), units)
+        n = draw(st.one_of(st.floats(-BOUNDARY_BAND, BOUNDARY_BAND), st.floats(0.0, 10.0)))
+        family, params = AdditiveEnvironment, {"n": n, "c": c, "cp": units[::-1]}
     physical = family.masks(**params)[0]
     assume(physical.any())
     params = {key: value[physical] if np.ndim(value) else value for key, value in params.items()}
@@ -192,14 +191,19 @@ def test_a_phase_rotation_takes_the_general_path_with_the_same_spectrum(v, mode,
     assert np.all(np.abs(spectrum - g.symplectic_spectrum(v)) <= _rounding_band(v, rotated)[:, None])
 
 
-def test_additive_cells_beyond_unit_correlation_fail_validation():
-    # the physical mask admits |c| up to 1 + BOUNDARY_BAND, but the state of
-    # such a cell is nonphysical, and more so as mu grows
-    params = {"n": 5.0, "c": np.array([0.5, 1.0 + 0.5 * BOUNDARY_BAND]), "cp": 0.0}
-    assert AdditiveEnvironment.masks(**params)[0].all()
-    prot.evolved_cm(1e5, AdditiveEnvironment, {**params, "c": params["c"][:1]})  # validates
-    with pytest.raises(ValidationError, match=r"eigenvalue 0\.9998\d+ < 1 \(stack entry 1\)"):
-        prot.evolved_cm(1e5, AdditiveEnvironment, params)
+def test_additive_cells_beyond_an_edge_build_the_state_on_that_edge():
+    # the physical mask admits n down to -BOUNDARY_BAND and |c|, |c'| up to
+    # 1 + BOUNDARY_BAND; such a cell builds (and validates) its edge state
+    beyond = {"n": np.array([5.0, 5.0, -0.5 * BOUNDARY_BAND]),
+              "c": np.array([1.0 + 0.5 * BOUNDARY_BAND, 0.5, 0.5]),
+              "cp": np.array([0.0, -1.0 - 0.5 * BOUNDARY_BAND, 0.0])}
+    edge = {"n": np.array([5.0, 5.0, 0.0]), "c": np.array([1.0, 0.5, 0.5]), "cp": np.array([0.0, -1.0, 0.0])}
+    assert AdditiveEnvironment.masks(**beyond)[0].all()
+    for mu in (52.0, 1e5):
+        built = prot.evolved_cm(mu, AdditiveEnvironment, beyond).m
+        assert np.array_equal(built, prot.evolved_cm(mu, AdditiveEnvironment, edge).m)
+    env = AdditiveEnvironment(5.0, 1.0 + 0.5 * BOUNDARY_BAND, 0.0)
+    assert np.array_equal(prot.evolved_cm(prot.SwapInput(1e5, env)).m, built[0])
 
 
 def test_a_factor_that_couples_only_p_rows_to_q_columns_takes_the_general_path():
@@ -438,3 +442,47 @@ def test_joint_heterodyne_matches_sequential():
     assert np.allclose(joint.cm.m, step2.cm.m, atol=1e-12)
     assert np.allclose(joint.mean, step2.mean, atol=1e-12)
     assert joint.labels == ("a", "b")
+
+
+def _two_step_bell(state, i, j, z):
+    """Bell conditioning as two sequential homodyne rank-1 updates: the q of
+    the difference mode, then the p of the sum mode (the reference for the
+    joint Schur complement)."""
+    n = state.n_modes
+    half = np.eye(2) / math.sqrt(2.0)
+    mix = g.expand_symplectic(SymplecticMatrix(np.block([[half, -half], [half, half]])), [i, j], n)
+    mean, v = mix.m @ state.mean, mix.m @ state.cm.m @ mix.m.T
+    for k, zk in ((2 * i, z[0]), (2 * j + 1, z[1])):
+        col = v[:, k].copy()
+        mean = mean + col * ((zk - mean[k]) / v[k, k])
+        v = v - np.outer(col, col) / v[k, k]
+    kept = [q for m in range(n) if m not in (i, j) for q in (2 * m, 2 * m + 1)]
+    return mean[kept], v[np.ix_(kept, kept)]
+
+
+@given(st.floats(1.0, 1e6), st.floats(0.05, 0.95), st.floats(-0.95, 0.95), st.floats(-0.95, 0.95),
+       st.integers(0, 2**32 - 1))
+def test_joint_bell_conditioning_equals_two_rank_one_updates(mu, tau, u, up, seed):
+    # evolved thermal states (a, b, A', B') with a random mean, Bell on A', B'
+    omega = 1.0 + 40.0 * abs(u)
+    params = {"tau": tau, "omega": omega, "g": omega * u, "gp": omega * up}
+    assume(ThermalEnvironment.masks(**params)[0])
+    rng = np.random.default_rng(seed)
+    st_ = GaussianState(rng.normal(size=8) * mu, prot.evolved_cm(prot.SwapInput(mu, ThermalEnvironment(**params))))
+    z = rng.normal(size=2) * mu
+    joint = g.condition_on_gaussian_measurement(st_, [2, 3], "bell", z)
+    mean, v = _two_step_bell(st_, 2, 3, z)
+    assert np.abs(joint.cm.m - v).max() <= 1e-14 * np.abs(v).max()
+    assert np.abs(joint.mean - mean).max() <= 1e-14 * np.abs(mean).max()
+
+
+def test_singular_conditioning_blocks_raise_numeric_degeneracy():
+    # Bell: at mu = 1e7 the q difference of a TMSV's arms has variance
+    # ~1/(2 mu), below 1e-13 of the largest variance
+    st_ = GaussianState(np.zeros(6), g.direct_sum(g.vacuum_cm(1), g.tmsv_cm(1e7)))
+    with pytest.raises(NumericDegeneracyError, match="^homodyne conditioning block is singular$"):
+        g.condition_on_gaussian_measurement(st_, [1, 2], "bell")
+    # heterodyne: theta = diag(1e14 + 1, 1 + 1e-14) is singular against 1e14
+    st_ = GaussianState(np.zeros(4), g.direct_sum(g.vacuum_cm(1), CovarianceMatrix(np.diag([1e14, 1e-14]))))
+    with pytest.raises(NumericDegeneracyError, match="^heterodyne conditioning block is singular$"):
+        g.condition_on_gaussian_measurement(st_, [1], "heterodyne")

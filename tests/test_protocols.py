@@ -478,6 +478,14 @@ def test_generic_key_rate_of_a_pure_swapped_state():
     assert prot.key_rate_from_cm(pure)["rate"] == pytest.approx(math.log2(4.0 / 3.0), abs=1e-15)
 
 
+def test_generic_key_rate_rejects_a_singular_heterodyne_block():
+    # theta = a + I: zero for a = -I, and singular against the matrix's
+    # scale for a squeezed a = diag(1e14, 1e-14)
+    for m in (np.diag([-1.0, -1.0, 2.0, 2.0]), np.diag([1e14, 1e-14, 2.0, 2.0])):
+        with pytest.raises(g.NumericDegeneracyError, match="^heterodyne conditioning block is singular$"):
+            prot.key_rate_from_cm(m)
+
+
 _UNIT = st.floats(-1.0, 1.0)
 # a random environment of either family, its correlations as fractions u, v
 # of their largest value, and a finite modulation
