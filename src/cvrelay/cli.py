@@ -10,7 +10,8 @@ block of cells at a time.
 
 Flags carry the symbols used throughout the library (--tau, --omega, --g,
 --gp, --mu, --xi for the thermal family; --n, --c, --cp for the additive
-one).  ``--mu inf`` routes to the asymptotic analyzers.  A flat key-value
+one).  ``--mu inf`` routes to the asymptotic analyzers.  Each subcommand
+takes only the options its handler reads (``_COMMANDS``).  A flat key-value
 config file can provide defaults; explicit flags win.  Exit codes: 0
 success, 2 validation error, 3 numeric failure.
 """
@@ -145,12 +146,8 @@ def _load_config(path: str) -> dict[str, str]:
 
 def _resolve(args: argparse.Namespace, key: str, default=None):
     """Precedence: explicit flag > config file > default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if getattr(args, "_config", None) and key in args._config:
-        return args._config[key]
-    return default
+    val = getattr(args, key)
+    return val if val is not None else args._config.get(key, default)
 
 
 def _family(args):
@@ -191,9 +188,8 @@ def _env_summary(env) -> dict:
 
 
 def _write_text(args, text: str):
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -207,14 +203,10 @@ def cmd_point(args) -> int:
     env = _build_env(args)
     mu = _mu_value(args)
     xi = _number(args, "xi", 1.0)
-    phi = _resolve(args, "phi")
     if mu == math.inf:
-        if phi is not None:
-            raise ValidationError("--phi needs a finite --mu")
         report = prot.protocol_report_asymptotic(env)
     else:
-        inp = prot.SwapInput(mu, env, None if phi is None else _parse_float(phi))
-        report = prot.protocol_report(inp, xi)
+        report = prot.protocol_report(prot.SwapInput(mu, env), xi)
     payload = {"env": _env_summary(env), "report": report.to_dict()}
     _write_text(args, json.dumps(_jsonable(payload), indent=2) + "\n")
     return 0
@@ -428,8 +420,7 @@ def cmd_experiment(args) -> int:
     chunk = _parse_int(str(_resolve(args, "chunk_shots", expmt.DEFAULT_CHUNK)))
     if chunk < 1:
         raise ValidationError("chunk_shots must be a positive integer")
-    dump = getattr(args, "dump", None)
-    if dump and len(n_axis) != 1:
+    if args.dump and len(n_axis) != 1:
         raise ValidationError("--dump needs a single-point sweep (one n value)")
 
     points = []
@@ -446,7 +437,7 @@ def cmd_experiment(args) -> int:
         )
         point = {"n": float(nv)}
         try:
-            point.update(vars(expmt.run_point(config, chunk, dump)))
+            point.update(vars(expmt.run_point(config, chunk, args.dump)))
         except (ValidationError, NumericDegeneracyError) as exc:
             point["error"] = str(exc)
         try:
@@ -474,18 +465,18 @@ def cmd_experiment(args) -> int:
 # argument plumbing
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key-value defaults file")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--tau")
-    p.add_argument("--omega")
-    p.add_argument("--g")
-    p.add_argument("--gp")
-    p.add_argument("--n")
-    p.add_argument("--c")
-    p.add_argument("--cp")
-    p.add_argument("--mu")
-    p.add_argument("--xi")
+# each subcommand's handler, help line and the options it reads; every
+# subcommand also takes --config and --out
+_ENV_OPTIONS = ("tau", "omega", "g", "gp", "n", "c", "cp", "mu", "xi")
+_COMMANDS = {
+    "point": (cmd_point, "all analyzers at one parameter point (JSON)", _ENV_OPTIONS),
+    "scan": (cmd_scan, "grid scan over a correlation plane (CSV)", (*_ENV_OPTIONS, "protocol", "threads")),
+    "thresholds": (cmd_thresholds, "trace protocol zero contours (CSV)", (*_ENV_OPTIONS, "metric")),
+    "experiment": (cmd_experiment, "shot-level simulated sweep (JSON)",
+                   ("n", "c", "cp", "mu", "xi", "eta", "shots", "seed", "chunk-shots", "dump")),
+}
+_HELP = {"config": "flat key-value defaults file", "out": "output path (default: stdout)",
+         "dump": "CSV shot dump path (single-point sweeps)"}
 
 
 @functools.cache
@@ -497,32 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-relay protocols in correlated Gaussian environments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("point", help="all analyzers at one parameter point (JSON)")
-    _add_common(p)
-    p.add_argument("--phi")
-    p.set_defaults(func=cmd_point)
-
-    p = sub.add_parser("scan", help="grid scan over a correlation plane (CSV)")
-    _add_common(p)
-    p.add_argument("--protocol")
-    p.add_argument("--threads")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("thresholds", help="trace protocol zero contours (CSV)")
-    _add_common(p)
-    p.add_argument("--metric")
-    p.set_defaults(func=cmd_thresholds)
-
-    p = sub.add_parser("experiment", help="shot-level simulated sweep (JSON)")
-    _add_common(p)
-    p.add_argument("--eta")
-    p.add_argument("--shots")
-    p.add_argument("--seed")
-    p.add_argument("--chunk-shots", dest="chunk_shots")
-    p.add_argument("--dump", help="CSV shot dump path (single-point sweeps)")
-    p.set_defaults(func=cmd_experiment)
-
+    for name, (func, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for option in ("config", "out", *options):
+            p.add_argument(f"--{option}", help=_HELP.get(option))
+        p.set_defaults(func=func)
     return parser
 
 
@@ -544,7 +514,7 @@ def _merge_negative_values(argv):
 def main(argv=None) -> int:
     args = build_parser().parse_args(_merge_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        args._config = _load_config(args.config) if getattr(args, "config", None) else {}
+        args._config = _load_config(args.config) if args.config else {}
         return args.func(args)
     except (ValidationError, OSError, UnicodeDecodeError, NumericDegeneracyError) as exc:
         code = 3 if isinstance(exc, NumericDegeneracyError) else 2

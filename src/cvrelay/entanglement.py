@@ -219,7 +219,7 @@ def quad_sigma_functions(tau: float, r: float, g, gp) -> dict:
 
     Array-friendly in (g, g').
     """
-    opt, omt = 1.0 + tau, 1.0 - tau
+    opt, omt, r = 1.0 + tau, 1.0 - tau, np.float64(r)  # a float64 r**4 overflows to inf, not an error
     f = opt**2 * (r * r - 1.0) - g * g * omt**2
     zeta = opt**4 * r**4 - opt**2 * (
         2.0 + g * g * omt**2 + gp * gp * omt**2 + 2.0 * tau * tau

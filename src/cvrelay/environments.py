@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, ValidationError, entropic_h
+from .gaussian import CovarianceMatrix, NumericDegeneracyError, ValidationError, entropic_h
 
 BOUNDARY_BAND = 1e-9
 
@@ -41,14 +41,15 @@ def thermal_slacks(omega, g, gp):
 
     The three physicality conditions of ``THERMAL_CONDITIONS`` followed by
     the separability condition omega |g - g'| <= omega^2 - g g' - 1; each
-    holds when its slack is >= 0.
+    holds when its slack is >= 0 (a nan slack, past float64, never does).
     """
-    return (
-        omega - abs(g),
-        omega - abs(gp),
-        omega * omega + g * gp - 1.0 - omega * abs(g + gp),
-        omega * omega - g * gp - 1.0 - omega * abs(g - gp),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            omega - abs(g),
+            omega - abs(gp),
+            omega * omega + g * gp - 1.0 - omega * abs(g + gp),
+            omega * omega - g * gp - 1.0 - omega * abs(g - gp),
+        )
 
 
 def additive_slacks(n, c, cp):
@@ -104,9 +105,10 @@ class ThermalEnvironment:
 
     @staticmethod
     def kappas(tau, omega, g, gp):
-        """(kappa, kappa') = (1/tau - 1)(omega - g, omega + g'), array-friendly."""
-        f = 1.0 / tau - 1.0
-        return np.maximum(f * (omega - g), 0.0), np.maximum(f * (omega + gp), 0.0)
+        """(kappa, kappa') = (1/tau - 1)(omega - g, omega + g'), array-friendly; inf on overflow."""
+        with np.errstate(over="ignore"):
+            f = 1.0 / tau - 1.0
+            return np.maximum(f * (omega - g), 0.0), np.maximum(f * (omega + gp), 0.0)
 
     @staticmethod
     def links(tau, omega, g, gp):
@@ -158,8 +160,9 @@ class AdditiveEnvironment:
 
     @staticmethod
     def kappas(n, c, cp):
-        """(kappa, kappa') = ((1 - c) n, (1 + c') n), array-friendly."""
-        return np.maximum((1.0 - c) * n, 0.0), np.maximum((1.0 + cp) * n, 0.0)
+        """(kappa, kappa') = ((1 - c) n, (1 + c') n), array-friendly; inf on overflow."""
+        with np.errstate(over="ignore"):
+            return np.maximum((1.0 - c) * n, 0.0), np.maximum((1.0 + cp) * n, 0.0)
 
     @staticmethod
     def links(n, c, cp):
@@ -225,10 +228,15 @@ def thermal_mutual_information(omega, g, gp):
 
     Array-friendly.  Quantifies the amount of (separable) correlation the
     environment offers: 2 h(omega) minus the joint entropy.  Zero iff
-    g = g' = 0.
+    g = g' = 0.  NumericDegeneracyError where the spectrum overflows float64.
     """
-    lo, hi = _env_spectrum(omega, g, gp)
-    return np.asarray(2.0 * _entropic_h(omega) - _entropic_h(lo) - _entropic_h(hi), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = _env_spectrum(omega, g, gp)
+        info = np.asarray(2.0 * _entropic_h(omega) - _entropic_h(lo) - _entropic_h(hi), dtype=float)
+    if np.isnan(info).any():
+        raise NumericDegeneracyError(
+            f"the environment mutual information at omega={np.max(omega):g} overflows float64")
+    return info
 
 
 def env_mutual_information(env: ThermalEnvironment) -> float:
@@ -252,12 +260,14 @@ def additive_limit(env: ThermalEnvironment) -> AdditiveEnvironment:
 def additive_env_classical_cm(env: AdditiveEnvironment) -> np.ndarray:
     """Classical 4x4 covariance of the displacement noise (xi_1, ..., xi_4).
 
-    Equal to n [[I, C], [C, I]] with C = diag(c, c'); positive semidefinite
-    for all admissible parameters, and singular at |c| = 1 or |c'| = 1.
+    Equal to n [[I, C], [C, I]] with C = diag(c, c'), taken from the family's
+    ``links``, so parameters the band admits past an edge give the edge
+    covariance; positive semidefinite for all admissible parameters, and
+    singular at |c| = 1 or |c'| = 1.
     """
-    i2 = np.eye(2)
-    cmat = np.diag([env.c, env.cp])
-    return env.n * np.block([[i2, cmat], [cmat, i2]])
+    _, e, h, hp = AdditiveEnvironment.links(**vars(env))
+    cross = np.diag([h, hp])
+    return np.block([[e * np.eye(2), cross], [cross, e * np.eye(2)]])
 
 
 def additive_link_cm(mu: float, n: float) -> CovarianceMatrix:

@@ -242,7 +242,8 @@ class _CoMoments:
             raise ValidationError("no shots to estimate from")
         scale = (mu + 1.0) / math.sqrt(mu * mu - 1.0)
         d = np.array([scale, -scale, scale, -scale, 1.0, 1.0])
-        cov = self.m2 / max(self.count - 1, 1) * np.outer(d, d)
+        with np.errstate(invalid="ignore"):  # inf moments times a zero scale, where mu^2 overflows
+            cov = self.m2 / max(self.count - 1, 1) * np.outer(d, d)
         return estimate_from_second_moments(cov, self.count, xi)
 
 
@@ -256,7 +257,9 @@ def run_point(
     estimate is bit-identical for any ``chunk_shots``.  ``dump`` names an
     optional CSV file that receives every shot (one header) as the chunks
     are simulated.  The estimate needs modulation, mu > 1; a point without
-    it is rejected before any shot is drawn, so it writes no dump.
+    it is rejected before any shot is drawn, so it writes no dump.  Noise or
+    moments past the float64 range turn non-finite, and the estimate
+    rejects them.
     """
     if chunk_shots < 1:
         raise ValidationError("chunk_shots must be a positive integer")
@@ -264,7 +267,8 @@ def run_point(
         raise ValidationError("covariance reconstruction needs signal modulation (mu > 1)")
     chunk = max(1, chunk_shots // MOMENT_BLOCK) * MOMENT_BLOCK
     moments = _CoMoments()
-    with open(dump, "w", encoding="utf-8", newline="") if dump else contextlib.nullcontext() as fh:
+    with (np.errstate(over="ignore", invalid="ignore"),
+          open(dump, "w", encoding="utf-8", newline="") if dump else contextlib.nullcontext() as fh):
         for start in range(0, config.shots, chunk):
             batch = simulate_shot_batch(config, start=start, stop=min(start + chunk, config.shots))
             moments.add(batch)

@@ -89,11 +89,15 @@ def _check_finite_symmetric(m: np.ndarray, what: str):
 
 
 def _check_positive_definite(m: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor of every matrix in a stack (one stacked call)."""
+    """Lower Cholesky factor of every matrix in a stack (one stacked call); a
+    factor that float64 cannot hold (an entry overflowed) fails too."""
     try:
-        return np.linalg.cholesky(m)
+        chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(f"{what} is not positive definite") from None
+        chol = None
+    if chol is None or not np.isfinite(chol).all():
+        raise NotPositiveDefiniteError(f"{what} is not positive definite")
+    return chol
 
 
 def _spectrum_of(m: np.ndarray, chol: np.ndarray | None = None) -> np.ndarray:
@@ -142,10 +146,13 @@ class CovarianceMatrix:
         if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0 or m.shape[-1] % 2:
             raise ValidationError(f"covariance matrix must be 2n x 2n, got shape {m.shape}")
         _check_finite_symmetric(m, "covariance matrix")
-        m = 0.5 * (m + _transpose(m))
-        nu_min = _spectrum_of(m, _check_positive_definite(m, "covariance matrix"))[..., 0]
-        scale = np.abs(m).max(axis=(-2, -1))
-        tol = np.maximum(UNCERTAINTY_TOL, _SPECTRUM_ROUNDING * np.finfo(float).eps * scale * scale)
+        # near the float64 limit a symmetrised entry that overflows fails the
+        # Cholesky check, and the spectrum's rounding band saturates at inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = 0.5 * (m + _transpose(m))
+            nu_min = _spectrum_of(m, _check_positive_definite(m, "covariance matrix"))[..., 0]
+            scale = np.abs(m).max(axis=(-2, -1))
+            tol = np.maximum(UNCERTAINTY_TOL, _SPECTRUM_ROUNDING * np.finfo(float).eps * scale * scale)
         bad = np.flatnonzero(nu_min < 1.0 - tol)
         if len(bad):
             where = f" (stack entry {bad[0]})" if m.ndim > 2 else ""
@@ -429,14 +436,16 @@ def smallest_pts_eigenvalue(cm, modes):
     """Smallest symplectic eigenvalue of the partial transpose.
 
     A value < 1 certifies entanglement across the chosen bipartition.  The
-    two-mode single-mode-transpose case uses the closed form; otherwise the
-    spectrum of the transposed matrix is computed numerically.  A float for
-    one matrix, an array over the leading axes for a stack.
+    two-mode single-mode-transpose case uses the closed form (nan where its
+    determinants overflow float64); otherwise the spectrum of the transposed
+    matrix is computed numerically.  A float for one matrix, an array over
+    the leading axes for a stack.
     """
     m = _as_matrix(cm)
     modes = list(modes)
     if m.shape[-2:] == (4, 4) and len(modes) == 1:
-        return two_mode_spectrum(m, transposed=True)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return two_mode_spectrum(m, transposed=True)[0]
     return _unstack(_spectrum_of(partial_transpose(m, modes))[..., 0])
 
 

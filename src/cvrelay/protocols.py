@@ -35,6 +35,7 @@ from .gaussian import (
     symplectic_spectrum,
 )
 from .environments import (
+    BOUNDARY_BAND,
     AdditiveEnvironment,
     ThermalEnvironment,
     _checked_family,
@@ -244,7 +245,8 @@ def evolved_cm(inp, family=None, params=None) -> CovarianceMatrix:
     params)`` builds a stack with phi = mu in one pass: ``family`` is
     ``ThermalEnvironment`` or ``AdditiveEnvironment`` and ``params`` maps its
     fields to broadcastable values, whose broadcast shape the stack takes.
-    Either way the result is validated as one ``CovarianceMatrix``.
+    Either way the result is validated as one ``CovarianceMatrix``; entries
+    past the float64 range raise NumericDegeneracyError, naming mu.
     """
     if isinstance(inp, SwapInput):
         family = _checked_family(type(inp.env))  # before vars(), which needs a __dict__
@@ -256,8 +258,11 @@ def evolved_cm(inp, family=None, params=None) -> CovarianceMatrix:
             raise ValidationError("mu must be finite and >= 1")
     t, e, h, hp = family.links(**params)
     s = np.sqrt(t)
-    ca, cb = np.sqrt(phi * phi - 1.0) * s, np.sqrt(mu * mu - 1.0) * s
-    y, x = t * phi + e, t * mu + e
+    with np.errstate(over="ignore"):
+        ca, cb = np.sqrt(phi * phi - 1.0) * s, np.sqrt(mu * mu - 1.0) * s
+        y, x = t * phi + e, t * mu + e
+    if not all(np.isfinite(v).all() for v in (ca, cb, y, x)):
+        raise NumericDegeneracyError(f"the evolved states at mu={np.max(mu):g} overflow float64")
     entries = {(0, 0): phi, (1, 1): phi, (2, 2): mu, (3, 3): mu, (4, 4): y, (5, 5): y,
                (6, 6): x, (7, 7): x, (0, 4): ca, (1, 5): -ca, (2, 6): cb, (3, 7): -cb,
                (4, 6): h, (5, 7): hp}
@@ -414,11 +419,12 @@ def repeater_bound_phi(n: float) -> float:
     """Single-repeater secret-key bound for additive-noise Gaussian links.
 
     Phi(n) = (n/2 - 1)/ln 2 - log2(n/2) for 0 < n <= 2 and 0 beyond; it
-    diverges as n -> 0 (noiseless links).
+    diverges as n -> 0 (noiseless links), and n inside the boundary band
+    below 0 reads as 0, as in ``AdditiveEnvironment``.
     """
-    if n < 0.0:
+    if n < -BOUNDARY_BAND:
         raise ValidationError("additive noise must be >= 0")
-    if n == 0.0:
+    if n <= 0.0:
         return math.inf
     if n > 2.0:
         return 0.0

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -204,7 +205,6 @@ def test_experiment_single_shot_no_crash(capsys):
     assert "error" in doc["points"][0]  # estimation impossible, reported per point
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the co-moment sums overflow on purpose
 def test_experiment_reports_overflowing_moments_per_point(capsys):
     code, out = run_cli(["experiment", "--n", "1", "--mu", "1e308", "--shots", "1000"], capsys)
     assert code == 0
@@ -513,7 +513,7 @@ def test_unreadable_config_exits_2(capsys, tmp_path, name):
     ["point", "--n", "1", "--mu", "nan"],
     ["point", "--n", "inf", "--mu", "6.5"],
     ["point", "--n", "1", "--mu=-inf"],
-    ["point", *THERMAL, "--g", "1", "--gp", "0", "--mu", "inf", "--phi", "3"],
+    ["point", *THERMAL, "--g", "1", "--gp", "0", "--mu", "inf", "--xi", "abc"],
     ["scan", "--protocol", "swap", "--tau", "1.5", "--omega", "19.38", "--mu", "6.5",
      "--g", "0:1:1", "--gp", "0:1:1"],
     ["scan", "--protocol", "qkd", "--tau", "0.9", "--omega", "0.5", "--mu", "6.5",
@@ -556,6 +556,58 @@ def test_non_finite_or_invalid_parameters_exit_2(capsys, tmp_path, argv):
     paths = {"bare_omega": tmp_path / "bare.cfg", "dump": tmp_path / "shots.csv"}
     code, out = run_cli([a.format_map(paths) for a in argv], capsys)
     assert code == 2 and json.loads(out)["error"]["code"] == 2
+
+
+# A valid command of each family per subcommand: (thermal, additive), or the
+# one family a subcommand takes.  Thermal wins when both are given, so an
+# additive option is exercised on the last command.
+_OPTION_BASES = {
+    "point": (["point", *THERMAL, "--g", "1", "--gp", "0", "--mu", "6.5"],
+              ["point", "--n", "1", "--c", "0.5", "--cp", "0", "--mu", "6.5"]),
+    "scan": (["scan", "--protocol", "swap", *THERMAL, "--g", "0:1:1", "--gp", "0:1:1", "--mu", "6.5"],
+             ["scan", "--protocol", "swap", "--n", "1", "--c", "0:1:1", "--cp", "0:1:1", "--mu", "6.5"]),
+    "thresholds": (["thresholds", "--metric", "qkd", *THERMAL, "--mu", "52", "--gp", "0", "--g", "0:1:0.5"],
+                   ["thresholds", "--metric", "qkd", "--n", "2.5", "--mu", "52", "--cp", "0", "--c", "0:1:0.5"]),
+    "experiment": (["experiment", "--n", "1", "--shots", "10"],),
+}
+
+
+def _registered_options(command) -> list:
+    """The long options the shared parser registers for one subcommand."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [s for a in sub.choices[command]._actions for s in a.option_strings
+            if s != "--help" and s.startswith("--")]
+
+
+def _with_option(argv, option, value) -> list:
+    if option not in argv:
+        return [*argv, option, value]
+    at = argv.index(option) + 1
+    return [*argv[:at], value, *argv[at + 1:]]
+
+
+@pytest.mark.parametrize("command", sorted(_OPTION_BASES))
+def test_every_registered_option_is_read_by_its_subcommand(capsys, command):
+    # a value no option accepts must reach the handler's JSON exit-2 error
+    bases = _OPTION_BASES[command]
+    for base in bases:
+        assert run_cli(base, capsys)[0] == 0, base
+    options = [o for o in _registered_options(command) if o not in ("--config", "--out", "--dump")]
+    assert options
+    for option in options:
+        argv = _with_option(bases[-1] if option in ("--n", "--c", "--cp") else bases[0], option, "abc")
+        code, out = run_cli(argv, capsys)
+        assert code == 2 and json.loads(out)["error"]["code"] == 2, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--tau", "0.9", "--omega", "19.38", "--n", "1", "--shots", "10"],
+    ["point", "--n", "1", "--mu", "6.5", "--phi", "6.5"],
+    ["point", *THERMAL, "--g", "1", "--gp", "0", "--mu", "inf", "--phi", "3"],
+])
+def test_an_option_the_subcommand_does_not_take_is_a_usage_error(capsys, argv):
+    code, out, err = _outcome(argv, capsys)
+    assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
 # Grids for the parity test, each with the kinds of row it must produce: cells
@@ -736,6 +788,8 @@ def test_quad_entanglement_scan_fills_every_physical_cell_at_mu_1e10(capsys):
 @pytest.mark.parametrize("argv", [
     ["--protocol", "bipartite", "--n", "0", "--c", "0:1:0.5", "--cp", "0:1:0.5", "--mu", "1e9"],
     ["--protocol", "tripartite", "--n", "0", "--c", "0:1:0.5", "--cp", "0:1:0.5", "--mu", "1e12"],
+    ["--protocol", "bipartite", "--n", "1e308", "--c", "-1:1:0.5", "--cp", "-1:1:0.5", "--mu", "52"],
+    ["--protocol", "tripartite", "--n", "1e308", "--c", "-1:1:0.5", "--cp", "-1:1:0.5", "--mu", "52"],
 ])
 def test_matrix_scans_beyond_float64_exit_3(capsys, argv):
     # every cell is physical, but a float64 matrix cannot hold these states
@@ -781,13 +835,36 @@ def test_thresholds_qkd_points_bracket_a_sign_change(capsys, argv):
     ["point", "--tau", "0.9", "--omega", "1e308", "--g", "0", "--gp", "0", "--mu", "52"],
     ["scan", "--protocol", "qkd", "--n", "1", "--c", "0:1:0.5", "--cp", "0:1:0.5", "--mu", "1e200"],
     ["thresholds", "--metric", "qkd", "--n", "1", "--c", "0:1:0.5", "--cp", "-1:1:0.5", "--mu", "1e308"],
+    ["scan", "--protocol", "qkd", "--n", "1e308", "--c", "-1:1:0.5", "--cp", "-1:1:0.5", "--mu", "52"],
+    ["scan", "--protocol", "quad-entanglement", "--tau", "0.9", "--g", "-1:1:1", "--gp", "-1:1:1", "--omega", "1e308"],
+    ["scan", "--protocol", "quad-entanglement", "--tau", "0.9", "--g", "-1:1:1", "--gp", "-1:1:1", "--mu", "52",
+     "--omega", "1e200"],
 ])
 def test_closed_form_overflow_exits_3(capsys, argv):
-    # valid input whose closed forms float64 cannot hold: no nan with exit 0
+    # valid input whose closed forms float64 cannot hold: no nan with exit 0;
+    # the message names the last flag, the parameter that overflows
     code, out = run_cli(argv, capsys)
     error = json.loads(out)["error"]
     assert code == 3 and error["code"] == 3
-    assert f"mu={float(argv[-1]):g}" in error["message"]
+    assert f"{argv[-2].lstrip('-')}={float(argv[-1]):g}" in error["message"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_experiment_reports_overflowing_noise_per_point(capsys):
+    code, out = run_cli(["experiment", "--n", "1e308", "--c", "1", "--cp", "1", "--shots", "1000"], capsys)
+    assert code == 0
+    assert json.loads(out)["points"][0]["error"] == "joint second moments are not finite"
+
+
+def test_experiment_reads_a_band_edge_n_as_zero(capsys):
+    # n inside the boundary band below 0 is the edge n = 0, as for point and scan
+    argv = ["--c", "0.5", "--cp", "0.5", "--eta", "0.98", "--shots", "20000", "--seed", "3"]
+    code, out = run_cli(["experiment", "--n=-9e-10", *argv], capsys)
+    assert code == 0
+    point = json.loads(out)["points"][0]
+    edge = json.loads(run_cli(["experiment", "--n", "0", *argv], capsys)[1])["points"][0]
+    assert point.pop("n") == -9e-10 and edge.pop("n") == 0.0
+    assert "error" not in point and point == edge
 
 
 def test_experiment_reports_a_singular_heterodyne_block_per_point(capsys):
@@ -830,7 +907,7 @@ _FUZZ_BASES = {
     "experiment": ({"--n": "0:1:0.5", "--c": "1", "--cp": "1", "--mu": "52", "--shots": "1000"},),
 }
 _FUZZ_FLAGS = {
-    "point": ["--tau", "--omega", "--g", "--gp", "--n", "--c", "--cp", "--mu", "--xi", "--phi"],
+    "point": ["--tau", "--omega", "--g", "--gp", "--n", "--c", "--cp", "--mu", "--xi"],
     "scan": ["--tau", "--omega", "--g", "--gp", "--n", "--c", "--cp", "--mu", "--xi", "--threads"],
     "thresholds": ["--tau", "--omega", "--g", "--gp", "--n", "--c", "--cp", "--mu", "--xi"],
     "experiment": ["--n", "--c", "--cp", "--mu", "--xi", "--eta", "--seed", "--chunk-shots", "--shots"],
@@ -856,7 +933,7 @@ def _fuzz_argv(draw):
 
 @settings(max_examples=300)
 @given(_fuzz_argv())
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # open: kappas and co-moments overflow at 1e308
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_argv_ends_in_a_contract_exit_code(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

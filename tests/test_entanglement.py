@@ -326,3 +326,10 @@ def test_stacked_thermal_states_equal_single_cells(tau, omega, mu, cells):
 def test_stacked_additive_states_equal_single_cells(n, mu, cells):
     c, cp = (np.array(v) for v in zip(*cells))
     _assert_stack_matches_cells(mu, AdditiveEnvironment, {"n": n, "c": c, "cp": cp})
+
+
+def test_quad_sigma_functions_overflow_to_inf_instead_of_raising():
+    # r^4 past float64 is inf, so sigma' and sigma'' are the finite f
+    with np.errstate(over="ignore"):
+        funcs = ent.quad_sigma_functions(0.5, 1e100, 0.0, 0.0)
+    assert np.isinf(funcs["zeta"]) and funcs["sigma_prime"] == funcs["f"] == funcs["sigma_double_prime"]

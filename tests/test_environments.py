@@ -159,3 +159,15 @@ def test_boundary_flagging():
     w = 19.38
     env = ThermalEnvironment(0.9, w, w - 1.0, -(w - 1.0))
     assert env.is_boundary
+
+
+def test_additive_classical_cm_past_an_edge_is_the_edge_cm():
+    # inside the boundary band, past n = 0 or |c| = 1: the link map's clamp
+    edge = envs.additive_env_classical_cm(AdditiveEnvironment(2.0, 1.0, -1.0))
+    assert np.array_equal(envs.additive_env_classical_cm(AdditiveEnvironment(2.0, 1.0 + 5e-10, -1.0 - 5e-10)), edge)
+    assert np.array_equal(envs.additive_env_classical_cm(AdditiveEnvironment(-9e-10, 0.5, 0.5)), np.zeros((4, 4)))
+
+
+def test_environment_mutual_information_that_overflows_raises_numeric_degeneracy():
+    with pytest.raises(g.NumericDegeneracyError, match="omega=1e\\+200"):
+        envs.env_mutual_information(ThermalEnvironment(0.9, 1e200, 1.0, -1.0))

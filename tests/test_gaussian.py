@@ -486,3 +486,9 @@ def test_singular_conditioning_blocks_raise_numeric_degeneracy():
     st_ = GaussianState(np.zeros(4), g.direct_sum(g.vacuum_cm(1), CovarianceMatrix(np.diag([1e14, 1e-14]))))
     with pytest.raises(NumericDegeneracyError, match="^heterodyne conditioning block is singular$"):
         g.condition_on_gaussian_measurement(st_, [1], "heterodyne")
+
+
+def test_a_matrix_whose_symmetrisation_overflows_fails_the_cholesky_check():
+    # finite entries whose symmetrisation m + m^T is past float64: a non-finite factor
+    with pytest.raises(g.NotPositiveDefiniteError):
+        g.CovarianceMatrix(np.diag([1.5e308, 1.5e308, 2.0, 2.0]))

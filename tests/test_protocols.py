@@ -377,6 +377,14 @@ def test_repeater_bound():
         prot.repeater_bound_phi(-1.0)
 
 
+def test_repeater_bound_reads_the_boundary_band_below_zero_as_noiseless():
+    from cvrelay.environments import BOUNDARY_BAND
+
+    assert math.isinf(prot.repeater_bound_phi(-0.9 * BOUNDARY_BAND))
+    with pytest.raises(ValidationError, match="additive noise must be >= 0"):
+        prot.repeater_bound_phi(-1.1 * BOUNDARY_BAND)
+
+
 def test_protocol_report_flags_consistent():
     rng = np.random.default_rng(61)
     for _ in range(50):
@@ -520,3 +528,8 @@ def test_mirrored_environment_is_the_conjugate_bell_detection(thermal, tau, omeg
     mirrored = bell_conditioned(SwapInput(inp.mu, inp.env.mirrored()))
     mirrored = g.apply_symplectic(mirrored, g.expand_symplectic(g.rotation(math.pi), [1], 2))
     assert np.abs(conjugate.cm.m - mirrored.cm.m).max() < 1e-10
+
+
+def test_evolved_states_past_float64_raise_numeric_degeneracy():
+    with pytest.raises(g.NumericDegeneracyError, match="mu=1e\\+308"):
+        prot.evolved_cm(1e308, AdditiveEnvironment, {"n": 1.0, "c": 0.0, "cp": 0.0})
