@@ -19,6 +19,7 @@ success, 2 validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -51,6 +52,8 @@ SCAN_PROTOCOLS = tuple(_METRIC_COLUMNS)
 # protocols whose columns come from relay_metrics, and the renamed columns' keys
 _CLOSED_FORM = ("swap", "teleport", "distill", "qkd", "qkd-asymptotic")
 _METRIC_KEYS = {"epsilon_opt": "epsilon", "rate_opt": "key_rate", "rate_lb": "key_rate_lb"}
+_BIT_TEXT = np.array(["0", "1"], dtype=object)
+_FLAG_TEXT = np.array(["0", "1", "marginal"], dtype=object)  # text of each prot.FLAG_VALUES code
 
 
 def _fmt(value) -> str:
@@ -72,8 +75,8 @@ def _fmt_all(values) -> list:
     if a.dtype.kind == "f":
         return [f"{x:.12g}" for x in a.tolist()]
     if a.dtype.kind == "b":
-        return ["1" if x else "0" for x in a.tolist()]
-    return list(map(str if a.dtype.kind in "iu" else _fmt, a.tolist()))
+        return _BIT_TEXT[a.astype(np.intp)].tolist()
+    return list(map(str, a.tolist()))  # integers and text
 
 
 def _jsonable(value):
@@ -187,12 +190,19 @@ def _env_summary(env) -> dict:
     return {"kind": "additive", **vars(env), "separable": True}
 
 
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, created on entry, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+
+
 def _write_text(args, text: str):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +313,11 @@ def _matrix_columns(protocol, grid: _Grid, coords, mu) -> list:
     return [class_id, certified]
 
 
-def _column(values, cells: list, size: int) -> list:
-    """Formatted column with ``values`` at ``cells`` and blanks elsewhere."""
-    out = [""] * size
-    for i, text in zip(cells, _fmt_all(values)):
-        out[i] = text
-    return out
+def _coordinate_columns(axis_text: list, cells) -> list:
+    """Coordinate text of the row-major grid cells ``cells``, looked up in the
+    text of each axis (object arrays, outermost axis first)."""
+    shape = tuple(map(len, axis_text))
+    return [text[i] for text, i in zip(axis_text, np.unravel_index(cells, shape))]
 
 
 def cmd_scan(args) -> int:
@@ -335,13 +344,28 @@ def cmd_scan(args) -> int:
     physical, separable, boundary = grid.masks(coords)
     metrics = _metric_columns(protocol, grid, [c[physical] for c in coords], mu, xi)
 
-    cells, size = np.flatnonzero(physical).tolist(), len(physical)
-    columns = [_fmt_all(c) for c in (*coords, physical)]
-    columns += [_column(col[physical], cells, size) for col in (separable, boundary)]
-    columns += [_column(col, cells, size) for col in metrics]
-    header = [*grid.names, "physical", "separable", "boundary", *_METRIC_COLUMNS[protocol]]
-    lines = [",".join(header), *map(",".join, zip(*columns))]
-    _write_text(args, "\r\n".join(lines) + "\r\n")
+    # Every printed value is formatted once: the coordinates per axis, the
+    # other columns over their physical cells, MATRIX_BLOCK rows at a time,
+    # so the text held in memory stays bounded.  Flag codes are looked up.
+    names = _METRIC_COLUMNS[protocol]
+    columns = [(separable[physical], _fmt_all), (boundary[physical], _fmt_all)]
+    columns += [(col, _FLAG_TEXT.take if name in prot.FLAG_KEYS else _fmt_all)
+                for col, name in zip(metrics, names)]
+    axis_text = [np.array(_fmt_all(axis), dtype=object) for axis in grid.axes]
+    size, lo = len(physical), 0
+    with _output(args) as fh:
+        fh.write(",".join([*grid.names, "physical", "separable", "boundary", *names]) + "\r\n")
+        for at in range(0, size, MATRIX_BLOCK):
+            cells = np.arange(at, min(at + MATRIX_BLOCK, size))
+            phys = physical[cells]
+            hi = lo + np.count_nonzero(phys)
+            block = [*_coordinate_columns(axis_text, cells), _BIT_TEXT[phys.astype(np.intp)]]
+            for col, spell in columns:
+                out = np.full(len(cells), "", dtype=object)
+                out[phys] = spell(col[lo:hi])
+                block.append(out)
+            fh.write("\r\n".join(map(",".join, zip(*(b.tolist() for b in block)))) + "\r\n")
+            lo = hi
     return 0
 
 

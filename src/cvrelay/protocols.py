@@ -44,6 +44,8 @@ from .environments import (
 )
 
 FLAG_GUARD = 1e-12  # open-inequality guard band for protocol success flags
+FLAG_KEYS = ("swap_ok", "tele_quantum", "distill_ok", "qkd_ok")  # relay_metrics keys of the flags
+FLAG_VALUES = (False, True, "marginal")  # the success flag each relay_metrics flag code stands for
 
 _I2 = np.eye(2)
 
@@ -117,11 +119,10 @@ class ProtocolReport:
 
 
 def _flag(value, threshold, want_greater: bool):
-    """Success flags, elementwise: True, False, or "marginal" inside the guard band."""
+    """Success flags, elementwise, as int8 codes into ``FLAG_VALUES``: 1 (True),
+    0 (False), or 2 ("marginal") inside the guard band."""
     gap = np.asarray((value - threshold) if want_greater else (threshold - value))
-    flags = np.array((gap > 0.0).tolist(), dtype=object)  # Python bools, as JSON wants
-    flags[np.abs(gap) <= FLAG_GUARD] = "marginal"
-    return flags
+    return np.where(np.abs(gap) <= FLAG_GUARD, 2, gap > 0.0).astype(np.int8)
 
 
 def _nu_pair(mu, k, kp):
@@ -134,9 +135,10 @@ def relay_metrics(mu, k, kp, xi: float = 1.0) -> dict:
 
     Returns arrays keyed like ``ProtocolReport``: epsilon, log_neg, fidelity,
     coherent_info, mutual_info_ab, holevo_eve, key_rate, key_rate_lb and
-    the four success flags.  At finite mu the fidelity is pinned to 1/2 at
-    mu = 1, where there is no entanglement resource, and key_rate_lb is
-    None.  ``mu = inf`` gives the large-mu set: epsilon_opt = sqrt(kappa
+    the four success flags (``FLAG_KEYS``) as int8 codes into
+    ``FLAG_VALUES``.  At finite mu the fidelity is pinned to 1/2 at mu = 1,
+    where there is no entanglement resource, and key_rate_lb is None.
+    ``mu = inf`` gives the large-mu set: epsilon_opt = sqrt(kappa
     kappa'), ideal-reconciliation rate R_opt with its epsilon-only lower
     bound R_LB, infinite mutual information and Holevo terms, and xi is
     ignored.  A figure that float64 cannot hold comes out nan, and then
@@ -449,13 +451,13 @@ def protocol_report_asymptotic(env) -> ProtocolReport:
     return _report(relay_metrics(math.inf, k, kp), k, kp, math.inf, 1.0)
 
 
-# relay_metrics keys of the report's figures, in field order, and of its flags
+# relay_metrics keys of the report's figures, in field order
 _FIGURES = ("epsilon", "log_neg", "fidelity", "coherent_info", "mutual_info_ab", "holevo_eve",
             "key_rate")
-_FLAGS = ("swap_ok", "tele_quantum", "distill_ok", "qkd_ok")
 
 
 def _report(m: dict, k: float, kp: float, mu: float, xi: float) -> ProtocolReport:
     lb = m["key_rate_lb"]
-    return ProtocolReport(mu, xi, k, kp, *(float(m[name]) for name in _FIGURES),
-                          {name: m[name].item() for name in _FLAGS}, None if lb is None else float(lb))
+    flags = {name: FLAG_VALUES[m[name].item()] for name in FLAG_KEYS}
+    return ProtocolReport(mu, xi, k, kp, *(float(m[name]) for name in _FIGURES), flags,
+                          None if lb is None else float(lb))

@@ -374,6 +374,22 @@ def test_column_formatter_equals_the_value_formatter():
         assert _fmt_all(column) == [_fmt(v) for v in column.tolist()]
 
 
+@pytest.mark.parametrize("axes", [
+    [[-0.0, 1e-300, 0.5, 2.0]],  # an additive n axis
+    [[0.25, -0.0, 1e-300], [1.0 / 3.0, -0.0, 1e-300, -2.5, 7.0]],  # a ragged 3x5 plane
+])
+def test_coordinate_text_equals_the_value_formatter_of_every_grid_cell(axes):
+    from cvrelay.cli import _coordinate_columns, _fmt, _fmt_all
+
+    axes = [np.array(a) for a in axes]
+    axis_text = [np.array(_fmt_all(a), dtype=object) for a in axes]
+    grid = [c.ravel() for c in np.meshgrid(*axes, indexing="ij")]
+    # the whole grid, and a block that starts and ends inside rows
+    for cells in (np.arange(len(grid[0])), np.arange(2, len(grid[0]) - 1)):
+        columns = _coordinate_columns(axis_text, cells)
+        assert [c.tolist() for c in columns] == [[_fmt(v) for v in g[cells].tolist()] for g in grid]
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out = run_cli(
@@ -752,6 +768,45 @@ def test_matrix_scan_output_does_not_depend_on_the_block_size(capsys, monkeypatc
     whole = run_cli(argv, capsys)
     monkeypatch.setattr("cvrelay.cli.MATRIX_BLOCK", 7)
     assert run_cli(argv, capsys) == whole
+
+
+@pytest.mark.parametrize("protocol", ["swap", "qkd-asymptotic"])
+@pytest.mark.parametrize("grid", ["c-plane", "n-axis"])
+def test_closed_form_scan_output_does_not_depend_on_the_block_size(capsys, monkeypatch, protocol, grid):
+    # the scan writes its rows MATRIX_BLOCK at a time; blocks of 1 and 7 rows
+    # start and end inside the runs of non-physical cells
+    argv = ["scan", "--protocol", protocol, "--mu", "6.5", *PARITY_GRIDS[grid][0]]
+    whole = run_cli(argv, capsys)
+    for block in (1, 7):
+        monkeypatch.setattr("cvrelay.cli.MATRIX_BLOCK", block)
+        assert run_cli(argv, capsys) == whole
+
+
+def test_scan_spells_the_flag_codes(capsys):
+    from cvrelay import protocols as prot
+    from cvrelay.cli import _FLAG_TEXT
+
+    guard = prot.FLAG_GUARD
+    outside = np.nextafter(guard, np.inf)
+    codes = prot._flag(np.array([guard, -guard, 0.0, outside, -outside]), 0.0, want_greater=True)
+    assert _FLAG_TEXT.take(codes).tolist() == ["marginal", "marginal", "marginal", "1", "0"]
+    # epsilon is exactly 1 at n = 1, c = c' = 0: swap_ok is marginal there only
+    code, out = run_cli(["scan", "--protocol", "swap", "--n", "1", "--c", "-1:1:1", "--cp", "-1:1:1",
+                         "--mu", "6.5"], capsys)
+    assert code == 0
+    flags = {tuple(row[:2]): row[-1] for row in (line.split(",") for line in out.split("\r\n")[1:-1])}
+    assert flags == {("-1", "-1"): "1", ("-1", "0"): "0", ("-1", "1"): "0", ("0", "-1"): "1",
+                     ("0", "0"): "marginal", ("0", "1"): "0", ("1", "-1"): "1", ("1", "0"): "1",
+                     ("1", "1"): "1"}
+
+
+def test_a_scan_that_exits_3_writes_no_out_file(capsys, tmp_path):
+    # every metric column is computed before the output file is opened
+    path = tmp_path / "scan.csv"
+    code, out = run_cli(["scan", "--protocol", "qkd", "--n", "1", "--c", "0:1:0.5", "--cp", "0:1:0.5",
+                         "--mu", "1e308", "--out", str(path)], capsys)
+    assert code == 3 and json.loads(out)["error"]["code"] == 3
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("flag", ["--shots", "--seed", "--chunk-shots"])

@@ -1,6 +1,7 @@
 """Golden outputs: the sha256 of every README command's stdout, of the seed-1
-commands of every benchmark workload and of a chunked ``--dump``, against
-the digests committed in ``golden_digests.json``.
+commands of every benchmark workload, of scans and a point with guard-band
+flags, and of a chunked ``--dump``, against the digests committed in
+``golden_digests.json``.
 
 A digest that moves is an output change; make it on purpose and rewrite the
 file with
@@ -42,6 +43,15 @@ README = [
     ["experiment", "--n", "0:4:0.25", "--mu", "52", "--c", "1", "--cp", "1", "--eta", "0.98",
      "--xi", "0.97", "--shots", "10000", "--seed", "42"],
 ]
+# scans whose flags sit in the guard band ("marginal" at n = 1, c = c' = 0) and
+# whose fidelity is pinned to 1/2 at mu = 1; a plane of more than MATRIX_BLOCK
+# rows; a point whose swap_ok is "marginal"
+C_PLANE = ["--n", "1", "--c", "-1.5:1.5:0.5", "--cp", "-1.5:1.5:0.5"]
+FLAGS = [["scan", "--protocol", protocol, *C_PLANE, "--mu", mu]
+         for protocol in ("swap", "teleport", "distill") for mu in ("1", "6.5")]
+FLAGS += [["scan", "--protocol", "qkd", *THERMAL, "--g", "-17.25:17.25:0.5", "--gp", "-17.25:17.25:0.5",
+           "--mu", "52"],
+          ["point", "--n", "1", "--c", "0", "--cp", "0", "--mu", "6.5"]]
 # a dumped point cut off the moment-block grid and on it; {dump} is the CSV path
 DUMPS = [["experiment", "--n", "1", "--mu", "52", "--shots", "70000", "--seed", "5",
           "--chunk-shots", chunk, "--dump", "{dump}"] for chunk in ("777", "65536")]
@@ -59,7 +69,7 @@ def _sha256(data: bytes) -> str:
 def output_digests(tmp_dir: Path) -> dict[str, str]:
     """Digest of each command's stdout, keyed by its argv, and of each dump CSV."""
     digests = {}
-    for argv in README + _workload_commands() + DUMPS:
+    for argv in README + _workload_commands() + FLAGS + DUMPS:
         key = " ".join(argv)
         dump = tmp_dir / "shots.csv"
         buf = io.StringIO()

@@ -408,6 +408,27 @@ def test_protocol_report_marginal_flag():
     assert rep.flags["swap_ok"] == "marginal"  # epsilon exactly 1
 
 
+def test_flag_codes_at_the_guard_band():
+    # gaps exactly on the band's edges and at its centre are marginal (code 2),
+    # one ulp outside it they are True (1) or False (0), whichever way the
+    # inequality points
+    guard, outside = prot.FLAG_GUARD, np.nextafter(prot.FLAG_GUARD, np.inf)
+    gaps = np.array([guard, -guard, 0.0, outside, -outside])
+    for codes in (prot._flag(gaps, 0.0, want_greater=True), prot._flag(-gaps, 0.0, want_greater=False)):
+        assert codes.dtype == np.int8 and codes.tolist() == [2, 2, 2, 1, 0]
+    # a report maps each code to the Python object, as JSON wants it
+    m = prot.relay_metrics(6.5, 2.0, 3.0)
+    m.update(zip(prot.FLAG_KEYS, prot._flag(gaps[[0, 2, 3, 4]], 0.0, want_greater=True)))
+    rep = prot._report(m, 2.0, 3.0, 6.5, 1.0)
+    assert [rep.flags[key] for key in prot.FLAG_KEYS] == ["marginal", "marginal", True, False]
+    assert rep.flags["swap_ok"] is prot.FLAG_VALUES[2] and rep.flags["tele_quantum"] is prot.FLAG_VALUES[2]
+    assert rep.flags["distill_ok"] is True and rep.flags["qkd_ok"] is False
+    # and so does the report of a point whose epsilon is exactly 1
+    flags = prot.protocol_report(SwapInput(6.5, AdditiveEnvironment(1.0, 0.0, 0.0)), 1.0).flags
+    assert flags["swap_ok"] is prot.FLAG_VALUES[2]
+    assert all(flags[key] is False for key in ("tele_quantum", "distill_ok", "qkd_ok"))
+
+
 def test_protocol_report_asymptotic():
     rep = prot.protocol_report_asymptotic(EB_ENV)
     assert rep.mu == math.inf
