@@ -3,10 +3,11 @@
 Subcommands: ``point`` (all analyzers at one parameter point, JSON),
 ``scan`` (correlation-plane or noise-axis grids, CSV), ``thresholds``
 (zero contours by bisection, CSV) and ``experiment`` (shot-level sweep,
-JSON plus optional shot dump).  Scans and contours evaluate the closed
-forms over whole grids at once through ``protocols.relay_metrics``; the
-finite-mu entanglement scans evaluate stacks of covariance matrices, one
-block of cells at a time.
+JSON plus optional shot dump).  A scan runs one loop over its grid,
+``MATRIX_BLOCK`` cells at a time: the masks, then the metric columns of the
+block's physical cells (the closed forms of ``protocols.relay_metrics``,
+the analytic quadripartite classifier, or one stack of covariance
+matrices).  Contours sample the closed forms over their grid at once.
 
 Flags carry the symbols used throughout the library (--tau, --omega, --g,
 --gp, --mu, --xi for the thermal family; --n, --c, --cp for the additive
@@ -36,7 +37,7 @@ from .gaussian import NotPositiveDefiniteError, NumericDegeneracyError, Validati
 
 BISECTION_TOL = 1e-6
 MAX_CELLS = 1_000_000  # largest axis, and largest grid, a run accepts
-MATRIX_BLOCK = 4096  # cells per stacked covariance-matrix pass; bounds scan memory
+MATRIX_BLOCK = 4096  # grid cells per scan block; bounds a scan's temporaries
 
 _METRIC_COLUMNS = {
     "swap": ["epsilon", "log_neg", "swap_ok"],
@@ -49,9 +50,6 @@ _METRIC_COLUMNS = {
     "tripartite": ["tri_class", "tri_certified"],
 }
 SCAN_PROTOCOLS = tuple(_METRIC_COLUMNS)
-# protocols whose columns come from relay_metrics, and the renamed columns' keys
-_CLOSED_FORM = ("swap", "teleport", "distill", "qkd", "qkd-asymptotic")
-_METRIC_KEYS = {"epsilon_opt": "epsilon", "rate_opt": "key_rate", "rate_lb": "key_rate_lb"}
 _BIT_TEXT = np.array(["0", "1"], dtype=object)
 _FLAG_TEXT = np.array(["0", "1", "marginal"], dtype=object)  # text of each prot.FLAG_VALUES code
 
@@ -271,30 +269,26 @@ def _grid(args, n_axis: bool) -> _Grid:
 # scan
 
 
-def _metric_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
-    """Metric columns of a scan over its physical cells."""
-    if protocol in _CLOSED_FORM:
-        k, kp = grid.kappas(coords)
-        m = prot.relay_metrics(math.inf if protocol == "qkd-asymptotic" else mu, k, kp, xi)
-        return [m[_METRIC_KEYS.get(col, col)] for col in _METRIC_COLUMNS[protocol]]
-    if protocol == "quad-entanglement" and mu == math.inf:
-        g, gp = coords
-        tau, omega = grid.fixed["tau"], grid.fixed["omega"]
-        return [envs.thermal_mutual_information(omega, g, gp),
-                *ent.quadripartite_regions(tau, omega, g, gp)]
-    blocks = [_matrix_columns(protocol, grid, [c[at : at + MATRIX_BLOCK] for c in coords], mu)
-              for at in range(0, max(len(coords[0]), 1), MATRIX_BLOCK)]
-    return [np.concatenate(column) for column in zip(*blocks)]
+def _block_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
+    """Metric columns of a scan over ``coords``, the physical cells of one block.
 
-
-def _matrix_columns(protocol, grid: _Grid, coords, mu) -> list:
-    """Columns of the covariance-matrix protocols over one block of cells:
-    one stacked build of the evolved states, then stacked tests.
-
-    The cells have passed the family's ``physical`` mask, so their states
-    are positive definite in exact arithmetic, and a failed Cholesky
-    factorisation of the stack is a float64 failure rather than bad input.
+    The closed forms and asymptotic quad-entanglement are array formulas.
+    The other protocols build the block's evolved states as one stack and
+    test it.  Those cells have passed the family's ``physical`` mask, so
+    their states are positive definite in exact arithmetic, and a failed
+    Cholesky factorisation of the stack is a float64 failure rather than
+    bad input.
     """
+    if protocol in ("swap", "teleport", "distill", "qkd"):
+        m = prot.relay_metrics(mu, *grid.kappas(coords), xi)
+        return [m[name] for name in _METRIC_COLUMNS[protocol]]
+    if protocol == "qkd-asymptotic":
+        m = prot.relay_metrics(math.inf, *grid.kappas(coords))
+        return [m["epsilon"], m["key_rate"], m["key_rate_lb"], m["qkd_ok"]]
+    if mu == math.inf:  # quad-entanglement, from the analytic classifier
+        tau, omega = grid.fixed["tau"], grid.fixed["omega"]
+        return [envs.thermal_mutual_information(omega, *coords),
+                *ent.quadripartite_regions(tau, omega, *coords)]
     try:
         cm = prot.evolved_cm(mu, grid.family, grid.params(coords))
     except NotPositiveDefiniteError as exc:
@@ -313,11 +307,11 @@ def _matrix_columns(protocol, grid: _Grid, coords, mu) -> list:
     return [class_id, certified]
 
 
-def _coordinate_columns(axis_text: list, cells) -> list:
-    """Coordinate text of the row-major grid cells ``cells``, looked up in the
-    text of each axis (object arrays, outermost axis first)."""
-    shape = tuple(map(len, axis_text))
-    return [text[i] for text, i in zip(axis_text, np.unravel_index(cells, shape))]
+def _coordinate_columns(axes: list, cells) -> list:
+    """Coordinates of the row-major grid cells ``cells``, looked up in each
+    axis (outermost first): in its values, or in their text."""
+    shape = tuple(map(len, axes))
+    return [axis[i] for axis, i in zip(axes, np.unravel_index(cells, shape))]
 
 
 def cmd_scan(args) -> int:
@@ -340,32 +334,32 @@ def cmd_scan(args) -> int:
         raise ValidationError("quad-entanglement scans are defined for the thermal family")
     if len(grid.axes) == 2 and min(len(a) for a in grid.axes) < 2:
         raise ValidationError("scan axes need at least 2 points each")
-    coords = [c.ravel() for c in np.meshgrid(*grid.axes, indexing="ij")]  # row-major
-    physical, separable, boundary = grid.masks(coords)
-    metrics = _metric_columns(protocol, grid, [c[physical] for c in coords], mu, xi)
+    # One loop evaluates the grid MATRIX_BLOCK cells at a time, in row-major
+    # order, and holds only the physical cells' columns.  Every block is
+    # evaluated before the first byte is written, so a failed scan writes
+    # nothing; then each printed value is formatted once, block by block.
+    size = math.prod(map(len, grid.axes))
+    evaluated = []
+    for at in range(0, size, MATRIX_BLOCK):
+        coords = _coordinate_columns(grid.axes, np.arange(at, min(at + MATRIX_BLOCK, size)))
+        physical, separable, boundary = grid.masks(coords)
+        metrics = _block_columns(protocol, grid, [c[physical] for c in coords], mu, xi)
+        evaluated.append((at, physical, [separable[physical], boundary[physical], *metrics]))
 
-    # Every printed value is formatted once: the coordinates per axis, the
-    # other columns over their physical cells, MATRIX_BLOCK rows at a time,
-    # so the text held in memory stays bounded.  Flag codes are looked up.
     names = _METRIC_COLUMNS[protocol]
-    columns = [(separable[physical], _fmt_all), (boundary[physical], _fmt_all)]
-    columns += [(col, _FLAG_TEXT.take if name in prot.FLAG_KEYS else _fmt_all)
-                for col, name in zip(metrics, names)]
+    spells = [_fmt_all, _fmt_all]  # separable, boundary; flag codes are looked up
+    spells += [_FLAG_TEXT.take if name in prot.FLAG_KEYS else _fmt_all for name in names]
     axis_text = [np.array(_fmt_all(axis), dtype=object) for axis in grid.axes]
-    size, lo = len(physical), 0
     with _output(args) as fh:
         fh.write(",".join([*grid.names, "physical", "separable", "boundary", *names]) + "\r\n")
-        for at in range(0, size, MATRIX_BLOCK):
-            cells = np.arange(at, min(at + MATRIX_BLOCK, size))
-            phys = physical[cells]
-            hi = lo + np.count_nonzero(phys)
-            block = [*_coordinate_columns(axis_text, cells), _BIT_TEXT[phys.astype(np.intp)]]
-            for col, spell in columns:
+        for at, physical, columns in evaluated:
+            cells = np.arange(at, at + len(physical))
+            block = [*_coordinate_columns(axis_text, cells), _BIT_TEXT[physical.astype(np.intp)]]
+            for col, spell in zip(columns, spells):
                 out = np.full(len(cells), "", dtype=object)
-                out[phys] = spell(col[lo:hi])
+                out[physical] = spell(col)
                 block.append(out)
             fh.write("\r\n".join(map(",".join, zip(*(b.tolist() for b in block)))) + "\r\n")
-            lo = hi
     return 0
 
 

@@ -80,7 +80,10 @@ def _unstack(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
-def _check_finite_symmetric(m: np.ndarray, what: str):
+def _check_2n_symmetric(m: np.ndarray, what: str):
+    """A stack shaped (..., 2n, 2n) of finite, symmetric matrices, or a ValidationError."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0 or m.shape[-1] % 2:
+        raise ValidationError(f"{what} must be 2n x 2n, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError(f"{what} has non-finite entries")
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
@@ -143,9 +146,7 @@ class CovarianceMatrix:
 
     def __init__(self, entries):
         m = np.array(entries, dtype=float)
-        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0 or m.shape[-1] % 2:
-            raise ValidationError(f"covariance matrix must be 2n x 2n, got shape {m.shape}")
-        _check_finite_symmetric(m, "covariance matrix")
+        _check_2n_symmetric(m, "covariance matrix")
         # near the float64 limit a symmetrised entry that overflows fails the
         # Cholesky check, and the spectrum's rounding band saturates at inf
         with np.errstate(over="ignore", invalid="ignore"):
@@ -349,11 +350,12 @@ def permute_modes(state: GaussianState, order) -> GaussianState:
 def symplectic_spectrum(cm) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, ascending.
 
-    Raw arrays are accepted but must be finite, symmetric positive definite.
+    Raw arrays are accepted but must be shaped (..., 2n, 2n), finite,
+    symmetric and positive definite.
     """
     m = _as_matrix(cm)
     if not isinstance(cm, CovarianceMatrix):
-        _check_finite_symmetric(m, "matrix")
+        _check_2n_symmetric(m, "matrix")
     return _spectrum_of(m)
 
 

@@ -141,10 +141,13 @@ def relay_metrics(mu, k, kp, xi: float = 1.0) -> dict:
     ``mu = inf`` gives the large-mu set: epsilon_opt = sqrt(kappa
     kappa'), ideal-reconciliation rate R_opt with its epsilon-only lower
     bound R_LB, infinite mutual information and Holevo terms, and xi is
-    ignored.  A figure that float64 cannot hold comes out nan, and then
-    NumericDegeneracyError is raised, naming mu.
+    ignored.  A negative or nan kappa raises ValidationError.  A figure that
+    float64 cannot hold comes out nan, and then NumericDegeneracyError is
+    raised, naming mu.
     """
     k, kp = np.asarray(k, float), np.asarray(kp, float)
+    if not (np.all(k >= 0.0) and np.all(kp >= 0.0)):
+        raise ValidationError("kappa and kappa' must be >= 0, got a negative or nan value")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if np.ndim(mu) == 0 and mu == math.inf:
             out = _large_mu_metrics(k, kp)
@@ -424,8 +427,8 @@ def repeater_bound_phi(n: float) -> float:
     diverges as n -> 0 (noiseless links), and n inside the boundary band
     below 0 reads as 0, as in ``AdditiveEnvironment``.
     """
-    if n < -BOUNDARY_BAND:
-        raise ValidationError("additive noise must be >= 0")
+    if not n >= -BOUNDARY_BAND:
+        raise ValidationError(f"additive noise must be >= 0, got {n!r}")
     if n <= 0.0:
         return math.inf
     if n > 2.0:

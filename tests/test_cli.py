@@ -566,6 +566,9 @@ def test_unreadable_config_exits_2(capsys, tmp_path, name):
     ["thresholds", "--metric", "qkd", *THERMAL, "--mu", "52", "--gp", "-INFINITY", "--g", "0:1:0.5"],
     ["experiment", "--n", "1", "--c", "-NaN", "--shots", "10"],
     ["point", "--n", "1", "--c", "-1_0", "--mu", "6.5"],
+    # no cell is physical, and omega lies below omega_EB
+    ["scan", "--protocol", "quad-entanglement", "--tau", "0.9", "--omega", "10", "--g", "50:60:5",
+     "--gp", "50:60:5"],
 ])
 def test_non_finite_or_invalid_parameters_exit_2(capsys, tmp_path, argv):
     (tmp_path / "bare.cfg").write_text("omega\n", encoding="utf-8")  # a key without a value
@@ -762,9 +765,12 @@ def test_matrix_scan_rows_match_the_per_cell_api(capsys, name):
     assert features <= seen
 
 
-@pytest.mark.parametrize("protocol", ["quad-entanglement", "bipartite", "tripartite"])
-def test_matrix_scan_output_does_not_depend_on_the_block_size(capsys, monkeypatch, protocol):
-    argv = ["scan", "--protocol", protocol, "--mu", "6.5", *MATRIX_GRIDS["thermal-above-eb"][0]]
+@pytest.mark.parametrize("protocol, mu", [
+    *(pytest.param(p, "6.5", id=p) for p in ("quad-entanglement", "bipartite", "tripartite")),
+    pytest.param("quad-entanglement", "inf", id="quad-entanglement-asymptotic"),
+])
+def test_matrix_scan_output_does_not_depend_on_the_block_size(capsys, monkeypatch, protocol, mu):
+    argv = ["scan", "--protocol", protocol, "--mu", mu, *MATRIX_GRIDS["thermal-above-eb"][0]]
     whole = run_cli(argv, capsys)
     monkeypatch.setattr("cvrelay.cli.MATRIX_BLOCK", 7)
     assert run_cli(argv, capsys) == whole
@@ -780,6 +786,43 @@ def test_closed_form_scan_output_does_not_depend_on_the_block_size(capsys, monke
     for block in (1, 7):
         monkeypatch.setattr("cvrelay.cli.MATRIX_BLOCK", block)
         assert run_cli(argv, capsys) == whole
+
+
+@pytest.mark.parametrize("argv", [
+    ["--protocol", "qkd", "--mu", "52", *PARITY_GRIDS["c-plane"][0]],
+    ["--protocol", "quad-entanglement", *MATRIX_GRIDS["thermal-above-eb"][0]],
+    ["--protocol", "bipartite", "--mu", "6.5", *MATRIX_GRIDS["thermal-above-eb"][0]],
+])
+def test_scan_evaluates_one_block_of_cells_at_a_time(capsys, monkeypatch, argv):
+    # the masks see every grid cell once, the protocol's evaluator every
+    # physical cell once, and no call more than MATRIX_BLOCK cells
+    from cvrelay import environments as envs
+    from cvrelay import protocols as prot
+
+    cells = {"masks": [], "evaluator": []}
+
+    def spy(func, name, count):
+        def counted(*args, **kwargs):
+            result = func(*args, **kwargs)
+            cells[name].append(count(result))
+            return result
+        return counted
+
+    for family in (envs.ThermalEnvironment, envs.AdditiveEnvironment):
+        monkeypatch.setattr(family, "masks", staticmethod(spy(family.masks, "masks", lambda r: r[0].size)))
+    monkeypatch.setattr(prot, "relay_metrics",
+                        spy(prot.relay_metrics, "evaluator", lambda m: m["epsilon"].size))
+    monkeypatch.setattr(prot, "evolved_cm", spy(prot.evolved_cm, "evaluator", lambda cm: len(cm.m)))
+    monkeypatch.setattr(envs, "thermal_mutual_information",
+                        spy(envs.thermal_mutual_information, "evaluator", np.size))
+    monkeypatch.setattr("cvrelay.cli.MATRIX_BLOCK", 7)
+    code, out = run_cli(["scan", *argv], capsys)
+    header, *rows = (line.split(",") for line in out.split("\r\n")[:-1])
+    physical = sum(row[header.index("physical")] == "1" for row in rows)
+    assert code == 0 and 0 < physical < len(rows)
+    assert len(cells["masks"]) > 1 and max(cells["masks"]) <= 7 and sum(cells["masks"]) == len(rows)
+    assert len(cells["evaluator"]) == len(cells["masks"]) and max(cells["evaluator"]) <= 7
+    assert sum(cells["evaluator"]) == physical
 
 
 def test_scan_spells_the_flag_codes(capsys):
@@ -800,13 +843,16 @@ def test_scan_spells_the_flag_codes(capsys):
                      ("1", "1"): "1"}
 
 
-def test_a_scan_that_exits_3_writes_no_out_file(capsys, tmp_path):
-    # every metric column is computed before the output file is opened
+def test_a_scan_that_exits_3_writes_no_out_file(capsys, monkeypatch, tmp_path):
+    # every metric column is computed before the output file is opened; in the
+    # second scan only the last block of 7 cells overflows (n >~ 5.79e76)
     path = tmp_path / "scan.csv"
-    code, out = run_cli(["scan", "--protocol", "qkd", "--n", "1", "--c", "0:1:0.5", "--cp", "0:1:0.5",
-                         "--mu", "1e308", "--out", str(path)], capsys)
-    assert code == 3 and json.loads(out)["error"]["code"] == 3
-    assert not path.exists()
+    for block, grid in ((4096, ["--n", "1", "--c", "0:1:0.5", "--cp", "0:1:0.5", "--mu", "1e308"]),
+                        (7, ["--n", "0:6e76:1e75", "--c", "0", "--cp", "0", "--mu", "52"])):
+        monkeypatch.setattr("cvrelay.cli.MATRIX_BLOCK", block)
+        code, out = run_cli(["scan", "--protocol", "qkd", *grid, "--out", str(path)], capsys)
+        assert code == 3 and json.loads(out)["error"]["code"] == 3
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("flag", ["--shots", "--seed", "--chunk-shots"])

@@ -29,8 +29,11 @@ def test_symplectic_form_properties():
 
 
 def test_covariance_matrix_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        CovarianceMatrix(np.eye(3))
+    for odd in (np.eye(3), np.ones(2), np.eye(2)[:, :1]):
+        with pytest.raises(ValidationError, match="2n x 2n"):
+            CovarianceMatrix(odd)
+        with pytest.raises(ValidationError, match="2n x 2n"):
+            g.symplectic_spectrum(odd)
     with pytest.raises(ValidationError):
         CovarianceMatrix(np.array([[1.0, 0.5], [0.1, 1.0]]))  # not symmetric
     with pytest.raises(ValidationError):

@@ -373,8 +373,19 @@ def test_repeater_bound():
     assert prot.repeater_bound_phi(3.0) == 0.0
     assert prot.repeater_bound_phi(1.0) == pytest.approx(0.2786524795555183, abs=1e-12)
     assert math.isinf(prot.repeater_bound_phi(0.0))
-    with pytest.raises(ValidationError):
-        prot.repeater_bound_phi(-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValidationError):
+            prot.repeater_bound_phi(bad)
+
+
+@pytest.mark.parametrize("mu", [6.5, math.inf])
+def test_relay_metrics_rejects_negative_or_nan_kappas(mu):
+    for k, kp in ((-1.0, 0.0), (0.0, -1e-300), (math.nan, 0.0), (np.array([1.0, math.nan]), 2.0)):
+        with pytest.raises(ValidationError, match="kappa"):
+            prot.relay_metrics(mu, k, kp)
+    # an infinite kappa is a float64 failure, named by mu
+    with pytest.raises(g.NumericDegeneracyError, match="overflow float64"):
+        prot.relay_metrics(mu, math.inf, 0.0)
 
 
 def test_repeater_bound_reads_the_boundary_band_below_zero_as_noiseless():
