@@ -24,6 +24,7 @@ from .gaussian import (
     CovarianceMatrix,
     ValidationError,
     _as_matrix,
+    _check_finite,
     _transpose,
     _unstack,
     log_negativity,
@@ -74,9 +75,10 @@ def _min_eig_tol(m: np.ndarray):
 def ppt_min_eigenvalue(cm, modes):
     """Smallest eigenvalue of Lambda V Lambda + i Omega for the given modes.
 
-    A float for one matrix, an array over the leading axes for a stack.
+    A float for one matrix, an array over the leading axes for a stack; a
+    non-finite matrix is a ValidationError.
     """
-    m = partial_transpose(cm, modes)
+    m = _check_finite(partial_transpose(cm, modes), "matrix")
     test = m.astype(complex) + 1j * symplectic_form(m.shape[-1] // 2)
     return _unstack(np.linalg.eigvalsh(test).min(axis=-1))
 
@@ -188,7 +190,7 @@ def _tripartite_core(m: np.ndarray):
 
 def tripartite_classify(cm) -> TripartiteClass:
     """Classify a three-mode Gaussian state by per-mode PPT plus witness test."""
-    m = _as_matrix(cm)
+    m = _check_finite(_as_matrix(cm), "matrix")
     if m.shape != (6, 6):
         raise ValidationError("tripartite classification requires a three-mode state")
     class_id, ppt, certified = _tripartite_core(m[None])

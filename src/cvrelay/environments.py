@@ -13,7 +13,8 @@ since the interesting region extends right up to the physicality border.
 
 Each family class owns its array-friendly maps ``masks``, ``kappas`` and
 ``links``: static methods taking the class's fields as keywords, so a caller
-holding a family and its parameters never branches on the family.
+holding a family and its parameters never branches on the family.  The thermal
+mutual information reads its spectrum off a 50:50 beam splitter, not a matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, NumericDegeneracyError, ValidationError, entropic_h
+from .gaussian import CovarianceMatrix, NumericDegeneracyError, ValidationError, _h_arr, tmsv_cm
 
 BOUNDARY_BAND = 1e-9
 
@@ -210,17 +211,12 @@ def entanglement_breaking_threshold(tau: float) -> float:
 
 
 def _env_spectrum(omega, g, gp):
-    # closed two-mode form; avoids building the (possibly boundary-singular) CM
-    det_v = (omega * omega - g * g) * (omega * omega - gp * gp)
-    delta = 2.0 * omega * omega + 2.0 * g * gp
-    disc = np.maximum(delta * delta - 4.0 * det_v, 0.0)
-    lo = np.sqrt(np.maximum((delta - np.sqrt(disc)) / 2.0, 0.0))
-    hi = np.sqrt((delta + np.sqrt(disc)) / 2.0)
-    return lo, hi
-
-
-# entropic_h element by element, so arrays round exactly as single points do
-_entropic_h = np.frompyfunc(entropic_h, 1, 1)
+    # a 50:50 beam splitter decouples the two environment modes into quadrature
+    # variances (omega - g, omega - g') and (omega + g, omega + g'), each factor
+    # clamped at 0 for band-edge cells; no (possibly boundary-singular) CM is built
+    minus = np.maximum(omega - g, 0.0) * np.maximum(omega - gp, 0.0)
+    plus = np.maximum(omega + g, 0.0) * np.maximum(omega + gp, 0.0)
+    return np.sqrt(minus), np.sqrt(plus)
 
 
 def thermal_mutual_information(omega, g, gp):
@@ -228,12 +224,13 @@ def thermal_mutual_information(omega, g, gp):
 
     Array-friendly.  Quantifies the amount of (separable) correlation the
     environment offers: 2 h(omega) minus the joint entropy.  Zero iff
-    g = g' = 0.  NumericDegeneracyError where the spectrum overflows float64.
+    g = g' = 0.  NumericDegeneracyError where the spectrum overflows float64
+    (omega near 1.3e154, where a product of two variances does).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = _env_spectrum(omega, g, gp)
-        info = np.asarray(2.0 * _entropic_h(omega) - _entropic_h(lo) - _entropic_h(hi), dtype=float)
-    if np.isnan(info).any():
+        nu_minus, nu_plus = _env_spectrum(omega, g, gp)
+        info = 2.0 * _h_arr(omega) - _h_arr(nu_minus) - _h_arr(nu_plus)
+    if not np.isfinite(info).all():
         raise NumericDegeneracyError(
             f"the environment mutual information at omega={np.max(omega):g} overflows float64")
     return info
@@ -276,9 +273,4 @@ def additive_link_cm(mu: float, n: float) -> CovarianceMatrix:
     The smallest PTS eigenvalue of this matrix reaches 1 exactly at n = 2,
     the entanglement-breaking point of the additive family.
     """
-    if mu < 1.0:
-        raise ValidationError("TMSV variance must be >= 1")
-    i2 = np.eye(2)
-    z = np.diag([1.0, -1.0])
-    c = math.sqrt(mu * mu - 1.0)
-    return CovarianceMatrix(np.block([[mu * i2, c * z], [c * z, (mu + n) * i2]]))
+    return CovarianceMatrix(tmsv_cm(mu).m + np.diag([0.0, 0.0, n, n]))

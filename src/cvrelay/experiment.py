@@ -201,6 +201,11 @@ class EstimatedState:
     sample_count: int
 
 
+def _heterodyne_scale(mu: float) -> float:
+    """(mu + 1)/sqrt(mu^2 - 1), amplitude to heterodyne variable, without squaring mu."""
+    return math.sqrt((mu + 1.0) / (mu - 1.0))
+
+
 class _CoMoments:
     """Streamed size, mean and centred co-moment of the raw
     (qa, pa, qb, pb, qg, pg) rows, by the block merge of the module docstring.
@@ -236,14 +241,13 @@ class _CoMoments:
 
     def estimate(self, mu: float, xi: float) -> EstimatedState:
         """Estimate from all shots, after the last batch.  The heterodyne
-        scale (mu + 1)/sqrt(mu^2 - 1) needs actual modulation, mu > 1,
-        which ``run_point`` checks before it simulates."""
+        scale needs actual modulation, mu > 1, which ``run_point`` checks
+        before it simulates."""
         if not self.count:
             raise ValidationError("no shots to estimate from")
-        scale = (mu + 1.0) / math.sqrt(mu * mu - 1.0)
+        scale = _heterodyne_scale(mu)
         d = np.array([scale, -scale, scale, -scale, 1.0, 1.0])
-        with np.errstate(invalid="ignore"):  # inf moments times a zero scale, where mu^2 overflows
-            cov = self.m2 / max(self.count - 1, 1) * np.outer(d, d)
+        cov = self.m2 / max(self.count - 1, 1) * np.outer(d, d)
         return estimate_from_second_moments(cov, self.count, xi)
 
 
@@ -292,7 +296,10 @@ def estimate_from_second_moments(cov: np.ndarray, sample_count: int, xi: float =
     cond = 0.5 * (cond + cond.T)
     cm_hat = cond - np.eye(4)  # heterodyne variables carry one unit of vacuum
     count = max(sample_count, 1)
-    stderr = np.sqrt((np.outer(np.diag(cond), np.diag(cond)) + cond**2) / count)
+    with np.errstate(over="ignore"):
+        stderr = np.sqrt((np.outer(np.diag(cond), np.diag(cond)) + cond**2) / count)
+    if not np.isfinite(stderr).all():
+        raise NumericDegeneracyError("the standard errors of the estimate overflow float64")
     metrics = key_rate_from_cm(cm_hat, xi)
     return EstimatedState(
         key_rate_hat=metrics["rate"],
@@ -311,7 +318,7 @@ def exact_second_moments(config: ExperimentConfig) -> np.ndarray:
     the estimator without Monte-Carlo noise, including lossy relays.
     """
     mu, env, eta = config.mu, config.env, config.relay_efficiency
-    scale = (mu + 1.0) / math.sqrt(mu * mu - 1.0)
+    scale = _heterodyne_scale(mu)
     sig = mu - 1.0
     noise = additive_env_classical_cm(env)
     cov = np.zeros((6, 6))

@@ -5,8 +5,9 @@ shot-noise units: the vacuum state has variance 1 in each quadrature, so a
 physical covariance matrix has all symplectic eigenvalues >= 1.
 
 The module provides the covariance-matrix container, symplectic spectra and
-entropies, partial transposition / log-negativity, Gaussian unitaries, and a
-general Schur-complement oracle for conditioning on heterodyne and CV Bell
+entropies (one formula for points and arrays, which does not cancel at large
+eigenvalues), partial transposition / log-negativity, Gaussian unitaries, and
+a general Schur-complement oracle for conditioning on heterodyne and CV Bell
 measurements, whose one conditioning core the key rate and the experiment's
 estimator share.  All functions are pure; none of them mutates its arguments.
 
@@ -80,12 +81,18 @@ def _unstack(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
+def _check_finite(m: np.ndarray, what: str) -> np.ndarray:
+    """``m`` itself if every entry is finite; else a ValidationError."""
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    return m
+
+
 def _check_2n_symmetric(m: np.ndarray, what: str):
     """A stack shaped (..., 2n, 2n) of finite, symmetric matrices, or a ValidationError."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0 or m.shape[-1] % 2:
         raise ValidationError(f"{what} must be 2n x 2n, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValidationError(f"{what} has non-finite entries")
+    _check_finite(m, what)
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     if np.any(np.abs(m - _transpose(m)).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
         raise ValidationError(f"{what} is not symmetric")
@@ -278,13 +285,12 @@ def thermal_cm(variance: float, n_modes: int = 1) -> CovarianceMatrix:
 
 
 def tmsv_cm(mu: float) -> CovarianceMatrix:
-    """Two-mode squeezed vacuum with quadrature variance mu >= 1."""
-    if mu < 1.0:
-        raise ValidationError("TMSV variance must be >= 1")
-    i2 = np.eye(2)
-    z = np.diag([1.0, -1.0])
-    c = math.sqrt(mu * mu - 1.0)
-    return CovarianceMatrix(np.block([[mu * i2, c * z], [c * z, mu * i2]]))
+    """Two-mode squeezed vacuum with finite quadrature variance mu >= 1."""
+    if not 1.0 <= mu < math.inf:
+        raise ValidationError(f"TMSV variance must be finite and >= 1, got {mu!r}")
+    c = math.sqrt(mu - 1.0) * math.sqrt(mu + 1.0)  # sqrt(mu^2 - 1) without squaring mu
+    z = np.diag([c, -c], 2)  # q-q and p-p couplings of the two modes
+    return CovarianceMatrix(mu * np.eye(4) + z + z.T)
 
 
 def direct_sum(*cms) -> CovarianceMatrix:
@@ -383,33 +389,31 @@ def two_mode_spectrum(cm, transposed: bool = False):
     return _unstack(np.sqrt(np.maximum(det_v, 0.0) / hi_sq)), _unstack(np.sqrt(hi_sq))
 
 
-def entropic_h(x: float) -> float:
-    """Entropy (bits) of a single symplectic eigenvalue x >= 1.
-
-    h(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2); h(1) = 0.
-    """
-    if x < 1.0 - UNCERTAINTY_TOL:
-        raise ValidationError(f"entropic function requires x >= 1, got {x!r}")
-    if x <= 1.0:
-        return 0.0
-    a = (x + 1.0) / 2.0
-    b = (x - 1.0) / 2.0
-    return a * math.log2(a) - b * math.log2(b)
-
-
 def _h_arr(x):
-    # vectorised entropic function without domain checks; clamps x below 1
+    """Entropy (bits) of symplectic eigenvalues, elementwise; x below 1 reads as 1.
+
+    h = a log2 a - b log2 b with a = (x+1)/2, b = (x-1)/2, written
+    log2 a + b log1p(1/b)/ln 2, which does not cancel as x grows; the product
+    b log1p(1/b), nan at b = 0 and at b = inf, reads as 0 there (fmax drops a nan)."""
     x = np.maximum(np.asarray(x, dtype=float), 1.0)
-    a = (x + 1.0) / 2.0
     b = (x - 1.0) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = a * np.log2(a) - np.where(b > 0.0, b * np.log2(b), 0.0)
-    return out
+        return np.log2((x + 1.0) / 2.0) + np.fmax(b * np.log1p(1.0 / b), 0.0) / math.log(2.0)
 
 
-def von_neumann_entropy(cm) -> float:
-    """Von Neumann entropy in bits, summed over the symplectic spectrum."""
-    return float(sum(entropic_h(nu) for nu in symplectic_spectrum(cm)))
+def entropic_h(x):
+    """Entropy (bits) of symplectic eigenvalues x >= 1, the checked view of
+    ``_h_arr``: a float for a scalar, an array for an array; h(inf) = inf.
+    ValidationError for nan or x < 1 - UNCERTAINTY_TOL."""
+    x = np.asarray(x, dtype=float)
+    if not (x >= 1.0 - UNCERTAINTY_TOL).all():
+        raise ValidationError(f"entropic function requires x >= 1, got {float(x.min())!r}")
+    return _unstack(_h_arr(x))
+
+
+def von_neumann_entropy(cm):
+    """Von Neumann entropy in bits, summed over the symplectic spectrum (stackable)."""
+    return _unstack(entropic_h(symplectic_spectrum(cm)).sum(axis=-1))
 
 
 def pt_reflection(n_modes: int, modes) -> np.ndarray:
@@ -441,9 +445,9 @@ def smallest_pts_eigenvalue(cm, modes):
     two-mode single-mode-transpose case uses the closed form (nan where its
     determinants overflow float64); otherwise the spectrum of the transposed
     matrix is computed numerically.  A float for one matrix, an array over
-    the leading axes for a stack.
+    the leading axes for a stack; a non-finite matrix is a ValidationError.
     """
-    m = _as_matrix(cm)
+    m = _check_finite(_as_matrix(cm), "matrix")
     modes = list(modes)
     if m.shape[-2:] == (4, 4) and len(modes) == 1:
         with np.errstate(over="ignore", invalid="ignore"):

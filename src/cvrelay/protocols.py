@@ -30,6 +30,8 @@ from .gaussian import (
     CovarianceMatrix,
     NumericDegeneracyError,
     ValidationError,
+    _as_matrix,
+    _check_finite,
     _condition,
     _h_arr,
     symplectic_spectrum,
@@ -142,14 +144,15 @@ def relay_metrics(mu, k, kp, xi: float = 1.0) -> dict:
     kappa'), ideal-reconciliation rate R_opt with its epsilon-only lower
     bound R_LB, infinite mutual information and Holevo terms, and xi is
     ignored.  A negative or nan kappa raises ValidationError.  A figure that
-    float64 cannot hold comes out nan, and then NumericDegeneracyError is
-    raised, naming mu.
+    float64 cannot hold (nan, or inf at finite mu, where every figure is
+    finite in exact arithmetic) raises NumericDegeneracyError, naming mu.
     """
     k, kp = np.asarray(k, float), np.asarray(kp, float)
     if not (np.all(k >= 0.0) and np.all(kp >= 0.0)):
         raise ValidationError("kappa and kappa' must be >= 0, got a negative or nan value")
+    asymptotic = np.ndim(mu) == 0 and mu == math.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if np.ndim(mu) == 0 and mu == math.inf:
+        if asymptotic:
             out = _large_mu_metrics(k, kp)
         else:
             _check_xi(xi)
@@ -158,7 +161,8 @@ def relay_metrics(mu, k, kp, xi: float = 1.0) -> dict:
                 raise ValidationError("mu must be >= 1")
             out = _finite_mu_metrics(mu, k, kp, xi)
         out["log_neg"] = np.maximum(-np.log2(out["epsilon"]), 0.0)
-    bad = np.isnan(np.broadcast_arrays(*(v for v in out.values() if v is not None))).any(axis=0)
+    figures = np.broadcast_arrays(*(v for v in out.values() if v is not None))
+    bad = (np.isnan(figures) if asymptotic else ~np.isfinite(figures)).any(axis=0)
     if bad.any():
         mu_bad = np.broadcast_to(mu, bad.shape)[bad][0]
         raise NumericDegeneracyError(f"the closed-form metrics at mu={mu_bad:g} overflow float64")
@@ -392,7 +396,7 @@ def key_rate_from_cm(cm, xi: float = 1.0) -> dict:
     Returns a dict with mutual_info, holevo, rate and nu_c.
     """
     _check_xi(xi)
-    m = cm.m if isinstance(cm, CovarianceMatrix) else np.asarray(cm, dtype=float)
+    m = _check_finite(_as_matrix(cm), "covariance matrix")
     if m.shape != (4, 4):
         raise ValidationError("key-rate evaluation requires a two-mode covariance matrix")
     b = m[2:, 2:]

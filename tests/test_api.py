@@ -1,7 +1,11 @@
 import importlib
+import math
 import re
 import runpy
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import cvrelay
 
@@ -20,3 +24,27 @@ def test_every_name_the_benchmark_oracle_uses_is_exported():
                for name in (*classes, *(functions or ()))
                if not hasattr(importlib.import_module(f"cvrelay.{layer}"), name)]
     assert missing == [], "names perfbench/tracer.py traces but cvrelay no longer defines"
+
+
+_NAN4, _INF4, _NAN6 = np.full((4, 4), math.nan), np.diag([math.inf, 1.0, 1.0, 1.0]), np.full((6, 6), math.nan)
+_NON_FINITE_CALLS = {
+    "entropic_h(nan)": lambda: cvrelay.entropic_h(math.nan),
+    "entropic_h([3, nan])": lambda: cvrelay.entropic_h([3.0, math.nan]),
+    "tmsv_cm(inf)": lambda: cvrelay.tmsv_cm(math.inf),
+    "additive_link_cm(inf, 1)": lambda: cvrelay.additive_link_cm(math.inf, 1.0),
+    "ppt_min_eigenvalue(nan 4x4)": lambda: cvrelay.ppt_min_eigenvalue(_NAN4, [0]),
+    "tripartite_classify(nan 6x6)": lambda: cvrelay.tripartite_classify(_NAN6),
+    "smallest_pts_eigenvalue(nan 4x4)": lambda: cvrelay.smallest_pts_eigenvalue(_NAN4, [0]),
+    "smallest_pts_eigenvalue(nan 6x6)": lambda: cvrelay.smallest_pts_eigenvalue(_NAN6, [2]),
+    "log_negativity(inf 4x4)": lambda: cvrelay.log_negativity(_INF4, [0]),
+    "key_rate_from_cm(nan 4x4)": lambda: cvrelay.key_rate_from_cm(_NAN4),
+    "key_rate_from_cm(inf 4x4)": lambda: cvrelay.key_rate_from_cm(_INF4),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", _NON_FINITE_CALLS.values(), ids=_NON_FINITE_CALLS.keys())
+def test_non_finite_input_is_rejected_at_the_library_entry(call):
+    # a ValidationError before any numpy warning, LinAlgError or silent nan
+    with pytest.raises(cvrelay.ValidationError):
+        call()

@@ -950,6 +950,19 @@ def test_closed_form_overflow_exits_3(capsys, argv):
     assert f"{argv[-2].lstrip('-')}={float(argv[-1]):g}" in error["message"]
 
 
+@pytest.mark.parametrize("mu", ["1e10", "1e14", "1e17", "1e20"])
+def test_large_finite_mu_points_agree_with_the_mu_inf_report(capsys, mu):
+    # Bob's reduced eigenvalue reaches ~mu/2; its entropy must not cancel away
+    def report(value):
+        code, out = run_cli(["point", "--n", "1", "--c", "0.5", "--cp", "0.5", "--mu", value], capsys)
+        assert code == 0
+        return json.loads(out)["report"]
+
+    finite, limit = report(mu), report("inf")
+    for name in ("coherent_info", "key_rate"):
+        assert abs(finite[name] - limit[name]) <= 1e-9, name
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_experiment_reports_overflowing_noise_per_point(capsys):
     code, out = run_cli(["experiment", "--n", "1e308", "--c", "1", "--cp", "1", "--shots", "1000"], capsys)
@@ -968,14 +981,17 @@ def test_experiment_reads_a_band_edge_n_as_zero(capsys):
     assert "error" not in point and point == edge
 
 
-def test_experiment_reports_a_singular_heterodyne_block_per_point(capsys):
-    # at mu = 1e300 Alice's estimated block is singular to working precision
-    code, out = run_cli(["experiment", "--n", "1", "--mu", "1e300", "--c", "1", "--cp", "1",
-                         "--shots", "1000", "--seed", "3"], capsys)
-    assert code == 0
-    point = json.loads(out)["points"][0]
-    assert point["error"] == "heterodyne conditioning block is singular"
-    assert "key_rate_theory" not in point  # its closed form overflows too
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_experiment_reports_overflowing_standard_errors_per_point(capsys):
+    # past mu ~ 1.3e154 the squared moments of the estimate's standard errors
+    # overflow float64; the heterodyne scale itself stays near 1
+    for mu in ("1e160", "1e300"):
+        code, out = run_cli(["experiment", "--n", "1", "--mu", mu, "--c", "1", "--cp", "1",
+                             "--shots", "1000", "--seed", "3"], capsys)
+        assert code == 0
+        point = json.loads(out)["points"][0]
+        assert point["error"] == "the standard errors of the estimate overflow float64"
+        assert "key_rate_theory" not in point  # its closed form overflows too
 
 
 @pytest.mark.parametrize("argv", [

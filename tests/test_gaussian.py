@@ -115,6 +115,9 @@ def test_stacked_spectral_functions_equal_the_per_matrix_results():
         g.smallest_pts_eigenvalue(m, [2]) for m in three
     ]
     assert isinstance(g.log_negativity(mats[0], [0]), float)
+    # the entropy: one array call rounds exactly as the points do
+    nus = np.concatenate([g.symplectic_spectrum(stack).ravel(), [1.0, 1.0 + 1e-12, 1e17, np.inf]])
+    assert g.entropic_h(nus).tolist() == [g.entropic_h(x) for x in nus]
 
 
 @st.composite
@@ -296,6 +299,17 @@ def test_entropic_h_values():
     assert all(b > a for a, b in zip(hs, hs[1:]))
     with pytest.raises(ValidationError):
         g.entropic_h(0.9)
+
+
+@pytest.mark.parametrize("x", [1.0 + 1e-12, 1.5, 52.0, 1e6, 1e10, 1e15, 1e17])
+def test_entropic_h_matches_40_digit_mpmath(x):
+    # a log2 a - b log2 b cancels as x grows; h must not lose digits to it
+    import mpmath
+
+    with mpmath.workdps(40):
+        a, b = (mpmath.mpf(x) + 1) / 2, (mpmath.mpf(x) - 1) / 2
+        want = a * mpmath.log(a, 2) - b * mpmath.log(b, 2)
+        assert abs(g.entropic_h(x) - want) <= 4 * np.finfo(float).eps * want
 
 
 def test_von_neumann_entropy():

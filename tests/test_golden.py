@@ -89,7 +89,7 @@ def test_every_golden_output_is_byte_identical(tmp_path):
                    if golden["digests"].get(key) != digests.get(key))
     versions = f"digests from numpy {golden['numpy']}, scipy {golden['scipy']}; " \
                f"running numpy {np.__version__}, scipy {scipy.__version__}"
-    assert moved == [], f"{len(moved)} outputs moved ({versions})"
+    assert moved == [], f"{len(moved)} outputs moved ({versions}):\n" + "\n".join(moved)
 
 
 if __name__ == "__main__":
