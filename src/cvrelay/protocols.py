@@ -45,6 +45,8 @@ from .environments import (
     kappa_params,
 )
 
+_SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)  # ~1.34e154: a product of two larger numbers overflows
+
 FLAG_GUARD = 1e-12  # open-inequality guard band for protocol success flags
 FLAG_KEYS = ("swap_ok", "tele_quantum", "distill_ok", "qkd_ok")  # relay_metrics keys of the flags
 FLAG_VALUES = (False, True, "marginal")  # the success flag each relay_metrics flag code stands for
@@ -351,6 +353,10 @@ def teleport_correction(inp: SwapInput) -> TeleportCorrection:
     if inp.mu <= 1.0:
         raise ValidationError("no entanglement resource: teleportation needs mu > 1")
     t1, t1p = _thetas(inp)
+    peak = max(inp.mu, t1, t1p)
+    if not math.isfinite(4.0 * peak * peak):  # bounds mu^2, theta^2 and 4 theta theta'
+        raise NumericDegeneracyError(
+            f"the teleport correction at mu={inp.mu:g} overflows float64 (theta={t1:g}, theta'={t1p:g})")
     tmu2 = inp.mu * inp.mu - 1.0
     r = math.sqrt(t1 / t1p)
     eta = 4.0 * t1 * t1p / tmu2
@@ -399,8 +405,13 @@ def key_rate_from_cm(cm, xi: float = 1.0) -> dict:
     m = _check_finite(_as_matrix(cm), "covariance matrix")
     if m.shape != (4, 4):
         raise ValidationError("key-rate evaluation requires a two-mode covariance matrix")
+    overflow = "the key rate's 2x2 determinants overflow float64 for entries past 1e154"
+    if np.abs(m).max() > _SQRT_FLOAT_MAX:
+        raise NumericDegeneracyError(overflow)
     b = m[2:, 2:]
     b_cond = _condition(m, [2, 3], [0, 1], 1.0, "heterodyne conditioning block is singular")[0]
+    if np.abs(b_cond).max() > _SQRT_FLOAT_MAX:  # conditioning grows only a matrix that is not PSD
+        raise NumericDegeneracyError(overflow)
     denom = 1.0 + np.linalg.det(b_cond) + np.trace(b_cond)
     numer = 1.0 + np.linalg.det(b) + np.trace(b)
     if denom <= 0.0 or numer <= 0.0:

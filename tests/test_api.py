@@ -48,3 +48,25 @@ def test_non_finite_input_is_rejected_at_the_library_entry(call):
     # a ValidationError before any numpy warning, LinAlgError or silent nan
     with pytest.raises(cvrelay.ValidationError):
         call()
+
+
+_BIG = np.finfo(float).max
+_OVERFLOW_CALLS = {
+    "key_rate_from_cm(1e308 I)": lambda: cvrelay.key_rate_from_cm(np.eye(4) * 1e308),
+    "key_rate_from_cm(max off-diagonal)": lambda: cvrelay.key_rate_from_cm(
+        np.eye(4) + _BIG * np.diag([1.0, 1.0], 2) + _BIG * np.diag([1.0, 1.0], -2)),
+    "key_rate_from_cm(not PSD, grows under conditioning)": lambda: cvrelay.key_rate_from_cm(
+        np.diag([0.0, 0.0, 1.0, 1.0]) + 1e153 * np.diag([1.0, 1.0], 2) + 1e153 * np.diag([1.0, 1.0], -2)),
+    "teleport_correction(mu=1e200)": lambda: cvrelay.teleport_correction(
+        cvrelay.SwapInput(1e200, cvrelay.AdditiveEnvironment(1.0))),
+    "teleport_correction(n=1e200)": lambda: cvrelay.teleport_correction(
+        cvrelay.SwapInput(6.5, cvrelay.AdditiveEnvironment(1e200))),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", _OVERFLOW_CALLS.values(), ids=_OVERFLOW_CALLS.keys())
+def test_finite_input_past_float64_is_a_numeric_degeneracy_at_the_library_entry(call):
+    # finite entries whose products overflow: a NumericDegeneracyError before any numpy warning
+    with pytest.raises(cvrelay.NumericDegeneracyError, match="overflow"):
+        call()

@@ -6,6 +6,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +276,61 @@ def test_experiment_rejects_mu_1_before_drawing_a_shot(capsys, monkeypatch, tmp_
 def test_experiment_rejects_a_zero_chunk_size(capsys):
     code, out = run_cli(["experiment", "--n", "1", "--shots", "10", "--chunk-shots", "0"], capsys)
     assert code == 2 and json.loads(out)["error"]["code"] == 2
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["no-dump", "dump"])
+def test_experiment_keeps_at_most_one_chunk_in_flight_per_worker(capsys, monkeypatch, tmp_path, dump):
+    # a call is alive while it runs; a batch until nothing holds it.  Only the
+    # dump keeps a finished batch, the one the main thread writes.
+    workers, lock = 3, threading.Lock()
+    alive = {"calls": 0, "batches": 0}
+    peak = dict(alive)
+    simulate = expmt.simulate_shot_batch
+
+    def step(key, by):
+        with lock:
+            alive[key] += by
+            peak[key] = max(peak[key], alive[key])
+
+    def spy(*args, **kwargs):
+        step("calls", 1)
+        step("batches", 1)
+        batch = simulate(*args, **kwargs)
+        weakref.finalize(batch, step, "batches", -1)
+        step("calls", -1)
+        return batch
+
+    monkeypatch.setattr(expmt, "simulate_shot_batch", spy)
+    monkeypatch.setattr(expmt, "_available_cpus", lambda: workers)
+    argv = ["experiment", "--n", "1", "--shots", "100000", "--chunk-shots", "4096"]
+    code, out = run_cli(argv + (["--dump", str(tmp_path / "shots.csv")] if dump else []), capsys)
+    assert code == 0 and json.loads(out)["points"][0]["sample_count"] == 100_000
+    assert alive == {"calls": 0, "batches": 0}
+    assert peak["calls"] <= workers and peak["batches"] <= workers + dump
+
+
+def _experiment_at(workers, monkeypatch, argv) -> str:
+    monkeypatch.setattr(expmt, "_available_cpus", lambda: workers)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return buf.getvalue()
+
+
+def test_an_error_raised_in_a_worker_is_the_point_error_of_one_worker(monkeypatch):
+    # three chunks whose noise overflows float64, and a noise covariance that
+    # is not PSD, which _noise_sqrt rejects in every worker
+    argv = ["experiment", "--n", "1e308", "--c", "1", "--cp", "1", "--shots", "12288", "--chunk-shots", "4096"]
+    outs = [_experiment_at(workers, monkeypatch, argv) for workers in (1, 3)]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["points"][0]["error"] == "joint second moments are not finite"
+    monkeypatch.setattr(expmt, "additive_env_classical_cm", lambda env: -np.eye(4))
+    argv = ["experiment", "--n", "1", "--shots", "12288", "--chunk-shots", "4096"]
+    outs = [_experiment_at(workers, monkeypatch, argv) for workers in (1, 3)]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["points"][0]["error"] == "classical noise covariance is not positive semidefinite"
 
 
 def _experiment_report(argv) -> dict:

@@ -90,7 +90,7 @@ def test_block_merge_matches_the_two_pass_moments():
     # the fixed-block merge reorders the sums; it must still be the sample covariance
     batch = ex.simulate_shot_batch(config(shots=10_000, seed=4))
     moments = ex._CoMoments()
-    moments.add(batch)
+    moments.merge(ex._block_moments(batch))
     moments.estimate(52.0, 1.0)
     x = np.stack([getattr(batch, k) for k in ex._COLUMNS])
     centred = x - x.mean(axis=1, keepdims=True)
@@ -103,9 +103,9 @@ def test_block_merge_rejects_a_batch_after_a_short_one():
     # only a run's last batch may end inside a moment block
     cfg = config(shots=ex.MOMENT_BLOCK + 10)
     moments = ex._CoMoments()
-    moments.add(ex.simulate_shot_batch(cfg, start=0, stop=10))
+    moments.merge(ex._block_moments(ex.simulate_shot_batch(cfg, start=0, stop=10)))
     with pytest.raises(ValidationError):
-        moments.add(ex.simulate_shot_batch(cfg, start=10, stop=cfg.shots))
+        moments.merge(ex._block_moments(ex.simulate_shot_batch(cfg, start=10, stop=cfg.shots)))
 
 
 def test_gamma_variance_noiseless():

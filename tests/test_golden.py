@@ -1,7 +1,7 @@
 """Golden outputs: the sha256 of every README command's stdout, of the seed-1
 commands of every benchmark workload, of scans and a point with guard-band
-flags, and of a chunked ``--dump``, against the digests committed in
-``golden_digests.json``.
+flags, of a chunked ``--dump`` and of a point of many chunks (also at 1, 2
+and 3 workers), against the digests committed in ``golden_digests.json``.
 
 A digest that moves is an output change; make it on purpose and rewrite the
 file with
@@ -21,8 +21,10 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
+from cvrelay import experiment as expmt
 from cvrelay.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,6 +57,8 @@ FLAGS += [["scan", "--protocol", "qkd", *THERMAL, "--g", "-17.25:17.25:0.5", "--
 # a dumped point cut off the moment-block grid and on it; {dump} is the CSV path
 DUMPS = [["experiment", "--n", "1", "--mu", "52", "--shots", "70000", "--seed", "5",
           "--chunk-shots", chunk, "--dump", "{dump}"] for chunk in ("777", "65536")]
+# a point of ten chunks, simulated by as many workers as there are CPUs, and the same point in one chunk
+CHUNKED = [["experiment", "--n", "3", "--shots", "40000", "--chunk-shots", chunk] for chunk in ("4096", "65536")]
 
 
 def _workload_commands() -> list[list[str]]:
@@ -69,7 +73,7 @@ def _sha256(data: bytes) -> str:
 def output_digests(tmp_dir: Path) -> dict[str, str]:
     """Digest of each command's stdout, keyed by its argv, and of each dump CSV."""
     digests = {}
-    for argv in README + _workload_commands() + FLAGS + DUMPS:
+    for argv in README + _workload_commands() + FLAGS + DUMPS + CHUNKED:
         key = " ".join(argv)
         dump = tmp_dir / "shots.csv"
         buf = io.StringIO()
@@ -90,6 +94,22 @@ def test_every_golden_output_is_byte_identical(tmp_path):
     versions = f"digests from numpy {golden['numpy']}, scipy {golden['scipy']}; " \
                f"running numpy {np.__version__}, scipy {scipy.__version__}"
     assert moved == [], f"{len(moved)} outputs moved ({versions}):\n" + "\n".join(moved)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("argv", CHUNKED, ids=[argv[-1] for argv in CHUNKED])
+def test_a_point_is_byte_identical_at_any_worker_count(monkeypatch, argv, workers):
+    monkeypatch.setattr(expmt, "_available_cpus", lambda: workers)
+    buf = io.StringIO()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave as finely as they can
+    try:
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert _sha256(buf.getvalue().encode()) == golden["digests"][" ".join(argv)]
 
 
 if __name__ == "__main__":
