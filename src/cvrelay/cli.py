@@ -38,6 +38,7 @@ from .gaussian import NotPositiveDefiniteError, NumericDegeneracyError, Validati
 BISECTION_TOL = 1e-6
 MAX_CELLS = 1_000_000  # largest axis, and largest grid, a run accepts
 MATRIX_BLOCK = 4096  # grid cells per scan block; bounds a scan's temporaries
+BISECTION_BLOCK = 1024  # midpoints per thresholds evaluation, unless more crossings are live
 
 _METRIC_COLUMNS = {
     "swap": ["epsilon", "log_neg", "swap_ok"],
@@ -52,6 +53,8 @@ _METRIC_COLUMNS = {
 SCAN_PROTOCOLS = tuple(_METRIC_COLUMNS)
 _BIT_TEXT = np.array(["0", "1"], dtype=object)
 _FLAG_TEXT = np.array(["0", "1", "marginal"], dtype=object)  # text of each prot.FLAG_VALUES code
+# text of a scan's int8 code columns: the success flags and the 1x3 region
+_CODE_TEXT = {**dict.fromkeys(prot.FLAG_KEYS, _FLAG_TEXT), "region": np.array(ent.REGIONS, dtype=object)}
 
 
 def _fmt(value) -> str:
@@ -299,7 +302,7 @@ def _block_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
         ml_a = ent.ppt_min_eigenvalue(cm, [0])
         ml_ap = ent.ppt_min_eigenvalue(cm, [2])
         info = envs.thermal_mutual_information(grid.fixed["omega"], *coords)
-        return [info, ml_a, ml_ap, ent.region_labels(ml_a, ml_ap, ent.PSD_ABS_TOL)]
+        return [info, ml_a, ml_ap, ent.region_codes(ml_a, ml_ap, ent.PSD_ABS_TOL)]
     if protocol == "bipartite":
         survey = ent._pair_log_negativities(cm)
         return [survey[col.removeprefix("logneg_")] for col in _METRIC_COLUMNS["bipartite"]]
@@ -347,8 +350,8 @@ def cmd_scan(args) -> int:
         evaluated.append((at, physical, [separable[physical], boundary[physical], *metrics]))
 
     names = _METRIC_COLUMNS[protocol]
-    spells = [_fmt_all, _fmt_all]  # separable, boundary; flag codes are looked up
-    spells += [_FLAG_TEXT.take if name in prot.FLAG_KEYS else _fmt_all for name in names]
+    spells = [_fmt_all, _fmt_all]  # separable, boundary; flag and region codes are looked up
+    spells += [_CODE_TEXT[name].take if name in _CODE_TEXT else _fmt_all for name in names]
     axis_text = [np.array(_fmt_all(axis), dtype=object) for axis in grid.axes]
     with _output(args) as fh:
         fh.write(",".join([*grid.names, "physical", "separable", "boundary", *names]) + "\r\n")
@@ -370,6 +373,42 @@ def cmd_scan(args) -> int:
 # relay_metrics key of each contour metric; swap traces 1 - epsilon
 _THRESHOLD_METRICS = {"swap": "epsilon", "distill": "coherent_info", "qkd": "key_rate",
                       "qkd-lb": "key_rate_lb"}
+
+
+def _bisect(value, col, lo, hi, flo):
+    """Narrow each bracket (lo, hi) of a sign change of ``value`` in column
+    ``col`` to BISECTION_TOL, in place; ``flo`` holds the values at lo.
+
+    One ``value`` call decides as many levels as fit in BISECTION_BLOCK
+    midpoints (one when more crossings are live), with the midpoints and
+    brackets of one call per level.
+    """
+    live = hi - lo > BISECTION_TOL
+    while live.any():
+        idx = np.flatnonzero(live)
+        need = math.ceil(math.log2(np.max(hi[idx] - lo[idx])) - math.log2(BISECTION_TOL))
+        depth = max(1, min(need, (BISECTION_BLOCK // len(idx) + 1).bit_length() - 1))
+        # the next `depth` levels of midpoints as a heap: column j of `mid`
+        # splits the bracket (a, b) of node j, and its children 2j + 1 and
+        # 2j + 2 split (a, m) and (m, b)
+        a, b, mids = lo[idx, None], hi[idx, None], []
+        for _ in range(depth):
+            mids.append(m := 0.5 * (a + b))
+            a, b = (np.stack(pair, axis=2).reshape(len(idx), -1) for pair in ((a, m), (m, b)))
+        mid = np.concatenate(mids, axis=1)
+        fm, ok = value(mid, np.broadcast_to(col[idx, None], mid.shape))
+        node = np.zeros(len(idx), dtype=np.intp)  # walk each path by the one-level rules
+        for _ in range(depth):
+            r = np.flatnonzero(live[idx])
+            at = (r, node[r])
+            k, good = idx[r], ok[at]
+            live[k[~good]] = False  # a non-physical midpoint ends that crossing
+            r, k, m, f = r[good], k[good], mid[at][good], fm[at][good]
+            same = (f > 0.0) == (flo[k] > 0.0)
+            lo[k[same]], flo[k[same]] = m[same], f[same]
+            hi[k[~same]] = m[~same]
+            node[r] = 2 * node[r] + 1 + same
+            live &= hi - lo > BISECTION_TOL
 
 
 def cmd_thresholds(args) -> int:
@@ -401,19 +440,7 @@ def cmd_thresholds(args) -> int:
     ok &= ~np.isinf(f) & (np.abs(f) > prot.FLAG_GUARD)
     ci, xj = np.nonzero(ok[:, :-1] & ok[:, 1:] & ((f[:, :-1] > 0.0) != (f[:, 1:] > 0.0)))
     col, lo, hi, flo = col_axis[ci], sweep_axis[xj], sweep_axis[xj + 1], f[ci, xj]
-    live = np.ones(len(ci), dtype=bool)
-    while True:
-        live &= hi - lo > BISECTION_TOL
-        idx = np.flatnonzero(live)
-        if not len(idx):
-            break
-        mid = 0.5 * (lo[idx] + hi[idx])
-        fm, ok = value(mid, col[idx])
-        live[idx[~ok]] = False  # a non-physical midpoint ends that crossing
-        idx, mid, fm = idx[ok], mid[ok], fm[ok]
-        same = (fm > 0.0) == (flo[idx] > 0.0)
-        lo[idx[same]], flo[idx[same]] = mid[same], fm[same]
-        hi[idx[~same]] = mid[~same]
+    _bisect(value, col, lo, hi, flo)
 
     lines = [",".join([grid.names[1], grid.names[0], "metric"])]
     lines += [f"{c},{x},{metric}" for c, x in zip(_fmt_all(col), _fmt_all(0.5 * (lo + hi)))]

@@ -238,8 +238,12 @@ def quad_sigma_functions(tau: float, r: float, g, gp) -> dict:
     }
 
 
-def region_labels(sigma_a, sigma_ap, tol: float):
-    """1x3 region labels from the classifiers of modes a and A' (array-friendly).
+REGIONS = ("I", "II", "III", "IV", "boundary")  # the region each region_codes code stands for
+
+
+def region_codes(sigma_a, sigma_ap, tol: float):
+    """1x3 regions from the classifiers of modes a and A' (array-friendly), as
+    int8 codes into ``REGIONS``.
 
     Positive means separable in that grouping: "I" both, "II" only the
     mode-a classifier, "III" only the mode-A' one, "IV" neither, and
@@ -248,13 +252,14 @@ def region_labels(sigma_a, sigma_ap, tol: float):
     sa, sap = np.asarray(sigma_a), np.asarray(sigma_ap)
     return np.select(
         [(np.abs(sa) < tol) | (np.abs(sap) < tol), (sa > 0.0) & (sap > 0.0), sa > 0.0, sap > 0.0],
-        ["boundary", "I", "II", "III"],
-        "IV",
+        np.array([4, 0, 1, 2], dtype=np.int8),
+        np.int8(3),
     )
 
 
 def quadripartite_regions(tau: float, omega: float, g, gp):
-    """Array-friendly core of ``quadripartite_classify``: (sigma', sigma'', regions)."""
+    """Array-friendly core of ``quadripartite_classify``: (sigma', sigma'',
+    region codes into ``REGIONS``)."""
     r = omega / entanglement_breaking_threshold(tau)
     if r <= 1.0:
         raise ValidationError(
@@ -263,7 +268,7 @@ def quadripartite_regions(tau: float, omega: float, g, gp):
         )
     funcs = quad_sigma_functions(tau, r, g, gp)
     sp, sdp = funcs["sigma_prime"], funcs["sigma_double_prime"]
-    return sp, sdp, region_labels(sp, sdp, BOUNDARY_SIGMA)
+    return sp, sdp, region_codes(sp, sdp, BOUNDARY_SIGMA)
 
 
 def quadripartite_classify(env: ThermalEnvironment) -> QuadripartiteRegion:
@@ -273,7 +278,7 @@ def quadripartite_classify(env: ThermalEnvironment) -> QuadripartiteRegion:
     where the only possibly surviving entanglement is quadripartite.
     """
     sp, sdp, region = quadripartite_regions(env.tau, env.omega, env.g, env.gp)
-    return QuadripartiteRegion(float(sp), float(sdp), str(region))
+    return QuadripartiteRegion(float(sp), float(sdp), REGIONS[region])
 
 
 def quadripartite_numeric(cm, grouping_mode: int | str) -> str:

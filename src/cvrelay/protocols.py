@@ -22,7 +22,7 @@ reads the environment through its family's ``links`` map.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +50,6 @@ _SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)  # ~1.34e154: a product of two 
 FLAG_GUARD = 1e-12  # open-inequality guard band for protocol success flags
 FLAG_KEYS = ("swap_ok", "tele_quantum", "distill_ok", "qkd_ok")  # relay_metrics keys of the flags
 FLAG_VALUES = (False, True, "marginal")  # the success flag each relay_metrics flag code stands for
-
-_I2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -115,8 +113,9 @@ class ProtocolReport:
     key_rate_lb: float | None = None
 
     def to_dict(self) -> dict:
-        """The fields in order, without ``key_rate_lb`` when it is None."""
-        out = asdict(self)
+        """The fields in order, without ``key_rate_lb`` when it is None; the
+        flags in a copy of their dict, whose values are immutable."""
+        out = dict(vars(self), flags=dict(self.flags))
         if self.key_rate_lb is None:
             del out["key_rate_lb"]
         return out
@@ -201,11 +200,12 @@ def _finite_mu_metrics(mu, k, kp, xi):
         / ((1.0 + mu + 2.0 * k) * (1.0 + mu + 2.0 * kp))
     )
     mutual = 0.5 * np.log2(sigma)
-    holevo = _h_arr(nlo) + _h_arr(nhi) - _h_arr(nc)
+    h_lo, h_hi = _h_arr(nlo), _h_arr(nhi)
+    holevo = h_lo + h_hi - _h_arr(nc)
     return {
         "epsilon": eps,
         "fidelity": np.where(mu > 1.0, 2.0 / n, 0.5),
-        "coherent_info": _h_arr(nb) - _h_arr(nlo) - _h_arr(nhi),
+        "coherent_info": _h_arr(nb) - h_lo - h_hi,
         "mutual_info_ab": mutual,
         "holevo_eve": holevo,
         "key_rate": xi * mutual - holevo,
@@ -337,12 +337,6 @@ def additive_reactivation_c(n: float, cp):
 # teleportation
 
 
-def _thetas(inp: SwapInput) -> tuple[float, float]:
-    k, kp = kappa_params(inp.env)
-    half = (inp.mu + 1.0) / 2.0
-    return half + k, half + kp
-
-
 def teleport_correction(inp: SwapInput) -> TeleportCorrection:
     """Receiver correction restoring the input mean of the teleported state.
 
@@ -350,22 +344,22 @@ def teleport_correction(inp: SwapInput) -> TeleportCorrection:
     gain >= 1 rescales the mean back to the input amplitude.  Undefined at
     mu = 1 where there is no entanglement resource and the gain diverges.
     """
-    if inp.mu <= 1.0:
+    mu = inp.mu
+    if mu <= 1.0:
         raise ValidationError("no entanglement resource: teleportation needs mu > 1")
-    t1, t1p = _thetas(inp)
-    peak = max(inp.mu, t1, t1p)
+    k, kp = kappa_params(inp.env)
+    t1, t1p = (mu + 1.0) / 2.0 + k, (mu + 1.0) / 2.0 + kp
+    peak = max(mu, t1, t1p)
     if not math.isfinite(4.0 * peak * peak):  # bounds mu^2, theta^2 and 4 theta theta'
         raise NumericDegeneracyError(
-            f"the teleport correction at mu={inp.mu:g} overflows float64 (theta={t1:g}, theta'={t1p:g})")
-    tmu2 = inp.mu * inp.mu - 1.0
+            f"the teleport correction at mu={mu:g} overflows float64 (theta={t1:g}, theta'={t1p:g})")
     r = math.sqrt(t1 / t1p)
-    eta = 4.0 * t1 * t1p / tmu2
-    mu = inp.mu
-    v_out = (
-        (4.0 * mu / tmu2) * np.diag([t1 * t1, t1p * t1p])
-        - 2.0 * np.diag([t1, t1p])
-        + (eta - 1.0) * _I2
-    )
+    eta = 4.0 * t1 * t1p / (mu * mu - 1.0)
+    # (4 mu/(mu^2 - 1)) theta^2 - 2 theta + eta - 1, expanded so that nothing
+    # cancels as mu grows
+    shared = (2.0 * (1.0 + k + kp) + 4.0 * k * kp / (mu + 1.0)) / (mu - 1.0)
+    v_out = np.diag([t / (mu - 1.0) * (2.0 + 4.0 * mu * kk / (mu + 1.0)) + shared
+                     for t, kk in ((t1, k), (t1p, kp))])
     return TeleportCorrection(r, eta, t1, t1p, v_out)
 
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -735,7 +736,7 @@ def _reference_row(protocol, grid, coords, mu, xi):
         cm = prot.evolved_cm(prot.SwapInput(float(mu), env))
         ml_a, ml_ap = ent.ppt_min_eigenvalue(cm, [0]), ent.ppt_min_eigenvalue(cm, [2])
         row += [envs.env_mutual_information(env), ml_a, ml_ap,
-                str(ent.region_labels(ml_a, ml_ap, ent.PSD_ABS_TOL))]
+                ent.REGIONS[ent.region_codes(ml_a, ml_ap, ent.PSD_ABS_TOL)]]
     elif protocol == "bipartite":
         survey = ent._pair_log_negativities(prot.evolved_cm(prot.SwapInput(float(mu), env)))
         row += [survey[pair] for pair in ("aAp", "aBp", "ab", "ApBp")]
@@ -986,6 +987,170 @@ def test_thresholds_qkd_points_bracket_a_sign_change(capsys, argv):
             envs = [AdditiveEnvironment(2.5, x + d, col) for d in (-1e-6, 1e-6)]
         lo, hi = (qkd_rate(SwapInput(52.0, env), 0.97) for env in envs)
         assert (lo > 0.0) != (hi > 0.0), line
+
+
+def _bisect_one_level(value, col, lo, hi, flo):
+    """``cli._bisect`` with one ``value`` call per bisection level: the loop
+    the heap walk must reproduce bit for bit."""
+    live = np.ones(len(col), dtype=bool)
+    while True:
+        live &= hi - lo > cli.BISECTION_TOL
+        idx = np.flatnonzero(live)
+        if not len(idx):
+            break
+        mid = 0.5 * (lo[idx] + hi[idx])
+        fm, ok = value(mid, col[idx])
+        live[idx[~ok]] = False  # a non-physical midpoint ends that crossing
+        idx, mid, fm = idx[ok], mid[ok], fm[ok]
+        same = (fm > 0.0) == (flo[idx] > 0.0)
+        lo[idx[same]], flo[idx[same]] = mid[same], fm[same]
+        hi[idx[~same]] = mid[~same]
+
+
+def _levels_needed(lo, hi):
+    """Bisection levels that take the widest open bracket below the tolerance."""
+    open_ = hi - lo > cli.BISECTION_TOL
+    return math.ceil(math.log2(np.max((hi - lo)[open_]) / cli.BISECTION_TOL)) if open_.any() else 0
+
+
+def _synthetic_brackets(seed, widest, count=240):
+    """Brackets of every width from 10^-7.5 to 10^widest, some below the
+    tolerance, and a value function with exact zeros and non-physical holes."""
+    rng = np.random.default_rng(seed)
+    col = rng.integers(0, 6, count).astype(float)
+    lo = rng.uniform(-1.0, 1.0, count)
+    hi = lo + 10.0 ** rng.uniform(-7.5, widest, count)
+
+    def value(x, c):
+        ok = np.cos(90.0 * x * (c + 1.0)) > -0.9  # holes: a midpoint there ends its crossing
+        f = np.where(ok, np.round(np.sin(40.0 * x + c), 1), np.nan)  # rounds to exact zeros too
+        return f, ok
+
+    return value, col, lo, hi, value(lo, col)[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("widest", [-0.5, -4.5])  # 19 or 5 levels to go
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_bisect_heap_matches_the_one_level_loop(seed, widest, depth, monkeypatch):
+    # each forced depth, capped at the levels still needed, gives the
+    # brackets of one call per level, bit for bit; no call holds more than
+    # max(budget, live) midpoints.  The families' physical sets are convex
+    # along the swept axis, so only a synthetic value function has
+    # non-physical midpoints between physical bracket ends.
+    value, col, lo, hi, flo = _synthetic_brackets(seed, widest)
+    want = [a.copy() for a in (lo, hi, flo)]
+    _bisect_one_level(value, col, *want)
+    opened = int(np.sum(hi - lo > cli.BISECTION_TOL))
+    assert 0 < opened < len(col)  # some brackets start below the tolerance
+    budget = opened * (2 ** depth - 1)
+    monkeypatch.setattr(cli, "BISECTION_BLOCK", budget)
+    sizes = []
+
+    def counted(x, c):
+        sizes.append(x.size)
+        assert x.size <= max(budget, int(np.sum(hi - lo > cli.BISECTION_TOL)))
+        return value(x, c)
+
+    needed = _levels_needed(lo, hi)
+    cli._bisect(counted, col, lo, hi, flo)
+    assert sizes[0] == opened * (2 ** min(depth, needed) - 1)
+    for got, ref in zip((lo, hi, flo), want):
+        assert got.tobytes() == ref.tobytes()
+    ended = np.abs(hi - lo) > cli.BISECTION_TOL
+    assert ended.any()  # crossings that ended on a non-physical midpoint
+
+
+def _thresholds_run(argv, monkeypatch, capsys, budget=None, bisect=None):
+    """Exit code and output of one thresholds run, with the cell count of each
+    of its relay_metrics calls."""
+    from cvrelay import protocols as prot
+
+    metrics, sizes = prot.relay_metrics, []
+
+    def counted(mu, k, kp, xi=1.0):
+        sizes.append(np.size(k))
+        return metrics(mu, k, kp, xi)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(prot, "relay_metrics", counted)
+        if budget is not None:
+            patch.setattr(cli, "BISECTION_BLOCK", budget)
+        if bisect is not None:
+            patch.setattr(cli, "_bisect", bisect)
+        code, out = run_cli(["thresholds", *argv], capsys)
+    return code, out, sizes
+
+
+def _random_threshold_planes(seed, count):
+    """Seeded thermal and additive planes over every metric, with mu = 1
+    (every sample in the guard band) among the finite mu."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        metric = str(rng.choice(["swap", "distill", "qkd", "qkd-lb"]))
+        mu = "inf" if metric == "qkd-lb" or rng.random() < 0.3 else str(rng.choice(["1", "6.5", "52"]))
+        if rng.random() < 0.5:
+            tau = rng.uniform(0.6, 0.95)
+            omega = (1.0 + tau) / (1.0 - tau) * rng.uniform(0.9, 1.1)  # about omega_EB(tau)
+            family = ["--tau", repr(tau), "--omega", repr(omega),
+                      "--gp", f"{-omega!r}:{omega!r}:{omega / 6.0!r}",
+                      "--g", f"{-omega!r}:{omega!r}:{omega / int(rng.integers(8, 40))!r}"]
+        else:
+            family = ["--n", repr(rng.uniform(0.1, 4.0)), "--cp", "-1:1:0.2",
+                      "--c", f"-1:1:{2.0 / int(rng.integers(8, 40))!r}"]
+        yield ["--metric", metric, "--mu", mu, "--xi", "0.97", *family]
+
+
+FINE_AXIS_THRESHOLDS = ["--metric", "swap", *THERMAL, "--mu", "inf", "--gp", "-14",
+                        "--g", "4.3242:4.3244:5e-7"]  # a 5e-7 axis across the kappa kappa' = 1 crossing
+
+
+@pytest.mark.parametrize("argv", [*_random_threshold_planes(5, 12), FINE_AXIS_THRESHOLDS])
+def test_thresholds_bytes_match_the_one_level_loop_at_every_depth(argv, monkeypatch, capsys):
+    code, want, _ = _thresholds_run(argv, monkeypatch, capsys, bisect=_bisect_one_level)
+    assert code == 0
+    crossings = want.count("\r\n") - 1
+    for depth in range(1, 9):
+        budget = max(crossings, 1) * (2 ** depth - 1)
+        code, out, sizes = _thresholds_run(argv, monkeypatch, capsys, budget=budget)
+        assert (code, out) == (0, want)
+        assert max(sizes[1:], default=0) <= max(budget, crossings)
+
+
+def test_fine_axis_brackets_start_below_the_tolerance(monkeypatch, capsys):
+    # the crossing is found, and no bracket is wide enough to bisect
+    code, out, sizes = _thresholds_run(FINE_AXIS_THRESHOLDS, monkeypatch, capsys)
+    assert code == 0 and out.count("\r\n") == 2 and len(sizes) == 1
+
+
+README_GRID = ["--gp", "-19:19:0.25", "--g", "-19:19.3:0.1"]
+README_THRESHOLDS = ["--metric", "qkd", *THERMAL, "--mu", "52", "--xi", "0.97", *README_GRID]
+
+
+@pytest.mark.parametrize("budget", [None, 16])
+def test_readme_thresholds_calls_stay_within_the_budget(budget, monkeypatch, capsys):
+    code, want, ref_sizes = _thresholds_run(README_THRESHOLDS, monkeypatch, capsys, bisect=_bisect_one_level)
+    code, out, sizes = _thresholds_run(README_THRESHOLDS, monkeypatch, capsys, budget=budget)
+    assert (code, out) == (0, want)
+    crossings = out.count("\r\n") - 1
+    assert max(sizes[1:]) <= max(cli.BISECTION_BLOCK if budget is None else budget, crossings)
+    assert len(ref_sizes) == 18
+    assert len(sizes) < 18 if budget is None else len(sizes) == 18  # past the budget: one level per call
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--metric", "qkd", "--n", "1", "--c", "0:1:0.5", "--cp", "-1:1:0.5", "--mu", "1e308"], 3),
+    (["--metric", "qkd", *THERMAL, "--mu", "1e200", "--xi", "0.97", *README_GRID], 3),
+    # just below the mu where the sampled grid overflows (1.2e77): every midpoint passes too
+    (["--metric", "swap", *THERMAL, "--mu", "1.15e77", *README_GRID], 0),
+    (["--metric", "distill", *THERMAL, "--mu", "1.15e77", *README_GRID], 0),
+])
+def test_thresholds_exit_codes_match_the_one_level_loop(argv, code, monkeypatch, capsys):
+    # relay_metrics raises for a whole call, so an off-path midpoint must not
+    # turn an exit 0 into an exit 3
+    want = _thresholds_run(argv, monkeypatch, capsys, bisect=_bisect_one_level)[:2]
+    assert _thresholds_run(argv, monkeypatch, capsys)[:2] == want
+    assert want[0] == code
 
 
 @pytest.mark.parametrize("argv", [

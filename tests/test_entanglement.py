@@ -134,6 +134,14 @@ def test_quadripartite_regions_present_near_physicality_border():
     assert reg.region == "I"
 
 
+def test_region_codes_are_int8_codes_into_the_region_names():
+    # one byte per scan cell; the text is looked up only when written
+    codes = ent.region_codes(np.array([1.0, 1.0, -1.0, -1.0, 1e-12]),
+                             np.array([1.0, -1.0, 1.0, -1.0, 1.0]), 1e-9)
+    assert codes.dtype == np.int8
+    assert [ent.REGIONS[c] for c in codes] == ["I", "II", "III", "IV", "boundary"]
+
+
 def test_quadripartite_classify_requires_eb_noise():
     with pytest.raises(ValidationError):
         ent.quadripartite_classify(ThermalEnvironment(TAU, 10.0))

@@ -182,6 +182,25 @@ def test_teleport_correction():
     assert corr.gain_eta >= 1.0
 
 
+@pytest.mark.parametrize("env", [AdditiveEnvironment(1.0), ThermalEnvironment(0.9, 19.38, 19.0, -15.0)])
+@pytest.mark.parametrize("mu", [6.5, 1e8, 1e150])
+def test_teleport_correction_output_matches_mpmath(mu, env):
+    # (4 mu/(mu^2 - 1)) theta^2 - 2 theta + eta - 1 cancels to O(1) from terms
+    # of order mu; mpmath needs more than 2 log10(mu) + 20 digits not to cancel too
+    import mpmath
+
+    corr = prot.teleport_correction(SwapInput(mu, env))
+    k, kp = envs.kappa_params(env)
+    with mpmath.workdps(int(2 * math.log10(mu)) + 40):
+        m, k, kp = mpmath.mpf(mu), mpmath.mpf(k), mpmath.mpf(kp)
+        thetas = ((m + 1) / 2 + k, (m + 1) / 2 + kp)
+        eta = 4 * thetas[0] * thetas[1] / (m * m - 1)
+        want = [float(4 * m / (m * m - 1) * t * t - 2 * t + eta - 1) for t in thetas]
+        assert corr.gain_eta == pytest.approx(float(eta), rel=1e-15)
+    assert np.diag(corr.output_cm) == pytest.approx(want, rel=1e-15)
+    assert corr.output_cm[0, 1] == corr.output_cm[1, 0] == 0.0
+
+
 def test_teleport_mean_recovery_pipeline():
     # heterodyning the remote arm of the swapped state prepares a displaced
     # state whose corrected mean equals the input coherent amplitude
