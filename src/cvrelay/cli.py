@@ -7,7 +7,8 @@ JSON plus optional shot dump).  A scan runs one loop over its grid,
 ``MATRIX_BLOCK`` cells at a time: the masks, then the metric columns of the
 block's physical cells (the closed forms of ``protocols.relay_metrics``,
 the analytic quadripartite classifier, or one stack of covariance
-matrices).  Contours sample the closed forms over their grid at once.
+matrices).  Contours sample the closed forms over their grid in the same
+blocks of ``MATRIX_BLOCK`` cells, then bisect every crossing together.
 
 Flags carry the symbols used throughout the library (--tau, --omega, --g,
 --gp, --mu, --xi for the thermal family; --n, --c, --cp for the additive
@@ -37,7 +38,7 @@ from .gaussian import NotPositiveDefiniteError, NumericDegeneracyError, Validati
 
 BISECTION_TOL = 1e-6
 MAX_CELLS = 1_000_000  # largest axis, and largest grid, a run accepts
-MATRIX_BLOCK = 4096  # grid cells per scan block; bounds a scan's temporaries
+MATRIX_BLOCK = 4096  # grid cells per scan or contour-sampling block; bounds their temporaries
 BISECTION_BLOCK = 1024  # midpoints per thresholds evaluation, unless more crossings are live
 
 _METRIC_COLUMNS = {
@@ -279,7 +280,8 @@ def _block_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
     The other protocols build the block's evolved states as one stack and
     test it.  Those cells have passed the family's ``physical`` mask, so
     their states are positive definite in exact arithmetic, and a failed
-    Cholesky factorisation of the stack is a float64 failure rather than
+    Cholesky factorisation of the stack, or a two-mode determinant of the
+    bipartite closed form that overflows, is a float64 failure rather than
     bad input.
     """
     if protocol in ("swap", "teleport", "distill", "qkd"):
@@ -294,18 +296,16 @@ def _block_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
                 *ent.quadripartite_regions(tau, omega, *coords)]
     try:
         cm = prot.evolved_cm(mu, grid.family, grid.params(coords))
-    except NotPositiveDefiniteError as exc:
+        if protocol == "bipartite":
+            survey = ent._pair_log_negativities(cm)
+            return [survey[col.removeprefix("logneg_")] for col in _METRIC_COLUMNS["bipartite"]]
+    except (NotPositiveDefiniteError, NumericDegeneracyError) as exc:
         raise NumericDegeneracyError(
             f"the evolved states at mu={mu:g} cannot be held in float64 ({exc}); "
             "use a smaller --mu") from None
     if protocol == "quad-entanglement":
-        ml_a = ent.ppt_min_eigenvalue(cm, [0])
-        ml_ap = ent.ppt_min_eigenvalue(cm, [2])
-        info = envs.thermal_mutual_information(grid.fixed["omega"], *coords)
-        return [info, ml_a, ml_ap, ent.region_codes(ml_a, ml_ap, ent.PSD_ABS_TOL)]
-    if protocol == "bipartite":
-        survey = ent._pair_log_negativities(cm)
-        return [survey[col.removeprefix("logneg_")] for col in _METRIC_COLUMNS["bipartite"]]
+        return [envs.thermal_mutual_information(grid.fixed["omega"], *coords),
+                *ent.quadripartite_numeric_regions(cm)]
     class_id, _, certified = ent._tripartite_core(cm.reduced((0, 2, 3)).m)
     return [class_id, certified]
 
@@ -433,10 +433,15 @@ def cmd_thresholds(args) -> int:
         f[physical] = m[_THRESHOLD_METRICS[metric]]
         return (1.0 - f if metric == "swap" else f), physical
 
-    # sample every column, then bisect every bracketed sign change together;
-    # samples inside the flags' guard band are rounding noise and bracket nothing
-    cols, xs = np.meshgrid(col_axis, sweep_axis, indexing="ij")
-    f, ok = value(xs, cols)
+    # sample every column, MATRIX_BLOCK grid cells at a time column by
+    # column, then bisect every bracketed sign change together; samples inside
+    # the flags' guard band are rounding noise and bracket nothing
+    shape = (len(col_axis), len(sweep_axis))
+    f, ok = np.empty(shape), np.empty(shape, dtype=bool)
+    for at in range(0, f.size, MATRIX_BLOCK):
+        band = slice(at, min(at + MATRIX_BLOCK, f.size))
+        cols, xs = _coordinate_columns([col_axis, sweep_axis], np.arange(band.start, band.stop))
+        f.flat[band], ok.flat[band] = value(xs, cols)
     ok &= ~np.isinf(f) & (np.abs(f) > prot.FLAG_GUARD)
     ci, xj = np.nonzero(ok[:, :-1] & ok[:, 1:] & ((f[:, :-1] > 0.0) != (f[:, 1:] > 0.0)))
     col, lo, hi, flo = col_axis[ci], sweep_axis[xj], sweep_axis[xj + 1], f[ci, xj]

@@ -34,9 +34,10 @@ from .gaussian import (
 )
 from .environments import ThermalEnvironment, entanglement_breaking_threshold
 
-# Positivity of the Hermitian PPT test matrices is judged on the smallest
-# eigenvalue; the absolute floor is widened in proportion to the matrix norm
-# so that mu ~ 1e6 states do not drown the test in eigensolver noise.
+# Every PPT verdict (1x3 groupings, tripartite modes, witness blocks) reads a
+# smallest eigenvalue against max(PSD_ABS_TOL, PSD_REL_TOL * ||V||_2): the
+# eigensolver's error grows like eps * ||V||_2, which the floor follows from
+# ||V||_2 = 1e5 on, so that rounding noise does not decide a sign at large mu.
 PSD_ABS_TOL = 1e-9
 PSD_REL_TOL = 1e-14
 
@@ -64,12 +65,21 @@ _PAIRS = {"aAp": (0, 2), "aBp": (0, 3), "ab": (0, 1), "ApBp": (2, 3)}
 
 
 def _min_eig_tol(m: np.ndarray):
-    """PSD tolerance of every matrix in a stack, widened with its spectral norm.
+    """PSD tolerance max(PSD_ABS_TOL, PSD_REL_TOL * ||m||_2) of every matrix in
+    a stack of symmetric ones.  Their eigenvalues are computed only where the
+    Frobenius norm, an upper bound of ||m||_2, could lift the tolerance above
+    PSD_ABS_TOL (with a factor 2 to spare for the rounding of both norms)."""
+    tol = np.full(m.shape[:-2], PSD_ABS_TOL)
+    big = np.linalg.norm(m, axis=(-2, -1)) >= 0.5 * PSD_ABS_TOL / PSD_REL_TOL
+    if big.any():
+        tol[big] = np.maximum(PSD_ABS_TOL, PSD_REL_TOL * np.abs(np.linalg.eigvalsh(m[big])).max(axis=-1))
+    return tol
 
-    For the symmetric matrices it is applied to, the spectral norm is the
-    largest eigenvalue modulus.
-    """
-    return np.maximum(PSD_ABS_TOL, PSD_REL_TOL * np.abs(np.linalg.eigvalsh(m)).max(axis=-1))
+
+def _ppt_margins(m: np.ndarray, modes):
+    """``ppt_min_eigenvalue`` of each listed single mode, stacked on the last
+    axis, and ``_min_eig_tol(m)``: a mode is PPT where its margin >= -tol."""
+    return np.stack([ppt_min_eigenvalue(m, [k]) for k in modes], axis=-1), _min_eig_tol(m)
 
 
 def ppt_min_eigenvalue(cm, modes):
@@ -81,12 +91,6 @@ def ppt_min_eigenvalue(cm, modes):
     m = _check_finite(partial_transpose(cm, modes), "matrix")
     test = m.astype(complex) + 1j * symplectic_form(m.shape[-1] // 2)
     return _unstack(np.linalg.eigvalsh(test).min(axis=-1))
-
-
-def is_ppt(cm, modes):
-    """PPT verdict for the given modes: a bool, or an array for a stack."""
-    m = _as_matrix(cm)
-    return _unstack(np.asarray(ppt_min_eigenvalue(m, modes)) >= -_min_eig_tol(m))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +184,8 @@ def _dominates_pure_state(t: np.ndarray, t_tilde: np.ndarray) -> np.ndarray:
 def _tripartite_core(m: np.ndarray):
     """Stacked classification of (N, 6, 6) states: class ids, per-mode PPT
     verdicts (N, 3) and certification flags, as in ``tripartite_classify``."""
-    tol = _min_eig_tol(m)  # is_ppt per mode, with the norm taken once for all three
-    ppt = np.stack([ppt_min_eigenvalue(m, [k]) >= -tol for k in range(3)], axis=-1)
+    margins, tol = _ppt_margins(m, range(3))
+    ppt = margins >= -tol[..., None]
     class_id = ppt.sum(axis=-1) + 1
     full = np.flatnonzero(class_id == 4)
     class_id[full[_dominates_pure_state(*_witness_pair(m[full]))]] = 5
@@ -241,13 +245,14 @@ def quad_sigma_functions(tau: float, r: float, g, gp) -> dict:
 REGIONS = ("I", "II", "III", "IV", "boundary")  # the region each region_codes code stands for
 
 
-def region_codes(sigma_a, sigma_ap, tol: float):
+def region_codes(sigma_a, sigma_ap, tol):
     """1x3 regions from the classifiers of modes a and A' (array-friendly), as
     int8 codes into ``REGIONS``.
 
     Positive means separable in that grouping: "I" both, "II" only the
     mode-a classifier, "III" only the mode-A' one, "IV" neither, and
-    "boundary" when either lies within ``tol`` of zero.
+    "boundary" when either lies within ``tol`` (a number, or one per cell)
+    of zero.
     """
     sa, sap = np.asarray(sigma_a), np.asarray(sigma_ap)
     return np.select(
@@ -296,4 +301,17 @@ def quadripartite_numeric(cm, grouping_mode: int | str) -> str:
     m = _as_matrix(cm)
     if m.shape != (8, 8):
         raise ValidationError("quadripartite test requires a four-mode state")
-    return "separable-PPT" if is_ppt(m, [grouping_mode]) else "entangled"
+    margin, tol = _ppt_margins(m, [grouping_mode])
+    return "separable-PPT" if margin[0] >= -tol else "entangled"
+
+
+def quadripartite_numeric_regions(cm):
+    """Finite-mu twin of ``quadripartite_regions`` over a stack of four-mode
+    states: the PPT margins of modes a and A' and their region codes, which
+    are the ``quadripartite_numeric`` verdicts, or "boundary" within tol."""
+    m = _as_matrix(cm)
+    if m.shape[-2:] != (8, 8):
+        raise ValidationError("quadripartite test requires a four-mode state")
+    margins, tol = _ppt_margins(m, (0, 2))
+    sigma_a, sigma_ap = margins[..., 0], margins[..., 1]
+    return sigma_a, sigma_ap, region_codes(sigma_a, sigma_ap, tol)

@@ -371,18 +371,23 @@ def two_mode_spectrum(cm, transposed: bool = False):
     With ``transposed=True`` the invariant det A + det B + 2 det C is replaced
     by det A + det B - 2 det C, which yields the spectrum of the partial
     transpose.  Returns (nu_minus, nu_plus): floats for one matrix, arrays
-    over the leading axes for a stack.
+    over the leading axes for a stack.  A non-finite matrix is a
+    ValidationError, determinants past float64 (entries past ~1e77) a
+    NumericDegeneracyError.
     """
-    m = _as_matrix(cm)
+    m = _check_finite(_as_matrix(cm), "matrix")
     if m.shape[-2:] != (4, 4):
         raise ValidationError("closed form requires a two-mode (4x4) matrix")
-    det_a = np.linalg.det(m[..., :2, :2])
-    det_b = np.linalg.det(m[..., 2:, 2:])
-    det_c = np.linalg.det(m[..., :2, 2:])
-    det_v = np.linalg.det(m)
-    delta = det_a + det_b + (-2.0 if transposed else 2.0) * det_c
-    disc = np.maximum(delta * delta - 4.0 * det_v, 0.0)
-    hi_sq = (delta + np.sqrt(disc)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_a = np.linalg.det(m[..., :2, :2])
+        det_b = np.linalg.det(m[..., 2:, 2:])
+        det_c = np.linalg.det(m[..., :2, 2:])
+        det_v = np.linalg.det(m)
+        delta = det_a + det_b + (-2.0 if transposed else 2.0) * det_c
+        disc = delta * delta - 4.0 * det_v  # not finite if any of the above is not
+    if not np.isfinite(disc).all():
+        raise NumericDegeneracyError("the two-mode determinants overflow float64")
+    hi_sq = (delta + np.sqrt(np.maximum(disc, 0.0))) / 2.0
     if np.any(hi_sq <= 0.0):
         raise ValidationError("matrix has no real symplectic spectrum")
     # small root via the product form: avoids cancellation when hi >> lo
@@ -442,16 +447,16 @@ def smallest_pts_eigenvalue(cm, modes):
     """Smallest symplectic eigenvalue of the partial transpose.
 
     A value < 1 certifies entanglement across the chosen bipartition.  The
-    two-mode single-mode-transpose case uses the closed form (nan where its
-    determinants overflow float64); otherwise the spectrum of the transposed
-    matrix is computed numerically.  A float for one matrix, an array over
-    the leading axes for a stack; a non-finite matrix is a ValidationError.
+    two-mode single-mode-transpose case uses the closed form (a
+    NumericDegeneracyError where its determinants overflow float64);
+    otherwise the spectrum of the transposed matrix is computed numerically.
+    A float for one matrix, an array over the leading axes for a stack; a
+    non-finite matrix is a ValidationError.
     """
     m = _check_finite(_as_matrix(cm), "matrix")
     modes = list(modes)
     if m.shape[-2:] == (4, 4) and len(modes) == 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return two_mode_spectrum(m, transposed=True)[0]
+        return two_mode_spectrum(m, transposed=True)[0]
     return _unstack(_spectrum_of(partial_transpose(m, modes))[..., 0])
 
 

@@ -36,6 +36,7 @@ _NON_FINITE_CALLS = {
     "tripartite_classify(nan 6x6)": lambda: cvrelay.tripartite_classify(_NAN6),
     "smallest_pts_eigenvalue(nan 4x4)": lambda: cvrelay.smallest_pts_eigenvalue(_NAN4, [0]),
     "smallest_pts_eigenvalue(nan 6x6)": lambda: cvrelay.smallest_pts_eigenvalue(_NAN6, [2]),
+    "two_mode_spectrum(nan 4x4)": lambda: cvrelay.two_mode_spectrum(_NAN4, transposed=True),
     "log_negativity(inf 4x4)": lambda: cvrelay.log_negativity(_INF4, [0]),
     "key_rate_from_cm(nan 4x4)": lambda: cvrelay.key_rate_from_cm(_NAN4),
     "key_rate_from_cm(inf 4x4)": lambda: cvrelay.key_rate_from_cm(_INF4),
@@ -61,6 +62,7 @@ _OVERFLOW_CALLS = {
         cvrelay.SwapInput(1e200, cvrelay.AdditiveEnvironment(1.0))),
     "teleport_correction(n=1e200)": lambda: cvrelay.teleport_correction(
         cvrelay.SwapInput(6.5, cvrelay.AdditiveEnvironment(1e200))),
+    "smallest_pts_eigenvalue(1e80 I)": lambda: cvrelay.smallest_pts_eigenvalue(np.eye(4) * 1e80, [0]),
 }
 
 

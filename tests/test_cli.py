@@ -733,10 +733,9 @@ def _reference_row(protocol, grid, coords, mu, xi):
         row += [envs.env_mutual_information(env), region.sigma_prime, region.sigma_double_prime,
                 region.region]
     elif protocol == "quad-entanglement":
-        cm = prot.evolved_cm(prot.SwapInput(float(mu), env))
-        ml_a, ml_ap = ent.ppt_min_eigenvalue(cm, [0]), ent.ppt_min_eigenvalue(cm, [2])
-        row += [envs.env_mutual_information(env), ml_a, ml_ap,
-                ent.REGIONS[ent.region_codes(ml_a, ml_ap, ent.PSD_ABS_TOL)]]
+        sigma_a, sigma_ap, region = ent.quadripartite_numeric_regions(
+            prot.evolved_cm(prot.SwapInput(float(mu), env)))
+        row += [envs.env_mutual_information(env), sigma_a, sigma_ap, ent.REGIONS[region]]
     elif protocol == "bipartite":
         survey = ent._pair_log_negativities(prot.evolved_cm(prot.SwapInput(float(mu), env)))
         row += [survey[pair] for pair in ("aAp", "aBp", "ab", "ApBp")]
@@ -945,14 +944,44 @@ def test_quad_entanglement_scan_fills_every_physical_cell_at_mu_1e10(capsys):
     assert all(cell not in ("", "nan") for row in physical for cell in row)
 
 
+@pytest.mark.parametrize("mu", ["1e11", "1e12"])
+def test_quad_entanglement_regions_are_the_verdicts_of_quadripartite_numeric(capsys, mu):
+    # the PPT test eigenvalues carry an error of ~eps * mu here: a region is
+    # "boundary" or the pair of 1x3 verdicts the library gives for that state
+    from cvrelay import entanglement as ent
+    from cvrelay import environments as envs
+    from cvrelay import protocols as prot
+
+    code, out = run_cli(["scan", "--protocol", "quad-entanglement", *THERMAL, "--g", "-19:19:0.5",
+                         "--gp", "-19:19:0.5", "--mu", mu], capsys)
+    assert code == 0
+    header, *rows = (line.split(",") for line in out.split("\r\n")[:-1])
+    rows = [row for row in rows if row[header.index("physical")] == "1"]
+    g, gp = (np.array([float(row[k]) for row in rows]) for k in (0, 1))
+    cm = prot.evolved_cm(float(mu), envs.ThermalEnvironment, {"tau": 0.9, "omega": 19.38, "g": g, "gp": gp})
+    regions = {("separable-PPT", "separable-PPT"): "I", ("separable-PPT", "entangled"): "II",
+               ("entangled", "separable-PPT"): "III", ("entangled", "entangled"): "IV"}
+    seen = set()
+    for row, m in zip(rows, cm.m):
+        region = row[header.index("region")]
+        seen.add(region)
+        if region != "boundary":
+            verdicts = (ent.quadripartite_numeric(m, "a"), ent.quadripartite_numeric(m, "Ap"))
+            assert region == regions[verdicts], (row, verdicts)
+    assert {"boundary", "I", "IV"} <= seen
+
+
 @pytest.mark.parametrize("argv", [
     ["--protocol", "bipartite", "--n", "0", "--c", "0:1:0.5", "--cp", "0:1:0.5", "--mu", "1e9"],
     ["--protocol", "tripartite", "--n", "0", "--c", "0:1:0.5", "--cp", "0:1:0.5", "--mu", "1e12"],
     ["--protocol", "bipartite", "--n", "1e308", "--c", "-1:1:0.5", "--cp", "-1:1:0.5", "--mu", "52"],
     ["--protocol", "tripartite", "--n", "1e308", "--c", "-1:1:0.5", "--cp", "-1:1:0.5", "--mu", "52"],
+    ["--protocol", "bipartite", "--n", "1e300", "--c", "-1:1:0.5", "--cp", "-1:1:0.5", "--mu", "52"],
+    ["--protocol", "bipartite", "--n", "1e80", "--c", "-1:1:1", "--cp", "-1:1:1", "--mu", "52"],
 ])
 def test_matrix_scans_beyond_float64_exit_3(capsys, argv):
-    # every cell is physical, but a float64 matrix cannot hold these states
+    # every cell is physical, but a float64 matrix cannot hold these states,
+    # or the determinants of the bipartite closed form overflow
     code, out = run_cli(["scan", *argv], capsys)
     error = json.loads(out)["error"]
     assert code == 3 and error["code"] == 3
@@ -987,6 +1016,40 @@ def test_thresholds_qkd_points_bracket_a_sign_change(capsys, argv):
             envs = [AdditiveEnvironment(2.5, x + d, col) for d in (-1e-6, 1e-6)]
         lo, hi = (qkd_rate(SwapInput(52.0, env), 0.97) for env in envs)
         assert (lo > 0.0) != (hi > 0.0), line
+
+
+def test_thresholds_sample_the_grid_one_block_of_cells_at_a_time(capsys, monkeypatch):
+    # before bisecting, the masks see every grid cell once and relay_metrics
+    # every physical one, in calls of at most MATRIX_BLOCK cells; the
+    # contours do not depend on the block size
+    from cvrelay import environments as envs
+    from cvrelay import protocols as prot
+
+    argv = ["thresholds", "--metric", "qkd", *THERMAL, "--mu", "52", "--xi", "0.97",
+            "--gp", "-19:19:2", "--g", "-19:19.3:0.1"]
+    whole = run_cli(argv, capsys)
+    cells = {"masks": [], "relay_metrics": [], "bisecting": []}
+
+    def spy(func, name, count):
+        def counted(*args, **kwargs):
+            result = func(*args, **kwargs)
+            if not cells["bisecting"]:
+                cells[name].append(count(result))
+            return result
+        return counted
+
+    bisect = cli._bisect
+    monkeypatch.setattr(cli, "_bisect", lambda *args: (cells["bisecting"].append(True), bisect(*args)))
+    monkeypatch.setattr(envs.ThermalEnvironment, "masks",
+                        staticmethod(spy(envs.ThermalEnvironment.masks, "masks", lambda r: r[0].size)))
+    monkeypatch.setattr(prot, "relay_metrics",
+                        spy(prot.relay_metrics, "relay_metrics", lambda m: m["epsilon"].size))
+    monkeypatch.setattr("cvrelay.cli.MATRIX_BLOCK", 7)
+    assert run_cli(argv, capsys) == whole and whole[0] == 0 and cells["bisecting"]
+    size = 20 * len(cli._parse_axis("-19:19.3:0.1", "g"))
+    assert len(cells["masks"]) == -(-size // 7) and max(cells["masks"]) <= 7
+    assert sum(cells["masks"]) == size
+    assert len(cells["relay_metrics"]) == len(cells["masks"]) and max(cells["relay_metrics"]) <= 7
 
 
 def _bisect_one_level(value, col, lo, hi, flo):
@@ -1063,21 +1126,26 @@ def test_bisect_heap_matches_the_one_level_loop(seed, widest, depth, monkeypatch
 
 def _thresholds_run(argv, monkeypatch, capsys, budget=None, bisect=None):
     """Exit code and output of one thresholds run, with the cell count of each
-    of its relay_metrics calls."""
+    relay_metrics call its bisection makes (the grid's sampling before it
+    is not counted)."""
     from cvrelay import protocols as prot
 
-    metrics, sizes = prot.relay_metrics, []
+    metrics, sizes, bisect, bisecting = prot.relay_metrics, [], bisect or cli._bisect, []
 
     def counted(mu, k, kp, xi=1.0):
-        sizes.append(np.size(k))
+        if bisecting:
+            sizes.append(np.size(k))
         return metrics(mu, k, kp, xi)
+
+    def counted_bisect(*args):
+        bisecting.append(True)
+        return bisect(*args)
 
     with monkeypatch.context() as patch:
         patch.setattr(prot, "relay_metrics", counted)
         if budget is not None:
             patch.setattr(cli, "BISECTION_BLOCK", budget)
-        if bisect is not None:
-            patch.setattr(cli, "_bisect", bisect)
+        patch.setattr(cli, "_bisect", counted_bisect)
         code, out = run_cli(["thresholds", *argv], capsys)
     return code, out, sizes
 
@@ -1114,13 +1182,13 @@ def test_thresholds_bytes_match_the_one_level_loop_at_every_depth(argv, monkeypa
         budget = max(crossings, 1) * (2 ** depth - 1)
         code, out, sizes = _thresholds_run(argv, monkeypatch, capsys, budget=budget)
         assert (code, out) == (0, want)
-        assert max(sizes[1:], default=0) <= max(budget, crossings)
+        assert max(sizes, default=0) <= max(budget, crossings)
 
 
 def test_fine_axis_brackets_start_below_the_tolerance(monkeypatch, capsys):
     # the crossing is found, and no bracket is wide enough to bisect
     code, out, sizes = _thresholds_run(FINE_AXIS_THRESHOLDS, monkeypatch, capsys)
-    assert code == 0 and out.count("\r\n") == 2 and len(sizes) == 1
+    assert code == 0 and out.count("\r\n") == 2 and sizes == []
 
 
 README_GRID = ["--gp", "-19:19:0.25", "--g", "-19:19.3:0.1"]
@@ -1133,9 +1201,9 @@ def test_readme_thresholds_calls_stay_within_the_budget(budget, monkeypatch, cap
     code, out, sizes = _thresholds_run(README_THRESHOLDS, monkeypatch, capsys, budget=budget)
     assert (code, out) == (0, want)
     crossings = out.count("\r\n") - 1
-    assert max(sizes[1:]) <= max(cli.BISECTION_BLOCK if budget is None else budget, crossings)
-    assert len(ref_sizes) == 18
-    assert len(sizes) < 18 if budget is None else len(sizes) == 18  # past the budget: one level per call
+    assert max(sizes) <= max(cli.BISECTION_BLOCK if budget is None else budget, crossings)
+    assert len(ref_sizes) == 17
+    assert len(sizes) < 17 if budget is None else len(sizes) == 17  # past the budget: one level per call
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -341,3 +341,37 @@ def test_quad_sigma_functions_overflow_to_inf_instead_of_raising():
     with np.errstate(over="ignore"):
         funcs = ent.quad_sigma_functions(0.5, 1e100, 0.0, 0.0)
     assert np.isinf(funcs["zeta"]) and funcs["sigma_prime"] == funcs["f"] == funcs["sigma_double_prime"]
+
+
+def _eager_min_eig_tol(m):
+    """max(PSD_ABS_TOL, PSD_REL_TOL * ||m||_2) with the eigenvalues of every matrix."""
+    return np.maximum(ent.PSD_ABS_TOL, ent.PSD_REL_TOL * np.abs(np.linalg.eigvalsh(m)).max(axis=-1))
+
+
+@pytest.mark.parametrize("mu", [52.0, 3e4, 1e5, 1e6, 1e12])
+def test_min_eig_tol_equals_the_formula_over_every_matrix(mu):
+    # the Frobenius-norm screen skips eigenvalues only where they cannot
+    # matter: the tolerances are bit for bit those of the eager formula, for
+    # the evolved states, their tripartite reductions and the witness blocks
+    g_, gp = (a.ravel() for a in np.meshgrid(np.linspace(-19.0, 19.0, 9), np.linspace(-19.0, 19.0, 9)))
+    physical = ThermalEnvironment.masks(tau=TAU, omega=20.5, g=g_, gp=gp)[0]
+    cm = prot.evolved_cm(mu, ThermalEnvironment, {"tau": TAU, "omega": 20.5, "g": g_[physical],
+                                                  "gp": gp[physical]})
+    tri = cm.reduced((0, 2, 3)).m
+    t, t_tilde = ent._witness_pair(tri)
+    stacks = [cm.m, tri, t.real, t_tilde.real, cm.m[0]]
+    for m in stacks:
+        lazy = ent._min_eig_tol(m)
+        assert lazy.shape == m.shape[:-2] and lazy.tobytes() == _eager_min_eig_tol(m).tobytes()
+    assert (ent._min_eig_tol(cm.m) > ent.PSD_ABS_TOL).any() == (mu >= 1e5)  # ||V||_2 ~ 1.9 mu
+
+
+def test_numeric_regions_of_a_stack_are_those_of_each_state():
+    g_ = np.linspace(-19.0, 19.0, 7)
+    cm = prot.evolved_cm(1e12, ThermalEnvironment, {"tau": TAU, "omega": EB_NOISE, "g": g_, "gp": -g_})
+    stacked = ent.quadripartite_numeric_regions(cm)
+    for k, m in enumerate(cm.m):
+        single = ent.quadripartite_numeric_regions(m)
+        assert [float(v[k]) for v in stacked] == [float(v) for v in single]
+    with pytest.raises(ValidationError, match="four-mode"):
+        ent.quadripartite_numeric_regions(cm.reduced((0, 2, 3)))
