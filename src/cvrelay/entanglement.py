@@ -66,11 +66,11 @@ _PAIRS = {"aAp": (0, 2), "aBp": (0, 3), "ab": (0, 1), "ApBp": (2, 3)}
 
 def _min_eig_tol(m: np.ndarray):
     """PSD tolerance max(PSD_ABS_TOL, PSD_REL_TOL * ||m||_2) of every matrix in
-    a stack of symmetric ones.  Their eigenvalues are computed only where the
-    Frobenius norm, an upper bound of ||m||_2, could lift the tolerance above
-    PSD_ABS_TOL (with a factor 2 to spare for the rounding of both norms)."""
+    a stack of symmetric ones.  Their eigenvalues are computed only where
+    n max|m_ij|, an upper bound of ||m||_2 that squares no entry, could lift
+    the tolerance above PSD_ABS_TOL (with a factor 2 to spare for rounding)."""
     tol = np.full(m.shape[:-2], PSD_ABS_TOL)
-    big = np.linalg.norm(m, axis=(-2, -1)) >= 0.5 * PSD_ABS_TOL / PSD_REL_TOL
+    big = np.abs(m).max(axis=(-2, -1)) >= 0.5 * PSD_ABS_TOL / PSD_REL_TOL / m.shape[-1]
     if big.any():
         tol[big] = np.maximum(PSD_ABS_TOL, PSD_REL_TOL * np.abs(np.linalg.eigvalsh(m[big])).max(axis=-1))
     return tol
@@ -102,25 +102,6 @@ def _pair_log_negativities(cm: CovarianceMatrix) -> dict:
     evolved states; by the a/b symmetry of identical sources they cover
     every pair."""
     return {name: log_negativity(cm.reduced(pair), [0]) for name, pair in _PAIRS.items()}
-
-
-def logneg_kept_vs_transmitted_asymptotic(tau: float, omega: float) -> float:
-    """Large-mu log-negativity of the aA' pairing.
-
-    max{0, log2[(1 + tau)/((1 - tau) omega)]}: it hits zero exactly at the
-    entanglement-breaking threshold omega_EB(tau).
-    """
-    return max(0.0, math.log2((1.0 + tau) / ((1.0 - tau) * omega)))
-
-
-def pts_transmitted_pair_large_mu(mu: float, tau: float, omega: float, g: float, gp: float) -> float:
-    """Leading-order smallest PTS eigenvalue of the A'B' pair.
-
-    tau mu + (1 - tau)(2 omega - |g - g'|)/2; exact on the antidiagonal
-    g + g' = 0 and an upper bound elsewhere, with vanishing relative error
-    as mu grows.
-    """
-    return tau * mu + 0.5 * (1.0 - tau) * (2.0 * omega - abs(g - gp))
 
 
 # ---------------------------------------------------------------------------

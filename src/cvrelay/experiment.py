@@ -15,7 +15,7 @@ any chunk boundary without changing a single sample.
 
 The estimator streams: ``run_point`` cuts a run into chunks of whole
 MOMENT_BLOCKs and simulates them on worker threads (Philox and ``ndtri``
-release the GIL), and only running moments are kept.  Draws, moments,
+release the GIL), which return block moments only.  Draws, moments,
 chunks and dumps share one grid of MOMENT_BLOCK shots, aligned to the
 absolute shot index; only a run's last block may be short.  A worker turns
 each block of its chunk into its size n_b, mean m_b and centred co-moment
@@ -33,7 +33,6 @@ size on any machine.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import itertools
 import math
@@ -44,7 +43,7 @@ import numpy as np
 
 from .gaussian import NumericDegeneracyError, ValidationError, _condition
 from .environments import AdditiveEnvironment, additive_env_classical_cm
-from .protocols import key_rate_from_cm
+from .protocols import _check_xi, key_rate_from_cm
 
 RNG_ALGORITHM = "philox4x64"
 DRAWS_PER_SHOT = 16  # 4 signal + 4 side-channel + 4 shot-noise + 4 loss draws
@@ -81,8 +80,7 @@ class ExperimentConfig:
             raise ValidationError("seed must be a 64-bit unsigned integer")
         if not 0.0 < self.relay_efficiency <= 1.0:
             raise ValidationError("relay efficiency must lie in (0, 1]")
-        if not 0.0 < self.xi <= 1.0:
-            raise ValidationError("reconciliation efficiency must lie in (0, 1]")
+        _check_xi(self.xi)
 
 
 @dataclass(frozen=True)
@@ -272,11 +270,10 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _simulate_chunk(config: ExperimentConfig, start: int, stop: int, keep: bool):
-    """One chunk, in a worker thread: the batch if ``keep``, and its block moments."""
+def _chunk_moments(config: ExperimentConfig, start: int, stop: int):
+    """Block moments of the shots [start, stop), in a worker thread."""
     with np.errstate(over="ignore", invalid="ignore"):  # per thread: the estimate rejects what overflows
-        batch = simulate_shot_batch(config, start=start, stop=stop)
-        return (batch if keep else None), _block_moments(batch)
+        return _block_moments(simulate_shot_batch(config, start=start, stop=stop))
 
 
 def run_point(
@@ -285,16 +282,18 @@ def run_point(
     """Simulate and estimate one configuration, chunk by chunk.
 
     ``chunk_shots`` is rounded down to whole MOMENT_BLOCKs, at least one.
-    The chunks are simulated by a pool of worker threads, one per available
-    CPU (at most one per chunk), and their block moments are merged here in
-    shot order, so the estimate is bit-identical for any ``chunk_shots`` and
-    any number of workers.  At most one chunk per worker is in flight, so at
-    most (workers + 1) x max(chunk_shots, MOMENT_BLOCK) shots are in memory
-    at once.  ``dump`` names an optional CSV file that receives every shot
-    (one header), written here in shot order.  The estimate needs
-    modulation, mu > 1; a point without it is rejected before any shot is
-    drawn, so it writes no dump.  Noise or moments past the float64 range
-    turn non-finite, and the estimate rejects them.
+    A pool of worker threads, one per available CPU (at most one per
+    chunk), turns each chunk into block moments, which are merged here in
+    shot order: the estimate is bit-identical for any ``chunk_shots`` and
+    any number of workers, and at most workers x max(chunk_shots,
+    MOMENT_BLOCK) shots are in memory at once (every chunk is queued at
+    the start, as a task of about 2 kB).  ``dump`` names an optional
+    CSV file for every shot (one header).  It is opened before the first
+    draw and filled here once the pool is done, each chunk drawn again in
+    shot order: a shot depends only on the seed, the stream and its index.
+    The estimate needs modulation, mu > 1; a point without it is rejected
+    before any shot is drawn, so it writes no dump.  Noise or moments past
+    the float64 range turn non-finite, and the estimate rejects them.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, not at the top: it adds ~4 ms to `import cvrelay.cli`
 
@@ -303,24 +302,17 @@ def run_point(
     if config.mu <= 1.0 + 1e-12:
         raise ValidationError("covariance reconstruction needs signal modulation (mu > 1)")
     chunk = max(1, chunk_shots // MOMENT_BLOCK) * MOMENT_BLOCK
-    chunks = range(0, config.shots, chunk)
-    workers = min(_available_cpus(), len(chunks))
-    starts = iter(chunks)
+    starts = range(0, config.shots, chunk)
+    stops = [min(start + chunk, config.shots) for start in starts]
     moments = _CoMoments()
     with (np.errstate(over="ignore", invalid="ignore"),
-          open(dump, "w", encoding="utf-8", newline="") if dump else contextlib.nullcontext() as fh,
-          ThreadPoolExecutor(workers) as pool):
-
-        def submit(start):
-            return pool.submit(_simulate_chunk, config, start, min(start + chunk, config.shots), bool(fh))
-
-        pending = collections.deque(submit(start) for start in itertools.islice(starts, workers))
-        while pending:
-            batch, blocks = pending.popleft().result()
-            pending.extend(submit(start) for start in itertools.islice(starts, 1))  # the next chunk, if any
-            if fh:
-                batch.write_csv(fh, header=not moments.count)
-            moments.merge(blocks)
+          open(dump, "w", encoding="utf-8", newline="") if dump else contextlib.nullcontext() as fh):
+        with ThreadPoolExecutor(min(_available_cpus(), len(starts))) as pool:
+            for blocks in pool.map(_chunk_moments, itertools.repeat(config), starts, stops):
+                moments.merge(blocks)
+        if fh:
+            for start, stop in zip(starts, stops):
+                simulate_shot_batch(config, start=start, stop=stop).write_csv(fh, header=not start)
     return moments.estimate(config.mu, config.xi)
 
 

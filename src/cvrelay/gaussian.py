@@ -50,6 +50,7 @@ class NotPositiveDefiniteError(ValidationError):
     """A matrix that must be positive definite failed its Cholesky factorisation."""
 
 
+@functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode.
 
@@ -57,11 +58,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     """
     if n_modes < 1:
         raise ValidationError("n_modes must be a positive integer")
-    return _symplectic_form(n_modes)
-
-
-@functools.lru_cache(maxsize=None)
-def _symplectic_form(n_modes: int) -> np.ndarray:
     omega = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     omega.flags.writeable = False
     return omega
@@ -279,8 +275,8 @@ def vacuum_cm(n_modes: int = 1) -> CovarianceMatrix:
 
 def thermal_cm(variance: float, n_modes: int = 1) -> CovarianceMatrix:
     """Thermal state of the given quadrature variance (vacuum at 1)."""
-    if variance < 1.0 - UNCERTAINTY_TOL:
-        raise ValidationError("thermal variance must be >= 1 in shot-noise units")
+    if not 1.0 - UNCERTAINTY_TOL <= variance < math.inf:
+        raise ValidationError(f"thermal variance must be finite and >= 1 in shot-noise units, got {variance!r}")
     return CovarianceMatrix(variance * np.eye(2 * n_modes))
 
 
@@ -315,12 +311,16 @@ def beam_splitter(tau: float) -> SymplecticMatrix:
 
 def quadrature_squeezer(s: float) -> SymplecticMatrix:
     """Single-mode squeezer diag(s, 1/s) rescaling q by s and p by 1/s."""
-    if s <= 0.0:
-        raise ValidationError("squeezing scale must be positive")
+    if not 0.0 < s < math.inf:
+        raise ValidationError(f"squeezing scale must be positive and finite, got {s!r}")
+    if 1.0 / s == math.inf:
+        raise NumericDegeneracyError(f"squeezing scale {s!r}: 1/s overflows float64")
     return SymplecticMatrix(np.diag([s, 1.0 / s]))
 
 
 def rotation(theta: float) -> SymplecticMatrix:
+    if not math.isfinite(theta):
+        raise ValidationError(f"rotation angle must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
     return SymplecticMatrix(np.array([[c, s], [-s, c]]))
 

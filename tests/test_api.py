@@ -31,6 +31,12 @@ _NON_FINITE_CALLS = {
     "entropic_h(nan)": lambda: cvrelay.entropic_h(math.nan),
     "entropic_h([3, nan])": lambda: cvrelay.entropic_h([3.0, math.nan]),
     "tmsv_cm(inf)": lambda: cvrelay.tmsv_cm(math.inf),
+    "thermal_cm(inf)": lambda: cvrelay.thermal_cm(math.inf),
+    "rotation(inf)": lambda: cvrelay.rotation(math.inf),
+    "rotation(-inf)": lambda: cvrelay.rotation(-math.inf),
+    "rotation(nan)": lambda: cvrelay.rotation(math.nan),
+    "quadrature_squeezer(nan)": lambda: cvrelay.quadrature_squeezer(math.nan),
+    "quadrature_squeezer(inf)": lambda: cvrelay.quadrature_squeezer(math.inf),
     "additive_link_cm(inf, 1)": lambda: cvrelay.additive_link_cm(math.inf, 1.0),
     "ppt_min_eigenvalue(nan 4x4)": lambda: cvrelay.ppt_min_eigenvalue(_NAN4, [0]),
     "tripartite_classify(nan 6x6)": lambda: cvrelay.tripartite_classify(_NAN6),
@@ -63,6 +69,7 @@ _OVERFLOW_CALLS = {
     "teleport_correction(n=1e200)": lambda: cvrelay.teleport_correction(
         cvrelay.SwapInput(6.5, cvrelay.AdditiveEnvironment(1e200))),
     "smallest_pts_eigenvalue(1e80 I)": lambda: cvrelay.smallest_pts_eigenvalue(np.eye(4) * 1e80, [0]),
+    "quadrature_squeezer(1e-320)": lambda: cvrelay.quadrature_squeezer(1e-320),
 }
 
 
@@ -72,3 +79,17 @@ def test_finite_input_past_float64_is_a_numeric_degeneracy_at_the_library_entry(
     # finite entries whose products overflow: a NumericDegeneracyError before any numpy warning
     with pytest.raises(cvrelay.NumericDegeneracyError, match="overflow"):
         call()
+
+
+_VERDICT_CALLS = {
+    "tripartite_classify(1e160 I)": lambda: cvrelay.tripartite_classify(np.eye(6) * 1e160).class_id == 5,
+    "quadripartite_numeric(1e160 I, a)": lambda: (
+        cvrelay.quadripartite_numeric(np.eye(8) * 1e160, 0) == "separable-PPT"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", _VERDICT_CALLS.values(), ids=_VERDICT_CALLS.keys())
+def test_finite_entries_whose_squares_overflow_still_get_a_ppt_verdict(call):
+    # the PSD tolerance screens on max|m_ij|, which squares no entry
+    assert call()

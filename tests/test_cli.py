@@ -274,6 +274,21 @@ def test_experiment_rejects_mu_1_before_drawing_a_shot(capsys, monkeypatch, tmp_
     assert calls == [] and not dump.exists()
 
 
+def test_experiment_opens_its_dump_before_drawing_a_shot(capsys, monkeypatch, tmp_path):
+    calls = []
+    simulate = expmt.simulate_shot_batch
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(expmt, "simulate_shot_batch", spy)
+    argv = ["experiment", "--n", "1", "--shots", "100000", "--dump", str(tmp_path / "no-such-dir" / "shots.csv")]
+    code, out = run_cli(argv, capsys)
+    assert code == 2 and json.loads(out)["error"]["code"] == 2
+    assert calls == []
+
+
 def test_experiment_rejects_a_zero_chunk_size(capsys):
     code, out = run_cli(["experiment", "--n", "1", "--shots", "10", "--chunk-shots", "0"], capsys)
     assert code == 2 and json.loads(out)["error"]["code"] == 2

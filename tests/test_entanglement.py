@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -48,21 +50,24 @@ def test_bipartite_survey_matches_ppt_oracle():
 
 
 def test_bipartite_asymptotics():
-    # aA' threshold sits exactly at the entanglement-breaking noise
-    assert ent.logneg_kept_vs_transmitted_asymptotic(TAU, W_EB) == pytest.approx(0.0, abs=1e-12)
-    assert ent.logneg_kept_vs_transmitted_asymptotic(TAU, W_EB - 1.0) > 0.0
-    # large-mu aA' log-negativity from the finite-mu oracle
+    # large-mu aA' log-negativity, max{0, log2[(1 + tau)/((1 - tau) omega)]}:
+    # zero exactly at the entanglement-breaking noise omega_EB(tau)
+    def logneg_aap(tau, omega):
+        return max(0.0, math.log2((1.0 + tau) / ((1.0 - tau) * omega)))
+
+    assert logneg_aap(TAU, W_EB) == pytest.approx(0.0, abs=1e-12)
+    assert logneg_aap(TAU, W_EB - 1.0) > 0.0
     env = ThermalEnvironment(TAU, 10.0)
     cm = prot.evolved_cm(SwapInput(1e6, env))
     oracle = g.log_negativity(cm.reduced([0, 2]), [0])
-    assert oracle == pytest.approx(
-        ent.logneg_kept_vs_transmitted_asymptotic(TAU, 10.0), abs=1e-4
-    )
-    # A'B' leading-order PTS eigenvalue at large mu
-    env = ThermalEnvironment(TAU, EB_NOISE, 12.0, -5.0)
-    cm = prot.evolved_cm(SwapInput(1e6, env))
+    assert oracle == pytest.approx(logneg_aap(TAU, 10.0), abs=1e-4)
+    # A'B' leading-order PTS eigenvalue at large mu, tau mu + (1 - tau)(2 omega - |g - g'|)/2:
+    # exact on the antidiagonal g + g' = 0, an upper bound elsewhere
+    mu, g_, gp = 1e6, 12.0, -5.0
+    env = ThermalEnvironment(TAU, EB_NOISE, g_, gp)
+    cm = prot.evolved_cm(SwapInput(mu, env))
     eps = g.smallest_pts_eigenvalue(cm.reduced([2, 3]), [0])
-    lead = ent.pts_transmitted_pair_large_mu(1e6, TAU, EB_NOISE, 12.0, -5.0)
+    lead = TAU * mu + 0.5 * (1.0 - TAU) * (2.0 * EB_NOISE - abs(g_ - gp))
     assert eps == pytest.approx(lead, rel=1e-4)
 
 

@@ -46,6 +46,8 @@ def test_symplectic_form_is_cached_and_read_only():
     assert g.symplectic_form(3) is g.symplectic_form(3)
     with pytest.raises(ValueError):
         g.symplectic_form(3)[0, 1] = 2.0
+    with pytest.raises(ValidationError, match="n_modes"):
+        g.symplectic_form(0)
 
 
 def _stack_of_two_mode_cms(seed, count=12):

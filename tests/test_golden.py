@@ -7,11 +7,16 @@ A digest that moves is an output change; make it on purpose and rewrite the
 file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The finite-mu ``quad-entanglement`` and ``experiment`` digests also depend on
+the CPU kernel that numpy's bundled OpenBLAS picks at run time, so the file
+records that kernel's name and a failure names both.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -66,6 +71,18 @@ def _workload_commands() -> list[list[str]]:
     return [list(cmd.argv) for w in workloads.values() for cmd in w.commands(1)]
 
 
+def _openblas_core() -> str:
+    """Name of the CPU kernel numpy's bundled OpenBLAS runs, or "unknown"."""
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("libscipy_openblas*.so*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):  # not loadable, or no such symbol
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -91,8 +108,9 @@ def test_every_golden_output_is_byte_identical(tmp_path):
     digests = output_digests(tmp_path)
     moved = sorted(key for key in golden["digests"].keys() | digests.keys()
                    if golden["digests"].get(key) != digests.get(key))
-    versions = f"digests from numpy {golden['numpy']}, scipy {golden['scipy']}; " \
-               f"running numpy {np.__version__}, scipy {scipy.__version__}"
+    versions = f"digests from numpy {golden['numpy']}, scipy {golden['scipy']}, " \
+               f"OpenBLAS core {golden['openblas_core']}; running numpy {np.__version__}, " \
+               f"scipy {scipy.__version__}, OpenBLAS core {_openblas_core()}"
     assert moved == [], f"{len(moved)} outputs moved ({versions}):\n" + "\n".join(moved)
 
 
@@ -114,6 +132,7 @@ def test_a_point_is_byte_identical_at_any_worker_count(monkeypatch, argv, worker
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        record = {"numpy": np.__version__, "scipy": scipy.__version__, "digests": output_digests(Path(tmp))}
+        record = {"numpy": np.__version__, "scipy": scipy.__version__, "openblas_core": _openblas_core(),
+                  "digests": output_digests(Path(tmp))}
     DIGESTS.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(record['digests'])} digests to {DIGESTS}", file=sys.stderr)
