@@ -5,10 +5,11 @@ Subcommands: ``point`` (all analyzers at one parameter point, JSON),
 (zero contours by bisection, CSV) and ``experiment`` (shot-level sweep,
 JSON plus optional shot dump).  A scan runs one loop over its grid,
 ``MATRIX_BLOCK`` cells at a time: the masks, then the metric columns of the
-block's physical cells (the closed forms of ``protocols.relay_metrics``,
-the analytic quadripartite classifier, or one stack of covariance
-matrices).  Contours sample the closed forms over their grid in the same
-blocks of ``MATRIX_BLOCK`` cells, then bisect every crossing together.
+block's physical cells (the printed closed forms of
+``protocols.relay_metrics``, the analytic quadripartite classifier, or one
+stack of covariance matrices).  Contours sample the one closed form they
+trace over their grid in the same blocks of ``MATRIX_BLOCK`` cells, then
+bisect every crossing together.
 
 Flags carry the symbols used throughout the library (--tau, --omega, --g,
 --gp, --mu, --xi for the thermal family; --n, --c, --cp for the additive
@@ -52,6 +53,8 @@ _METRIC_COLUMNS = {
     "tripartite": ["tri_class", "tri_certified"],
 }
 SCAN_PROTOCOLS = tuple(_METRIC_COLUMNS)
+_CLOSED_FORM = ("swap", "teleport", "distill", "qkd", "qkd-asymptotic")  # scans of relay_metrics columns
+_RELAY_KEYS = {"epsilon_opt": "epsilon", "rate_opt": "key_rate", "rate_lb": "key_rate_lb"}  # by column name
 _BIT_TEXT = np.array(["0", "1"], dtype=object)
 _FLAG_TEXT = np.array(["0", "1", "marginal"], dtype=object)  # text of each prot.FLAG_VALUES code
 # text of a scan's int8 code columns: the success flags and the 1x3 region
@@ -284,12 +287,11 @@ def _block_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
     bipartite closed form that overflows, is a float64 failure rather than
     bad input.
     """
-    if protocol in ("swap", "teleport", "distill", "qkd"):
-        m = prot.relay_metrics(mu, *grid.kappas(coords), xi)
-        return [m[name] for name in _METRIC_COLUMNS[protocol]]
-    if protocol == "qkd-asymptotic":
-        m = prot.relay_metrics(math.inf, *grid.kappas(coords))
-        return [m["epsilon"], m["key_rate"], m["key_rate_lb"], m["qkd_ok"]]
+    if protocol in _CLOSED_FORM:
+        names = [_RELAY_KEYS.get(col, col) for col in _METRIC_COLUMNS[protocol]]
+        m = prot.relay_metrics(math.inf if protocol == "qkd-asymptotic" else mu, *grid.kappas(coords),
+                               xi, names)
+        return [m[name] for name in names]
     if mu == math.inf:  # quad-entanglement, from the analytic classifier
         tau, omega = grid.fixed["tau"], grid.fixed["omega"]
         return [envs.thermal_mutual_information(omega, *coords),
@@ -390,12 +392,14 @@ def _bisect(value, col, lo, hi, flo):
         depth = max(1, min(need, (BISECTION_BLOCK // len(idx) + 1).bit_length() - 1))
         # the next `depth` levels of midpoints as a heap: column j of `mid`
         # splits the bracket (a, b) of node j, and its children 2j + 1 and
-        # 2j + 2 split (a, m) and (m, b)
-        a, b, mids = lo[idx, None], hi[idx, None], []
-        for _ in range(depth):
-            mids.append(m := 0.5 * (a + b))
-            a, b = (np.stack(pair, axis=2).reshape(len(idx), -1) for pair in ((a, m), (m, b)))
-        mid = np.concatenate(mids, axis=1)
+        # 2j + 2 split (a, m) and (m, b).  `ends` holds each bracket's ends
+        # in order; level l's ends are every 2**(depth - l)-th column.
+        ends, mid = np.empty((len(idx), 2**depth + 1)), np.empty((len(idx), 2**depth - 1))
+        ends[:, 0], ends[:, -1] = lo[idx], hi[idx]
+        for level in range(depth):
+            step = 2 ** (depth - level)
+            mid[:, 2**level - 1:2 ** (level + 1) - 1] = ends[:, step // 2::step] = (
+                0.5 * (ends[:, :-1:step] + ends[:, step::step]))
         fm, ok = value(mid, np.broadcast_to(col[idx, None], mid.shape))
         node = np.zeros(len(idx), dtype=np.intp)  # walk each path by the one-level rules
         for _ in range(depth):
@@ -424,13 +428,14 @@ def cmd_thresholds(args) -> int:
     if len(sweep_axis) < 2:
         raise ValidationError("the swept axis needs at least 2 points")
 
+    key = _THRESHOLD_METRICS[metric]
+
     def value(x, col):
         """Signed distance to the protocol threshold (positive means active)
         and the physical mask; the distance is nan off the physical cells."""
         physical = grid.masks((x, col))[0]
-        m = prot.relay_metrics(mu, *grid.kappas((x[physical], col[physical])), xi)
         f = np.full(x.shape, np.nan)
-        f[physical] = m[_THRESHOLD_METRICS[metric]]
+        f[physical] = prot.relay_metrics(mu, *grid.kappas((x[physical], col[physical])), xi, [key])[key]
         return (1.0 - f if metric == "swap" else f), physical
 
     # sample every column, MATRIX_BLOCK grid cells at a time column by

@@ -22,6 +22,7 @@ import numpy as np
 
 from .gaussian import (
     CovarianceMatrix,
+    NumericDegeneracyError,
     ValidationError,
     _as_matrix,
     _check_finite,
@@ -204,23 +205,29 @@ class QuadripartiteRegion:
 def quad_sigma_functions(tau: float, r: float, g, gp) -> dict:
     """Large-mu classifier polynomials at noise omega = r * omega_EB(tau).
 
-    Array-friendly in (g, g').
+    Array-friendly in (g, g').  A tau outside (0, 1) or a non-finite r, g
+    or g' raises ValidationError.  Where r^4 alone passes float64, zeta, f'
+    and f'' are inf and sigma', sigma'' are f; a sigma' or sigma'' that
+    float64 cannot hold raises NumericDegeneracyError, naming r.
     """
-    opt, omt, r = 1.0 + tau, 1.0 - tau, np.float64(r)  # a float64 r**4 overflows to inf, not an error
-    f = opt**2 * (r * r - 1.0) - g * g * omt**2
-    zeta = opt**4 * r**4 - opt**2 * (
-        2.0 + g * g * omt**2 + gp * gp * omt**2 + 2.0 * tau * tau
-    ) * r * r
-    f_prime = omt**2 * (opt - g * gp * omt) ** 2 + zeta
-    f_dprime = omt**2 * (opt + g * gp * omt) ** 2 + zeta
-    return {
-        "f": f,
-        "f_prime": f_prime,
-        "f_double_prime": f_dprime,
-        "zeta": zeta,
-        "sigma_prime": np.minimum(f, f_prime),
-        "sigma_double_prime": np.minimum(f, f_dprime),
-    }
+    if not 0.0 < tau < 1.0:
+        raise ValidationError(f"transmissivity must lie in (0, 1), got {tau!r}")
+    g, gp = np.asarray(g, float), np.asarray(gp, float)  # float64 powers overflow to inf, not an error
+    if not (math.isfinite(r) and np.isfinite(g).all() and np.isfinite(gp).all()):
+        raise ValidationError("the quadripartite classifier needs finite r, g and g'")
+    opt, omt, r = 1.0 + tau, 1.0 - tau, np.float64(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = opt**2 * (r * r - 1.0) - g * g * omt**2
+        zeta = opt**4 * r**4 - opt**2 * (
+            2.0 + g * g * omt**2 + gp * gp * omt**2 + 2.0 * tau * tau
+        ) * r * r
+        f_prime = omt**2 * (opt - g * gp * omt) ** 2 + zeta
+        f_dprime = omt**2 * (opt + g * gp * omt) ** 2 + zeta
+        sp, sdp = np.minimum(f, f_prime), np.minimum(f, f_dprime)
+    if not (np.isfinite(sp).all() and np.isfinite(sdp).all()):
+        raise NumericDegeneracyError(f"the quadripartite classifier at r={r:g} overflows float64")
+    return {"f": f, "f_prime": f_prime, "f_double_prime": f_dprime, "zeta": zeta,
+            "sigma_prime": sp, "sigma_double_prime": sdp}
 
 
 REGIONS = ("I", "II", "III", "IV", "boundary")  # the region each region_codes code stands for
@@ -252,7 +259,10 @@ def quadripartite_regions(tau: float, omega: float, g, gp):
             "analytic quadripartite classifier requires omega above the "
             "entanglement-breaking threshold"
         )
-    funcs = quad_sigma_functions(tau, r, g, gp)
+    try:
+        funcs = quad_sigma_functions(tau, r, g, gp)
+    except NumericDegeneracyError:
+        raise NumericDegeneracyError(f"the quadripartite classifier at omega={omega:g} overflows float64") from None
     sp, sdp = funcs["sigma_prime"], funcs["sigma_double_prime"]
     return sp, sdp, region_codes(sp, sdp, BOUNDARY_SIGMA)
 

@@ -49,6 +49,7 @@ RNG_ALGORITHM = "philox4x64"
 DRAWS_PER_SHOT = 16  # 4 signal + 4 side-channel + 4 shot-noise + 4 loss draws
 DEFAULT_CHUNK = 1 << 16
 MOMENT_BLOCK = 1 << 12  # shots per draw, mixing and co-moment block, aligned to the absolute shot index
+QUEUED_PER_WORKER = 16  # chunks per worker in each window run_point queues; two windows at most are queued
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -286,8 +287,10 @@ def run_point(
     chunk), turns each chunk into block moments, which are merged here in
     shot order: the estimate is bit-identical for any ``chunk_shots`` and
     any number of workers, and at most workers x max(chunk_shots,
-    MOMENT_BLOCK) shots are in memory at once (every chunk is queued at
-    the start, as a task of about 2 kB).  ``dump`` names an optional
+    MOMENT_BLOCK) shots are in memory at once.  The chunks are queued in
+    windows of QUEUED_PER_WORKER per worker, as tasks of about 2 kB; the
+    next window is queued before the one before it is merged, so the
+    workers never wait for the merge.  ``dump`` names an optional
     CSV file for every shot (one header).  It is opened before the first
     draw and filled here once the pool is done, each chunk drawn again in
     shot order: a shot depends only on the seed, the stream and its index.
@@ -307,9 +310,15 @@ def run_point(
     moments = _CoMoments()
     with (np.errstate(over="ignore", invalid="ignore"),
           open(dump, "w", encoding="utf-8", newline="") if dump else contextlib.nullcontext() as fh):
-        with ThreadPoolExecutor(min(_available_cpus(), len(starts))) as pool:
-            for blocks in pool.map(_chunk_moments, itertools.repeat(config), starts, stops):
-                moments.merge(blocks)
+        workers = min(_available_cpus(), len(starts))
+        with ThreadPoolExecutor(workers) as pool:
+            window, merging = QUEUED_PER_WORKER * workers, ()
+            for at in range(0, len(starts) + window, window):  # the last window is empty
+                queued = pool.map(_chunk_moments, itertools.repeat(config), starts[at:at + window],
+                                  stops[at:at + window])
+                for blocks in merging:  # the window before, in shot order
+                    moments.merge(blocks)
+                merging = queued
         if fh:
             for start, stop in zip(starts, stops):
                 simulate_shot_batch(config, start=start, stop=stop).write_csv(fh, header=not start)

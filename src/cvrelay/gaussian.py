@@ -247,6 +247,7 @@ class SymplecticMatrix:
         m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise ValidationError(f"symplectic matrix must be 2n x 2n, got {m.shape}")
+        _check_finite(m, "symplectic matrix")
         n = m.shape[0] // 2
         omega = symplectic_form(n)
         if float(np.abs(m @ omega @ m.T - omega).max()) > SYMPLECTIC_TOL:

@@ -8,9 +8,10 @@ single-repeater secret-key bound for additive-noise links.
 Every closed-form figure of merit is a function of mu and the pair
 (kappa, kappa'): ``environments.kappa_params`` gives it for one
 environment, and an environment family's ``kappas`` map gives it for whole
-grids of that family's parameters.  ``relay_metrics`` evaluates every
-figure at once over numpy arrays of kappas, and the CLI's ``scan`` and
-``thresholds`` call it on whole grids.  The scalar API is its two
+grids of that family's parameters.  ``relay_metrics`` evaluates the
+figures it is asked for over numpy arrays of kappas, and the CLI's
+``scan`` and ``thresholds`` call it on whole grids for the figures they
+print.  The scalar API is its two
 per-point views, ``protocol_report`` and ``protocol_report_asymptotic``,
 whose fields name every figure of merit (``qkd_rate`` is the report's
 ``key_rate``).  Covariance-matrix builders (``evolved_cm``, ``swapped_cm``)
@@ -48,8 +49,16 @@ from .environments import (
 _SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)  # ~1.34e154: a product of two larger numbers overflows
 
 FLAG_GUARD = 1e-12  # open-inequality guard band for protocol success flags
-FLAG_KEYS = ("swap_ok", "tele_quantum", "distill_ok", "qkd_ok")  # relay_metrics keys of the flags
+# each success flag's figure, threshold and the side of it that succeeds (want_greater)
+_FLAG_RULES = {"swap_ok": ("epsilon", 1.0, False), "tele_quantum": ("fidelity", 0.5, True),
+               "distill_ok": ("coherent_info", 0.0, True), "qkd_ok": ("key_rate", 0.0, True)}
+FLAG_KEYS = tuple(_FLAG_RULES)  # relay_metrics keys of the flags
 FLAG_VALUES = (False, True, "marginal")  # the success flag each relay_metrics flag code stands for
+# relay_metrics keys of the report's figures, in field order, and every key it returns
+_FIGURES = ("epsilon", "log_neg", "fidelity", "coherent_info", "mutual_info_ab", "holevo_eve",
+            "key_rate")
+_METRIC_KEYS = (*_FIGURES, "key_rate_lb", *FLAG_KEYS)
+_KEY_SET = frozenset(_METRIC_KEYS)
 
 
 @dataclass(frozen=True)
@@ -133,108 +142,137 @@ def _nu_pair(mu, k, kp):
     return np.sqrt(mu * (1.0 + mu * k) / (mu + k)), np.sqrt(mu * (1.0 + mu * kp) / (mu + kp))
 
 
-def relay_metrics(mu, k, kp, xi: float = 1.0) -> dict:
-    """Every closed-form relay metric from (mu, kappa, kappa'), array-friendly.
+class _Lazy(dict):
+    """Values computed on first lookup, each once, by ``formulas[key](self)``."""
+
+    __slots__ = ("formulas",)
+
+    def __init__(self, formulas):
+        self.formulas = formulas
+
+    def __missing__(self, key):
+        value = self[key] = self.formulas[key](self)
+        return value
+
+
+def relay_metrics(mu, k, kp, xi: float = 1.0, names=None) -> dict:
+    """The closed-form relay metrics ``names`` from (mu, kappa, kappa'), array-friendly.
 
     Returns arrays keyed like ``ProtocolReport``: epsilon, log_neg, fidelity,
     coherent_info, mutual_info_ab, holevo_eve, key_rate, key_rate_lb and
     the four success flags (``FLAG_KEYS``) as int8 codes into
-    ``FLAG_VALUES``.  At finite mu the fidelity is pinned to 1/2 at mu = 1,
-    where there is no entanglement resource, and key_rate_lb is None.
-    ``mu = inf`` gives the large-mu set: epsilon_opt = sqrt(kappa
-    kappa'), ideal-reconciliation rate R_opt with its epsilon-only lower
-    bound R_LB, infinite mutual information and Holevo terms, and xi is
-    ignored.  A negative or nan kappa raises ValidationError.  A figure that
-    float64 cannot hold (nan, or inf at finite mu, where every figure is
-    finite in exact arithmetic) raises NumericDegeneracyError, naming mu.
+    ``FLAG_VALUES``; ``names=None`` returns them all.  Only the requested
+    keys and what they share are computed, each by one formula, so a key
+    has the same bits whatever else is requested.  At finite mu the
+    fidelity is pinned to 1/2 at mu = 1, where there is no entanglement
+    resource, and key_rate_lb is None.  ``mu = inf`` gives the large-mu
+    set: epsilon_opt = sqrt(kappa kappa'), ideal-reconciliation rate R_opt
+    with its epsilon-only lower bound R_LB, infinite mutual information and
+    Holevo terms, and xi is ignored.  A negative or nan kappa raises
+    ValidationError.  A requested figure, or the figure of a requested
+    flag, that float64 cannot hold (nan, or inf at finite mu, where every
+    figure is finite in exact arithmetic) raises NumericDegeneracyError,
+    naming mu.
     """
+    names = _METRIC_KEYS if names is None else names
+    if not _KEY_SET.issuperset(names):
+        raise ValidationError(f"unknown relay metrics {sorted(set(names) - _KEY_SET)}")
     k, kp = np.asarray(k, float), np.asarray(kp, float)
     if not (np.all(k >= 0.0) and np.all(kp >= 0.0)):
         raise ValidationError("kappa and kappa' must be >= 0, got a negative or nan value")
     asymptotic = np.ndim(mu) == 0 and mu == math.inf
+    if asymptotic:
+        formulas = _large_mu_formulas(k, kp)
+    else:
+        _check_xi(xi)
+        mu = np.asarray(mu, float)
+        if not np.all(mu >= 1.0):
+            raise ValidationError("mu must be >= 1")
+        formulas = _finite_mu_formulas(mu, k, kp, xi)
+    v = _Lazy({**formulas, **_SHARED_FORMULAS})
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if asymptotic:
-            out = _large_mu_metrics(k, kp)
-        else:
-            _check_xi(xi)
-            mu = np.asarray(mu, float)
-            if not np.all(mu >= 1.0):
-                raise ValidationError("mu must be >= 1")
-            out = _finite_mu_metrics(mu, k, kp, xi)
-        out["log_neg"] = np.maximum(-np.log2(out["epsilon"]), 0.0)
-    figures = np.broadcast_arrays(*(v for v in out.values() if v is not None))
+        out = {name: v[name] for name in names}
+        checked = [v[name] for name in {_FLAG_RULES[n][0] if n in _FLAG_RULES else n for n in names}]
+    figures = np.broadcast_arrays(*(f for f in checked if f is not None))
     bad = (np.isnan(figures) if asymptotic else ~np.isfinite(figures)).any(axis=0)
     if bad.any():
         mu_bad = np.broadcast_to(mu, bad.shape)[bad][0]
         raise NumericDegeneracyError(f"the closed-form metrics at mu={mu_bad:g} overflow float64")
-    out.update(
-        swap_ok=_flag(out["epsilon"], 1.0, want_greater=False),
-        tele_quantum=_flag(out["fidelity"], 0.5, want_greater=True),
-        distill_ok=_flag(out["coherent_info"], 0.0, want_greater=True),
-        qkd_ok=_flag(out["key_rate"], 0.0, want_greater=True),
-    )
     return out
 
 
-def _finite_mu_metrics(mu, k, kp, xi):
-    nlo, nhi = _nu_pair(mu, k, kp)
-    # swapping: smallest PTS eigenvalue; teleportation: average fidelity
-    eps = np.sqrt((1.0 + mu * k) * (1.0 + mu * kp) / ((mu + k) * (mu + kp)))
-    tmu2 = mu * mu - 1.0
-    n = (
-        (2.0 / tmu2)
-        * np.sqrt((1.0 + mu + 2.0 * k) * (1.0 + mu + 2.0 * kp))
-        * np.sqrt(1.0 + kp + mu * (1.0 + k))
-        * np.sqrt(1.0 + k + mu * (1.0 + kp))
-    )
-    # distillation: h(nu_b) - h(nu_-) - h(nu_+) with Bob's reduced eigenvalue nu_b
-    nb = 0.5 * np.sqrt(
-        (1.0 + 2.0 * mu * k + mu * mu) * (1.0 + 2.0 * mu * kp + mu * mu) / ((mu + k) * (mu + kp))
-    )
-    # QKD: heterodyne mutual information and Holevo bound h(nu_-) + h(nu_+) - h(nu_c)
-    # products, not ** 2: numpy squares arrays but calls pow() on scalars
-    sq, sqp = (1.0 + mu + 2.0 * k), (1.0 + mu + 2.0 * kp)
-    sigma = (sq * sq) * (sqp * sqp) / (16.0 * (1.0 + k) * (1.0 + kp) * (mu + k) * (mu + kp))
-    nc = np.sqrt(
-        (1.0 + mu + 2.0 * mu * k) * (1.0 + mu + 2.0 * mu * kp)
-        / ((1.0 + mu + 2.0 * k) * (1.0 + mu + 2.0 * kp))
-    )
-    mutual = 0.5 * np.log2(sigma)
-    h_lo, h_hi = _h_arr(nlo), _h_arr(nhi)
-    holevo = h_lo + h_hi - _h_arr(nc)
+# the formulas of both mu regimes: log_neg and the success flags
+_SHARED_FORMULAS = {
+    "log_neg": lambda v: np.maximum(-np.log2(v["epsilon"]), 0.0),
+    **{flag: lambda v, f=figure, t=threshold, g=want_greater: _flag(v[f], t, g)
+       for flag, (figure, threshold, want_greater) in _FLAG_RULES.items()},
+}
+
+
+def _finite_mu_formulas(mu, k, kp, xi) -> dict:
+    """The finite-mu figures and their shared h(nu_-), h(nu_+), as formulas of a ``_Lazy``."""
+
+    def fidelity(v):  # teleportation: average fidelity
+        tmu2 = mu * mu - 1.0
+        n = (
+            (2.0 / tmu2)
+            * np.sqrt((1.0 + mu + 2.0 * k) * (1.0 + mu + 2.0 * kp))
+            * np.sqrt(1.0 + kp + mu * (1.0 + k))
+            * np.sqrt(1.0 + k + mu * (1.0 + kp))
+        )
+        return np.where(mu > 1.0, 2.0 / n, 0.5)
+
+    def coherent_info(v):  # distillation: h(nu_b) - h(nu_-) - h(nu_+) with Bob's reduced eigenvalue nu_b
+        nb = 0.5 * np.sqrt(
+            (1.0 + 2.0 * mu * k + mu * mu) * (1.0 + 2.0 * mu * kp + mu * mu) / ((mu + k) * (mu + kp))
+        )
+        return _h_arr(nb) - v["h_nu"][0] - v["h_nu"][1]
+
+    def mutual_info_ab(v):  # QKD: heterodyne mutual information
+        # products, not ** 2: numpy squares arrays but calls pow() on scalars
+        sq, sqp = (1.0 + mu + 2.0 * k), (1.0 + mu + 2.0 * kp)
+        sigma = (sq * sq) * (sqp * sqp) / (16.0 * (1.0 + k) * (1.0 + kp) * (mu + k) * (mu + kp))
+        return 0.5 * np.log2(sigma)
+
+    def holevo_eve(v):  # Holevo bound h(nu_-) + h(nu_+) - h(nu_c)
+        nc = np.sqrt(
+            (1.0 + mu + 2.0 * mu * k) * (1.0 + mu + 2.0 * mu * kp)
+            / ((1.0 + mu + 2.0 * k) * (1.0 + mu + 2.0 * kp))
+        )
+        return v["h_nu"][0] + v["h_nu"][1] - _h_arr(nc)
+
     return {
-        "epsilon": eps,
-        "fidelity": np.where(mu > 1.0, 2.0 / n, 0.5),
-        "coherent_info": _h_arr(nb) - h_lo - h_hi,
-        "mutual_info_ab": mutual,
-        "holevo_eve": holevo,
-        "key_rate": xi * mutual - holevo,
-        "key_rate_lb": None,
+        "h_nu": lambda v: tuple(map(_h_arr, _nu_pair(mu, k, kp))),
+        # swapping: smallest PTS eigenvalue
+        "epsilon": lambda v: np.sqrt((1.0 + mu * k) * (1.0 + mu * kp) / ((mu + k) * (mu + kp))),
+        "fidelity": fidelity,
+        "coherent_info": coherent_info,
+        "mutual_info_ab": mutual_info_ab,
+        "holevo_eve": holevo_eve,
+        "key_rate": lambda v: xi * v["mutual_info_ab"] - v["holevo_eve"],
+        "key_rate_lb": lambda v: None,
     }
 
 
-def _large_mu_metrics(k, kp):
-    eps = np.sqrt(k * kp)
-    f_opt = 1.0 / np.sqrt((1.0 + k) * (1.0 + kp))
-    r_opt = np.where(
-        eps > 0.0,
-        np.log2(1.0 / (math.e**2 * np.sqrt((1.0 + k) * (1.0 + kp) * k * kp)))
-        + _h_arr(np.sqrt((1.0 + 2.0 * k) * (1.0 + 2.0 * kp))),
-        np.inf,
-    )
-    r_lb = np.where(
-        eps > 0.0,
-        np.log2(f_opt) - np.log2(math.e**2 * eps) + _h_arr(1.0 + 2.0 * eps),
-        np.inf,
-    )
+def _large_mu_formulas(k, kp) -> dict:
+    """The large-mu figures, as formulas of a ``_Lazy``."""
     return {
-        "epsilon": eps,
-        "fidelity": f_opt,
-        "coherent_info": -np.log2(math.e * eps),
-        "mutual_info_ab": np.full_like(eps, np.inf),
-        "holevo_eve": np.full_like(eps, np.inf),
-        "key_rate": r_opt,
-        "key_rate_lb": r_lb,
+        "epsilon": lambda v: np.sqrt(k * kp),
+        "fidelity": lambda v: 1.0 / np.sqrt((1.0 + k) * (1.0 + kp)),
+        "coherent_info": lambda v: -np.log2(math.e * v["epsilon"]),
+        "mutual_info_ab": lambda v: np.full_like(v["epsilon"], np.inf),
+        "holevo_eve": lambda v: np.full_like(v["epsilon"], np.inf),
+        "key_rate": lambda v: np.where(
+            v["epsilon"] > 0.0,
+            np.log2(1.0 / (math.e**2 * np.sqrt((1.0 + k) * (1.0 + kp) * k * kp)))
+            + _h_arr(np.sqrt((1.0 + 2.0 * k) * (1.0 + 2.0 * kp))),
+            np.inf,
+        ),
+        "key_rate_lb": lambda v: np.where(
+            v["epsilon"] > 0.0,
+            np.log2(v["fidelity"]) - np.log2(math.e**2 * v["epsilon"]) + _h_arr(1.0 + 2.0 * v["epsilon"]),
+            np.inf,
+        ),
     }
 
 
@@ -316,21 +354,40 @@ def thermal_reactivation_g(tau: float, gp, omega: float | None = None):
 
     Defaults to the entanglement-breaking noise omega_EB(tau); points below
     the returned g reactivate nothing, points above swap entanglement for
-    every mu > 1.  Array-friendly in g'.
+    every mu > 1.  Array-friendly in g'.  A tau outside (0, 1), a
+    non-finite omega or g', or g' <= -omega, where the curve has no point,
+    raises ValidationError; a g past float64 raises NumericDegeneracyError.
     """
-    if omega is None:
-        omega = entanglement_breaking_threshold(tau)
+    w_eb = entanglement_breaking_threshold(tau)
+    omega = w_eb if omega is None else omega
     gp = np.asarray(gp, float)
+    if not (math.isfinite(omega) and np.all((gp > -omega) & (gp < math.inf))):
+        raise ValidationError("threshold curve requires finite omega and g' > -omega")
     f = 1.0 / tau - 1.0
-    return omega - 1.0 / (f * f * (omega + gp))
+    with np.errstate(divide="ignore", over="ignore"):
+        g = omega - 1.0 / (f * f * (omega + gp))
+    if not np.isfinite(g).all():
+        raise NumericDegeneracyError(f"the threshold curve at tau={tau:g} overflows float64")
+    return g
 
 
 def additive_reactivation_c(n: float, cp):
-    """Additive-family threshold c(c') where (1 - c)(1 + c') = 1/n^2."""
-    if n <= 0.0:
-        raise ValidationError("threshold curve requires n > 0")
+    """Additive-family threshold c(c') where (1 - c)(1 + c') = 1/n^2.
+
+    A non-finite or non-positive n, or a non-finite c' or c' <= -1, where the
+    curve has no point, raises ValidationError; a c past float64 raises
+    NumericDegeneracyError.
+    """
+    if not 0.0 < n < math.inf:
+        raise ValidationError("threshold curve requires finite n > 0")
     cp = np.asarray(cp, float)
-    return 1.0 - 1.0 / (n * n * (1.0 + cp))
+    if not np.all((cp > -1.0) & (cp < math.inf)):
+        raise ValidationError("threshold curve requires finite c' > -1")
+    with np.errstate(divide="ignore", over="ignore"):
+        c = 1.0 - 1.0 / (n * n * (1.0 + cp))
+    if not np.isfinite(c).all():
+        raise NumericDegeneracyError(f"the threshold curve at n={n:g} overflows float64")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +518,6 @@ def protocol_report_asymptotic(env) -> ProtocolReport:
     """Large-mu report: optimal swapping, teleportation, distillation and QKD."""
     k, kp = kappa_params(env)
     return _report(relay_metrics(math.inf, k, kp), k, kp, math.inf, 1.0)
-
-
-# relay_metrics keys of the report's figures, in field order
-_FIGURES = ("epsilon", "log_neg", "fidelity", "coherent_info", "mutual_info_ab", "holevo_eve",
-            "key_rate")
 
 
 def _report(m: dict, k: float, kp: float, mu: float, xi: float) -> ProtocolReport:

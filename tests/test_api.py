@@ -46,6 +46,16 @@ _NON_FINITE_CALLS = {
     "log_negativity(inf 4x4)": lambda: cvrelay.log_negativity(_INF4, [0]),
     "key_rate_from_cm(nan 4x4)": lambda: cvrelay.key_rate_from_cm(_NAN4),
     "key_rate_from_cm(inf 4x4)": lambda: cvrelay.key_rate_from_cm(_INF4),
+    "SymplecticMatrix(nan 2x2)": lambda: cvrelay.SymplecticMatrix(np.full((2, 2), math.nan)),
+    "SymplecticMatrix(inf 4x4)": lambda: cvrelay.SymplecticMatrix(_INF4),
+    "thermal_reactivation_g(0.9, nan)": lambda: cvrelay.thermal_reactivation_g(0.9, math.nan),
+    "thermal_reactivation_g(omega=inf)": lambda: cvrelay.thermal_reactivation_g(0.9, 1.0, math.inf),
+    "additive_reactivation_c(nan, 0.5)": lambda: cvrelay.additive_reactivation_c(math.nan, 0.5),
+    "additive_reactivation_c(1, nan)": lambda: cvrelay.additive_reactivation_c(1.0, math.nan),
+    "quad_sigma_functions(tau=inf)": lambda: cvrelay.quad_sigma_functions(math.inf, 1.1, 0.0, 0.0),
+    "quad_sigma_functions(tau=-inf)": lambda: cvrelay.quad_sigma_functions(-math.inf, 1.1, 0.0, 0.0),
+    "quad_sigma_functions(r=nan)": lambda: cvrelay.quad_sigma_functions(0.5, math.nan, 0.0, 0.0),
+    "quad_sigma_functions(g=[0, inf])": lambda: cvrelay.quad_sigma_functions(0.5, 1.1, [0.0, math.inf], 0.0),
 }
 
 
@@ -53,6 +63,25 @@ _NON_FINITE_CALLS = {
 @pytest.mark.parametrize("call", _NON_FINITE_CALLS.values(), ids=_NON_FINITE_CALLS.keys())
 def test_non_finite_input_is_rejected_at_the_library_entry(call):
     # a ValidationError before any numpy warning, LinAlgError or silent nan
+    with pytest.raises(cvrelay.ValidationError):
+        call()
+
+
+_OUT_OF_DOMAIN_CALLS = {
+    "thermal_reactivation_g(tau=0, omega=2)": lambda: cvrelay.thermal_reactivation_g(0.0, 1.0, 2.0),
+    "thermal_reactivation_g(g'=-omega)": lambda: cvrelay.thermal_reactivation_g(0.5, -3.0, 3.0),
+    "additive_reactivation_c(1, -1)": lambda: cvrelay.additive_reactivation_c(1.0, -1.0),
+    "additive_reactivation_c(0, 0.5)": lambda: cvrelay.additive_reactivation_c(0.0, 0.5),
+    "quad_sigma_functions(tau=1e160)": lambda: cvrelay.quad_sigma_functions(1e160, 1.1, 0.0, 0.0),
+    "quad_sigma_functions(tau=1)": lambda: cvrelay.quad_sigma_functions(1.0, 1.1, 0.0, 0.0),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", _OUT_OF_DOMAIN_CALLS.values(), ids=_OUT_OF_DOMAIN_CALLS.keys())
+def test_out_of_domain_input_is_rejected_at_the_library_entry(call):
+    # finite input where the formula has no value: a ValidationError, not a
+    # ZeroDivisionError, OverflowError or numpy warning
     with pytest.raises(cvrelay.ValidationError):
         call()
 
@@ -70,6 +99,13 @@ _OVERFLOW_CALLS = {
         cvrelay.SwapInput(6.5, cvrelay.AdditiveEnvironment(1e200))),
     "smallest_pts_eigenvalue(1e80 I)": lambda: cvrelay.smallest_pts_eigenvalue(np.eye(4) * 1e80, [0]),
     "quadrature_squeezer(1e-320)": lambda: cvrelay.quadrature_squeezer(1e-320),
+    "additive_reactivation_c(1e-320, 0.5)": lambda: cvrelay.additive_reactivation_c(1e-320, 0.5),
+    "thermal_reactivation_g(omega + g' = 1e-310)": lambda: cvrelay.thermal_reactivation_g(
+        0.5, 1e-310 - 1e-300, 1e-300),
+    "quad_sigma_functions(g=1e160)": lambda: cvrelay.quad_sigma_functions(0.5, 1.1, 1e160, 0.0),
+    "quad_sigma_functions(g'=1e160)": lambda: cvrelay.quad_sigma_functions(0.5, 1.1, 0.0, 1e160),
+    "quad_sigma_functions(r=1e160)": lambda: cvrelay.quad_sigma_functions(0.5, 1e160, 0.0, 0.0),
+    "quad_sigma_functions(r=g=g'=1e150)": lambda: cvrelay.quad_sigma_functions(0.5, 1e150, 1e150, 1e150),
 }
 
 

@@ -877,17 +877,18 @@ def test_scan_evaluates_one_block_of_cells_at_a_time(capsys, monkeypatch, argv):
     def spy(func, name, count):
         def counted(*args, **kwargs):
             result = func(*args, **kwargs)
-            cells[name].append(count(result))
+            cells[name].append(count(result, *args))
             return result
         return counted
 
     for family in (envs.ThermalEnvironment, envs.AdditiveEnvironment):
         monkeypatch.setattr(family, "masks", staticmethod(spy(family.masks, "masks", lambda r: r[0].size)))
+    # relay_metrics returns only the printed keys: count its kappa argument
     monkeypatch.setattr(prot, "relay_metrics",
-                        spy(prot.relay_metrics, "evaluator", lambda m: m["epsilon"].size))
-    monkeypatch.setattr(prot, "evolved_cm", spy(prot.evolved_cm, "evaluator", lambda cm: len(cm.m)))
+                        spy(prot.relay_metrics, "evaluator", lambda m, mu, k, *rest: np.size(k)))
+    monkeypatch.setattr(prot, "evolved_cm", spy(prot.evolved_cm, "evaluator", lambda cm, *args: len(cm.m)))
     monkeypatch.setattr(envs, "thermal_mutual_information",
-                        spy(envs.thermal_mutual_information, "evaluator", np.size))
+                        spy(envs.thermal_mutual_information, "evaluator", lambda r, *args: np.size(r)))
     monkeypatch.setattr("cvrelay.cli.MATRIX_BLOCK", 7)
     code, out = run_cli(["scan", *argv], capsys)
     header, *rows = (line.split(",") for line in out.split("\r\n")[:-1])
@@ -1049,7 +1050,7 @@ def test_thresholds_sample_the_grid_one_block_of_cells_at_a_time(capsys, monkeyp
         def counted(*args, **kwargs):
             result = func(*args, **kwargs)
             if not cells["bisecting"]:
-                cells[name].append(count(result))
+                cells[name].append(count(result, *args))
             return result
         return counted
 
@@ -1057,8 +1058,9 @@ def test_thresholds_sample_the_grid_one_block_of_cells_at_a_time(capsys, monkeyp
     monkeypatch.setattr(cli, "_bisect", lambda *args: (cells["bisecting"].append(True), bisect(*args)))
     monkeypatch.setattr(envs.ThermalEnvironment, "masks",
                         staticmethod(spy(envs.ThermalEnvironment.masks, "masks", lambda r: r[0].size)))
+    # relay_metrics returns only the traced key: count its kappa argument
     monkeypatch.setattr(prot, "relay_metrics",
-                        spy(prot.relay_metrics, "relay_metrics", lambda m: m["epsilon"].size))
+                        spy(prot.relay_metrics, "relay_metrics", lambda m, mu, k, *rest: np.size(k)))
     monkeypatch.setattr("cvrelay.cli.MATRIX_BLOCK", 7)
     assert run_cli(argv, capsys) == whole and whole[0] == 0 and cells["bisecting"]
     size = 20 * len(cli._parse_axis("-19:19.3:0.1", "g"))
@@ -1147,10 +1149,10 @@ def _thresholds_run(argv, monkeypatch, capsys, budget=None, bisect=None):
 
     metrics, sizes, bisect, bisecting = prot.relay_metrics, [], bisect or cli._bisect, []
 
-    def counted(mu, k, kp, xi=1.0):
+    def counted(mu, k, kp, xi=1.0, names=None):
         if bisecting:
             sizes.append(np.size(k))
-        return metrics(mu, k, kp, xi)
+        return metrics(mu, k, kp, xi, names)
 
     def counted_bisect(*args):
         bisecting.append(True)
@@ -1224,9 +1226,15 @@ def test_readme_thresholds_calls_stay_within_the_budget(budget, monkeypatch, cap
 @pytest.mark.parametrize("argv, code", [
     (["--metric", "qkd", "--n", "1", "--c", "0:1:0.5", "--cp", "-1:1:0.5", "--mu", "1e308"], 3),
     (["--metric", "qkd", *THERMAL, "--mu", "1e200", "--xi", "0.97", *README_GRID], 3),
-    # just below the mu where the sampled grid overflows (1.2e77): every midpoint passes too
+    # just below the mu where each metric's sampled grid overflows (1.2e77 for
+    # coherent_info; ~4e153 for epsilon, the one figure a swap contour
+    # evaluates): every midpoint passes too
     (["--metric", "swap", *THERMAL, "--mu", "1.15e77", *README_GRID], 0),
+    (["--metric", "swap", *THERMAL, "--mu", "1.2e77", *README_GRID], 0),
+    (["--metric", "swap", *THERMAL, "--mu", "3e153", *README_GRID], 0),
+    (["--metric", "swap", *THERMAL, "--mu", "4e153", *README_GRID], 3),
     (["--metric", "distill", *THERMAL, "--mu", "1.15e77", *README_GRID], 0),
+    (["--metric", "distill", *THERMAL, "--mu", "1.2e77", *README_GRID], 3),
 ])
 def test_thresholds_exit_codes_match_the_one_level_loop(argv, code, monkeypatch, capsys):
     # relay_metrics raises for a whole call, so an off-path midpoint must not
@@ -1246,6 +1254,9 @@ def test_thresholds_exit_codes_match_the_one_level_loop(argv, code, monkeypatch,
     ["scan", "--protocol", "quad-entanglement", "--tau", "0.9", "--g", "-1:1:1", "--gp", "-1:1:1", "--omega", "1e308"],
     ["scan", "--protocol", "quad-entanglement", "--tau", "0.9", "--g", "-1:1:1", "--gp", "-1:1:1", "--mu", "52",
      "--omega", "1e200"],
+    # the classifier's sigma' and sigma'' (inf - inf before), not the mutual information
+    ["scan", "--protocol", "quad-entanglement", "--tau", "0.9", "--g", "-1e100:1e100:1e100", "--gp",
+     "-1e100:1e100:1e100", "--omega", "1e100"],
 ])
 def test_closed_form_overflow_exits_3(capsys, argv):
     # valid input whose closed forms float64 cannot hold: no nan with exit 0;
@@ -1254,6 +1265,48 @@ def test_closed_form_overflow_exits_3(capsys, argv):
     error = json.loads(out)["error"]
     assert code == 3 and error["code"] == 3
     assert f"{argv[-2].lstrip('-')}={float(argv[-1]):g}" in error["message"]
+
+
+ADDITIVE_PLANE = ["--n", "1", "--c", "0:1:0.5", "--cp", "0:1:0.5"]
+
+
+@pytest.mark.parametrize("protocol, code", [("swap", 0), ("teleport", 0), ("distill", 3), ("qkd", 3)])
+def test_a_closed_form_scan_exits_3_only_when_a_printed_figure_overflows(capsys, protocol, code):
+    # at mu = 1e100 only coherent_info and key_rate overflow; where kappa
+    # kappa' > 0 the figures a scan prints are those of mu = inf to the
+    # printed 12 digits, and so are its flags
+    from cvrelay import environments as envs
+    from cvrelay import protocols as prot
+
+    got, out = run_cli(["scan", "--protocol", protocol, *ADDITIVE_PLANE, "--mu", "1e100"], capsys)
+    assert got == code
+    if code == 3:
+        assert json.loads(out)["error"]["code"] == 3 and "mu=1e+100" in out
+        return
+    header, *rows = (line.split(",") for line in out.split("\r\n")[:-1])
+    compared = 0
+    for row in rows:
+        cells = dict(zip(header, row))
+        limit = prot.relay_metrics(math.inf, *envs.kappa_params(
+            envs.AdditiveEnvironment(1.0, float(cells["c"]), float(cells["cp"]))))
+        if limit["epsilon"] == 0.0:  # c = 1: epsilon ~ 1/sqrt(mu) is not the limit's 0
+            continue
+        compared += 1
+        for name in header[header.index("boundary") + 1:]:
+            if name in cli._CODE_TEXT:
+                assert cells[name] == cli._CODE_TEXT[name][limit[name]], name
+            else:
+                assert float(cells[name]) == pytest.approx(limit[name], rel=1e-11, abs=1e-12), name
+    assert len(rows) == 9 and compared == 6
+
+
+def test_a_swap_contour_past_the_other_figures_overflow_is_the_mu_inf_contour(capsys):
+    # at mu = 1.2e77 coherent_info and key_rate overflow, epsilon does not
+    argv = ["thresholds", "--metric", "swap", *THERMAL, *README_GRID]
+    code, out = run_cli([*argv, "--mu", "1.2e77"], capsys)
+    assert code == 0 and out.count("\r\n") > 2
+    assert (code, out) == run_cli([*argv, "--mu", "inf"], capsys)
+    assert run_cli(["point", *THERMAL, "--g", "0", "--gp", "0", "--mu", "1.2e77"], capsys)[0] == 3
 
 
 @pytest.mark.parametrize("mu", ["1e10", "1e14", "1e17", "1e20"])

@@ -355,7 +355,7 @@ def _eager_min_eig_tol(m):
 
 @pytest.mark.parametrize("mu", [52.0, 3e4, 1e5, 1e6, 1e12])
 def test_min_eig_tol_equals_the_formula_over_every_matrix(mu):
-    # the Frobenius-norm screen skips eigenvalues only where they cannot
+    # the max|m_ij| screen skips eigenvalues only where they cannot
     # matter: the tolerances are bit for bit those of the eager formula, for
     # the evolved states, their tripartite reductions and the witness blocks
     g_, gp = (a.ravel() for a in np.meshgrid(np.linspace(-19.0, 19.0, 9), np.linspace(-19.0, 19.0, 9)))

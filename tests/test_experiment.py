@@ -86,6 +86,34 @@ def test_streamed_estimate_equals_the_whole_batch_estimate(chunk):
     assert whole.sample_count == streamed.sample_count == 9001
 
 
+def test_run_point_queues_at_most_two_windows_of_chunks_ahead_of_the_merge(monkeypatch):
+    # 101 one-block chunks on 2 workers: windows of 32, the next one queued
+    # before the one before is merged; the estimate is the one-chunk one
+    from concurrent.futures import ThreadPoolExecutor
+
+    cfg = config(shots=100 * ex.MOMENT_BLOCK + 7, seed=3)
+    whole = ex.run_point(cfg, chunk_shots=cfg.shots)
+    counts, ahead = {"queued": 0, "merged": 0}, []
+    submit, merge = ThreadPoolExecutor.submit, ex._CoMoments.merge
+
+    def counted_submit(pool, *args, **kwargs):
+        counts["queued"] += 1
+        return submit(pool, *args, **kwargs)
+
+    def counted_merge(moments, blocks):
+        ahead.append(counts["queued"] - counts["merged"])
+        counts["merged"] += 1
+        return merge(moments, blocks)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted_submit)
+    monkeypatch.setattr(ex._CoMoments, "merge", counted_merge)
+    monkeypatch.setattr(ex, "_available_cpus", lambda: 2)
+    streamed = ex.run_point(cfg, chunk_shots=1)
+    assert counts == {"queued": 101, "merged": 101}
+    assert max(ahead) == 2 * ex.QUEUED_PER_WORKER * 2 == 64
+    assert np.array_equal(whole.cm_hat, streamed.cm_hat) and whole.key_rate_hat == streamed.key_rate_hat
+
+
 def test_block_merge_matches_the_two_pass_moments():
     # the fixed-block merge reorders the sums; it must still be the sample covariance
     batch = ex.simulate_shot_batch(config(shots=10_000, seed=4))

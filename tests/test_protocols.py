@@ -407,6 +407,38 @@ def test_relay_metrics_rejects_negative_or_nan_kappas(mu):
         prot.relay_metrics(mu, math.inf, 0.0)
 
 
+_KEYS = prot._METRIC_KEYS
+
+
+@given(mu=st.one_of(st.just(math.inf), st.floats(1.0, 1e6)),
+       kappas=st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)), min_size=1, max_size=5),
+       names=st.lists(st.sampled_from(list(_KEYS)), unique=True))
+def test_relay_metrics_of_some_names_are_those_of_every_name(mu, kappas, names):
+    # each requested key has the same bits as in the full set, in the
+    # requested order, and nothing else is returned
+    k, kp = (np.array(v) for v in zip(*kappas))
+    every, some = prot.relay_metrics(mu, k, kp, 0.97), prot.relay_metrics(mu, k, kp, 0.97, names)
+    assert list(every) == list(_KEYS) and list(some) == names
+    for name in names:
+        assert (some[name] is every[name] is None) or some[name].tobytes() == every[name].tobytes(), name
+
+
+def test_relay_metrics_checks_only_the_figures_it_returns():
+    # at mu = 1e100 coherent_info and key_rate overflow; epsilon and fidelity
+    # (and the flags read from them) do not
+    with pytest.raises(g.NumericDegeneracyError, match="mu=1e\\+100"):
+        prot.relay_metrics(1e100, 2.0, 3.0)
+    for name in ("coherent_info", "key_rate", "distill_ok", "qkd_ok"):
+        with pytest.raises(g.NumericDegeneracyError, match="mu=1e\\+100"):
+            prot.relay_metrics(1e100, 2.0, 3.0, names=["epsilon", name])
+    m = prot.relay_metrics(1e100, 2.0, 3.0, names=["epsilon", "log_neg", "swap_ok", "fidelity", "tele_quantum"])
+    assert m["epsilon"] == pytest.approx(math.sqrt(6.0), rel=1e-15) and m["log_neg"] == 0.0
+    assert m["fidelity"] == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-15)
+    assert m["swap_ok"] == m["tele_quantum"] == 0
+    with pytest.raises(ValidationError, match="unknown"):
+        prot.relay_metrics(6.5, 1.0, 1.0, names=["epsilon", "h_nu"])
+
+
 def test_repeater_bound_reads_the_boundary_band_below_zero_as_noiseless():
     from cvrelay.environments import BOUNDARY_BAND
 
