@@ -337,7 +337,7 @@ def estimate_from_second_moments(cov: np.ndarray, sample_count: int, xi: float =
     if not np.all(np.isfinite(cov)):
         raise NumericDegeneracyError("joint second moments are not finite")
     cond = _condition(cov, range(4), [4, 5], 0.0, "gamma second-moment block is singular")[0]
-    cond = 0.5 * (cond + cond.T)
+    cond = 0.5 * cond + 0.5 * cond.T  # halves before the sum, which could overflow
     cm_hat = cond - np.eye(4)  # heterodyne variables carry one unit of vacuum
     count = max(sample_count, 1)
     with np.errstate(over="ignore"):
@@ -376,8 +376,9 @@ def exact_second_moments(config: ExperimentConfig) -> np.ndarray:
     for k, (gi, sign) in coupling.items():
         cov[k, 4 + gi] = cov[4 + gi, k] = reflect[k] * scale * st * sign * sig / _SQRT2
     # gamma second moments: signal + side channel + shot noise through loss
-    var_q = eta * (sig + 1.0 + 0.5 * (noise[0, 0] + noise[2, 2]) - noise[0, 2]) + (1.0 - eta)
-    var_p = eta * (sig + 1.0 + 0.5 * (noise[1, 1] + noise[3, 3]) + noise[1, 3]) + (1.0 - eta)
-    cov[4, 4] = var_q
-    cov[5, 5] = var_p
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov[4, 4] = eta * (sig + 1.0 + 0.5 * (noise[0, 0] + noise[2, 2]) - noise[0, 2]) + (1.0 - eta)
+        cov[5, 5] = eta * (sig + 1.0 + 0.5 * (noise[1, 1] + noise[3, 3]) + noise[1, 3]) + (1.0 - eta)
+    if not np.isfinite(cov).all():
+        raise NumericDegeneracyError("the exact second moments overflow float64")
     return cov

@@ -84,11 +84,16 @@ def _check_finite(m: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-def _check_2n_symmetric(m: np.ndarray, what: str):
-    """A stack shaped (..., 2n, 2n) of finite, symmetric matrices, or a ValidationError."""
+def _check_2n(m: np.ndarray, what: str) -> np.ndarray:
+    """``m`` itself if it is a stack shaped (..., 2n, 2n) of finite matrices; else a ValidationError."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0 or m.shape[-1] % 2:
         raise ValidationError(f"{what} must be 2n x 2n, got shape {m.shape}")
-    _check_finite(m, what)
+    return _check_finite(m, what)
+
+
+def _check_2n_symmetric(m: np.ndarray, what: str):
+    """A stack shaped (..., 2n, 2n) of finite, symmetric matrices, or a ValidationError."""
+    _check_2n(m, what)
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     if np.any(np.abs(m - _transpose(m)).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
         raise ValidationError(f"{what} is not symmetric")
@@ -215,7 +220,7 @@ class GaussianState:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
+        mean = _check_finite(np.array(self.mean, dtype=float), "mean")
         mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         if mean.shape != (2 * self.cm.n_modes,):
@@ -250,8 +255,9 @@ class SymplecticMatrix:
         _check_finite(m, "symplectic matrix")
         n = m.shape[0] // 2
         omega = symplectic_form(n)
-        if float(np.abs(m @ omega @ m.T - omega).max()) > SYMPLECTIC_TOL:
-            raise ValidationError("matrix does not preserve the symplectic form")
+        with np.errstate(over="ignore", invalid="ignore"):  # entries past ~1e154: nan or inf, rejected
+            if not np.abs(m @ omega @ m.T - omega).max() <= SYMPLECTIC_TOL:
+                raise ValidationError("matrix does not preserve the symplectic form")
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n_modes", n)
@@ -271,13 +277,15 @@ class SymplecticMatrix:
 
 
 def vacuum_cm(n_modes: int = 1) -> CovarianceMatrix:
-    return CovarianceMatrix(np.eye(2 * n_modes))
+    return thermal_cm(1.0, n_modes)
 
 
 def thermal_cm(variance: float, n_modes: int = 1) -> CovarianceMatrix:
     """Thermal state of the given quadrature variance (vacuum at 1)."""
     if not 1.0 - UNCERTAINTY_TOL <= variance < math.inf:
         raise ValidationError(f"thermal variance must be finite and >= 1 in shot-noise units, got {variance!r}")
+    if n_modes < 1:
+        raise ValidationError("n_modes must be a positive integer")
     return CovarianceMatrix(variance * np.eye(2 * n_modes))
 
 
@@ -292,6 +300,8 @@ def tmsv_cm(mu: float) -> CovarianceMatrix:
 
 def direct_sum(*cms) -> CovarianceMatrix:
     mats = [_as_matrix(c) for c in cms]
+    if not all(m.ndim == 2 and m.shape[0] == m.shape[1] for m in mats):
+        raise ValidationError("a direct sum takes square matrices")
     total = sum(m.shape[0] for m in mats)
     out = np.zeros((total, total))
     at = 0
@@ -439,7 +449,7 @@ def partial_transpose(cm, modes) -> np.ndarray:
     matrix.  An empty mode set is the identity map; applying the operation
     twice restores the input bit-exactly.
     """
-    m = _as_matrix(cm)
+    m = _check_2n(_as_matrix(cm), "matrix")
     d = pt_reflection(m.shape[-1] // 2, modes)
     return d[:, None] * m * d[None, :]
 
@@ -454,7 +464,7 @@ def smallest_pts_eigenvalue(cm, modes):
     A float for one matrix, an array over the leading axes for a stack; a
     non-finite matrix is a ValidationError.
     """
-    m = _check_finite(_as_matrix(cm), "matrix")
+    m = _as_matrix(cm)
     modes = list(modes)
     if m.shape[-2:] == (4, 4) and len(modes) == 1:
         return two_mode_spectrum(m, transposed=True)[0]
@@ -476,20 +486,26 @@ def log_negativity(cm, modes):
 
 
 def apply_symplectic(state: GaussianState, s: SymplecticMatrix, d=None) -> GaussianState:
-    """Gaussian unitary: mean -> S mean + d, V -> S V S^T."""
+    """Gaussian unitary: mean -> S mean + d, V -> S V S^T (d finite); NumericDegeneracyError past float64."""
     if s.n_modes != state.n_modes:
         raise ValidationError("symplectic matrix and state have different mode counts")
-    d = np.zeros(2 * state.n_modes) if d is None else np.asarray(d, dtype=float)
+    d = np.zeros(2 * state.n_modes) if d is None else _check_finite(np.asarray(d, dtype=float), "displacement")
     if d.shape != (2 * state.n_modes,):
         raise ValidationError("displacement vector has the wrong length")
-    return GaussianState(
-        s.m @ state.mean + d, CovarianceMatrix(s.m @ state.cm.m @ s.m.T), state.labels
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, m = s.m @ state.mean + d, s.m @ state.cm.m @ s.m.T
+    return _computed_state(mean, m, state.labels, "transformed state")
 
 
 def displace(state: GaussianState, d) -> GaussianState:
-    d = np.asarray(d, dtype=float)
-    return GaussianState(state.mean + d, state.cm, state.labels)
+    return apply_symplectic(state, SymplecticMatrix(np.eye(2 * state.n_modes)), d)
+
+
+def _computed_state(mean, m, labels, what: str) -> GaussianState:
+    """The state of moments computed from finite ones; NumericDegeneracyError where they overflowed."""
+    if not (np.isfinite(mean).all() and np.isfinite(m).all()):
+        raise NumericDegeneracyError(f"the {what} overflows float64")
+    return GaussianState(mean, CovarianceMatrix(m), labels)
 
 
 def _condition(v, kept, measured, noise: float, message: str):
@@ -537,10 +553,12 @@ def condition_on_gaussian_measurement(
         mi, noise, what = [2 * i, 2 * j + 1], 0.0, "homodyne"
     else:
         raise ValidationError(f"unknown measurement kind {kind!r}")
-    z = np.zeros(len(mi)) if outcome is None else np.asarray(outcome, float)
+    z = np.zeros(len(mi)) if outcome is None else _check_finite(np.asarray(outcome, float), f"{kind} outcome")
     if z.shape != (len(mi),):
         raise ValidationError(f"{kind} outcome needs {len(mi)} entries, got shape {z.shape}")
     ki = _quad_indices(n, kept)
-    cond, gain = _condition(state.cm.m, ki, mi, noise, f"{what} conditioning block is singular")
-    mean = state.mean[ki] + gain @ (z - state.mean[mi])
-    return GaussianState(mean, CovarianceMatrix(0.5 * (cond + cond.T)), tuple(state.labels[k] for k in kept))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond, gain = _condition(state.cm.m, ki, mi, noise, f"{what} conditioning block is singular")
+        mean = state.mean[ki] + gain @ (z - state.mean[mi])
+        cond = 0.5 * cond + 0.5 * cond.T
+    return _computed_state(mean, cond, tuple(state.labels[k] for k in kept), "conditional state")

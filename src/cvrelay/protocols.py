@@ -3,7 +3,8 @@
 Covers entanglement swapping, coherent-state teleportation, one-way
 entanglement/key distillation and practical relay QKD, each for finite
 resource variance mu and in the asymptotic large-mu limit, plus the
-single-repeater secret-key bound for additive-noise links.
+single-repeater secret-key bound for additive-noise links.  The two
+sources are identical two-mode squeezed vacua: both have variance mu.
 
 Every closed-form figure of merit is a function of mu and the pair
 (kappa, kappa'): ``environments.kappa_params`` gives it for one
@@ -63,26 +64,15 @@ _KEY_SET = frozenset(_METRIC_KEYS)
 
 @dataclass(frozen=True)
 class SwapInput:
-    """Resources fed to the relay: Bob's TMSV variance mu, optionally a
-    different Alice variance phi, and the environment of the two links."""
+    """Resources fed to the relay: the variance mu of both identical TMSV
+    sources and the environment of the two links."""
 
     mu: float
     env: ThermalEnvironment | AdditiveEnvironment
-    phi: float | None = None
 
     def __post_init__(self):
         if not 1.0 <= self.mu < math.inf:
             raise ValidationError(f"mu must be finite and >= 1, got {self.mu!r}")
-        if self.phi is not None and not 1.0 <= self.phi < math.inf:
-            raise ValidationError(f"phi must be finite and >= 1, got {self.phi!r}")
-
-    @property
-    def phi_value(self) -> float:
-        return self.mu if self.phi is None else self.phi
-
-    @property
-    def symmetric(self) -> bool:
-        return self.phi is None or self.phi == self.mu
 
 
 @dataclass(frozen=True)
@@ -138,7 +128,7 @@ def _flag(value, threshold, want_greater: bool):
 
 
 def _nu_pair(mu, k, kp):
-    """Symplectic eigenvalues of the symmetric swapped state, kappa's then kappa''s."""
+    """Symplectic eigenvalues of the swapped state, kappa's then kappa''s."""
     return np.sqrt(mu * (1.0 + mu * k) / (mu + k)), np.sqrt(mu * (1.0 + mu * kp) / (mu + kp))
 
 
@@ -172,7 +162,7 @@ def relay_metrics(mu, k, kp, xi: float = 1.0, names=None) -> dict:
     ValidationError.  A requested figure, or the figure of a requested
     flag, that float64 cannot hold (nan, or inf at finite mu, where every
     figure is finite in exact arithmetic) raises NumericDegeneracyError,
-    naming mu.
+    naming the first such cell's mu, kappa and kappa'.
     """
     names = _METRIC_KEYS if names is None else names
     if not _KEY_SET.issuperset(names):
@@ -196,8 +186,10 @@ def relay_metrics(mu, k, kp, xi: float = 1.0, names=None) -> dict:
     figures = np.broadcast_arrays(*(f for f in checked if f is not None))
     bad = (np.isnan(figures) if asymptotic else ~np.isfinite(figures)).any(axis=0)
     if bad.any():
-        mu_bad = np.broadcast_to(mu, bad.shape)[bad][0]
-        raise NumericDegeneracyError(f"the closed-form metrics at mu={mu_bad:g} overflow float64")
+        bad, *cell = np.broadcast_arrays(bad, mu, k, kp)
+        mu_bad, k_bad, kp_bad = (a[bad][0] for a in cell)
+        raise NumericDegeneracyError(
+            f"the closed-form metrics at mu={mu_bad:g}, kappa={k_bad:g}, kappa'={kp_bad:g} overflow float64")
     return out
 
 
@@ -283,37 +275,35 @@ def _large_mu_formulas(k, kp) -> dict:
 def evolved_cm(inp, family=None, params=None) -> CovarianceMatrix:
     """Covariance matrix of modes (a, b, A', B') after the noisy links.
 
-    Mode a is Alice's kept arm (variance phi), b is Bob's kept arm
-    (variance mu); A' and B' are the transmitted arms arriving at the relay.
-    The family's link map (t, e, h, h') takes each transmitted arm of
-    variance v to t v + e and scales its coupling to the kept arm by
-    sqrt(t); h and h' are the q and p correlations the environment leaves
-    between A' and B'.
+    Modes a and b are the kept arms of the two identical sources of variance
+    mu; A' and B' are the transmitted arms arriving at the relay.  The
+    family's link map (t, e, h, h') takes each transmitted arm to t mu + e
+    and scales its coupling to the kept arm by sqrt(t); h and h' are the q
+    and p correlations the environment leaves between A' and B'.
 
     ``evolved_cm(SwapInput)`` builds one 8x8 state.  ``evolved_cm(mu, family,
-    params)`` builds a stack with phi = mu in one pass: ``family`` is
-    ``ThermalEnvironment`` or ``AdditiveEnvironment`` and ``params`` maps its
-    fields to broadcastable values, whose broadcast shape the stack takes.
-    Either way the result is validated as one ``CovarianceMatrix``; entries
-    past the float64 range raise NumericDegeneracyError, naming mu.
+    params)`` builds a stack in one pass: ``family`` is ``ThermalEnvironment``
+    or ``AdditiveEnvironment`` and ``params`` maps its fields to
+    broadcastable values, whose broadcast shape the stack takes.  Either way
+    the result is validated as one ``CovarianceMatrix``.  A non-finite
+    parameter or a negative transmissivity raises ValidationError, entries
+    past the float64 range NumericDegeneracyError, naming mu.
     """
-    if isinstance(inp, SwapInput):
-        family = _checked_family(type(inp.env))  # before vars(), which needs a __dict__
-        phi, mu, params = inp.phi_value, inp.mu, vars(inp.env)
-    else:
-        family = _checked_family(family)
-        phi = mu = np.asarray(inp, dtype=float)
-        if not np.all((mu >= 1.0) & (mu < math.inf)):
-            raise ValidationError("mu must be finite and >= 1")
-    t, e, h, hp = family.links(**params)
-    s = np.sqrt(t)
-    with np.errstate(over="ignore"):
-        ca, cb = np.sqrt(phi * phi - 1.0) * s, np.sqrt(mu * mu - 1.0) * s
-        y, x = t * phi + e, t * mu + e
-    if not all(np.isfinite(v).all() for v in (ca, cb, y, x)):
+    if isinstance(inp, SwapInput):  # the family check before vars(), which needs a __dict__
+        inp, family, params = inp.mu, _checked_family(type(inp.env)), vars(inp.env)
+    family = _checked_family(family)
+    mu = np.asarray(inp, dtype=float)
+    if not np.all((mu >= 1.0) & (mu < math.inf)):
+        raise ValidationError("mu must be finite and >= 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, e, h, hp = family.links(**params)
+        c, x = np.sqrt(mu * mu - 1.0) * np.sqrt(t), t * mu + e
+    if not (all(np.isfinite(v).all() for v in params.values()) and np.all(t >= 0.0)):
+        raise ValidationError("the environment parameters must be finite and the transmissivity >= 0")
+    if not all(np.isfinite(v).all() for v in (c, x, h, hp)):
         raise NumericDegeneracyError(f"the evolved states at mu={np.max(mu):g} overflow float64")
-    entries = {(0, 0): phi, (1, 1): phi, (2, 2): mu, (3, 3): mu, (4, 4): y, (5, 5): y,
-               (6, 6): x, (7, 7): x, (0, 4): ca, (1, 5): -ca, (2, 6): cb, (3, 7): -cb,
+    entries = {(0, 0): mu, (1, 1): mu, (2, 2): mu, (3, 3): mu, (4, 4): x, (5, 5): x,
+               (6, 6): x, (7, 7): x, (0, 4): c, (1, 5): -c, (2, 6): c, (3, 7): -c,
                (4, 6): h, (5, 7): hp}
     m = np.zeros(np.broadcast_shapes(*map(np.shape, entries.values())) + (8, 8))
     for (i, j), value in entries.items():
@@ -328,25 +318,16 @@ def evolved_cm(inp, family=None, params=None) -> CovarianceMatrix:
 def swapped_cm(inp: SwapInput) -> CovarianceMatrix:
     """Conditional covariance of the remote pair (a, b) after Bell detection.
 
-    Independent of the broadcast outcome, which only shifts the mean.  The
-    q sector is damped by theta_q = (phi + mu)/2 + kappa and the p sector by
-    theta_p = (phi + mu)/2 + kappa'.
+    Independent of the broadcast outcome, which only shifts the mean.  Both
+    sources have variance mu; the q sector is damped by theta_q = mu + kappa
+    and the p sector by theta_p = mu + kappa'.
     """
-    phi, mu = inp.phi_value, inp.mu
+    mu = inp.mu
     k, kp = kappa_params(inp.env)
-    tphi = math.sqrt(phi * phi - 1.0)
     tmu = math.sqrt(mu * mu - 1.0)
-    tq = (phi + mu) / 2.0 + k
-    tp = (phi + mu) / 2.0 + kp
-    m = np.array(
-        [
-            [phi - tphi * tphi / (2 * tq), 0.0, tphi * tmu / (2 * tq), 0.0],
-            [0.0, phi - tphi * tphi / (2 * tp), 0.0, -tphi * tmu / (2 * tp)],
-            [tphi * tmu / (2 * tq), 0.0, mu - tmu * tmu / (2 * tq), 0.0],
-            [0.0, -tphi * tmu / (2 * tp), 0.0, mu - tmu * tmu / (2 * tp)],
-        ]
-    )
-    return CovarianceMatrix(m)
+    dq, dp = tmu * tmu / (2 * (mu + k)), tmu * tmu / (2 * (mu + kp))  # (mu^2 - 1) / (2 theta)
+    return CovarianceMatrix(np.array([[mu - dq, 0.0, dq, 0.0], [0.0, mu - dp, 0.0, -dp],
+                                      [dq, 0.0, mu - dq, 0.0], [0.0, -dp, 0.0, mu - dp]]))
 
 
 def thermal_reactivation_g(tau: float, gp, omega: float | None = None):
@@ -508,8 +489,6 @@ def repeater_bound_phi(n: float) -> float:
 
 def protocol_report(inp: SwapInput, xi: float = 1.0) -> ProtocolReport:
     """Run every finite-mu analyzer at one parameter point."""
-    if not inp.symmetric:
-        raise ValidationError("the closed forms assume identical sources; set phi = mu")
     k, kp = kappa_params(inp.env)
     return _report(relay_metrics(inp.mu, k, kp, xi), k, kp, inp.mu, xi)
 

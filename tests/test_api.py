@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvrelay
+from cvrelay import protocols
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -106,6 +109,8 @@ _OVERFLOW_CALLS = {
     "quad_sigma_functions(g'=1e160)": lambda: cvrelay.quad_sigma_functions(0.5, 1.1, 0.0, 1e160),
     "quad_sigma_functions(r=1e160)": lambda: cvrelay.quad_sigma_functions(0.5, 1e160, 0.0, 0.0),
     "quad_sigma_functions(r=g=g'=1e150)": lambda: cvrelay.quad_sigma_functions(0.5, 1e150, 1e150, 1e150),
+    "estimate_from_second_moments(1e308 I)": lambda: cvrelay.estimate_from_second_moments(
+        np.diag(np.full(6, 1e308)), 10),
 }
 
 
@@ -119,6 +124,7 @@ def test_finite_input_past_float64_is_a_numeric_degeneracy_at_the_library_entry(
 
 _VERDICT_CALLS = {
     "tripartite_classify(1e160 I)": lambda: cvrelay.tripartite_classify(np.eye(6) * 1e160).class_id == 5,
+    "tripartite_classify(1e308 I)": lambda: cvrelay.tripartite_classify(np.diag(np.full(6, 1e308))).class_id == 5,
     "quadripartite_numeric(1e160 I, a)": lambda: (
         cvrelay.quadripartite_numeric(np.eye(8) * 1e160, 0) == "separable-PPT"),
 }
@@ -127,5 +133,151 @@ _VERDICT_CALLS = {
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call", _VERDICT_CALLS.values(), ids=_VERDICT_CALLS.keys())
 def test_finite_entries_whose_squares_overflow_still_get_a_ppt_verdict(call):
-    # the PSD tolerance screens on max|m_ij|, which squares no entry
+    # the PSD tolerance screens on max|m_ij|, which squares no entry, and the
+    # witness halves T and T^H before it sums them
     assert call()
+
+
+# The exported functions fed the CLI fuzz alphabet of scalars across the
+# float64 range (with three in-domain values, so that a call of several
+# arguments gets past its first check), and matrices that are scaled
+# identities of one to four modes, a stack of them, or shapes that do not fit.
+_X = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, 1e160, 0.0, -1.0, 1e-320,
+                      0.5, 2.0, 52.0])
+
+
+def _matrix(v, shape):
+    """v times the identity for a square shape, else an array of v (no arithmetic: no warning)."""
+    if len(shape) < 2 or shape[-2] != shape[-1]:
+        return np.full(shape, v)
+    m, diag = np.zeros(shape), np.arange(shape[-1])
+    m[..., diag, diag] = v
+    return m
+
+
+_M = st.builds(_matrix, _X, st.sampled_from([(2, 2), (4, 4), (6, 6), (8, 8), (3, 4, 4), (3, 3), (2, 3), (4,), ()]))
+_MODES = st.sampled_from([[0], [1], [2], [0, 1], [], [0, 0], [9]])
+_INT = st.sampled_from([-1, 0, 1, 2, 3])
+_THERMAL = st.tuples(_X, _X, _X, _X).map(lambda v: lambda: cvrelay.ThermalEnvironment(*v))
+_ADDITIVE = st.tuples(_X, _X, _X).map(lambda v: lambda: cvrelay.AdditiveEnvironment(*v))
+_ENV = st.one_of(_THERMAL, _ADDITIVE)
+
+
+def _state(x, v, n_modes):
+    return cvrelay.GaussianState(np.full(2 * n_modes, x), cvrelay.CovarianceMatrix(_matrix(v, (2 * n_modes,) * 2)))
+
+
+def _experiment(mu, n, xi, shots, seed):
+    return cvrelay.ExperimentConfig(mu, cvrelay.AdditiveEnvironment(n, 0.5, 0.5), shots, seed, 0.9, xi)
+
+
+# name: (call, strategies of its arguments); an environment is drawn as the
+# constructor call, so that its ValidationError is part of the call, and of
+# the family the function takes
+_EXPORTED_CALLS = {
+    "CovarianceMatrix": (cvrelay.CovarianceMatrix, (_M,)),
+    "SymplecticMatrix": (cvrelay.SymplecticMatrix, (_M,)),
+    "GaussianState": (_state, (_X, _X, st.sampled_from([1, 2, 3]))),
+    "vacuum_cm": (cvrelay.vacuum_cm, (_INT,)),
+    "thermal_cm": (cvrelay.thermal_cm, (_X, _INT)),
+    "tmsv_cm": (cvrelay.tmsv_cm, (_X,)),
+    "direct_sum": (cvrelay.direct_sum, (_M, _M)),
+    "symplectic_form": (cvrelay.symplectic_form, (_INT,)),
+    "beam_splitter": (cvrelay.beam_splitter, (_X,)),
+    "quadrature_squeezer": (cvrelay.quadrature_squeezer, (_X,)),
+    "rotation": (cvrelay.rotation, (_X,)),
+    "expand_symplectic": (lambda s, mode, n: cvrelay.expand_symplectic(cvrelay.quadrature_squeezer(s), [mode], n),
+                          (_X, _INT, _INT)),
+    "apply_symplectic(beam_splitter)": (
+        lambda x, v, tau, d: cvrelay.apply_symplectic(_state(x, v, 2), cvrelay.beam_splitter(tau), [d] * 4),
+        (_X, _X, _X, _X)),
+    "apply_symplectic(squeezer)": (
+        lambda x, v, s: cvrelay.apply_symplectic(_state(x, v, 1), cvrelay.quadrature_squeezer(s)), (_X, _X, _X)),
+    "apply_symplectic(rotation)": (
+        lambda x, v, theta: cvrelay.apply_symplectic(_state(x, v, 1), cvrelay.rotation(theta)), (_X, _X, _X)),
+    "displace": (lambda x, v, d: cvrelay.displace(_state(x, v, 1), [d, d]), (_X, _X, _X)),
+    "permute_modes": (lambda x, v: cvrelay.permute_modes(_state(x, v, 2), [1, 0]), (_X, _X)),
+    "condition_on_gaussian_measurement(heterodyne)": (
+        lambda x, v, z: cvrelay.condition_on_gaussian_measurement(
+            cvrelay.GaussianState(np.full(6, x), cvrelay.direct_sum(cvrelay.tmsv_cm(v), cvrelay.vacuum_cm())),
+            [0], "heterodyne", [z, z]),
+        (_X, _X, _X)),
+    "condition_on_gaussian_measurement(bell)": (
+        lambda x, v, z: cvrelay.condition_on_gaussian_measurement(_state(x, v, 3), [1, 2], "bell", [z, z]),
+        (_X, _X, _X)),
+    "entropic_h": (cvrelay.entropic_h, (_X,)),
+    "von_neumann_entropy": (cvrelay.von_neumann_entropy, (_M,)),
+    "symplectic_spectrum": (cvrelay.symplectic_spectrum, (_M,)),
+    "two_mode_spectrum": (cvrelay.two_mode_spectrum, (_M, st.booleans())),
+    "partial_transpose": (cvrelay.partial_transpose, (_M, _MODES)),
+    "smallest_pts_eigenvalue": (cvrelay.smallest_pts_eigenvalue, (_M, _MODES)),
+    "log_negativity": (cvrelay.log_negativity, (_M, _MODES)),
+    "ppt_min_eigenvalue": (cvrelay.ppt_min_eigenvalue, (_M, _MODES)),
+    "tripartite_classify": (cvrelay.tripartite_classify, (_M,)),
+    "quadripartite_numeric": (cvrelay.quadripartite_numeric, (_M, st.sampled_from([0, 3, 4, -9, "a", "x"]))),
+    "quad_sigma_functions": (cvrelay.quad_sigma_functions, (_X, _X, _X, _X)),
+    "quadripartite_classify": (lambda env: cvrelay.quadripartite_classify(env()), (_THERMAL,)),
+    "environment": (lambda env: env(), (_ENV,)),
+    "kappa_params": (lambda env: cvrelay.kappa_params(env()), (_ENV,)),
+    "thermal_env_cm": (lambda env: cvrelay.thermal_env_cm(env()), (_THERMAL,)),
+    "env_mutual_information": (lambda env: cvrelay.env_mutual_information(env()), (_THERMAL,)),
+    "additive_limit": (lambda env: cvrelay.additive_limit(env()), (_THERMAL,)),
+    "additive_env_classical_cm": (lambda env: cvrelay.additive_env_classical_cm(env()), (_ADDITIVE,)),
+    "additive_link_cm": (cvrelay.additive_link_cm, (_X, _X)),
+    "entanglement_breaking_threshold": (cvrelay.entanglement_breaking_threshold, (_X,)),
+    "evolved_cm": (lambda mu, env: cvrelay.evolved_cm(cvrelay.SwapInput(mu, env())), (_X, _ENV)),
+    "evolved_cm(additive stack)": (
+        lambda mu, n, c: cvrelay.evolved_cm(np.array([mu, 2.0]), cvrelay.AdditiveEnvironment,
+                                            {"n": n, "c": c, "cp": 0.0}),
+        (_X, _X, _X)),
+    "evolved_cm(thermal stack)": (
+        lambda mu, tau, omega: cvrelay.evolved_cm(mu, cvrelay.ThermalEnvironment, {
+            "tau": np.array([tau, 0.5]), "omega": omega, "g": 0.0, "gp": 0.0}),
+        (_X, _X, _X)),
+    "swapped_cm": (lambda mu, env: cvrelay.swapped_cm(cvrelay.SwapInput(mu, env())), (_X, _ENV)),
+    "teleport_correction": (lambda mu, env: cvrelay.teleport_correction(cvrelay.SwapInput(mu, env())), (_X, _ENV)),
+    "protocol_report": (lambda mu, env, xi: cvrelay.protocol_report(cvrelay.SwapInput(mu, env()), xi),
+                        (_X, _ENV, _X)),
+    "protocol_report_asymptotic": (lambda env: cvrelay.protocol_report_asymptotic(env()), (_ENV,)),
+    "qkd_rate": (lambda mu, env, xi: cvrelay.qkd_rate(cvrelay.SwapInput(mu, env()), xi), (_X, _ENV, _X)),
+    "relay_metrics": (protocols.relay_metrics, (_X, _X, _X, _X)),
+    "relay_metrics(arrays)": (lambda mu, k, kp: protocols.relay_metrics(mu, [k, 1.0], [kp, 0.5]), (_X, _X, _X)),
+    "thermal_reactivation_g": (cvrelay.thermal_reactivation_g, (_X, _X, _X)),
+    "additive_reactivation_c": (cvrelay.additive_reactivation_c, (_X, _X)),
+    "repeater_bound_phi": (cvrelay.repeater_bound_phi, (_X,)),
+    "key_rate_from_cm": (cvrelay.key_rate_from_cm, (_M, _X)),
+    "estimate_from_second_moments": (cvrelay.estimate_from_second_moments, (_M, _INT, _X)),
+    "exact_second_moments": (lambda *a: cvrelay.exact_second_moments(_experiment(*a)), (_X, _X, _X, _INT, _INT)),
+    "simulate_shot_batch": (lambda *a: cvrelay.simulate_shot_batch(_experiment(*a)), (_X, _X, _X, _INT, _INT)),
+    "run_point": (lambda mu, n, xi: cvrelay.run_point(_experiment(mu, n, xi, 700, 5)), (_X, _X, _X)),
+}
+
+
+def _numbers(result):
+    """Every number in a result, as float arrays: through dataclasses, dicts,
+    sequences and the matrix and state classes."""
+    if isinstance(result, (cvrelay.CovarianceMatrix, cvrelay.SymplecticMatrix)):
+        return [result.m]
+    if hasattr(result, "__dataclass_fields__"):
+        return _numbers(vars(result))
+    if isinstance(result, dict):
+        return _numbers(list(result.values()))
+    if isinstance(result, (list, tuple)):
+        return [x for item in result for x in _numbers(item)]
+    return [] if result is None or isinstance(result, str) else [np.asarray(result)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", _EXPORTED_CALLS)
+@settings(max_examples=100)
+@given(data=st.data())
+def test_every_exported_function_ends_in_an_error_of_the_contract_or_a_number(name, data):
+    # a ValidationError, a NumericDegeneracyError, or a result with no nan:
+    # never a numpy warning, another exception or a silent nan
+    call, args = _EXPORTED_CALLS[name]
+    drawn = data.draw(st.tuples(*args))
+    try:
+        result = call(*drawn)
+    except (cvrelay.ValidationError, cvrelay.NumericDegeneracyError):
+        return
+    assert not any(np.isnan(x).any() for x in _numbers(result) if x.dtype.kind in "fc"), drawn

@@ -1260,11 +1260,24 @@ def test_thresholds_exit_codes_match_the_one_level_loop(argv, code, monkeypatch,
 ])
 def test_closed_form_overflow_exits_3(capsys, argv):
     # valid input whose closed forms float64 cannot hold: no nan with exit 0;
-    # the message names the last flag, the parameter that overflows
+    # the message names the last flag's value, which is the parameter that
+    # overflows or, for the --n and --omega rows at --mu 52, the mu of the
+    # closed-form cell whose kappa overflows
     code, out = run_cli(argv, capsys)
     error = json.loads(out)["error"]
     assert code == 3 and error["code"] == 3
     assert f"{argv[-2].lstrip('-')}={float(argv[-1]):g}" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--n", "1e300", "--c", "0", "--cp", "0", "--mu", "52"],
+    ["point", "--tau", "1e-300", "--omega", "1", "--mu", "52"],
+])
+def test_a_closed_form_overflow_names_the_kappas_of_its_cell(capsys, argv):
+    # at mu = 52 it is kappa that overflows the closed forms, not mu
+    code, out = run_cli(argv, capsys)
+    assert code == 3
+    assert "mu=52, kappa=1e+300, kappa'=1e+300 overflow" in json.loads(out)["error"]["message"]
 
 
 ADDITIVE_PLANE = ["--n", "1", "--c", "0:1:0.5", "--cp", "0:1:0.5"]

@@ -25,9 +25,8 @@ def bell_conditioned(inp, outcome=(0.0, 0.0)):
 
 def six_mode_pipeline(inp):
     """Independent construction of the evolved state from core primitives."""
-    phi, mu = inp.phi_value, inp.mu
-    env = inp.env
-    big = g.direct_sum(g.tmsv_cm(phi), g.tmsv_cm(mu), envs.thermal_env_cm(env))
+    mu, env = inp.mu, inp.env
+    big = g.direct_sum(g.tmsv_cm(mu), g.tmsv_cm(mu), envs.thermal_env_cm(env))
     st = GaussianState(np.zeros(12), big, ("a", "A", "b", "B", "E1", "E2"))
     st = g.permute_modes(st, [0, 2, 1, 4, 5, 3])  # -> a b A E1 E2 B
     mix = g.expand_symplectic(g.beam_splitter(env.tau), [2, 3], 6)
@@ -73,7 +72,7 @@ def test_evolved_cm_matches_six_mode_pipeline():
     rng = np.random.default_rng(17)
     for _ in range(25):
         env = random_thermal_env(rng)
-        inp = SwapInput(rng.uniform(1.0, 50.0), env, rng.uniform(1.0, 50.0))
+        inp = SwapInput(rng.uniform(1.0, 50.0), env)
         assert np.abs(six_mode_pipeline(inp).m - prot.evolved_cm(inp).m).max() < 1e-12
 
 
@@ -86,18 +85,11 @@ def test_swapped_cm_near_lossless():
     assert m[1, 3] == pytest.approx(-0.75, abs=1e-3)
 
 
-def test_swapped_cm_asymmetric_reduces_to_symmetric():
-    env = ThermalEnvironment(0.8, 7.0, 3.0, -2.0)
-    sym = prot.swapped_cm(SwapInput(4.0, env))
-    asym = prot.swapped_cm(SwapInput(4.0, env, 4.0))
-    assert np.array_equal(sym.m, asym.m)
-
-
 def test_swapped_cm_matches_bell_conditioning_oracle():
     rng = np.random.default_rng(23)
     for _ in range(60):
         env = random_thermal_env(rng)
-        inp = SwapInput(rng.uniform(1.0, 100.0), env, rng.uniform(1.0, 100.0))
+        inp = SwapInput(rng.uniform(1.0, 100.0), env)
         oracle = bell_conditioned(inp, rng.normal(size=2)).cm
         assert np.abs(oracle.m - prot.swapped_cm(inp).m).max() < 1e-10
 
@@ -204,9 +196,9 @@ def test_teleport_correction_output_matches_mpmath(mu, env):
 def test_teleport_mean_recovery_pipeline():
     # heterodyning the remote arm of the swapped state prepares a displaced
     # state whose corrected mean equals the input coherent amplitude
-    phi, mu = 7.3, 6.5
+    mu = 6.5
     env = ThermalEnvironment(0.9, 19.38, 19.0, -15.0)
-    inp = SwapInput(mu, env, phi)
+    inp = SwapInput(mu, env)
     ab = bell_conditioned(inp, (0.37, -1.2))
     ab = g.displace(ab, -ab.mean)  # conditional displacement erases the shift
     a_out = np.array([0.81, -0.44])
@@ -214,7 +206,7 @@ def test_teleport_mean_recovery_pipeline():
     corr = prot.teleport_correction(inp)
     sq = g.quadrature_squeezer(corr.squeeze_r)
     mean_out = math.sqrt(corr.gain_eta) * (sq.m @ b0.mean)
-    target = math.sqrt(phi * phi - 1.0) / (phi + 1.0) * np.array([a_out[0], -a_out[1]])
+    target = math.sqrt(mu * mu - 1.0) / (mu + 1.0) * np.array([a_out[0], -a_out[1]])
     assert np.abs(mean_out - target).max() < 1e-12
     # conditional CM matches the closed form mu I - (mu^2-1)/2 diag(1/t1, 1/t1')
     closed = mu * np.eye(2) - (mu * mu - 1.0) / 2.0 * np.diag(
