@@ -32,7 +32,7 @@ from .gaussian import (
     pt_reflection,
     symplectic_form,
 )
-from .environments import ThermalEnvironment, entanglement_breaking_threshold
+from .environments import ThermalEnvironment, _checked_family, entanglement_breaking_threshold
 
 # Every PPT verdict (1x3 groupings, tripartite modes, witness blocks) reads a
 # smallest eigenvalue against max(PSD_ABS_TOL, PSD_REL_TOL * ||V||_2): the
@@ -273,6 +273,7 @@ def quadripartite_classify(env: ThermalEnvironment) -> QuadripartiteRegion:
     Valid above the entanglement-breaking threshold (r = omega/omega_EB > 1),
     where the only possibly surviving entanglement is quadripartite.
     """
+    _checked_family(type(env), ThermalEnvironment)
     sp, sdp, region = quadripartite_regions(env.tau, env.omega, env.g, env.gp)
     return QuadripartiteRegion(float(sp), float(sdp), REGIONS[region])
 

@@ -176,15 +176,18 @@ class AdditiveEnvironment:
         return AdditiveEnvironment(self.n, -self.c, -self.cp)
 
 
-def _checked_family(family):
-    """``family`` if it is one of the two environment classes; else a ValidationError."""
-    if family not in (ThermalEnvironment, AdditiveEnvironment):
+def _checked_family(family, *allowed):
+    """``family`` if it is one of ``allowed`` (by default either environment
+    class); else a ValidationError."""
+    allowed = allowed or (ThermalEnvironment, AdditiveEnvironment)
+    if family not in allowed:
         raise ValidationError(f"unsupported environment type {getattr(family, '__name__', family)!r}")
     return family
 
 
 def thermal_env_cm(env: ThermalEnvironment) -> CovarianceMatrix:
     """Two-mode covariance matrix [[omega I, G], [G, omega I]], G = diag(g, g')."""
+    _checked_family(type(env), ThermalEnvironment)
     i2 = np.eye(2)
     gmat = np.diag([env.g, env.gp])
     m = np.block([[env.omega * i2, gmat], [gmat, env.omega * i2]])
@@ -238,6 +241,7 @@ def thermal_mutual_information(omega, g, gp):
 
 def env_mutual_information(env: ThermalEnvironment) -> float:
     """Quantum mutual information (bits) of an environment; see thermal_mutual_information."""
+    _checked_family(type(env), ThermalEnvironment)
     return float(thermal_mutual_information(env.omega, env.g, env.gp))
 
 
@@ -248,6 +252,7 @@ def additive_limit(env: ThermalEnvironment) -> AdditiveEnvironment:
     is undefined at omega = 1 and the resulting coefficients must lie in
     [-1, 1] to describe a valid additive environment.
     """
+    _checked_family(type(env), ThermalEnvironment)
     if env.omega <= 1.0 + BOUNDARY_BAND:
         raise ValidationError("additive limit is undefined at omega = 1")
     scale = env.omega - 1.0
@@ -262,7 +267,7 @@ def additive_env_classical_cm(env: AdditiveEnvironment) -> np.ndarray:
     covariance; positive semidefinite for all admissible parameters, and
     singular at |c| = 1 or |c'| = 1.
     """
-    _, e, h, hp = AdditiveEnvironment.links(**vars(env))
+    _, e, h, hp = _checked_family(type(env), AdditiveEnvironment).links(**vars(env))
     cross = np.diag([h, hp])
     return np.block([[e * np.eye(2), cross], [cross, e * np.eye(2)]])
 

@@ -14,14 +14,14 @@ exactly DRAWS_PER_SHOT uniform draws, so the stream can be partitioned at
 any chunk boundary without changing a single sample.
 
 The estimator streams: ``run_point`` cuts a run into chunks of whole
-MOMENT_BLOCKs and simulates them on worker threads (Philox and ``ndtri``
-release the GIL), which return block moments only.  Draws, moments,
-chunks and dumps share one grid of MOMENT_BLOCK shots, aligned to the
-absolute shot index; only a run's last block may be short.  A worker turns
-each block of its chunk into its size n_b, mean m_b and centred co-moment
-M_b = sum (x - m_b)(x - m_b)^T, and the main thread merges the blocks in
-index order by the pairwise update of Chan, Golub & LeVeque (1983) and
-Pebay (SAND2008-6212):
+MOMENT_BLOCKs and simulates them on worker threads, one chunk per worker
+per round (Philox and ``ndtri`` release the GIL), which return block
+moments only.  Draws, moments, chunks and dumps share one grid of
+MOMENT_BLOCK shots, aligned to the absolute shot index; only a run's last
+block may be short.  A worker turns each block of its chunk into its size
+n_b, mean m_b and centred co-moment M_b = sum (x - m_b)(x - m_b)^T, and
+the main thread merges the blocks in index order by the pairwise update
+of Chan, Golub & LeVeque (1983) and Pebay (SAND2008-6212):
 
     n = n_a + n_b,  d = m_b - m_a,  m = m_a + d n_b / n,
     M = M_a + M_b + d d^T n_a n_b / n.
@@ -36,20 +36,20 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .gaussian import NumericDegeneracyError, ValidationError, _condition
-from .environments import AdditiveEnvironment, additive_env_classical_cm
+from .environments import AdditiveEnvironment, _checked_family, additive_env_classical_cm, kappa_params
 from .protocols import _check_xi, key_rate_from_cm
 
 RNG_ALGORITHM = "philox4x64"
 DRAWS_PER_SHOT = 16  # 4 signal + 4 side-channel + 4 shot-noise + 4 loss draws
 DEFAULT_CHUNK = 1 << 16
 MOMENT_BLOCK = 1 << 12  # shots per draw, mixing and co-moment block, aligned to the absolute shot index
-QUEUED_PER_WORKER = 16  # chunks per worker in each window run_point queues; two windows at most are queued
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -59,9 +59,9 @@ class ExperimentConfig:
     """One run of the simulated experiment.
 
     ``mu`` is the modulation variance (signal variance mu - 1 per
-    quadrature), ``seed`` a 64-bit unsigned key, and ``stream`` an optional
-    sub-stream index so sweeps can derive independent reproducible points
-    from one master seed.
+    quadrature), ``env`` an additive environment, and the integers ``seed``
+    and ``stream`` a 64-bit unsigned key and sub-stream index, so sweeps
+    can derive independent reproducible points from one master seed.
     """
 
     mu: float
@@ -75,10 +75,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 1.0 <= self.mu < math.inf:
             raise ValidationError(f"modulation variance must be finite and >= 1, got {self.mu!r}")
+        _checked_family(type(self.env), AdditiveEnvironment)
+        for name in ("shots", "seed", "stream"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.shots < 1:
             raise ValidationError("shots must be a positive integer")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must be a 64-bit unsigned integer")
+        if not (0 <= self.seed < 2**64 and 0 <= self.stream < 2**64):
+            raise ValidationError("seed and stream must be 64-bit unsigned integers")
         if not 0.0 < self.relay_efficiency <= 1.0:
             raise ValidationError("relay efficiency must lie in (0, 1]")
         _check_xi(self.xi)
@@ -271,10 +277,10 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_moments(config: ExperimentConfig, start: int, stop: int):
-    """Block moments of the shots [start, stop), in a worker thread."""
+def _chunk_moments(config: ExperimentConfig, start: int, chunk: int):
+    """Block moments of the ``chunk`` shots from ``start`` (fewer at the end), in a worker thread."""
     with np.errstate(over="ignore", invalid="ignore"):  # per thread: the estimate rejects what overflows
-        return _block_moments(simulate_shot_batch(config, start=start, stop=stop))
+        return _block_moments(simulate_shot_batch(config, start=start, stop=min(start + chunk, config.shots)))
 
 
 def run_point(
@@ -284,16 +290,15 @@ def run_point(
 
     ``chunk_shots`` is rounded down to whole MOMENT_BLOCKs, at least one.
     A pool of worker threads, one per available CPU (at most one per
-    chunk), turns each chunk into block moments, which are merged here in
-    shot order: the estimate is bit-identical for any ``chunk_shots`` and
-    any number of workers, and at most workers x max(chunk_shots,
-    MOMENT_BLOCK) shots are in memory at once.  The chunks are queued in
-    windows of QUEUED_PER_WORKER per worker, as tasks of about 2 kB; the
-    next window is queued before the one before it is merged, so the
-    workers never wait for the merge.  ``dump`` names an optional
-    CSV file for every shot (one header).  It is opened before the first
-    draw and filled here once the pool is done, each chunk drawn again in
-    shot order: a shot depends only on the seed, the stream and its index.
+    chunk), runs in rounds of one chunk per worker: each worker turns its
+    chunk into block moments, which are merged here in shot order before
+    the next round starts.  The estimate is therefore bit-identical for any
+    ``chunk_shots`` and any number of workers, and a point holds at most
+    workers x max(chunk_shots, MOMENT_BLOCK) shots and one round of tasks,
+    however many shots it runs.  ``dump`` names an optional CSV file for
+    every shot (one header).  It is opened before the first draw and
+    filled here once the pool is done, each chunk drawn again in shot
+    order: a shot depends only on the seed, the stream and its index.
     The estimate needs modulation, mu > 1; a point without it is rejected
     before any shot is drawn, so it writes no dump.  Noise or moments past
     the float64 range turn non-finite, and the estimate rejects them.
@@ -305,23 +310,19 @@ def run_point(
     if config.mu <= 1.0 + 1e-12:
         raise ValidationError("covariance reconstruction needs signal modulation (mu > 1)")
     chunk = max(1, chunk_shots // MOMENT_BLOCK) * MOMENT_BLOCK
-    starts = range(0, config.shots, chunk)
-    stops = [min(start + chunk, config.shots) for start in starts]
     moments = _CoMoments()
     with (np.errstate(over="ignore", invalid="ignore"),
           open(dump, "w", encoding="utf-8", newline="") if dump else contextlib.nullcontext() as fh):
-        workers = min(_available_cpus(), len(starts))
+        workers = min(_available_cpus(), -(-config.shots // chunk))
         with ThreadPoolExecutor(workers) as pool:
-            window, merging = QUEUED_PER_WORKER * workers, ()
-            for at in range(0, len(starts) + window, window):  # the last window is empty
-                queued = pool.map(_chunk_moments, itertools.repeat(config), starts[at:at + window],
-                                  stops[at:at + window])
-                for blocks in merging:  # the window before, in shot order
+            for first in range(0, config.shots, workers * chunk):  # a round: one chunk per worker
+                for blocks in pool.map(_chunk_moments, itertools.repeat(config),
+                                       range(first, config.shots, chunk)[:workers], itertools.repeat(chunk)):
                     moments.merge(blocks)
-                merging = queued
         if fh:
-            for start, stop in zip(starts, stops):
-                simulate_shot_batch(config, start=start, stop=stop).write_csv(fh, header=not start)
+            for start in range(0, config.shots, chunk):
+                simulate_shot_batch(config, start=start, stop=min(start + chunk, config.shots)).write_csv(
+                    fh, header=not start)
     return moments.estimate(config.mu, config.xi)
 
 
@@ -359,26 +360,15 @@ def exact_second_moments(config: ExperimentConfig) -> np.ndarray:
     """Infinite-statistics joint moments of (Alice, Bob, gamma) variables.
 
     The population covariance the sampler converges to; useful for checking
-    the estimator without Monte-Carlo noise, including lossy relays.
+    the estimator without Monte-Carlo noise, including lossy relays: gamma
+    has variances eta (mu + kappa) + 1 - eta and eta (mu + kappa') + 1 - eta.
     """
-    mu, env, eta = config.mu, config.env, config.relay_efficiency
-    scale = _heterodyne_scale(mu)
-    sig = mu - 1.0
-    noise = additive_env_classical_cm(env)
-    cov = np.zeros((6, 6))
-    # heterodyne-equivalent variables: variance scale^2 * (mu - 1) = mu + 1
-    for k in range(4):
-        cov[k, k] = scale * scale * sig
-    st = math.sqrt(eta)
-    # gamma couples to the amplitudes through the relay combination
-    coupling = {0: (0, 1.0), 1: (1, 1.0), 2: (0, -1.0), 3: (1, 1.0)}
-    reflect = (1.0, -1.0, 1.0, -1.0)
-    for k, (gi, sign) in coupling.items():
-        cov[k, 4 + gi] = cov[4 + gi, k] = reflect[k] * scale * st * sign * sig / _SQRT2
-    # gamma second moments: signal + side channel + shot noise through loss
+    mu, eta = config.mu, config.relay_efficiency
+    k, kp = kappa_params(config.env)
+    a = _heterodyne_scale(mu) * math.sqrt(eta) * (mu - 1.0) / _SQRT2
     with np.errstate(over="ignore", invalid="ignore"):
-        cov[4, 4] = eta * (sig + 1.0 + 0.5 * (noise[0, 0] + noise[2, 2]) - noise[0, 2]) + (1.0 - eta)
-        cov[5, 5] = eta * (sig + 1.0 + 0.5 * (noise[1, 1] + noise[3, 3]) + noise[1, 3]) + (1.0 - eta)
+        cov = np.diag([mu + 1.0] * 4 + [eta * (mu + k) + (1.0 - eta), eta * (mu + kp) + (1.0 - eta)])
+    cov[[0, 1, 2, 3], [4, 5, 4, 5]] = cov[[4, 5, 4, 5], [0, 1, 2, 3]] = [a, -a, -a, -a]
     if not np.isfinite(cov).all():
         raise NumericDegeneracyError("the exact second moments overflow float64")
     return cov

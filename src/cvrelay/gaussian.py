@@ -220,6 +220,8 @@ class GaussianState:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.cm, CovarianceMatrix):
+            raise ValidationError(f"cm must be a CovarianceMatrix, got {type(self.cm).__name__}")
         mean = _check_finite(np.array(self.mean, dtype=float), "mean")
         mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)

@@ -29,6 +29,7 @@ def test_every_name_the_benchmark_oracle_uses_is_exported():
     assert missing == [], "names perfbench/tracer.py traces but cvrelay no longer defines"
 
 
+_THERMAL_ENV, _ADDITIVE_ENV = cvrelay.ThermalEnvironment(0.9, 2.0), cvrelay.AdditiveEnvironment(1.0, 0.5, 0.5)
 _NAN4, _INF4, _NAN6 = np.full((4, 4), math.nan), np.diag([math.inf, 1.0, 1.0, 1.0]), np.full((6, 6), math.nan)
 _NON_FINITE_CALLS = {
     "entropic_h(nan)": lambda: cvrelay.entropic_h(math.nan),
@@ -59,6 +60,7 @@ _NON_FINITE_CALLS = {
     "quad_sigma_functions(tau=-inf)": lambda: cvrelay.quad_sigma_functions(-math.inf, 1.1, 0.0, 0.0),
     "quad_sigma_functions(r=nan)": lambda: cvrelay.quad_sigma_functions(0.5, math.nan, 0.0, 0.0),
     "quad_sigma_functions(g=[0, inf])": lambda: cvrelay.quad_sigma_functions(0.5, 1.1, [0.0, math.inf], 0.0),
+    "ExperimentConfig(shots=nan)": lambda: cvrelay.ExperimentConfig(52.0, _ADDITIVE_ENV, math.nan, 1),
 }
 
 
@@ -77,14 +79,27 @@ _OUT_OF_DOMAIN_CALLS = {
     "additive_reactivation_c(0, 0.5)": lambda: cvrelay.additive_reactivation_c(0.0, 0.5),
     "quad_sigma_functions(tau=1e160)": lambda: cvrelay.quad_sigma_functions(1e160, 1.1, 0.0, 0.0),
     "quad_sigma_functions(tau=1)": lambda: cvrelay.quad_sigma_functions(1.0, 1.1, 0.0, 0.0),
+    "ExperimentConfig(shots=10000.5)": lambda: cvrelay.ExperimentConfig(52.0, _ADDITIVE_ENV, 10_000.5, 1),
+    "ExperimentConfig(seed=1.5)": lambda: cvrelay.ExperimentConfig(52.0, _ADDITIVE_ENV, 10_000, 1.5),
+    "ExperimentConfig(seed=2**64)": lambda: cvrelay.ExperimentConfig(52.0, _ADDITIVE_ENV, 10_000, 2**64),
+    "ExperimentConfig(stream=-1)": lambda: cvrelay.ExperimentConfig(52.0, _ADDITIVE_ENV, 10_000, 1, stream=-1),
+    "ExperimentConfig(stream=2**64)": lambda: cvrelay.ExperimentConfig(52.0, _ADDITIVE_ENV, 10_000, 1, stream=2**64),
+    "ExperimentConfig(thermal env)": lambda: cvrelay.ExperimentConfig(52.0, _THERMAL_ENV, 10_000, 1),
+    "thermal_env_cm(additive env)": lambda: cvrelay.thermal_env_cm(_ADDITIVE_ENV),
+    "env_mutual_information(additive env)": lambda: cvrelay.env_mutual_information(_ADDITIVE_ENV),
+    "additive_limit(additive env)": lambda: cvrelay.additive_limit(_ADDITIVE_ENV),
+    "quadripartite_classify(additive env)": lambda: cvrelay.quadripartite_classify(_ADDITIVE_ENV),
+    "additive_env_classical_cm(thermal env)": lambda: cvrelay.additive_env_classical_cm(_THERMAL_ENV),
+    "GaussianState(array cm)": lambda: cvrelay.GaussianState(np.zeros(4), np.eye(4)),
 }
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call", _OUT_OF_DOMAIN_CALLS.values(), ids=_OUT_OF_DOMAIN_CALLS.keys())
 def test_out_of_domain_input_is_rejected_at_the_library_entry(call):
-    # finite input where the formula has no value: a ValidationError, not a
-    # ZeroDivisionError, OverflowError or numpy warning
+    # finite input where the formula has no value, or an argument of the
+    # wrong type: a ValidationError, not a ZeroDivisionError, OverflowError,
+    # TypeError, AttributeError or numpy warning
     with pytest.raises(cvrelay.ValidationError):
         call()
 
@@ -173,7 +188,8 @@ def _experiment(mu, n, xi, shots, seed):
 
 # name: (call, strategies of its arguments); an environment is drawn as the
 # constructor call, so that its ValidationError is part of the call, and of
-# the family the function takes
+# either family, so that a function handed the one it does not take must
+# reject it
 _EXPORTED_CALLS = {
     "CovarianceMatrix": (cvrelay.CovarianceMatrix, (_M,)),
     "SymplecticMatrix": (cvrelay.SymplecticMatrix, (_M,)),
@@ -216,13 +232,13 @@ _EXPORTED_CALLS = {
     "tripartite_classify": (cvrelay.tripartite_classify, (_M,)),
     "quadripartite_numeric": (cvrelay.quadripartite_numeric, (_M, st.sampled_from([0, 3, 4, -9, "a", "x"]))),
     "quad_sigma_functions": (cvrelay.quad_sigma_functions, (_X, _X, _X, _X)),
-    "quadripartite_classify": (lambda env: cvrelay.quadripartite_classify(env()), (_THERMAL,)),
+    "quadripartite_classify": (lambda env: cvrelay.quadripartite_classify(env()), (_ENV,)),
     "environment": (lambda env: env(), (_ENV,)),
     "kappa_params": (lambda env: cvrelay.kappa_params(env()), (_ENV,)),
-    "thermal_env_cm": (lambda env: cvrelay.thermal_env_cm(env()), (_THERMAL,)),
-    "env_mutual_information": (lambda env: cvrelay.env_mutual_information(env()), (_THERMAL,)),
-    "additive_limit": (lambda env: cvrelay.additive_limit(env()), (_THERMAL,)),
-    "additive_env_classical_cm": (lambda env: cvrelay.additive_env_classical_cm(env()), (_ADDITIVE,)),
+    "thermal_env_cm": (lambda env: cvrelay.thermal_env_cm(env()), (_ENV,)),
+    "env_mutual_information": (lambda env: cvrelay.env_mutual_information(env()), (_ENV,)),
+    "additive_limit": (lambda env: cvrelay.additive_limit(env()), (_ENV,)),
+    "additive_env_classical_cm": (lambda env: cvrelay.additive_env_classical_cm(env()), (_ENV,)),
     "additive_link_cm": (cvrelay.additive_link_cm, (_X, _X)),
     "entanglement_breaking_threshold": (cvrelay.entanglement_breaking_threshold, (_X,)),
     "evolved_cm": (lambda mu, env: cvrelay.evolved_cm(cvrelay.SwapInput(mu, env())), (_X, _ENV)),

@@ -86,9 +86,9 @@ def test_streamed_estimate_equals_the_whole_batch_estimate(chunk):
     assert whole.sample_count == streamed.sample_count == 9001
 
 
-def test_run_point_queues_at_most_two_windows_of_chunks_ahead_of_the_merge(monkeypatch):
-    # 101 one-block chunks on 2 workers: windows of 32, the next one queued
-    # before the one before is merged; the estimate is the one-chunk one
+def test_run_point_queues_at_most_one_chunk_per_worker_ahead_of_the_merge(monkeypatch):
+    # 101 one-block chunks on 2 workers: rounds of 2, each merged before the
+    # next is queued; the estimate is the one-chunk one
     from concurrent.futures import ThreadPoolExecutor
 
     cfg = config(shots=100 * ex.MOMENT_BLOCK + 7, seed=3)
@@ -110,8 +110,29 @@ def test_run_point_queues_at_most_two_windows_of_chunks_ahead_of_the_merge(monke
     monkeypatch.setattr(ex, "_available_cpus", lambda: 2)
     streamed = ex.run_point(cfg, chunk_shots=1)
     assert counts == {"queued": 101, "merged": 101}
-    assert max(ahead) == 2 * ex.QUEUED_PER_WORKER * 2 == 64
+    assert max(ahead) == 2
     assert np.array_equal(whole.cm_hat, streamed.cm_hat) and whole.key_rate_hat == streamed.key_rate_hat
+
+
+def test_run_point_memory_does_not_grow_with_the_shot_count(monkeypatch):
+    # a million chunks: the point must not list them before the first draw
+    import concurrent.futures  # noqa: F401  (run_point imports it lazily; not part of the trace)
+    import tracemalloc
+
+    def fail(*args):
+        raise RuntimeError("first chunk")
+
+    monkeypatch.setattr(ex, "_chunk_moments", fail)
+    monkeypatch.setattr(ex, "_available_cpus", lambda: 2)
+    cfg = config(shots=ex.MOMENT_BLOCK * 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="first chunk"):
+            ex.run_point(cfg, chunk_shots=ex.MOMENT_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_block_merge_matches_the_two_pass_moments():
@@ -198,8 +219,11 @@ def test_estimate_converges_to_analytic_cm():
 
 def test_infinite_statistics_reduction_is_exact():
     # feeding the population moments through the estimator recovers the
-    # analytic swapped state exactly at unit efficiency
-    for env in (ENV11, AdditiveEnvironment(2.5, 0.3, -0.7), AdditiveEnvironment(0.0)):
+    # analytic swapped state exactly at unit efficiency; at c = 1, c' = -1
+    # kappa = kappa' = 0 however large n is, and gamma's variances stay mu
+    # where n added and taken away again would absorb it
+    for env in (ENV11, AdditiveEnvironment(2.5, 0.3, -0.7), AdditiveEnvironment(0.0),
+                AdditiveEnvironment(1e17, 1.0, -1.0), AdditiveEnvironment(1e18, 1.0, -1.0)):
         cfg = config(env=env, shots=10)
         est = ex.estimate_from_second_moments(ex.exact_second_moments(cfg), 10**9)
         analytic = prot.swapped_cm(SwapInput(52.0, env)).m
