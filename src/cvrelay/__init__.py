@@ -32,7 +32,6 @@ from .environments import (
     ThermalEnvironment,
     additive_env_classical_cm,
     additive_limit,
-    additive_link_cm,
     entanglement_breaking_threshold,
     env_mutual_information,
     kappa_params,

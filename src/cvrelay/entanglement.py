@@ -29,7 +29,6 @@ from .gaussian import (
     _unstack,
     log_negativity,
     partial_transpose,
-    pt_reflection,
     symplectic_form,
 )
 from .environments import ThermalEnvironment, _checked_family, entanglement_breaking_threshold
@@ -127,13 +126,12 @@ class TripartiteClass:
 def _witness_pair(m: np.ndarray):
     """Test matrices for the class-4/5 criterion of PPT three-mode states (stackable)."""
     omega2 = symplectic_form(2)
-    lam = np.diag(pt_reflection(2, [0]))
     a = m[..., :2, :2].astype(complex)
     w = m[..., :2, 2:].astype(complex)
     v_bc = m[..., 2:, 2:].astype(complex)
     w_h = _transpose(w.conj())
     t = a - w @ np.linalg.pinv(v_bc + 1j * omega2, rcond=1e-12) @ w_h
-    t_tilde = a - w @ np.linalg.pinv(v_bc + 1j * lam @ omega2 @ lam, rcond=1e-12) @ w_h
+    t_tilde = a - w @ np.linalg.pinv(v_bc + 1j * partial_transpose(omega2, [0]), rcond=1e-12) @ w_h
     # halves before the sum: t + t^H overflows for entries past ~9e307
     return 0.5 * t + 0.5 * _transpose(t.conj()), 0.5 * t_tilde + 0.5 * _transpose(t_tilde.conj())
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, NumericDegeneracyError, ValidationError, _h_arr, tmsv_cm
+from .gaussian import CovarianceMatrix, NumericDegeneracyError, ValidationError, _h_arr
 
 BOUNDARY_BAND = 1e-9
 
@@ -271,11 +271,3 @@ def additive_env_classical_cm(env: AdditiveEnvironment) -> np.ndarray:
     cross = np.diag([h, hp])
     return np.block([[e * np.eye(2), cross], [cross, e * np.eye(2)]])
 
-
-def additive_link_cm(mu: float, n: float) -> CovarianceMatrix:
-    """Joint covariance of a kept TMSV arm and its additively degraded twin.
-
-    The smallest PTS eigenvalue of this matrix reaches 1 exactly at n = 2,
-    the entanglement-breaking point of the additive family.
-    """
-    return CovarianceMatrix(tmsv_cm(mu).m + np.diag([0.0, 0.0, n, n]))

@@ -354,12 +354,7 @@ def permute_modes(state: GaussianState, order) -> GaussianState:
     order = list(order)
     if sorted(order) != list(range(state.n_modes)):
         raise ValidationError("order must be a permutation of all mode indices")
-    idx = _quad_indices(state.n_modes, order)
-    return GaussianState(
-        state.mean[idx],
-        CovarianceMatrix(state.cm.m[np.ix_(idx, idx)]),
-        tuple(state.labels[k] for k in order),
-    )
+    return state.reduced(order)
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +373,13 @@ def symplectic_spectrum(cm) -> np.ndarray:
     return _spectrum_of(m)
 
 
-def two_mode_spectrum(cm, transposed: bool = False):
-    """Closed-form symplectic spectrum of a two-mode covariance matrix.
+def two_mode_spectrum(cm):
+    """Closed-form symplectic spectrum of a two-mode covariance matrix, from
+    the invariant det A + det B + 2 det C and det V.
 
-    With ``transposed=True`` the invariant det A + det B + 2 det C is replaced
-    by det A + det B - 2 det C, which yields the spectrum of the partial
-    transpose.  Returns (nu_minus, nu_plus): floats for one matrix, arrays
-    over the leading axes for a stack.  A non-finite matrix is a
-    ValidationError, determinants past float64 (entries past ~1e77) a
-    NumericDegeneracyError.
+    Returns (nu_minus, nu_plus): floats for one matrix, arrays over the
+    leading axes for a stack.  A non-finite matrix is a ValidationError,
+    determinants past float64 (entries past ~1e77) a NumericDegeneracyError.
     """
     m = _check_finite(_as_matrix(cm), "matrix")
     if m.shape[-2:] != (4, 4):
@@ -396,7 +389,7 @@ def two_mode_spectrum(cm, transposed: bool = False):
         det_b = np.linalg.det(m[..., 2:, 2:])
         det_c = np.linalg.det(m[..., :2, 2:])
         det_v = np.linalg.det(m)
-        delta = det_a + det_b + (-2.0 if transposed else 2.0) * det_c
+        delta = det_a + det_b + 2.0 * det_c
         disc = delta * delta - 4.0 * det_v  # not finite if any of the above is not
     if not np.isfinite(disc).all():
         raise NumericDegeneracyError("the two-mode determinants overflow float64")
@@ -434,25 +427,21 @@ def von_neumann_entropy(cm):
     return _unstack(entropic_h(symplectic_spectrum(cm)).sum(axis=-1))
 
 
-def pt_reflection(n_modes: int, modes) -> np.ndarray:
-    """Diagonal of the partial-transposition matrix: p -> -p on given modes."""
-    d = np.ones(2 * n_modes)
-    for k in set(modes):
-        if not 0 <= k < n_modes:
-            raise ValidationError(f"mode index {k} out of range")
-        d[2 * k + 1] = -1.0
-    return d
-
-
 def partial_transpose(cm, modes) -> np.ndarray:
-    """Partial transpose of a covariance matrix on the given modes.
+    """Partial transpose of a covariance matrix on the given modes: p -> -p
+    on each of them, an exact sign flip of its rows and columns.
 
     Returns a plain array: the result is generally not a physical covariance
     matrix.  An empty mode set is the identity map; applying the operation
     twice restores the input bit-exactly.
     """
     m = _check_2n(_as_matrix(cm), "matrix")
-    d = pt_reflection(m.shape[-1] // 2, modes)
+    n = m.shape[-1] // 2
+    d = np.ones(2 * n)
+    for k in set(modes):
+        if not 0 <= k < n:
+            raise ValidationError(f"mode index {k} out of range")
+        d[2 * k + 1] = -1.0
     return d[:, None] * m * d[None, :]
 
 
@@ -460,17 +449,17 @@ def smallest_pts_eigenvalue(cm, modes):
     """Smallest symplectic eigenvalue of the partial transpose.
 
     A value < 1 certifies entanglement across the chosen bipartition.  The
-    two-mode single-mode-transpose case uses the closed form (a
-    NumericDegeneracyError where its determinants overflow float64);
-    otherwise the spectrum of the transposed matrix is computed numerically.
+    two-mode single-mode-transpose case takes the closed form of the
+    transposed matrix (a NumericDegeneracyError where its determinants
+    overflow float64); otherwise its spectrum is computed numerically.
     A float for one matrix, an array over the leading axes for a stack; a
     non-finite matrix is a ValidationError.
     """
-    m = _as_matrix(cm)
     modes = list(modes)
+    m = partial_transpose(cm, modes)
     if m.shape[-2:] == (4, 4) and len(modes) == 1:
-        return two_mode_spectrum(m, transposed=True)[0]
-    return _unstack(_spectrum_of(partial_transpose(m, modes))[..., 0])
+        return two_mode_spectrum(m)[0]
+    return _unstack(_spectrum_of(m)[..., 0])
 
 
 def log_negativity(cm, modes):

@@ -41,12 +41,11 @@ _NON_FINITE_CALLS = {
     "rotation(nan)": lambda: cvrelay.rotation(math.nan),
     "quadrature_squeezer(nan)": lambda: cvrelay.quadrature_squeezer(math.nan),
     "quadrature_squeezer(inf)": lambda: cvrelay.quadrature_squeezer(math.inf),
-    "additive_link_cm(inf, 1)": lambda: cvrelay.additive_link_cm(math.inf, 1.0),
     "ppt_min_eigenvalue(nan 4x4)": lambda: cvrelay.ppt_min_eigenvalue(_NAN4, [0]),
     "tripartite_classify(nan 6x6)": lambda: cvrelay.tripartite_classify(_NAN6),
     "smallest_pts_eigenvalue(nan 4x4)": lambda: cvrelay.smallest_pts_eigenvalue(_NAN4, [0]),
     "smallest_pts_eigenvalue(nan 6x6)": lambda: cvrelay.smallest_pts_eigenvalue(_NAN6, [2]),
-    "two_mode_spectrum(nan 4x4)": lambda: cvrelay.two_mode_spectrum(_NAN4, transposed=True),
+    "two_mode_spectrum(nan 4x4)": lambda: cvrelay.two_mode_spectrum(_NAN4),
     "log_negativity(inf 4x4)": lambda: cvrelay.log_negativity(_INF4, [0]),
     "key_rate_from_cm(nan 4x4)": lambda: cvrelay.key_rate_from_cm(_NAN4),
     "key_rate_from_cm(inf 4x4)": lambda: cvrelay.key_rate_from_cm(_INF4),
@@ -224,7 +223,7 @@ _EXPORTED_CALLS = {
     "entropic_h": (cvrelay.entropic_h, (_X,)),
     "von_neumann_entropy": (cvrelay.von_neumann_entropy, (_M,)),
     "symplectic_spectrum": (cvrelay.symplectic_spectrum, (_M,)),
-    "two_mode_spectrum": (cvrelay.two_mode_spectrum, (_M, st.booleans())),
+    "two_mode_spectrum": (cvrelay.two_mode_spectrum, (_M,)),
     "partial_transpose": (cvrelay.partial_transpose, (_M, _MODES)),
     "smallest_pts_eigenvalue": (cvrelay.smallest_pts_eigenvalue, (_M, _MODES)),
     "log_negativity": (cvrelay.log_negativity, (_M, _MODES)),
@@ -239,7 +238,6 @@ _EXPORTED_CALLS = {
     "env_mutual_information": (lambda env: cvrelay.env_mutual_information(env()), (_ENV,)),
     "additive_limit": (lambda env: cvrelay.additive_limit(env()), (_ENV,)),
     "additive_env_classical_cm": (lambda env: cvrelay.additive_env_classical_cm(env()), (_ENV,)),
-    "additive_link_cm": (cvrelay.additive_link_cm, (_X, _X)),
     "entanglement_breaking_threshold": (cvrelay.entanglement_breaking_threshold, (_X,)),
     "evolved_cm": (lambda mu, env: cvrelay.evolved_cm(cvrelay.SwapInput(mu, env())), (_X, _ENV)),
     "evolved_cm(additive stack)": (

@@ -6,6 +6,7 @@ from cvrelay import environments as envs
 from cvrelay import gaussian as g
 from cvrelay.environments import AdditiveEnvironment, ThermalEnvironment
 from cvrelay.gaussian import ValidationError
+from cvrelay.protocols import SwapInput, evolved_cm
 
 
 def test_thermal_env_cm_trivial_cases():
@@ -135,14 +136,15 @@ def test_additive_classical_cm():
 
 
 def test_additive_link_entanglement_breaking_at_n_2():
+    def link_cm(mu, n):  # the (a, A') block of the evolved state: a kept arm and its degraded twin
+        return evolved_cm(SwapInput(mu, AdditiveEnvironment(n))).reduced([0, 2])
+
     for mu in (2.0, 10.0, 52.0):
         for n in (0.0, 1.0, 1.99):
-            assert g.smallest_pts_eigenvalue(envs.additive_link_cm(mu, n), [0]) < 1.0
-        assert g.smallest_pts_eigenvalue(envs.additive_link_cm(mu, 2.0), [0]) == pytest.approx(
-            1.0, abs=1e-9
-        )
+            assert g.smallest_pts_eigenvalue(link_cm(mu, n), [0]) < 1.0
+        assert g.smallest_pts_eigenvalue(link_cm(mu, 2.0), [0]) == pytest.approx(1.0, abs=1e-9)
         for n in (2.01, 3.0, 5.0):
-            assert g.smallest_pts_eigenvalue(envs.additive_link_cm(mu, n), [0]) >= 1.0
+            assert g.smallest_pts_eigenvalue(link_cm(mu, n), [0]) >= 1.0
 
 
 def test_mirrored_environments():
