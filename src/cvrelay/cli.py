@@ -188,6 +188,13 @@ def _mu_value(args) -> float:
     return _parse_float(str(mu))
 
 
+def _xi_value(args) -> float:
+    """--xi (default 1), in (0, 1] wherever it is given, whether or not the analysis reads it."""
+    xi = _number(args, "xi", 1.0)
+    prot._check_xi(xi)
+    return xi
+
+
 def _env_summary(env) -> dict:
     """Kind, fields and separability of an environment; thermal ones add the boundary flag."""
     if isinstance(env, envs.ThermalEnvironment):
@@ -217,7 +224,7 @@ def _write_text(args, text: str):
 def cmd_point(args) -> int:
     env = _build_env(args)
     mu = _mu_value(args)
-    xi = _number(args, "xi", 1.0)
+    xi = _xi_value(args)
     if mu == math.inf:
         report = prot.protocol_report_asymptotic(env)
     else:
@@ -327,9 +334,11 @@ def cmd_scan(args) -> int:
         mu = math.inf  # inherently large-mu analyzers
     else:
         mu = _mu_value(args)
+    if not mu >= 1.0:  # relay_metrics' rule, also where qkd-asymptotic evaluates mu = inf instead
+        raise ValidationError(f"mu must be >= 1 or inf, got {mu!r}")
     if mu == math.inf and protocol in ("bipartite", "tripartite"):
         raise ValidationError(f"{protocol} scans need a finite --mu")
-    xi = _number(args, "xi", 1.0)
+    xi = _xi_value(args)
     threads = str(_resolve(args, "threads", 1))  # accepted and ignored: evaluation is vectorised
     if not threads.isdecimal() or int(threads) < 1:
         raise ValidationError("--threads must be an integer >= 1")
@@ -422,7 +431,7 @@ def cmd_thresholds(args) -> int:
     mu = _mu_value(args)
     if metric == "qkd-lb" and mu != math.inf:
         raise ValidationError("qkd-lb is an asymptotic metric; use --mu inf")
-    xi = _number(args, "xi", 1.0)
+    xi = _xi_value(args)
     grid = _grid(args, n_axis=False)
     sweep_axis, col_axis = grid.axes
     if len(sweep_axis) < 2:

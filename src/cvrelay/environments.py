@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ def holds(slacks):
 
 def _check_finite(**values):
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, fields
@@ -73,7 +74,7 @@ class ExperimentConfig:
     stream: int = 0
 
     def __post_init__(self):
-        if not 1.0 <= self.mu < math.inf:
+        if not (isinstance(self.mu, numbers.Real) and 1.0 <= self.mu < math.inf):
             raise ValidationError(f"modulation variance must be finite and >= 1, got {self.mu!r}")
         _checked_family(type(self.env), AdditiveEnvironment)
         for name in ("shots", "seed", "stream"):
@@ -85,7 +86,7 @@ class ExperimentConfig:
             raise ValidationError("shots must be a positive integer")
         if not (0 <= self.seed < 2**64 and 0 <= self.stream < 2**64):
             raise ValidationError("seed and stream must be 64-bit unsigned integers")
-        if not 0.0 < self.relay_efficiency <= 1.0:
+        if not (isinstance(self.relay_efficiency, numbers.Real) and 0.0 < self.relay_efficiency <= 1.0):
             raise ValidationError("relay efficiency must lie in (0, 1]")
         _check_xi(self.xi)
 
@@ -229,7 +230,8 @@ def _block_moments(batch: ShotBatch) -> list[tuple[int, np.ndarray, np.ndarray]]
             row[...] = getattr(batch, name)[lo : lo + nb]
         mb = x.mean(axis=1)
         x -= mb[:, None]
-        blocks.append((nb, mb, x @ x.T))
+        # a fixed-order einsum, not the gemm x @ x.T: the same bits whatever CPU kernel BLAS picks
+        blocks.append((nb, mb, np.einsum("ik,jk->ij", x, x, optimize=False)))
     return blocks
 
 

@@ -24,6 +24,7 @@ reads the environment through its family's ``links`` map.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,9 @@ class SwapInput:
     env: ThermalEnvironment | AdditiveEnvironment
 
     def __post_init__(self):
-        if not 1.0 <= self.mu < math.inf:
+        if not (isinstance(self.mu, numbers.Real) and 1.0 <= self.mu < math.inf):
             raise ValidationError(f"mu must be finite and >= 1, got {self.mu!r}")
+        _checked_family(type(self.env))
 
 
 @dataclass(frozen=True)
@@ -289,8 +291,8 @@ def evolved_cm(inp, family=None, params=None) -> CovarianceMatrix:
     parameter or a negative transmissivity raises ValidationError, entries
     past the float64 range NumericDegeneracyError, naming mu.
     """
-    if isinstance(inp, SwapInput):  # the family check before vars(), which needs a __dict__
-        inp, family, params = inp.mu, _checked_family(type(inp.env)), vars(inp.env)
+    if isinstance(inp, SwapInput):
+        inp, family, params = inp.mu, type(inp.env), vars(inp.env)
     family = _checked_family(family)
     mu = np.asarray(inp, dtype=float)
     if not np.all((mu >= 1.0) & (mu < math.inf)):
@@ -406,7 +408,7 @@ def teleport_correction(inp: SwapInput) -> TeleportCorrection:
 
 
 def _check_xi(xi: float):
-    if not 0.0 < xi <= 1.0:
+    if not (isinstance(xi, numbers.Real) and 0.0 < xi <= 1.0):
         raise ValidationError(f"reconciliation efficiency must lie in (0, 1], got {xi!r}")
 
 

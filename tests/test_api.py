@@ -30,6 +30,7 @@ def test_every_name_the_benchmark_oracle_uses_is_exported():
 
 
 _THERMAL_ENV, _ADDITIVE_ENV = cvrelay.ThermalEnvironment(0.9, 2.0), cvrelay.AdditiveEnvironment(1.0, 0.5, 0.5)
+_STATE2 = cvrelay.GaussianState(np.zeros(4), cvrelay.vacuum_cm(2))
 _NAN4, _INF4, _NAN6 = np.full((4, 4), math.nan), np.diag([math.inf, 1.0, 1.0, 1.0]), np.full((6, 6), math.nan)
 _NON_FINITE_CALLS = {
     "entropic_h(nan)": lambda: cvrelay.entropic_h(math.nan),
@@ -90,6 +91,27 @@ _OUT_OF_DOMAIN_CALLS = {
     "quadripartite_classify(additive env)": lambda: cvrelay.quadripartite_classify(_ADDITIVE_ENV),
     "additive_env_classical_cm(thermal env)": lambda: cvrelay.additive_env_classical_cm(_THERMAL_ENV),
     "GaussianState(array cm)": lambda: cvrelay.GaussianState(np.zeros(4), np.eye(4)),
+    "ExperimentConfig(mu='52')": lambda: cvrelay.ExperimentConfig("52", _ADDITIVE_ENV, 10_000, 1),
+    "ExperimentConfig(relay_efficiency='x')": lambda: cvrelay.ExperimentConfig(
+        52.0, _ADDITIVE_ENV, 10_000, 1, relay_efficiency="x"),
+    "ExperimentConfig(xi='x')": lambda: cvrelay.ExperimentConfig(52.0, _ADDITIVE_ENV, 10_000, 1, xi="x"),
+    "AdditiveEnvironment('1')": lambda: cvrelay.AdditiveEnvironment("1"),
+    "ThermalEnvironment('0.9', 19.38)": lambda: cvrelay.ThermalEnvironment("0.9", 19.38),
+    "SwapInput('52', env)": lambda: cvrelay.SwapInput("52", _ADDITIVE_ENV),
+    "SwapInput(52, 'env')": lambda: cvrelay.SwapInput(52.0, "env"),
+    "protocol_report(inp, 'x')": lambda: cvrelay.protocol_report(cvrelay.SwapInput(52.0, _ADDITIVE_ENV), "x"),
+    "relay_metrics(52, 1, 1, 'x')": lambda: protocols.relay_metrics(52.0, 1.0, 1.0, "x"),
+    "CovarianceMatrix.reduced([0, 0])": lambda: cvrelay.vacuum_cm(2).reduced([0, 0]),
+    "GaussianState(mean of 3, 2 modes)": lambda: cvrelay.GaussianState(np.zeros(3), cvrelay.vacuum_cm(2)),
+    "GaussianState(1 label, 2 modes)": lambda: cvrelay.GaussianState(np.zeros(4), cvrelay.vacuum_cm(2), ("a",)),
+    "expand_symplectic(2 modes onto [0])": lambda: cvrelay.expand_symplectic(cvrelay.beam_splitter(0.5), [0], 3),
+    "permute_modes([0, 0])": lambda: cvrelay.permute_modes(_STATE2, [0, 0]),
+    "apply_symplectic(1 mode onto 2)": lambda: cvrelay.apply_symplectic(_STATE2, cvrelay.rotation(0.1)),
+    "apply_symplectic(d of 3)": lambda: cvrelay.apply_symplectic(_STATE2, cvrelay.beam_splitter(0.5), [0.0] * 3),
+    "condition_on_gaussian_measurement(kind='homodyne')": lambda: cvrelay.condition_on_gaussian_measurement(
+        _STATE2, [0], "homodyne"),
+    "condition_on_gaussian_measurement(outcome of 1)": lambda: cvrelay.condition_on_gaussian_measurement(
+        _STATE2, [0], "heterodyne", [0.0]),
 }
 
 
@@ -97,7 +119,7 @@ _OUT_OF_DOMAIN_CALLS = {
 @pytest.mark.parametrize("call", _OUT_OF_DOMAIN_CALLS.values(), ids=_OUT_OF_DOMAIN_CALLS.keys())
 def test_out_of_domain_input_is_rejected_at_the_library_entry(call):
     # finite input where the formula has no value, or an argument of the
-    # wrong type: a ValidationError, not a ZeroDivisionError, OverflowError,
+    # wrong type (a string where a number goes included): a ValidationError, not a ZeroDivisionError, OverflowError,
     # TypeError, AttributeError or numpy warning
     with pytest.raises(cvrelay.ValidationError):
         call()
@@ -125,6 +147,8 @@ _OVERFLOW_CALLS = {
     "quad_sigma_functions(r=g=g'=1e150)": lambda: cvrelay.quad_sigma_functions(0.5, 1e150, 1e150, 1e150),
     "estimate_from_second_moments(1e308 I)": lambda: cvrelay.estimate_from_second_moments(
         np.diag(np.full(6, 1e308)), 10),
+    "exact_second_moments(n=1e308, c=-1, c'=1)": lambda: cvrelay.exact_second_moments(
+        cvrelay.ExperimentConfig(52.0, cvrelay.AdditiveEnvironment(1e308, -1.0, 1.0), 10, 1)),
 }
 
 
@@ -172,7 +196,13 @@ def _matrix(v, shape):
 _M = st.builds(_matrix, _X, st.sampled_from([(2, 2), (4, 4), (6, 6), (8, 8), (3, 4, 4), (3, 3), (2, 3), (4,), ()]))
 _MODES = st.sampled_from([[0], [1], [2], [0, 1], [], [0, 0], [9]])
 _INT = st.sampled_from([-1, 0, 1, 2, 3])
-_THERMAL = st.tuples(_X, _X, _X, _X).map(lambda v: lambda: cvrelay.ThermalEnvironment(*v))
+# the alphabet rarely makes a valid thermal environment (it holds one tau in
+# (0, 1)), so half the draws are in domain: tau = 0.9 at omega_EB = 19 and above
+_THERMAL = st.one_of(
+    st.tuples(_X, _X, _X, _X),
+    st.tuples(st.just(0.9), st.sampled_from([19.38, 52.0]), st.sampled_from([0.0, 2.0, -18.0]),
+              st.sampled_from([0.0, 18.0, -2.0])),
+).map(lambda v: lambda: cvrelay.ThermalEnvironment(*v))
 _ADDITIVE = st.tuples(_X, _X, _X).map(lambda v: lambda: cvrelay.AdditiveEnvironment(*v))
 _ENV = st.one_of(_THERMAL, _ADDITIVE)
 

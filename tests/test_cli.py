@@ -651,6 +651,37 @@ def test_non_finite_or_invalid_parameters_exit_2(capsys, tmp_path, argv):
     assert code == 2 and json.loads(out)["error"]["code"] == 2
 
 
+_PLANE = [*THERMAL, "--g", "-1:1:1", "--gp", "-1:1:1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--n", "1", "--mu", "inf", "--xi", "0"],
+    ["point", "--n", "1", "--mu", "inf", "--xi", "nan"],
+    ["point", "--n", "1", "--mu", "inf", "--xi", "7"],
+    ["scan", "--protocol", "qkd-asymptotic", *_PLANE, "--xi", "0"],
+    ["scan", "--protocol", "quad-entanglement", *_PLANE, "--xi", "nan"],
+    ["scan", "--protocol", "tripartite", *_PLANE, "--mu", "52", "--xi", "0"],
+    ["thresholds", "--metric", "qkd-lb", *THERMAL, "--mu", "inf", "--xi", "0", "--gp", "0", "--g", "0:1:0.5"],
+    ["scan", "--protocol", "qkd-asymptotic", *_PLANE, "--mu", "nan"],
+    ["scan", "--protocol", "qkd-asymptotic", *_PLANE, "--mu", "-5"],
+    ["scan", "--protocol", "qkd-asymptotic", *_PLANE, "--mu", "0.5"],
+])
+def test_an_invalid_xi_or_mu_exits_2_where_the_analysis_ignores_it(capsys, argv):
+    # --xi lies in (0, 1] and a given --mu is >= 1 or inf on every path that
+    # takes them, as on the paths that evaluate them
+    code, out = run_cli(argv, capsys)
+    assert code == 2 and json.loads(out)["error"]["code"] == 2
+
+
+@pytest.mark.parametrize("argv, ignored", [
+    (["point", "--n", "1", "--mu", "inf"], ["--xi", "0.5"]),
+    (["scan", "--protocol", "qkd-asymptotic", *_PLANE], ["--mu", "52", "--xi", "0.5"]),
+])
+def test_a_valid_xi_or_mu_stays_ignored_where_the_analysis_does_not_read_it(capsys, argv, ignored):
+    expected = run_cli(argv, capsys)
+    assert expected[0] == 0 and run_cli(argv + ignored, capsys) == expected
+
+
 # A valid command of each family per subcommand: (thermal, additive), or the
 # one family a subcommand takes.  Thermal wins when both are given, so an
 # additive option is exercised on the last command.

@@ -429,6 +429,28 @@ def test_conditioning_commutes_with_permutation_of_untouched_modes():
     assert np.allclose(swap.mean, direct.mean, atol=1e-11)
 
 
+def test_permute_modes_is_the_state_reduced_to_all_modes_in_the_new_order():
+    rng = np.random.default_rng(7)
+    cm = g.direct_sum(CovarianceMatrix(random_two_mode_cm(rng)[0]), g.thermal_cm(2.0))
+    st = GaussianState(rng.normal(size=6), cm, ("a", "b", "c"))
+    out = g.permute_modes(st, [2, 0, 1])
+    idx = [4, 5, 0, 1, 2, 3]
+    assert np.array_equal(out.cm.m, cm.m[np.ix_(idx, idx)])
+    assert np.array_equal(out.mean, st.mean[idx]) and out.labels == ("c", "a", "b")
+    for order in ([0, 1], [0, 1, 1], [1, 2, 3]):
+        with pytest.raises(ValidationError, match="permutation"):
+            g.permute_modes(st, order)
+
+
+def test_matrices_are_immutable():
+    cm, s = g.vacuum_cm(1), g.rotation(0.3)
+    for obj, name in ((cm, "CovarianceMatrix"), (s, "SymplecticMatrix")):
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            obj.m = np.eye(2)
+        with pytest.raises(ValueError):
+            obj.m[0, 0] = 2.0  # the stored array is read-only
+
+
 def test_bell_requires_two_modes():
     st = GaussianState(np.zeros(6), g.direct_sum(g.tmsv_cm(2.0), g.vacuum_cm(1)))
     with pytest.raises(ValidationError):

@@ -8,9 +8,11 @@ file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-The finite-mu ``quad-entanglement`` and ``experiment`` digests also depend on
-the CPU kernel that numpy's bundled OpenBLAS picks at run time, so the file
-records that kernel's name and a failure names both.
+The finite-mu ``quad-entanglement`` digests and the README ``experiment``
+sweep's also depend on the CPU kernel that numpy's bundled OpenBLAS picks at
+run time (LAPACK eigenvalues and the key rate's conditioning), so the file
+records that kernel's name and a failure names both.  The other experiment
+outputs are checked to hold under two forced kernels.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import ctypes
 import hashlib
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -87,10 +91,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def output_digests(tmp_dir: Path) -> dict[str, str]:
-    """Digest of each command's stdout, keyed by its argv, and of each dump CSV."""
+def output_digests(tmp_dir: Path, commands=None) -> dict[str, str]:
+    """Digest of each command's stdout, keyed by its argv, and of each dump
+    CSV; ``commands`` defaults to every golden command."""
     digests = {}
-    for argv in README + _workload_commands() + FLAGS + DUMPS + CHUNKED:
+    for argv in commands or README + _workload_commands() + FLAGS + DUMPS + CHUNKED:
         key = " ".join(argv)
         dump = tmp_dir / "shots.csv"
         buf = io.StringIO()
@@ -128,6 +133,42 @@ def test_a_point_is_byte_identical_at_any_worker_count(monkeypatch, argv, worker
         sys.setswitchinterval(interval)
     golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert _sha256(buf.getvalue().encode()) == golden["digests"][" ".join(argv)]
+
+
+def _kernel_free_commands() -> list[list[str]]:
+    """The golden experiment commands whose output holds on every OpenBLAS
+    kernel: their moments are BLAS-free, and their printed digits stop short
+    of the LAPACK rounding in ``key_rate_from_cm`` that moves one digit of
+    the README sweep."""
+    return [argv for argv in _workload_commands() if argv[0] == "experiment"] + DUMPS + CHUNKED
+
+
+# a child process: the golden digests of the commands in argv[2], from the test file argv[1]
+_DIGEST_CHILD = """
+import json, runpy, sys, tempfile
+from pathlib import Path
+golden = runpy.run_path(sys.argv[1])
+with tempfile.TemporaryDirectory() as tmp:
+    print(json.dumps(golden["output_digests"](Path(tmp), json.loads(sys.argv[2]))))
+"""
+
+
+@pytest.fixture(scope="module")
+def kernel_free_digests(tmp_path_factory):
+    return output_digests(tmp_path_factory.mktemp("default"), _kernel_free_commands())
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_experiment_outputs_do_not_depend_on_the_openblas_kernel(kernel_free_digests, kernel):
+    # the kernel is forced for the child process only, through OpenBLAS's own variable
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _DIGEST_CHILD, __file__, json.dumps(_kernel_free_commands())],
+                           env=env, capture_output=True, text=True, check=True)
+    forced = json.loads(child.stdout)
+    assert forced.keys() == kernel_free_digests.keys()
+    moved = sorted(key for key in forced if forced[key] != kernel_free_digests[key])
+    assert moved == [], f"outputs that moved under OPENBLAS_CORETYPE={kernel}:\n" + "\n".join(moved)
 
 
 if __name__ == "__main__":
