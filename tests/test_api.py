@@ -101,6 +101,8 @@ _OUT_OF_DOMAIN_CALLS = {
     "SwapInput(52, 'env')": lambda: cvrelay.SwapInput(52.0, "env"),
     "protocol_report(inp, 'x')": lambda: cvrelay.protocol_report(cvrelay.SwapInput(52.0, _ADDITIVE_ENV), "x"),
     "relay_metrics(52, 1, 1, 'x')": lambda: protocols.relay_metrics(52.0, 1.0, 1.0, "x"),
+    "smallest_pts_eigenvalue(4x4, [7])": lambda: cvrelay.smallest_pts_eigenvalue(cvrelay.tmsv_cm(3.0), [7]),
+    "log_negativity(4x4, [-1])": lambda: cvrelay.log_negativity(cvrelay.tmsv_cm(3.0), [-1]),
     "CovarianceMatrix.reduced([0, 0])": lambda: cvrelay.vacuum_cm(2).reduced([0, 0]),
     "GaussianState(mean of 3, 2 modes)": lambda: cvrelay.GaussianState(np.zeros(3), cvrelay.vacuum_cm(2)),
     "GaussianState(1 label, 2 modes)": lambda: cvrelay.GaussianState(np.zeros(4), cvrelay.vacuum_cm(2), ("a",)),
