@@ -6,10 +6,10 @@ Subcommands: ``point`` (all analyzers at one parameter point, JSON),
 JSON plus optional shot dump).  A scan runs one loop over its grid,
 ``MATRIX_BLOCK`` cells at a time: the masks, then the metric columns of the
 block's physical cells (the printed closed forms of
-``protocols.relay_metrics``, the analytic quadripartite classifier, or one
-stack of covariance matrices).  Contours sample the one closed form they
-trace over their grid in the same blocks of ``MATRIX_BLOCK`` cells, then
-bisect every crossing together.
+``protocols.relay_metrics``, the bipartite ones of the link map, the
+analytic quadripartite classifier, or one stack of covariance matrices).
+Contours sample the one closed form they trace over their grid in the same
+blocks of ``MATRIX_BLOCK`` cells, then bisect every crossing together.
 
 Flags carry the symbols used throughout the library (--tau, --omega, --g,
 --gp, --mu, --xi for the thermal family; --n, --c, --cp for the additive
@@ -286,13 +286,12 @@ def _grid(args, n_axis: bool) -> _Grid:
 def _block_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
     """Metric columns of a scan over ``coords``, the physical cells of one block.
 
-    The closed forms and asymptotic quad-entanglement are array formulas.
-    The other protocols build the block's evolved states as one stack and
-    test it.  Those cells have passed the family's ``physical`` mask, so
-    their states are positive definite in exact arithmetic, and a failed
-    Cholesky factorisation of the stack, or a two-mode determinant of the
-    bipartite closed form that overflows, is a float64 failure rather than
-    bad input.
+    The closed forms, bipartite and asymptotic quad-entanglement are array
+    formulas.  The other protocols build the block's evolved states as one
+    stack and test it.  Those cells have passed the family's ``physical``
+    mask, so their states are positive definite in exact arithmetic, and a
+    failed Cholesky factorisation of the stack is a float64 failure rather
+    than bad input.
     """
     if protocol in _CLOSED_FORM:
         names = [_RELAY_KEYS.get(col, col) for col in _METRIC_COLUMNS[protocol]]
@@ -303,11 +302,10 @@ def _block_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
         tau, omega = grid.fixed["tau"], grid.fixed["omega"]
         return [envs.thermal_mutual_information(omega, *coords),
                 *ent.quadripartite_regions(tau, omega, *coords)]
+    if protocol == "bipartite":
+        return ent._link_log_negativities(mu, *grid.family.links(**grid.params(coords)))
     try:
         cm = prot.evolved_cm(mu, grid.family, grid.params(coords))
-        if protocol == "bipartite":
-            survey = ent._pair_log_negativities(cm)
-            return [survey[col.removeprefix("logneg_")] for col in _METRIC_COLUMNS["bipartite"]]
     except (NotPositiveDefiniteError, NumericDegeneracyError) as exc:
         raise NumericDegeneracyError(
             f"the evolved states at mu={mu:g} cannot be held in float64 ({exc}); "

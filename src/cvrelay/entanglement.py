@@ -1,15 +1,14 @@
 """Multipartite entanglement structure of the pre-measurement four-mode state.
 
 The four modes are ordered (a, b, A', B') everywhere: the two kept arms
-followed by the two arms arriving at the relay.  PPT tests on 1 x m
-bipartitions are decisive for Gaussian states, so the bipartite and
-quadripartite verdicts below are exact up to numerics; the tripartite
-classification additionally needs the pure-state witness test separating
-bound entanglement (class 4) from full separability (class 5).
-
-The PPT tests, log-negativities and the tripartite classification run on
-stacks of covariance matrices, shaped (..., 2n, 2n), in one pass; the
-per-state functions are views of the stacked ones.
+followed by the two arms arriving at the relay.  The bipartite
+log-negativities are closed forms of the link map; PPT tests on 1 x m
+bipartitions are decisive for Gaussian states, so the quadripartite
+verdicts are exact up to numerics; the tripartite classification also
+needs the pure-state witness test separating bound entanglement (class 4)
+from full separability (class 5).  The PPT tests and the classification
+run on stacks of covariance matrices, shaped (..., 2n, 2n), in one pass;
+the per-state functions are views of the stacked ones.
 """
 
 from __future__ import annotations
@@ -21,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
-    CovarianceMatrix,
     NumericDegeneracyError,
     ValidationError,
     _as_matrix,
     _transpose,
     _unstack,
-    log_negativity,
     partial_transpose,
     symplectic_form,
 )
@@ -60,7 +57,6 @@ def _witness_grid():
 _WITNESS_BLOCK = 4  # states searched together; bounds the grid temporaries to a few MB
 
 _MODE_NAMES = ("a", "b", "Ap", "Bp")
-_PAIRS = {"aAp": (0, 2), "aBp": (0, 3), "ab": (0, 1), "ApBp": (2, 3)}
 
 
 def _min_eig_tol(m: np.ndarray):
@@ -96,11 +92,25 @@ def ppt_min_eigenvalue(cm, modes):
 # bipartite layer
 
 
-def _pair_log_negativities(cm: CovarianceMatrix) -> dict:
-    """Log-negativities of the pairings aA', aB', ab and A'B' over a stack of
-    evolved states; by the a/b symmetry of identical sources they cover
-    every pair."""
-    return {name: log_negativity(cm.reduced(pair), [0]) for name, pair in _PAIRS.items()}
+def _link_log_negativities(mu, t, e, h, hp) -> list:
+    """Log-negativities aA', aB', ab and A'B' of the states ``evolved_cm``
+    builds from link map (t, e, h, h'), array-friendly; NumericDegeneracyError,
+    naming mu, where float64 cannot hold one.  Transposed on a, both (a, A')
+    sectors are [[mu, c], [c, x]], c and x as in ``evolved_cm``: their PT
+    eigenvalue nu is det/lambda_max, det = mu e + t.  The (A', B') ones,
+    [[x, h], [h, x]] and [[x, -h'], [-h', x]], share eigenvectors.  Mode a
+    couples only to A' and b only to B', so aB' and ab are 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, x = np.sqrt(mu * mu - 1.0) * np.sqrt(t), t * mu + e
+        lam_max = (mu + x) / 2.0 + np.hypot((mu - x) / 2.0, c)
+        # e +- h, which may be 0, goes before t mu: (t mu + e) + h can round it away
+        nu = np.broadcast_arrays((mu * e + t) / lam_max,
+                                 np.minimum(np.sqrt(t * mu + (e + h)) * np.sqrt(t * mu + (e - hp)),
+                                            np.sqrt(t * mu + (e - h)) * np.sqrt(t * mu + (e + hp))))
+    if not all(np.all((v > 0.0) & (v < math.inf)) for v in nu):
+        raise NumericDegeneracyError(f"the evolved states at mu={np.max(mu):g} overflow float64")
+    aap, apbp = (np.where(v < 1.0, -np.log2(v), 0.0) for v in nu)
+    return [aap, np.zeros_like(aap), np.zeros_like(aap), apbp]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import settings
@@ -57,3 +58,22 @@ def random_thermal_env(rng, separable_only=True, tau_range=(0.1, 0.95), omega_ma
         if separable_only and not env.is_separable:
             continue
         return env
+
+
+def mp_link_log_negativities(mu, t, e, h, hp):
+    """Log-negativities aA' and A'B' of the evolved state of link map (t, e, h, h')
+    to 40 digits, from the smallest eigenvalues of the partially transposed
+    sectors [[mu, c], [c, x]] and [[x, +-h], [+-h, x]], [[x, -+h'], [-+h', x]],
+    c^2 = (mu^2 - 1) t and x = t mu + e.  Their entries, determinant and
+    products are exact rationals, so nothing cancels before the roots."""
+    import mpmath
+
+    mu, t, e, h, hp = map(Fraction, (mu, t, e, h, hp))
+    c2, x = (mu * mu - 1) * t, t * mu + e
+    with mpmath.workdps(40):
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        lam_max = mp(mu + x) / 2 + mpmath.sqrt(mp((mu - x) ** 2 / 4 + c2))
+        nus = (mp(mu * x - c2) / lam_max, mpmath.sqrt(mp(min((x + h) * (x - hp), (x - h) * (x + hp)))))
+        return [float(max(0, -mpmath.log(nu, 2))) for nu in nus]

@@ -124,8 +124,8 @@ def test_criterion_3_entanglement_breaking_reproduction():
     for env in sample:
         inp = SwapInput(mu, env)
         cm = prot.evolved_cm(inp)
-        survey = ent._pair_log_negativities(cm)
-        assert all(v == 0.0 for v in survey.values()), (env, survey)
+        survey = ent._link_log_negativities(mu, *ThermalEnvironment.links(**vars(env)))
+        assert all(v == 0.0 for v in survey), (env, survey)
         assert ent.tripartite_classify(cm.reduced([0, 2, 1])).class_id == 5
         assert ent.tripartite_classify(cm.reduced([0, 3, 1])).class_id == 5
     # the aA'B' triplet is fully separable at the Markovian point

@@ -783,8 +783,7 @@ def _reference_row(protocol, grid, coords, mu, xi):
             prot.evolved_cm(prot.SwapInput(float(mu), env)))
         row += [envs.env_mutual_information(env), sigma_a, sigma_ap, ent.REGIONS[region]]
     elif protocol == "bipartite":
-        survey = ent._pair_log_negativities(prot.evolved_cm(prot.SwapInput(float(mu), env)))
-        row += [survey[pair] for pair in ("aAp", "aBp", "ab", "ApBp")]
+        row += ent._link_log_negativities(float(mu), *type(env).links(**vars(env)))
     elif protocol == "tripartite":
         cm = prot.evolved_cm(prot.SwapInput(float(mu), env))
         verdict = ent.tripartite_classify(cm.reduced((0, 2, 3)))
@@ -900,6 +899,7 @@ def test_closed_form_scan_output_does_not_depend_on_the_block_size(capsys, monke
 def test_scan_evaluates_one_block_of_cells_at_a_time(capsys, monkeypatch, argv):
     # the masks see every grid cell once, the protocol's evaluator every
     # physical cell once, and no call more than MATRIX_BLOCK cells
+    from cvrelay import entanglement as ent
     from cvrelay import environments as envs
     from cvrelay import protocols as prot
 
@@ -917,7 +917,8 @@ def test_scan_evaluates_one_block_of_cells_at_a_time(capsys, monkeypatch, argv):
     # relay_metrics returns only the printed keys: count its kappa argument
     monkeypatch.setattr(prot, "relay_metrics",
                         spy(prot.relay_metrics, "evaluator", lambda m, mu, k, *rest: np.size(k)))
-    monkeypatch.setattr(prot, "evolved_cm", spy(prot.evolved_cm, "evaluator", lambda cm, *args: len(cm.m)))
+    monkeypatch.setattr(ent, "_link_log_negativities",
+                        spy(ent._link_log_negativities, "evaluator", lambda cols, *args: len(cols[0])))
     monkeypatch.setattr(envs, "thermal_mutual_information",
                         spy(envs.thermal_mutual_information, "evaluator", lambda r, *args: np.size(r)))
     monkeypatch.setattr("cvrelay.cli.MATRIX_BLOCK", 7)
@@ -1019,20 +1020,75 @@ def test_quad_entanglement_regions_are_the_verdicts_of_quadripartite_numeric(cap
 
 
 @pytest.mark.parametrize("argv", [
-    ["--protocol", "bipartite", "--n", "0", "--c", "0:1:0.5", "--cp", "0:1:0.5", "--mu", "1e9"],
     ["--protocol", "tripartite", "--n", "0", "--c", "0:1:0.5", "--cp", "0:1:0.5", "--mu", "1e12"],
     ["--protocol", "bipartite", "--n", "1e308", "--c", "-1:1:0.5", "--cp", "-1:1:0.5", "--mu", "52"],
     ["--protocol", "tripartite", "--n", "1e308", "--c", "-1:1:0.5", "--cp", "-1:1:0.5", "--mu", "52"],
-    ["--protocol", "bipartite", "--n", "1e300", "--c", "-1:1:0.5", "--cp", "-1:1:0.5", "--mu", "52"],
-    ["--protocol", "bipartite", "--n", "1e80", "--c", "-1:1:1", "--cp", "-1:1:1", "--mu", "52"],
+    ["--protocol", "bipartite", "--n", "1", "--c", "-1:1:1", "--cp", "-1:1:1", "--mu", "1e200"],
 ])
 def test_matrix_scans_beyond_float64_exit_3(capsys, argv):
     # every cell is physical, but a float64 matrix cannot hold these states,
-    # or the determinants of the bipartite closed form overflow
+    # or a factor of the bipartite closed form overflows: e + h = 2e308, or
+    # mu^2 past 1.3e154, which would turn nu_aA' into 0 and its log into inf
     code, out = run_cli(["scan", *argv], capsys)
     error = json.loads(out)["error"]
     assert code == 3 and error["code"] == 3
     assert f"mu={float(argv[-1]):g}" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "0", "--c", "0:1:0.5", "--cp", "0:1:0.5", "--mu", "1e9"],
+    ["--n", "1e300", "--c", "-1:1:0.5", "--cp", "-1:1:0.5", "--mu", "52"],
+    ["--n", "1e80", "--c", "-1:1:1", "--cp", "-1:1:1", "--mu", "52"],
+    [*PARITY_GRIDS["c-plane"][0], "--mu", "1e8"],
+    ["--n", "0.3", "--c", "-1:1:0.5", "--cp", "-1:1:0.5", "--mu", "1e8"],
+    [*PARITY_GRIDS["n-axis"][0], "--mu", "1e8"],
+])
+def test_bipartite_scans_past_the_matrix_range_match_40_digit_mpmath(capsys, argv):
+    # float64 cannot factorise the 8x8 states of these cells, or their 4x4
+    # determinants overflow; the closed forms of the link map hold.  At
+    # n = 1e300, c = -1, e + h = 0: adding t mu first would round it away
+    # and print logneg_ApBp = inf where the true value is 0
+    from conftest import mp_link_log_negativities
+    from cvrelay.environments import AdditiveEnvironment
+
+    code, out = run_cli(["scan", "--protocol", "bipartite", *argv], capsys)
+    assert code == 0
+    header, *rows = (line.split(",") for line in out.split("\r\n")[:-1])
+    width = header.index("physical")
+    flags = dict(zip(argv[0::2], argv[1::2]))
+    mu, fixed = float(flags.pop("--mu")), {k[2:]: float(v) for k, v in flags.items() if ":" not in v}
+    for row in rows:
+        if row[width] == "1":
+            params = {**fixed, **dict(zip(header[:width], map(float, row[:width])))}
+            a_ap, ap_bp = mp_link_log_negativities(mu, *AdditiveEnvironment.links(**params))
+            got = [float(v) for v in row[width + 3:]]
+            assert got == pytest.approx([a_ap, 0.0, 0.0, ap_bp], rel=1e-11, abs=0.0), row
+    if argv[1] == "0":  # log2(mu + sqrt(mu^2 - 1)) at n = 0
+        assert {row[width + 3] for row in rows} == {"30.897352854"}
+
+
+def test_bipartite_scan_builds_no_covariance_matrix(capsys, monkeypatch):
+    # its columns come from the link map: no 8x8 state is built or validated
+    from cvrelay import gaussian
+    from cvrelay import protocols as prot
+
+    calls = []
+
+    def spy(func, name):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(gaussian.CovarianceMatrix, "__init__",
+                        spy(gaussian.CovarianceMatrix.__init__, "CovarianceMatrix"))
+    monkeypatch.setattr(prot, "evolved_cm", spy(prot.evolved_cm, "evolved_cm"))
+    for grid in (MATRIX_GRIDS["thermal-above-eb"][0], PARITY_GRIDS["c-plane"][0], PARITY_GRIDS["n-axis"][0]):
+        assert run_cli(["scan", "--protocol", "bipartite", "--mu", "6.5", *grid], capsys)[0] == 0
+    assert calls == []
+    # the spies see the tripartite scan's states
+    assert run_cli(["scan", "--protocol", "tripartite", "--mu", "6.5", *PARITY_GRIDS["c-plane"][0]], capsys)[0] == 0
+    assert {"CovarianceMatrix", "evolved_cm"} <= set(calls)
 
 
 def test_thresholds_find_no_crossing_in_rounding_noise(capsys):

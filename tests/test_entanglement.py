@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import random_thermal_env
+from conftest import mp_link_log_negativities, random_thermal_env
 from cvrelay import entanglement as ent
 from cvrelay import environments as envs
 from cvrelay import gaussian as g
@@ -17,6 +17,12 @@ from cvrelay.protocols import SwapInput
 TAU = 0.9
 W_EB = 19.0  # (1 + tau)/(1 - tau) at tau = 0.9
 EB_NOISE = 19.38  # 1.02 * W_EB
+EPS = np.finfo(float).eps
+
+
+def _survey(mu, env):
+    """The bipartite scan's columns of one evolved state, from its family's link map."""
+    return ent._link_log_negativities(mu, *type(env).links(**vars(env)))
 
 
 def test_bipartite_survey_separable_under_eb_noise():
@@ -25,28 +31,65 @@ def test_bipartite_survey_separable_under_eb_noise():
         env = random_thermal_env(rng, tau_range=(TAU, TAU), omega_max=30.0)
         if env.omega <= envs.entanglement_breaking_threshold(env.tau):
             continue
-        survey = ent._pair_log_negativities(prot.evolved_cm(SwapInput(6.5, env)))
-        assert all(v == 0.0 for v in survey.values()), (env, survey)
+        survey = _survey(6.5, env)
+        assert all(v == 0.0 for v in survey), (env, survey)
 
 
 def test_bipartite_survey_ab_always_separable():
+    # the closed form's zero columns are the numeric PPT verdicts of the state
     rng = np.random.default_rng(73)
     for _ in range(10):
         env = random_thermal_env(rng)
-        survey = ent._pair_log_negativities(prot.evolved_cm(SwapInput(rng.uniform(1.0, 30.0), env)))
-        assert survey["ab"] == 0.0
-        assert survey["aBp"] == 0.0
+        mu = rng.uniform(1.0, 30.0)
+        _, a_bp, a_b, _ = _survey(mu, env)
+        cm = prot.evolved_cm(SwapInput(mu, env))
+        assert a_bp == 0.0 == g.log_negativity(cm.reduced([0, 3]), [0])
+        assert a_b == 0.0 == g.log_negativity(cm.reduced([0, 1]), [0])
 
 
 def test_bipartite_survey_matches_ppt_oracle():
     env = ThermalEnvironment(TAU, 10.0, 5.0, -5.0)  # below EB: aA' entangled
-    inp = SwapInput(6.5, env)
-    survey = ent._pair_log_negativities(prot.evolved_cm(inp))
-    cm = prot.evolved_cm(inp)
-    assert survey["aAp"] == pytest.approx(
-        g.log_negativity(cm.reduced([0, 2]), [0]), abs=1e-12
-    )
-    assert survey["aAp"] > 0.0
+    cm = prot.evolved_cm(SwapInput(6.5, env))
+    a_ap = _survey(6.5, env)[0]
+    assert a_ap == pytest.approx(g.log_negativity(cm.reduced([0, 2]), [0]), abs=1e-12)
+    assert a_ap > 0.0
+
+
+def _bipartite_sample(rng, mu):
+    """Random thermal states, ones with an entangled environment and
+    transmissivity below 1/mu among them (so that A'B' stays entangled), and
+    random additive ones with c and c' at -1, 1 or in between."""
+    sample = [random_thermal_env(rng, separable_only=False) for _ in range(20)]
+    while len(sample) < 30:
+        env = random_thermal_env(rng, separable_only=False, tau_range=(0.01 / mu, 0.3 / mu), omega_max=5.0)
+        if not env.is_separable:
+            sample.append(env)
+    edges = [-1.0, 1.0, *rng.uniform(-1.0, 1.0, size=2)]
+    sample += [AdditiveEnvironment(rng.uniform(0.0, 4.0), c, cp) for c in edges for cp in edges]
+    return sample
+
+
+@pytest.mark.parametrize("mu", [1.0, 6.5, 52.0, 1e6, 1e12])
+def test_bipartite_closed_form_matches_40_digit_mpmath(mu):
+    # where nu < 1, -log2 nu to 1e-14 / ln 2 (plus the rounding of log2) is
+    # nu to 1e-14 relative, and the sample has such cells in both columns;
+    # at mu <= 52 the numeric spectrum of each transposed pair of the 8x8
+    # state agrees too
+    rng = np.random.default_rng(23)
+    entangled = np.zeros(2, dtype=int)
+    for env in _bipartite_sample(rng, mu):
+        link = type(env).links(**vars(env))
+        a_ap, a_bp, a_b, ap_bp = _survey(mu, env)
+        for got, want in zip((a_ap, ap_bp), mp_link_log_negativities(mu, *link)):
+            assert abs(got - want) <= 1e-14 / math.log(2.0) + 4.0 * EPS * want, (env, got, want)
+        assert a_bp == 0.0 and a_b == 0.0
+        entangled += [a_ap > 0.0, ap_bp > 0.0]
+        if mu <= 52.0:
+            cm = prot.evolved_cm(SwapInput(mu, env))
+            for got, pair in ((a_ap, [0, 2]), (a_bp, [0, 3]), (a_b, [0, 1]), (ap_bp, [2, 3])):
+                nu = g.symplectic_spectrum(g.partial_transpose(cm.reduced(pair), [0]))[0]
+                assert got == pytest.approx(max(0.0, -math.log2(nu)), abs=1e-10), (env, pair)
+    assert entangled.all()
 
 
 def test_bipartite_asymptotics():
