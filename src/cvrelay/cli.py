@@ -290,8 +290,9 @@ def _block_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
     formulas.  The other protocols build the block's evolved states as one
     stack and test it.  Those cells have passed the family's ``physical``
     mask, so their states are positive definite in exact arithmetic, and a
-    failed Cholesky factorisation of the stack is a float64 failure rather
-    than bad input.
+    failed Cholesky factorisation of the stack, like an overflow of the
+    bipartite closed form, is a float64 failure rather than bad input: a
+    NumericDegeneracyError naming mu and the grid's fixed parameters.
     """
     if protocol in _CLOSED_FORM:
         names = [_RELAY_KEYS.get(col, col) for col in _METRIC_COLUMNS[protocol]]
@@ -302,14 +303,14 @@ def _block_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
         tau, omega = grid.fixed["tau"], grid.fixed["omega"]
         return [envs.thermal_mutual_information(omega, *coords),
                 *ent.quadripartite_regions(tau, omega, *coords)]
-    if protocol == "bipartite":
-        return ent._link_log_negativities(mu, *grid.family.links(**grid.params(coords)))
     try:
+        if protocol == "bipartite":
+            return ent._link_log_negativities(mu, *grid.family.links(**grid.params(coords)))
         cm = prot.evolved_cm(mu, grid.family, grid.params(coords))
-    except (NotPositiveDefiniteError, NumericDegeneracyError) as exc:
+    except (NotPositiveDefiniteError, NumericDegeneracyError):
+        fixed = "".join(f", {name}={value:g}" for name, value in grid.fixed.items())
         raise NumericDegeneracyError(
-            f"the evolved states at mu={mu:g} cannot be held in float64 ({exc}); "
-            "use a smaller --mu") from None
+            f"the evolved states at mu={mu:g}{fixed} cannot be held in float64") from None
     if protocol == "quad-entanglement":
         return [envs.thermal_mutual_information(grid.fixed["omega"], *coords),
                 *ent.quadripartite_numeric_regions(cm)]

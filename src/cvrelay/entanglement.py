@@ -94,9 +94,9 @@ def ppt_min_eigenvalue(cm, modes):
 
 def _link_log_negativities(mu, t, e, h, hp) -> list:
     """Log-negativities aA', aB', ab and A'B' of the states ``evolved_cm``
-    builds from link map (t, e, h, h'), array-friendly; NumericDegeneracyError,
-    naming mu, where float64 cannot hold one.  Transposed on a, both (a, A')
-    sectors are [[mu, c], [c, x]], c and x as in ``evolved_cm``: their PT
+    builds from link map (t, e, h, h'), array-friendly; NumericDegeneracyError
+    where float64 cannot hold one.  Transposed on a, both (a, A') sectors
+    are [[mu, c], [c, x]], c and x as in ``evolved_cm``: their PT
     eigenvalue nu is det/lambda_max, det = mu e + t.  The (A', B') ones,
     [[x, h], [h, x]] and [[x, -h'], [-h', x]], share eigenvectors.  Mode a
     couples only to A' and b only to B', so aB' and ab are 0."""
@@ -108,7 +108,7 @@ def _link_log_negativities(mu, t, e, h, hp) -> list:
                                  np.minimum(np.sqrt(t * mu + (e + h)) * np.sqrt(t * mu + (e - hp)),
                                             np.sqrt(t * mu + (e - h)) * np.sqrt(t * mu + (e + hp))))
     if not all(np.all((v > 0.0) & (v < math.inf)) for v in nu):
-        raise NumericDegeneracyError(f"the evolved states at mu={np.max(mu):g} overflow float64")
+        raise NumericDegeneracyError("the closed form of the link map overflows float64")
     aap, apbp = (np.where(v < 1.0, -np.log2(v), 0.0) for v in nu)
     return [aap, np.zeros_like(aap), np.zeros_like(aap), apbp]
 

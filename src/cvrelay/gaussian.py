@@ -13,8 +13,9 @@ estimator share.  All functions are pure; none of them mutates its arguments.
 
 The container and the spectral functions also take stacks of matrices,
 shaped (..., 2n, 2n): every matrix is validated and evaluated on its own,
-and a single matrix is simply a stack without leading axes.  Stacked calls
-return arrays; single-matrix calls return Python floats.
+bit for bit as in a single call, and a single matrix is simply a stack
+without leading axes.  Stacked calls return arrays; single-matrix calls
+return Python floats.
 """
 
 from __future__ import annotations
@@ -119,19 +120,26 @@ def _spectrum_of(m: np.ndarray, chol: np.ndarray | None = None) -> np.ndarray:
     pairs hold by construction.  ``chol`` is L where the caller has factored
     m already.
 
-    When no matrix of the stack couples a q to a p quadrature (every state
-    the relay builds, and their partial transposes), neither does L, and
-    i L^T Omega L is unitarily similar to [[0, iM], [-iM^T, 0]] with the real
-    n x n M = Lq^T Lp: the spectrum is the singular values of M, from one
-    stacked real SVD.  Otherwise one stacked ``eigvalsh`` of i L^T Omega L
-    gives it.
+    Where a matrix couples no q to a p quadrature (every state the relay
+    builds, and their partial transposes), neither does L, and i L^T Omega L
+    is unitarily similar to [[0, iM], [-iM^T, 0]] with the real n x n
+    M = Lq^T Lp: the spectrum is the singular values of M, from a real SVD.
+    The other matrices take ``eigvalsh`` of i L^T Omega L.  The branch is
+    chosen per matrix, each branch taking its matrices in one stacked call,
+    so a matrix's spectrum does not depend on its stack-mates.
     """
     n = m.shape[-1] // 2
     if chol is None:
         chol = _check_positive_definite(m, "matrix")
-    if not (chol[..., ::2, 1::2].any() or chol[..., 1::2, ::2].any()):
+    coupled = chol[..., ::2, 1::2].any(axis=(-2, -1)) | chol[..., 1::2, ::2].any(axis=(-2, -1))
+    if not coupled.any():
         qp = _transpose(chol[..., ::2, ::2]) @ chol[..., 1::2, 1::2]
         return np.linalg.svd(qp, compute_uv=False)[..., ::-1]
+    if not coupled.all():  # a mixed stack: each part on its own branch
+        nus = np.empty(m.shape[:-2] + (n,))
+        for part in (coupled, ~coupled):
+            nus[part] = _spectrum_of(m[part], chol[part])
+        return nus
     return np.linalg.eigvalsh(1j * (_transpose(chol) @ symplectic_form(n) @ chol))[..., n:]
 
 
@@ -143,11 +151,11 @@ class CovarianceMatrix:
     positive definiteness (one stacked Cholesky) and the uncertainty
     principle (smallest symplectic eigenvalue >= 1 within
     ``UNCERTAINTY_TOL``, or within the spectrum's rounding where a matrix's
-    entries are large enough to make that the wider band; one stacked
-    spectral call on the Cholesky factors, a real n x n SVD when the stack
-    couples no q to a p quadrature, as every state the relay builds, and a
-    Hermitian 2n x 2n eigenvalue call otherwise).  One bad matrix rejects
-    the whole stack.  The stored array is read-only.
+    entries are large enough to make that the wider band; the spectra of
+    the Cholesky factors, a real n x n SVD for the matrices that couple no q
+    to a p quadrature, as every state the relay builds, and a Hermitian
+    2n x 2n eigenvalue call for the others).  One bad matrix rejects the
+    whole stack.  The stored array is read-only.
     """
 
     __slots__ = ("m", "n_modes")
@@ -373,17 +381,31 @@ def symplectic_spectrum(cm) -> np.ndarray:
     return _spectrum_of(m)
 
 
+def _positive(nu: np.ndarray) -> np.ndarray:
+    """``nu`` if all are > 0, as the symplectic eigenvalues of a positive
+    definite matrix are; else rounding lost one: NumericDegeneracyError."""
+    if not np.all(nu > 0.0):
+        raise NumericDegeneracyError("a symplectic eigenvalue is lost to float64 rounding")
+    return nu
+
+
 def two_mode_spectrum(cm):
-    """Closed-form symplectic spectrum of a two-mode covariance matrix, from
-    the invariant det A + det B + 2 det C and det V.
+    """Closed-form symplectic spectrum of a two-mode matrix, from the
+    invariants det A + det B + 2 det C and det V (Serafini, J. Phys. B 37
+    (2004) L21).
 
     Returns (nu_minus, nu_plus): floats for one matrix, arrays over the
-    leading axes for a stack.  A non-finite matrix is a ValidationError,
-    determinants past float64 (entries past ~1e77) a NumericDegeneracyError.
+    leading axes for a stack.  Each matrix must be 4 x 4, finite, symmetric
+    and positive definite, as a partial transpose of a covariance matrix is
+    (a ValidationError otherwise).  Determinants past float64 (entries past
+    ~1e77), or a root that rounding leaves at or below 0, are a
+    NumericDegeneracyError.
     """
-    m = _check_finite(_as_matrix(cm), "matrix")
+    m = _as_matrix(cm)
     if m.shape[-2:] != (4, 4):
         raise ValidationError("closed form requires a two-mode (4x4) matrix")
+    _check_2n_symmetric(m, "matrix")
+    _check_positive_definite(m, "matrix")
     with np.errstate(over="ignore", invalid="ignore"):
         det_a = np.linalg.det(m[..., :2, :2])
         det_b = np.linalg.det(m[..., 2:, 2:])
@@ -393,11 +415,9 @@ def two_mode_spectrum(cm):
         disc = delta * delta - 4.0 * det_v  # not finite if any of the above is not
     if not np.isfinite(disc).all():
         raise NumericDegeneracyError("the two-mode determinants overflow float64")
-    hi_sq = (delta + np.sqrt(np.maximum(disc, 0.0))) / 2.0
-    if np.any(hi_sq <= 0.0):
-        raise ValidationError("matrix has no real symplectic spectrum")
+    hi_sq = _positive((delta + np.sqrt(np.maximum(disc, 0.0))) / 2.0)
     # small root via the product form: avoids cancellation when hi >> lo
-    return _unstack(np.sqrt(np.maximum(det_v, 0.0) / hi_sq)), _unstack(np.sqrt(hi_sq))
+    return _unstack(np.sqrt(_positive(det_v / hi_sq))), _unstack(np.sqrt(hi_sq))
 
 
 def _h_arr(x):
@@ -449,27 +469,27 @@ def smallest_pts_eigenvalue(cm, modes):
     """Smallest symplectic eigenvalue of the partial transpose.
 
     A value < 1 certifies entanglement across the chosen bipartition.  The
-    two-mode single-mode-transpose case takes the closed form of the
-    transposed matrix (a NumericDegeneracyError where its determinants
-    overflow float64); otherwise its spectrum is computed numerically.
-    A float for one matrix, an array over the leading axes for a stack; a
-    non-finite matrix is a ValidationError.
+    two-mode single-mode-transpose case takes ``two_mode_spectrum`` of the
+    transposed matrix, the others ``symplectic_spectrum``, with their
+    ValidationErrors; an eigenvalue that rounding leaves at or below 0 is a
+    NumericDegeneracyError.  A float for one matrix, an array over the
+    leading axes for a stack.
     """
     modes = list(modes)
     m = partial_transpose(cm, modes)
     if m.shape[-2:] == (4, 4) and len(modes) == 1:
         return two_mode_spectrum(m)[0]
-    return _unstack(_spectrum_of(m)[..., 0])
+    return _unstack(_positive(symplectic_spectrum(m)[..., 0]))
 
 
 def log_negativity(cm, modes):
-    """Entanglement monotone max{0, -log2(smallest PTS eigenvalue)} in bits.
+    """Entanglement monotone max{0, -log2(smallest PTS eigenvalue)} in bits,
+    with the errors of ``smallest_pts_eigenvalue``: never inf.
 
     A float for one matrix, an array over the leading axes for a stack.
     """
     eps = np.asarray(smallest_pts_eigenvalue(cm, modes))
-    with np.errstate(divide="ignore"):
-        return _unstack(np.where(eps < 1.0, -np.log2(eps), 0.0))
+    return _unstack(np.where(eps < 1.0, -np.log2(eps), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import settings
 
-from cvrelay import gaussian as g
 from cvrelay.environments import ThermalEnvironment
 from cvrelay.gaussian import ValidationError
 
@@ -14,32 +13,36 @@ settings.register_profile("deterministic", derandomize=True, database=None, dead
 settings.load_profile("deterministic")
 
 
-def random_symplectic_matrix(rng, n_modes, layers=4) -> np.ndarray:
-    """Raw random symplectic built from rotations, squeezers and beam splitters."""
-    out = np.eye(2 * n_modes)
-    for _ in range(layers):
+def random_symplectic_matrix(rng, n_modes, layers=4, count=None) -> np.ndarray:
+    """Raw random symplectic built from rotations, squeezers and beam
+    splitters; a stack of ``count`` of them where ``count`` is given."""
+    shape = () if count is None else (count,)
+    # per layer: (theta, log s) for each mode, then tau for each neighbouring pair
+    draws = rng.random(shape + (layers, 3 * n_modes - 1))
+    out = np.broadcast_to(np.eye(2 * n_modes), shape + (2 * n_modes, 2 * n_modes)).copy()
+    for u in np.moveaxis(draws, -2, 0):
         for k in range(n_modes):
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            s = math.exp(rng.uniform(-0.8, 0.8))
-            local = g.rotation(theta).m @ np.diag([s, 1.0 / s])
-            full = np.eye(2 * n_modes)
-            full[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = local
-            out = full @ out
+            theta, s = 2.0 * math.pi * u[..., 2 * k], np.exp(-0.8 + 1.6 * u[..., 2 * k + 1])
+            c, sn = np.cos(theta), np.sin(theta)
+            local = np.moveaxis(np.array([[c * s, sn / s], [-sn * s, c / s]]), (0, 1), (-2, -1))
+            out[..., 2 * k : 2 * k + 2, :] = local @ out[..., 2 * k : 2 * k + 2, :]
         for k in range(n_modes - 1):
-            full = np.eye(2 * n_modes)
-            full[2 * k : 2 * k + 4, 2 * k : 2 * k + 4] = g.beam_splitter(
-                rng.uniform(0.05, 0.95)
-            ).m
-            out = full @ out
+            tau = 0.05 + 0.9 * u[..., 2 * n_modes + k, None, None]
+            t, r = np.sqrt(tau), np.sqrt(1.0 - tau)  # the beam splitter [[t I, r I], [-r I, t I]]
+            top, bottom = out[..., 2 * k : 2 * k + 2, :], out[..., 2 * k + 2 : 2 * k + 4, :]
+            out[..., 2 * k : 2 * k + 4, :] = np.concatenate(
+                [t * top + r * bottom, t * bottom - r * top], axis=-2
+            )
     return out
 
 
-def random_two_mode_cm(rng, nu_max=10.0):
-    """Random valid two-mode CM with a known symplectic spectrum."""
-    s = random_symplectic_matrix(rng, 2)
-    nus = np.sort(rng.uniform(1.0, nu_max, size=2))
-    v = s @ np.diag(np.repeat(nus, 2)) @ s.T
-    return 0.5 * (v + v.T), nus
+def random_two_mode_cm(rng, nu_max=10.0, count=None):
+    """Random valid two-mode CM with a known symplectic spectrum, ascending;
+    stacks of ``count`` of each where ``count`` is given."""
+    s = random_symplectic_matrix(rng, 2, count=count)
+    nus = np.sort(rng.uniform(1.0, nu_max, size=(() if count is None else (count,)) + (2,)), axis=-1)
+    v = s @ (np.repeat(nus, 2, axis=-1)[..., :, None] * np.swapaxes(s, -1, -2))
+    return 0.5 * (v + np.swapaxes(v, -1, -2)), nus
 
 
 def random_thermal_env(rng, separable_only=True, tau_range=(0.1, 0.95), omega_max=30.0):

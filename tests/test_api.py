@@ -103,6 +103,9 @@ _OUT_OF_DOMAIN_CALLS = {
     "relay_metrics(52, 1, 1, 'x')": lambda: protocols.relay_metrics(52.0, 1.0, 1.0, "x"),
     "smallest_pts_eigenvalue(4x4, [7])": lambda: cvrelay.smallest_pts_eigenvalue(cvrelay.tmsv_cm(3.0), [7]),
     "log_negativity(4x4, [-1])": lambda: cvrelay.log_negativity(cvrelay.tmsv_cm(3.0), [-1]),
+    "two_mode_spectrum(indefinite 4x4)": lambda: cvrelay.two_mode_spectrum(np.diag([1.0, 1.0, -1.0, -1.0])),
+    "smallest_pts_eigenvalue(asymmetric 4x4)": lambda: cvrelay.smallest_pts_eigenvalue(
+        np.eye(4) + np.triu(np.full((4, 4), 0.1), 1), [0]),
     "CovarianceMatrix.reduced([0, 0])": lambda: cvrelay.vacuum_cm(2).reduced([0, 0]),
     "GaussianState(mean of 3, 2 modes)": lambda: cvrelay.GaussianState(np.zeros(3), cvrelay.vacuum_cm(2)),
     "GaussianState(1 label, 2 modes)": lambda: cvrelay.GaussianState(np.zeros(4), cvrelay.vacuum_cm(2), ("a",)),
@@ -159,6 +162,31 @@ _OVERFLOW_CALLS = {
 def test_finite_input_past_float64_is_a_numeric_degeneracy_at_the_library_entry(call):
     # finite entries whose products overflow: a NumericDegeneracyError before any numpy warning
     with pytest.raises(cvrelay.NumericDegeneracyError, match="overflow"):
+        call()
+
+
+def _evolved(n, c, modes=range(4)):
+    """The evolved state at mu = 52 in an additive environment with c = c', reduced to ``modes``."""
+    return cvrelay.evolved_cm(cvrelay.SwapInput(52.0, cvrelay.AdditiveEnvironment(n, c, c))).reduced(modes)
+
+
+_LOST_TO_ROUNDING_CALLS = {
+    "smallest_pts_eigenvalue((a | A'B') at n=1e300)": lambda: cvrelay.smallest_pts_eigenvalue(
+        _evolved(1e300, -1.0, [0, 2, 3]), [0]),
+    "log_negativity((a | A'B') at n=1e300)": lambda: cvrelay.log_negativity(_evolved(1e300, -1.0, [0, 2, 3]), [0]),
+    "smallest_pts_eigenvalue(8x8 at n=1e80)": lambda: cvrelay.smallest_pts_eigenvalue(_evolved(1e80, 0.5), [0]),
+    "log_negativity(8x8 at n=1e80)": lambda: cvrelay.log_negativity(_evolved(1e80, 0.5), [0]),
+    "smallest_pts_eigenvalue((A', B') at n=1e80, c=c'=-1)": lambda: cvrelay.smallest_pts_eigenvalue(
+        _evolved(1e80, -1.0, [2, 3]), [0]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", _LOST_TO_ROUNDING_CALLS.values(), ids=_LOST_TO_ROUNDING_CALLS.keys())
+def test_a_pts_eigenvalue_lost_to_rounding_is_a_numeric_degeneracy(call):
+    # physical states whose float64 partial transpose leaves the smallest
+    # symplectic eigenvalue at or below 0: an error, not 0 and a log-negativity of inf
+    with pytest.raises(cvrelay.NumericDegeneracyError, match="lost to float64 rounding"):
         call()
 
 

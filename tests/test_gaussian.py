@@ -98,6 +98,10 @@ def test_stacked_spectral_functions_equal_the_per_matrix_results():
         assert [*zip(lo.tolist(), hi.tolist())] == [
             g.two_mode_spectrum(g.partial_transpose(m, transposed)) for m in mats
         ]
+        # the TMSV and the product state take the SVD branch, the rest eigvalsh
+        assert g.symplectic_spectrum(g.partial_transpose(stack, transposed)).tolist() == [
+            g.symplectic_spectrum(g.partial_transpose(m, transposed)).tolist() for m in mats
+        ]
     logneg = g.log_negativity(stack, [0])
     assert logneg.tolist() == [g.log_negativity(m, [0]) for m in mats]
     assert (logneg > 0.0).any() and (logneg == 0.0).any()
@@ -269,15 +273,10 @@ def test_spectrum_swapped_state_closed_form_vs_numeric():
 
 
 def test_spectrum_closed_form_matches_numeric_on_random_sample():
-    rng = np.random.default_rng(3)
-    for _ in range(10_000):
-        v, nus = random_two_mode_cm(rng)
-        closed = g.two_mode_spectrum(v)
-        numeric = g.symplectic_spectrum(v)
-        assert abs(closed[0] - numeric[0]) < 1e-8
-        assert abs(closed[1] - numeric[1]) < 1e-8
-        assert abs(closed[0] - nus[0]) < 1e-8 * max(1.0, nus[0])
-        assert abs(closed[1] - nus[1]) < 1e-8 * max(1.0, nus[1])
+    v, nus = random_two_mode_cm(np.random.default_rng(3), count=10_000)
+    closed = np.stack(g.two_mode_spectrum(v), axis=-1)
+    assert np.all(np.abs(closed - g.symplectic_spectrum(v)) < 1e-8)
+    assert np.all(np.abs(closed - nus) < 1e-8 * np.maximum(1.0, nus))
 
 
 def test_purity_of_random_pure_states():
