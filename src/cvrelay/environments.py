@@ -13,8 +13,8 @@ since the interesting region extends right up to the physicality border.
 
 Each family class owns its array-friendly maps ``masks``, ``kappas`` and
 ``links``: static methods taking the class's fields as keywords, so a caller
-holding a family and its parameters never branches on the family.  The thermal
-mutual information reads its spectrum off a 50:50 beam splitter, not a matrix.
+holding a family and its parameters never branches on the family.  Every
+thermal map reads the variances of a 50:50 beam splitter's two output modes.
 """
 
 from __future__ import annotations
@@ -38,19 +38,29 @@ THERMAL_CONDITIONS = (
 )
 
 
+def _thermal_variances(omega, g, gp):
+    """Quadrature variances a, b, c, d = omega -+ g, omega -+ g' of the modes a
+    50:50 beam splitter splits the environment into: exact where g or g' nears
+    +-omega, so a product of two is accurate to rounding up to the boundary."""
+    return omega - g, omega - gp, omega + g, omega + gp
+
+
 def thermal_slacks(omega, g, gp):
     """Slacks of the thermal-family inequalities (array-friendly).
 
-    The three physicality conditions of ``THERMAL_CONDITIONS`` followed by
-    the separability condition omega |g - g'| <= omega^2 - g g' - 1; each
+    The three physicality conditions of ``THERMAL_CONDITIONS``, then
+    separability: min(a, c), min(b, d), and min(ab, cd) - 1 and min(ad, cb) - 1,
+    the smallest squared symplectic eigenvalue of the environment and of its
+    partial transpose less 1, in the variances of ``_thermal_variances``.  Each
     holds when its slack is >= 0 (a nan slack, past float64, never does).
     """
     with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c, d = _thermal_variances(omega, g, gp)
         return (
-            omega - abs(g),
-            omega - abs(gp),
-            omega * omega + g * gp - 1.0 - omega * abs(g + gp),
-            omega * omega - g * gp - 1.0 - omega * abs(g - gp),
+            np.minimum(a, c),
+            np.minimum(b, d),
+            np.minimum(a * b, c * d) - 1.0,
+            np.minimum(a * d, c * b) - 1.0,
         )
 
 
@@ -72,12 +82,8 @@ def _check_finite(**values):
 
 @dataclass(frozen=True)
 class ThermalEnvironment:
-    """Correlated-thermal environment (tau, omega, g, g').
-
-    Physicality requires |g| < omega, |g'| < omega and
-    omega |g + g'| <= omega^2 + g g' - 1; the environment is additionally
-    separable when omega |g - g'| <= omega^2 - g g' - 1.
-    """
+    """Correlated-thermal environment (tau, omega, g, g'), bona fide and
+    separable as ``thermal_slacks`` decides."""
 
     tau: float
     omega: float
@@ -109,8 +115,9 @@ class ThermalEnvironment:
     def kappas(tau, omega, g, gp):
         """(kappa, kappa') = (1/tau - 1)(omega - g, omega + g'), array-friendly; inf on overflow."""
         with np.errstate(over="ignore"):
+            a, _, _, d = _thermal_variances(omega, g, gp)
             f = 1.0 / tau - 1.0
-            return np.maximum(f * (omega - g), 0.0), np.maximum(f * (omega + gp), 0.0)
+            return np.maximum(f * a, 0.0), np.maximum(f * d, 0.0)
 
     @staticmethod
     def links(tau, omega, g, gp):
@@ -195,8 +202,8 @@ def thermal_env_cm(env: ThermalEnvironment) -> CovarianceMatrix:
     try:
         return CovarianceMatrix(m)
     except ValidationError as exc:
-        raise ValidationError(
-            f"environment sits on the physicality boundary: {exc}"
+        raise NumericDegeneracyError(
+            f"the bona-fide environment at omega={env.omega:g} fails float64 validation: {exc}"
         ) from None
 
 
@@ -214,15 +221,6 @@ def entanglement_breaking_threshold(tau: float) -> float:
     return (1.0 + tau) / (1.0 - tau)
 
 
-def _env_spectrum(omega, g, gp):
-    # a 50:50 beam splitter decouples the two environment modes into quadrature
-    # variances (omega - g, omega - g') and (omega + g, omega + g'), each factor
-    # clamped at 0 for band-edge cells; no (possibly boundary-singular) CM is built
-    minus = np.maximum(omega - g, 0.0) * np.maximum(omega - gp, 0.0)
-    plus = np.maximum(omega + g, 0.0) * np.maximum(omega + gp, 0.0)
-    return np.sqrt(minus), np.sqrt(plus)
-
-
 def thermal_mutual_information(omega, g, gp):
     """Quantum mutual information (bits) between the two environment modes.
 
@@ -232,7 +230,9 @@ def thermal_mutual_information(omega, g, gp):
     (omega near 1.3e154, where a product of two variances does).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        nu_minus, nu_plus = _env_spectrum(omega, g, gp)
+        # each variance clamped at 0 for band-edge cells
+        a, b, c, d = (np.maximum(v, 0.0) for v in _thermal_variances(omega, g, gp))
+        nu_minus, nu_plus = np.sqrt(a * b), np.sqrt(c * d)
         info = 2.0 * _h_arr(omega) - _h_arr(nu_minus) - _h_arr(nu_plus)
     if not np.isfinite(info).all():
         raise NumericDegeneracyError(

@@ -190,6 +190,25 @@ def test_a_pts_eigenvalue_lost_to_rounding_is_a_numeric_degeneracy(call):
         call()
 
 
+_BELOW_OMEGA = math.nextafter(1e30, 0.0)
+_UNHELD_ENV_CALLS = {
+    "thermal_env_cm(omega=1e30, g=g'=nextafter(1e30, 0))": lambda: cvrelay.thermal_env_cm(
+        cvrelay.ThermalEnvironment(0.9, 1e30, _BELOW_OMEGA, _BELOW_OMEGA)),
+    "thermal_env_cm(omega=1e30, g=-g'=nextafter(1e30, 0))": lambda: cvrelay.thermal_env_cm(
+        cvrelay.ThermalEnvironment(0.9, 1e30, _BELOW_OMEGA, -_BELOW_OMEGA)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", _UNHELD_ENV_CALLS.values(), ids=_UNHELD_ENV_CALLS.keys())
+def test_a_bona_fide_environment_whose_matrix_float64_cannot_validate_is_a_numeric_degeneracy(call):
+    # the smallest variance products are 2e28 (g' = g) and 2.8e44 (g' = -g), but
+    # the Cholesky factor of [[omega I, G], [G, omega I]] loses omega - g^2/omega
+    # to rounding: an error naming omega, not a bona-fide violation
+    with pytest.raises(cvrelay.NumericDegeneracyError, match="omega=1e\\+30"):
+        call()
+
+
 _VERDICT_CALLS = {
     "tripartite_classify(1e160 I)": lambda: cvrelay.tripartite_classify(np.eye(6) * 1e160).class_id == 5,
     "tripartite_classify(1e308 I)": lambda: cvrelay.tripartite_classify(np.diag(np.full(6, 1e308))).class_id == 5,

@@ -1346,8 +1346,8 @@ def test_thresholds_exit_codes_match_the_one_level_loop(argv, code, monkeypatch,
     ["scan", "--protocol", "quad-entanglement", "--tau", "0.9", "--g", "-1:1:1", "--gp", "-1:1:1", "--mu", "52",
      "--omega", "1e200"],
     # the classifier's sigma' and sigma'' (inf - inf before), not the mutual information
-    ["scan", "--protocol", "quad-entanglement", "--tau", "0.9", "--g", "-1e100:1e100:1e100", "--gp",
-     "-1e100:1e100:1e100", "--omega", "1e100"],
+    ["scan", "--protocol", "quad-entanglement", "--tau", "0.9", "--g", "-5e99:5e99:5e99", "--gp",
+     "-5e99:5e99:5e99", "--omega", "1e100"],
 ])
 def test_closed_form_overflow_exits_3(capsys, argv):
     # valid input whose closed forms float64 cannot hold: no nan with exit 0;
@@ -1358,6 +1358,23 @@ def test_closed_form_overflow_exits_3(capsys, argv):
     error = json.loads(out)["error"]
     assert code == 3 and error["code"] == 3
     assert f"{argv[-2].lstrip('-')}={float(argv[-1]):g}" in error["message"]
+
+
+def test_a_thermal_cell_at_omega_minus_g_zero_is_not_physical_at_large_omega(capsys):
+    # at omega = 1e8, omega^2 - 1 rounds to omega^2; the verdict reads the
+    # variances omega - g and omega - g', exact here, so (omega - g)(omega - g')
+    # = 0 is no bona-fide environment: no scan cell prints rate inf, and the
+    # point is a validation error
+    code, out = run_cli(["scan", "--protocol", "qkd-asymptotic", "--tau", "0.9", "--omega", "1e8",
+                         "--g", "0:1e8:5e7", "--gp", "0:1e8:5e7"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 9 and "inf" not in out
+    for row in rows:
+        assert row[2] == ("0" if "100000000" in row[:2] else "1"), row
+    code, out = run_cli(["point", "--tau", "0.9", "--omega", "1e8", "--g", "1e8", "--gp", "1e8", "--mu", "inf"],
+                        capsys)
+    assert code == 2 and json.loads(out)["error"]["code"] == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,44 @@ def test_additive_classical_cm_past_an_edge_is_the_edge_cm():
 def test_environment_mutual_information_that_overflows_raises_numeric_degeneracy():
     with pytest.raises(g.NumericDegeneracyError, match="omega=1e\\+200"):
         envs.env_mutual_information(ThermalEnvironment(0.9, 1e200, 1.0, -1.0))
+
+
+def _exact_thermal_slacks(omega, g, gp):
+    """The thermal inequalities' slacks in rational arithmetic on the stored floats."""
+    w, x, y = Fraction(omega), Fraction(g), Fraction(gp)
+    return (w - abs(x), w - abs(y), w * w + x * y - 1 - w * abs(x + y), w * w - x * y - 1 - w * abs(x - y))
+
+
+def _cells_around_both_curves(omega, count, rng):
+    """``count`` cells on each of (omega - g)(omega -+ g') = 1, mirrored at random
+    through the origin, one coordinate moved by +-1e-11 up to max(1e-5, 1e-12 omega)."""
+    a = omega ** rng.uniform(-1.0, 1.0, 2 * count)  # omega - g, from 1/omega to omega
+    # the first half on (omega - g)(omega - g') = 1, the second on the partial
+    # transpose's (omega - g)(omega + g') = 1
+    sign = np.r_[np.ones(count), -np.ones(count)]
+    cells = np.stack([omega - a, sign * (omega - 1.0 / a)]) * rng.choice([-1.0, 1.0], 2 * count)
+    top = np.log10(max(1e-5, 1e-12 * omega))
+    jitter = rng.choice([-1.0, 1.0], 2 * count) * 10.0 ** rng.uniform(-11.0, top, 2 * count)
+    cells[rng.integers(0, 2, 2 * count), np.arange(2 * count)] += jitter
+    return cells
+
+
+@pytest.mark.parametrize("omega", [19.38, 1e3, 1e4, 1e6, 1e8, 1e12])
+def test_thermal_verdicts_match_exact_arithmetic_near_both_boundaries(omega):
+    # each float64 verdict and the constructor's acceptance equal the same
+    # inequalities evaluated exactly on the stored floats, band edges included
+    g, gp = _cells_around_both_curves(omega, 200, np.random.default_rng(7))
+    physical, separable, boundary = ThermalEnvironment.masks(0.9, omega, g, gp)
+    band = Fraction(envs.BOUNDARY_BAND)
+    for i, (x, y) in enumerate(zip(g.tolist(), gp.tolist())):
+        slacks = _exact_thermal_slacks(omega, x, y)
+        exact = (all(s >= -band for s in slacks[:3]), slacks[3] >= -band, any(abs(s) <= band for s in slacks))
+        assert (physical[i], separable[i], boundary[i]) == exact, (x, y)
+        try:
+            ThermalEnvironment(0.9, omega, x, y)
+        except ValidationError:
+            assert not exact[0], (x, y)
+        else:
+            assert exact[0], (x, y)
+    # the cells straddle both verdicts and the band
+    assert 0 < physical.sum() < len(g) and 0 < separable.sum() < len(g) and boundary.any()
