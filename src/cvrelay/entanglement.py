@@ -20,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
+    _FLOAT_MAX,
     NumericDegeneracyError,
     ValidationError,
     _as_matrix,
+    _held,
     _transpose,
     _unstack,
     partial_transpose,
@@ -221,7 +223,7 @@ def quad_sigma_functions(tau: float, r: float, g, gp) -> dict:
     if not 0.0 < tau < 1.0:
         raise ValidationError(f"transmissivity must lie in (0, 1), got {tau!r}")
     g, gp = np.asarray(g, float), np.asarray(gp, float)  # float64 powers overflow to inf, not an error
-    if not (math.isfinite(r) and np.isfinite(g).all() and np.isfinite(gp).all()):
+    if not (abs(r) <= _FLOAT_MAX and np.isfinite(g).all() and np.isfinite(gp).all()):
         raise ValidationError("the quadripartite classifier needs finite r, g and g'")
     opt, omt, r = 1.0 + tau, 1.0 - tau, np.float64(r)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,8 +234,7 @@ def quad_sigma_functions(tau: float, r: float, g, gp) -> dict:
         f_prime = omt**2 * (opt - g * gp * omt) ** 2 + zeta
         f_dprime = omt**2 * (opt + g * gp * omt) ** 2 + zeta
         sp, sdp = np.minimum(f, f_prime), np.minimum(f, f_dprime)
-    if not (np.isfinite(sp).all() and np.isfinite(sdp).all()):
-        raise NumericDegeneracyError(f"the quadripartite classifier at r={r:g} overflows float64")
+    _held(f"the quadripartite classifier at r={r:g} overflows float64", sp, sdp)
     return {"f": f, "f_prime": f_prime, "f_double_prime": f_dprime, "zeta": zeta,
             "sigma_prime": sp, "sigma_double_prime": sdp}
 

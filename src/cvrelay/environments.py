@@ -20,13 +20,12 @@ thermal map reads the variances of a 50:50 beam splitter's two output modes.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, NumericDegeneracyError, ValidationError, _h_arr
+from .gaussian import _FLOAT_MAX, CovarianceMatrix, NumericDegeneracyError, ValidationError, _h_arr, _held
 
 BOUNDARY_BAND = 1e-9
 
@@ -76,7 +75,7 @@ def holds(slacks):
 
 def _check_finite(**values):
     for name, value in values.items():
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        if not (isinstance(value, numbers.Real) and abs(value) <= _FLOAT_MAX):
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -234,9 +233,7 @@ def thermal_mutual_information(omega, g, gp):
         a, b, c, d = (np.maximum(v, 0.0) for v in _thermal_variances(omega, g, gp))
         nu_minus, nu_plus = np.sqrt(a * b), np.sqrt(c * d)
         info = 2.0 * _h_arr(omega) - _h_arr(nu_minus) - _h_arr(nu_plus)
-    if not np.isfinite(info).all():
-        raise NumericDegeneracyError(
-            f"the environment mutual information at omega={np.max(omega):g} overflows float64")
+    _held(lambda: f"the environment mutual information at omega={np.max(omega):g} overflows float64", info)
     return info
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gaussian import NumericDegeneracyError, ValidationError, _condition
+from .gaussian import _FLOAT_MAX, ValidationError, _condition, _held
 from .environments import AdditiveEnvironment, _checked_family, additive_env_classical_cm, kappa_params
 from .protocols import _check_xi, key_rate_from_cm
 
@@ -74,7 +74,7 @@ class ExperimentConfig:
     stream: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.mu, numbers.Real) and 1.0 <= self.mu < math.inf):
+        if not (isinstance(self.mu, numbers.Real) and 1.0 <= self.mu <= _FLOAT_MAX):
             raise ValidationError(f"modulation variance must be finite and >= 1, got {self.mu!r}")
         _checked_family(type(self.env), AdditiveEnvironment)
         for name in ("shots", "seed", "stream"):
@@ -337,16 +337,14 @@ def estimate_from_second_moments(cov: np.ndarray, sample_count: int, xi: float =
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (6, 6):
         raise ValidationError("joint second-moment matrix must be 6x6")
-    if not np.all(np.isfinite(cov)):
-        raise NumericDegeneracyError("joint second moments are not finite")
+    _held("joint second moments are not finite", cov)
     cond = _condition(cov, range(4), [4, 5], 0.0, "gamma second-moment block is singular")[0]
     cond = 0.5 * cond + 0.5 * cond.T  # halves before the sum, which could overflow
     cm_hat = cond - np.eye(4)  # heterodyne variables carry one unit of vacuum
     count = max(sample_count, 1)
     with np.errstate(over="ignore"):
         stderr = np.sqrt((np.outer(np.diag(cond), np.diag(cond)) + cond**2) / count)
-    if not np.isfinite(stderr).all():
-        raise NumericDegeneracyError("the standard errors of the estimate overflow float64")
+    _held("the standard errors of the estimate overflow float64", stderr)
     metrics = key_rate_from_cm(cm_hat, xi)
     return EstimatedState(
         key_rate_hat=metrics["rate"],
@@ -371,6 +369,5 @@ def exact_second_moments(config: ExperimentConfig) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         cov = np.diag([mu + 1.0] * 4 + [eta * (mu + k) + (1.0 - eta), eta * (mu + kp) + (1.0 - eta)])
     cov[[0, 1, 2, 3], [4, 5, 4, 5]] = cov[[4, 5, 4, 5], [0, 1, 2, 3]] = [a, -a, -a, -a]
-    if not np.isfinite(cov).all():
-        raise NumericDegeneracyError("the exact second moments overflow float64")
+    _held("the exact second moments overflow float64", cov)
     return cov

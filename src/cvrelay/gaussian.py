@@ -16,6 +16,10 @@ shaped (..., 2n, 2n): every matrix is validated and evaluated on its own,
 bit for bit as in a single call, and a single matrix is simply a stack
 without leading axes.  Stacked calls return arrays; single-matrix calls
 return Python floats.
+
+Two rules of the whole package are written here once: ``_held`` makes a
+result that float64 cannot hold a NumericDegeneracyError, and
+``_quad_indices`` rejects a mode out of range or listed twice.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ UNCERTAINTY_TOL = 1e-9
 # times that, where it exceeds UNCERTAINTY_TOL.
 _SPECTRUM_ROUNDING = 16.0
 SYMPLECTIC_TOL = 1e-10
+_FLOAT_MAX = float(np.finfo(float).max)  # a Python float, which Python compares with an int exactly
 
 
 class ValidationError(ValueError):
@@ -49,6 +54,13 @@ class NumericDegeneracyError(ArithmeticError):
 
 class NotPositiveDefiniteError(ValidationError):
     """A matrix that must be positive definite failed its Cholesky factorisation."""
+
+
+def _held(message, *values) -> None:
+    """NumericDegeneracyError(message) unless every entry of every value is
+    finite; a callable message is called for its text, on failure only."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise NumericDegeneracyError(message() if callable(message) else message)
 
 
 @functools.cache
@@ -292,7 +304,7 @@ def vacuum_cm(n_modes: int = 1) -> CovarianceMatrix:
 
 def thermal_cm(variance: float, n_modes: int = 1) -> CovarianceMatrix:
     """Thermal state of the given quadrature variance (vacuum at 1)."""
-    if not 1.0 - UNCERTAINTY_TOL <= variance < math.inf:
+    if not 1.0 - UNCERTAINTY_TOL <= variance <= _FLOAT_MAX:
         raise ValidationError(f"thermal variance must be finite and >= 1 in shot-noise units, got {variance!r}")
     if n_modes < 1:
         raise ValidationError("n_modes must be a positive integer")
@@ -301,7 +313,7 @@ def thermal_cm(variance: float, n_modes: int = 1) -> CovarianceMatrix:
 
 def tmsv_cm(mu: float) -> CovarianceMatrix:
     """Two-mode squeezed vacuum with finite quadrature variance mu >= 1."""
-    if not 1.0 <= mu < math.inf:
+    if not 1.0 <= mu <= _FLOAT_MAX:
         raise ValidationError(f"TMSV variance must be finite and >= 1, got {mu!r}")
     c = math.sqrt(mu - 1.0) * math.sqrt(mu + 1.0)  # sqrt(mu^2 - 1) without squaring mu
     z = np.diag([c, -c], 2)  # q-q and p-p couplings of the two modes
@@ -332,15 +344,14 @@ def beam_splitter(tau: float) -> SymplecticMatrix:
 
 def quadrature_squeezer(s: float) -> SymplecticMatrix:
     """Single-mode squeezer diag(s, 1/s) rescaling q by s and p by 1/s."""
-    if not 0.0 < s < math.inf:
+    if not 0.0 < s <= _FLOAT_MAX:
         raise ValidationError(f"squeezing scale must be positive and finite, got {s!r}")
-    if 1.0 / s == math.inf:
-        raise NumericDegeneracyError(f"squeezing scale {s!r}: 1/s overflows float64")
+    _held(f"squeezing scale {s!r}: 1/s overflows float64", 1.0 / s)
     return SymplecticMatrix(np.diag([s, 1.0 / s]))
 
 
 def rotation(theta: float) -> SymplecticMatrix:
-    if not math.isfinite(theta):
+    if not abs(theta) <= _FLOAT_MAX:
         raise ValidationError(f"rotation angle must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
     return SymplecticMatrix(np.array([[c, s], [-s, c]]))
@@ -413,8 +424,7 @@ def two_mode_spectrum(cm):
         det_v = np.linalg.det(m)
         delta = det_a + det_b + 2.0 * det_c
         disc = delta * delta - 4.0 * det_v  # not finite if any of the above is not
-    if not np.isfinite(disc).all():
-        raise NumericDegeneracyError("the two-mode determinants overflow float64")
+    _held("the two-mode determinants overflow float64", disc)
     hi_sq = _positive((delta + np.sqrt(np.maximum(disc, 0.0))) / 2.0)
     # small root via the product form: avoids cancellation when hi >> lo
     return _unstack(np.sqrt(_positive(det_v / hi_sq))), _unstack(np.sqrt(hi_sq))
@@ -453,15 +463,12 @@ def partial_transpose(cm, modes) -> np.ndarray:
 
     Returns a plain array: the result is generally not a physical covariance
     matrix.  An empty mode set is the identity map; applying the operation
-    twice restores the input bit-exactly.
+    twice restores the input bit-exactly.  A mode out of range or listed
+    twice is a ValidationError.
     """
     m = _check_2n(_as_matrix(cm), "matrix")
-    n = m.shape[-1] // 2
-    d = np.ones(2 * n)
-    for k in set(modes):
-        if not 0 <= k < n:
-            raise ValidationError(f"mode index {k} out of range")
-        d[2 * k + 1] = -1.0
+    d = np.ones(m.shape[-1])
+    d[_quad_indices(m.shape[-1] // 2, modes)[1::2]] = -1.0  # the p rows of the modes
     return d[:, None] * m * d[None, :]
 
 
@@ -514,8 +521,7 @@ def displace(state: GaussianState, d) -> GaussianState:
 
 def _computed_state(mean, m, labels, what: str) -> GaussianState:
     """The state of moments computed from finite ones; NumericDegeneracyError where they overflowed."""
-    if not (np.isfinite(mean).all() and np.isfinite(m).all()):
-        raise NumericDegeneracyError(f"the {what} overflows float64")
+    _held(f"the {what} overflows float64", mean, m)
     return GaussianState(mean, CovarianceMatrix(m), labels)
 
 

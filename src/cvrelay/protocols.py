@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
+    _FLOAT_MAX,
     CovarianceMatrix,
     NumericDegeneracyError,
     ValidationError,
@@ -37,6 +38,7 @@ from .gaussian import (
     _check_finite,
     _condition,
     _h_arr,
+    _held,
     symplectic_spectrum,
 )
 from .environments import (
@@ -48,7 +50,7 @@ from .environments import (
     kappa_params,
 )
 
-_SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)  # ~1.34e154: a product of two larger numbers overflows
+_SQRT_FLOAT_MAX = math.sqrt(_FLOAT_MAX)  # ~1.34e154: a product of two larger numbers overflows
 
 FLAG_GUARD = 1e-12  # open-inequality guard band for protocol success flags
 # each success flag's figure, threshold and the side of it that succeeds (want_greater)
@@ -72,7 +74,7 @@ class SwapInput:
     env: ThermalEnvironment | AdditiveEnvironment
 
     def __post_init__(self):
-        if not (isinstance(self.mu, numbers.Real) and 1.0 <= self.mu < math.inf):
+        if not (isinstance(self.mu, numbers.Real) and 1.0 <= self.mu <= _FLOAT_MAX):
             raise ValidationError(f"mu must be finite and >= 1, got {self.mu!r}")
         _checked_family(type(self.env))
 
@@ -302,8 +304,7 @@ def evolved_cm(inp, family=None, params=None) -> CovarianceMatrix:
         c, x = np.sqrt(mu * mu - 1.0) * np.sqrt(t), t * mu + e
     if not (all(np.isfinite(v).all() for v in params.values()) and np.all(t >= 0.0)):
         raise ValidationError("the environment parameters must be finite and the transmissivity >= 0")
-    if not all(np.isfinite(v).all() for v in (c, x, h, hp)):
-        raise NumericDegeneracyError(f"the evolved states at mu={np.max(mu):g} overflow float64")
+    _held(lambda: f"the evolved states at mu={np.max(mu):g} overflow float64", c, x, h, hp)
     entries = {(0, 0): mu, (1, 1): mu, (2, 2): mu, (3, 3): mu, (4, 4): x, (5, 5): x,
                (6, 6): x, (7, 7): x, (0, 4): c, (1, 5): -c, (2, 6): c, (3, 7): -c,
                (4, 6): h, (5, 7): hp}
@@ -344,13 +345,12 @@ def thermal_reactivation_g(tau: float, gp, omega: float | None = None):
     w_eb = entanglement_breaking_threshold(tau)
     omega = w_eb if omega is None else omega
     gp = np.asarray(gp, float)
-    if not (math.isfinite(omega) and np.all((gp > -omega) & (gp < math.inf))):
+    if not (abs(omega) <= _FLOAT_MAX and np.all((gp > -omega) & (gp < math.inf))):
         raise ValidationError("threshold curve requires finite omega and g' > -omega")
     f = 1.0 / tau - 1.0
     with np.errstate(divide="ignore", over="ignore"):
         g = omega - 1.0 / (f * f * (omega + gp))
-    if not np.isfinite(g).all():
-        raise NumericDegeneracyError(f"the threshold curve at tau={tau:g} overflows float64")
+    _held(f"the threshold curve at tau={tau:g} overflows float64", g)
     return g
 
 
@@ -361,15 +361,14 @@ def additive_reactivation_c(n: float, cp):
     curve has no point, raises ValidationError; a c past float64 raises
     NumericDegeneracyError.
     """
-    if not 0.0 < n < math.inf:
+    if not 0.0 < n <= _FLOAT_MAX:
         raise ValidationError("threshold curve requires finite n > 0")
     cp = np.asarray(cp, float)
     if not np.all((cp > -1.0) & (cp < math.inf)):
         raise ValidationError("threshold curve requires finite c' > -1")
     with np.errstate(divide="ignore", over="ignore"):
         c = 1.0 - 1.0 / (n * n * (1.0 + cp))
-    if not np.isfinite(c).all():
-        raise NumericDegeneracyError(f"the threshold curve at n={n:g} overflows float64")
+    _held(f"the threshold curve at n={n:g} overflows float64", c)
     return c
 
 
@@ -390,9 +389,8 @@ def teleport_correction(inp: SwapInput) -> TeleportCorrection:
     k, kp = kappa_params(inp.env)
     t1, t1p = (mu + 1.0) / 2.0 + k, (mu + 1.0) / 2.0 + kp
     peak = max(mu, t1, t1p)
-    if not math.isfinite(4.0 * peak * peak):  # bounds mu^2, theta^2 and 4 theta theta'
-        raise NumericDegeneracyError(
-            f"the teleport correction at mu={mu:g} overflows float64 (theta={t1:g}, theta'={t1p:g})")
+    _held(f"the teleport correction at mu={mu:g} overflows float64 (theta={t1:g}, theta'={t1p:g})",
+          4.0 * peak * peak)  # bounds mu^2, theta^2 and 4 theta theta'
     r = math.sqrt(t1 / t1p)
     eta = 4.0 * t1 * t1p / (mu * mu - 1.0)
     # (4 mu/(mu^2 - 1)) theta^2 - 2 theta + eta - 1, expanded so that nothing

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvrelay
-from cvrelay import protocols
+from cvrelay import environments, protocols
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,6 +31,8 @@ def test_every_name_the_benchmark_oracle_uses_is_exported():
 
 _THERMAL_ENV, _ADDITIVE_ENV = cvrelay.ThermalEnvironment(0.9, 2.0), cvrelay.AdditiveEnvironment(1.0, 0.5, 0.5)
 _STATE2 = cvrelay.GaussianState(np.zeros(4), cvrelay.vacuum_cm(2))
+_HUGE_INT = 10**400
+_SWAPPED = cvrelay.swapped_cm(cvrelay.SwapInput(6.5, cvrelay.ThermalEnvironment(0.9, 19.38, 18.0, -18.0)))
 _NAN4, _INF4, _NAN6 = np.full((4, 4), math.nan), np.diag([math.inf, 1.0, 1.0, 1.0]), np.full((6, 6), math.nan)
 _NON_FINITE_CALLS = {
     "entropic_h(nan)": lambda: cvrelay.entropic_h(math.nan),
@@ -117,6 +119,24 @@ _OUT_OF_DOMAIN_CALLS = {
         _STATE2, [0], "homodyne"),
     "condition_on_gaussian_measurement(outcome of 1)": lambda: cvrelay.condition_on_gaussian_measurement(
         _STATE2, [0], "heterodyne", [0.0]),
+    # a Python int past float64 at a scalar entry: compared exactly, never converted
+    "ThermalEnvironment(omega=10**400)": lambda: cvrelay.ThermalEnvironment(0.5, _HUGE_INT, 0, 0),
+    "AdditiveEnvironment(10**400)": lambda: cvrelay.AdditiveEnvironment(_HUGE_INT),
+    "SwapInput(10**400, env)": lambda: cvrelay.SwapInput(_HUGE_INT, _ADDITIVE_ENV),
+    "ExperimentConfig(mu=10**400)": lambda: cvrelay.ExperimentConfig(_HUGE_INT, _ADDITIVE_ENV, 10_000, 1),
+    "quad_sigma_functions(r=10**400)": lambda: cvrelay.quad_sigma_functions(0.5, _HUGE_INT, 0, 0),
+    "thermal_reactivation_g(omega=10**400)": lambda: cvrelay.thermal_reactivation_g(0.5, 0, _HUGE_INT),
+    "additive_reactivation_c(10**400, 0)": lambda: cvrelay.additive_reactivation_c(_HUGE_INT, 0),
+    "thermal_cm(10**400)": lambda: cvrelay.thermal_cm(_HUGE_INT),
+    "tmsv_cm(10**400)": lambda: cvrelay.tmsv_cm(_HUGE_INT),
+    "quadrature_squeezer(10**400)": lambda: cvrelay.quadrature_squeezer(_HUGE_INT),
+    "rotation(-10**400)": lambda: cvrelay.rotation(-_HUGE_INT),
+    # a mode listed twice, on every path through the partial transpose
+    "partial_transpose(4x4, [0, 0])": lambda: cvrelay.partial_transpose(_SWAPPED, [0, 0]),
+    "smallest_pts_eigenvalue(4x4, [0, 0])": lambda: cvrelay.smallest_pts_eigenvalue(_SWAPPED, [0, 0]),
+    "log_negativity(4x4, [0, 0])": lambda: cvrelay.log_negativity(_SWAPPED, [0, 0]),
+    "ppt_min_eigenvalue(8x8, [0, 0])": lambda: cvrelay.ppt_min_eigenvalue(
+        cvrelay.evolved_cm(cvrelay.SwapInput(6.5, _ADDITIVE_ENV)), [0, 0]),
 }
 
 
@@ -163,6 +183,13 @@ def test_finite_input_past_float64_is_a_numeric_degeneracy_at_the_library_entry(
     # finite entries whose products overflow: a NumericDegeneracyError before any numpy warning
     with pytest.raises(cvrelay.NumericDegeneracyError, match="overflow"):
         call()
+
+
+def test_an_empty_stack_passes_the_overflow_guard():
+    # the texts that name the largest mu or omega of a stack are built only on failure
+    params = {"n": 1.0, "c": 0.5, "cp": 0.0}
+    assert cvrelay.evolved_cm(np.array([]), cvrelay.AdditiveEnvironment, params).m.shape == (0, 8, 8)
+    assert environments.thermal_mutual_information(np.array([]), 0.0, 0.0).shape == (0,)
 
 
 def _evolved(n, c, modes=range(4)):
