@@ -35,7 +35,7 @@ from . import environments as envs
 from . import entanglement as ent
 from . import experiment as expmt
 from . import protocols as prot
-from .gaussian import NotPositiveDefiniteError, NumericDegeneracyError, ValidationError
+from .gaussian import NumericDegeneracyError, ValidationError
 
 BISECTION_TOL = 1e-6
 MAX_CELLS = 1_000_000  # largest axis, and largest grid, a run accepts
@@ -307,7 +307,7 @@ def _block_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
         if protocol == "bipartite":
             return ent._link_log_negativities(mu, *grid.family.links(**grid.params(coords)))
         cm = prot.evolved_cm(mu, grid.family, grid.params(coords))
-    except (NotPositiveDefiniteError, NumericDegeneracyError):
+    except NumericDegeneracyError:
         fixed = "".join(f", {name}={value:g}" for name, value in grid.fixed.items())
         raise NumericDegeneracyError(
             f"the evolved states at mu={mu:g}{fixed} cannot be held in float64") from None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import _FLOAT_MAX, CovarianceMatrix, NumericDegeneracyError, ValidationError, _h_arr, _held
+from .gaussian import _FLOAT_MAX, CovarianceMatrix, ValidationError, _built, _h_arr, _held
 
 BOUNDARY_BAND = 1e-9
 
@@ -73,10 +73,12 @@ def holds(slacks):
     return functools.reduce(np.logical_and, [s >= -BOUNDARY_BAND for s in slacks])
 
 
-def _check_finite(**values):
-    for name, value in values.items():
+def _check_finite(env):
+    """Each field of ``env`` stored as a float; a ValidationError unless it is a finite number."""
+    for name, value in vars(env).items():
         if not (isinstance(value, numbers.Real) and abs(value) <= _FLOAT_MAX):
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        object.__setattr__(env, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ class ThermalEnvironment:
     gp: float = 0.0
 
     def __post_init__(self):
-        _check_finite(tau=self.tau, omega=self.omega, g=self.g, gp=self.gp)
+        _check_finite(self)
         if not 0.0 < self.tau < 1.0:
             raise ValidationError(f"transmissivity must lie in (0, 1), got {self.tau!r}")
         if self.omega < 1.0 - BOUNDARY_BAND:
@@ -151,7 +153,7 @@ class AdditiveEnvironment:
     cp: float = 0.0
 
     def __post_init__(self):
-        _check_finite(n=self.n, c=self.c, cp=self.cp)
+        _check_finite(self)
         n_slack, c_slack, cp_slack = additive_slacks(self.n, self.c, self.cp)
         if not holds([n_slack]):
             raise ValidationError(f"additive noise variance must be >= 0, got {self.n!r}")
@@ -193,17 +195,12 @@ def _checked_family(family, *allowed):
 
 
 def thermal_env_cm(env: ThermalEnvironment) -> CovarianceMatrix:
-    """Two-mode covariance matrix [[omega I, G], [G, omega I]], G = diag(g, g')."""
+    """Covariance matrix [[omega I, G], [G, omega I]], G = diag(g, g'); NumericDegeneracyError past float64."""
     _checked_family(type(env), ThermalEnvironment)
     i2 = np.eye(2)
     gmat = np.diag([env.g, env.gp])
     m = np.block([[env.omega * i2, gmat], [gmat, env.omega * i2]])
-    try:
-        return CovarianceMatrix(m)
-    except ValidationError as exc:
-        raise NumericDegeneracyError(
-            f"the bona-fide environment at omega={env.omega:g} fails float64 validation: {exc}"
-        ) from None
+    return _built(m, f"the bona-fide environment at omega={env.omega:g} fails float64 validation")
 
 
 def kappa_params(env) -> tuple[float, float]:

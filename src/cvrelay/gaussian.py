@@ -17,15 +17,18 @@ bit for bit as in a single call, and a single matrix is simply a stack
 without leading axes.  Stacked calls return arrays; single-matrix calls
 return Python floats.
 
-Two rules of the whole package are written here once: ``_held`` makes a
-result that float64 cannot hold a NumericDegeneracyError, and
-``_quad_indices`` rejects a mode out of range or listed twice.
+Three rules of the whole package are written here once: ``_held`` makes a
+result that float64 cannot hold a NumericDegeneracyError, ``_built`` makes
+a state built from valid input that fails validation one too, and
+``_quad_indices`` rejects a mode that is not an integer, out of range or
+listed twice.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +55,20 @@ class NumericDegeneracyError(ArithmeticError):
     """A conditioning or estimation block is singular to working precision."""
 
 
-class NotPositiveDefiniteError(ValidationError):
-    """A matrix that must be positive definite failed its Cholesky factorisation."""
-
-
 def _held(message, *values) -> None:
     """NumericDegeneracyError(message) unless every entry of every value is
     finite; a callable message is called for its text, on failure only."""
     if not all(np.isfinite(v).all() for v in values):
         raise NumericDegeneracyError(message() if callable(message) else message)
+
+
+def _built(m, message) -> "CovarianceMatrix":
+    """``CovarianceMatrix(m)`` of a state built from valid input, so physical in exact
+    arithmetic: a check it fails is float64's, NumericDegeneracyError(message), as in ``_held``."""
+    try:
+        return CovarianceMatrix(m)
+    except ValidationError:
+        raise NumericDegeneracyError(message() if callable(message) else message) from None
 
 
 @functools.cache
@@ -120,7 +128,7 @@ def _check_positive_definite(m: np.ndarray, what: str) -> np.ndarray:
     except np.linalg.LinAlgError:
         chol = None
     if chol is None or not np.isfinite(chol).all():
-        raise NotPositiveDefiniteError(f"{what} is not positive definite")
+        raise ValidationError(f"{what} is not positive definite")
     return chol
 
 
@@ -222,7 +230,10 @@ class CovarianceMatrix:
 
 
 def _quad_indices(n_modes: int, modes) -> list[int]:
-    modes = list(modes)
+    try:
+        modes = [operator.index(k) for k in modes]
+    except TypeError:
+        raise ValidationError(f"modes must be an iterable of integers, got {modes!r}") from None
     if len(set(modes)) != len(modes):
         raise ValidationError("duplicate mode indices")
     for k in modes:
@@ -303,21 +314,22 @@ def vacuum_cm(n_modes: int = 1) -> CovarianceMatrix:
 
 
 def thermal_cm(variance: float, n_modes: int = 1) -> CovarianceMatrix:
-    """Thermal state of the given quadrature variance (vacuum at 1)."""
+    """Thermal state of the given quadrature variance (vacuum at 1); NumericDegeneracyError past float64."""
     if not 1.0 - UNCERTAINTY_TOL <= variance <= _FLOAT_MAX:
         raise ValidationError(f"thermal variance must be finite and >= 1 in shot-noise units, got {variance!r}")
     if n_modes < 1:
         raise ValidationError("n_modes must be a positive integer")
-    return CovarianceMatrix(variance * np.eye(2 * n_modes))
+    return _built(variance * np.eye(2 * n_modes),
+                  f"the thermal state of variance {variance:g} cannot be held in float64")
 
 
 def tmsv_cm(mu: float) -> CovarianceMatrix:
-    """Two-mode squeezed vacuum with finite quadrature variance mu >= 1."""
+    """Two-mode squeezed vacuum of finite quadrature variance mu >= 1; NumericDegeneracyError past float64."""
     if not 1.0 <= mu <= _FLOAT_MAX:
         raise ValidationError(f"TMSV variance must be finite and >= 1, got {mu!r}")
     c = math.sqrt(mu - 1.0) * math.sqrt(mu + 1.0)  # sqrt(mu^2 - 1) without squaring mu
     z = np.diag([c, -c], 2)  # q-q and p-p couplings of the two modes
-    return CovarianceMatrix(mu * np.eye(4) + z + z.T)
+    return _built(mu * np.eye(4) + z + z.T, f"the TMSV of variance {mu:g} cannot be held in float64")
 
 
 def direct_sum(*cms) -> CovarianceMatrix:
@@ -359,10 +371,9 @@ def rotation(theta: float) -> SymplecticMatrix:
 
 def expand_symplectic(s: SymplecticMatrix, modes, n_total: int) -> SymplecticMatrix:
     """Embed a k-mode symplectic matrix into n_total modes, identity elsewhere."""
-    modes = list(modes)
-    if len(modes) != s.n_modes:
-        raise ValidationError("mode list does not match the symplectic matrix size")
     idx = _quad_indices(n_total, modes)
+    if len(idx) != 2 * s.n_modes:
+        raise ValidationError("mode list does not match the symplectic matrix size")
     out = np.eye(2 * n_total)
     out[np.ix_(idx, idx)] = s.m
     return SymplecticMatrix(out)
@@ -482,8 +493,9 @@ def smallest_pts_eigenvalue(cm, modes):
     NumericDegeneracyError.  A float for one matrix, an array over the
     leading axes for a stack.
     """
-    modes = list(modes)
-    m = partial_transpose(cm, modes)
+    m = _check_2n(_as_matrix(cm), "matrix")
+    modes = [q // 2 for q in _quad_indices(m.shape[-1] // 2, modes)[::2]]
+    m = partial_transpose(m, modes)
     if m.shape[-2:] == (4, 4) and len(modes) == 1:
         return two_mode_spectrum(m)[0]
     return _unstack(_positive(symplectic_spectrum(m)[..., 0]))
@@ -520,9 +532,9 @@ def displace(state: GaussianState, d) -> GaussianState:
 
 
 def _computed_state(mean, m, labels, what: str) -> GaussianState:
-    """The state of moments computed from finite ones; NumericDegeneracyError where they overflowed."""
-    _held(f"the {what} overflows float64", mean, m)
-    return GaussianState(mean, CovarianceMatrix(m), labels)
+    """The state of moments computed from a valid state's; NumericDegeneracyError where float64 cannot hold it."""
+    _held(f"the {what} overflows float64", mean)
+    return GaussianState(mean, _built(m, f"the {what} cannot be held in float64"), labels)
 
 
 def _condition(v, kept, measured, noise: float, message: str):
@@ -550,11 +562,12 @@ def condition_on_gaussian_measurement(
     measured modes followed by homodyne of (q1-q2)/sqrt(2) and
     (p1+p2)/sqrt(2)).  ``outcome`` holds the measured values: two per mode
     for heterodyne, the pair (q_minus, p_plus) for bell; it defaults to
-    zeros.  The conditional covariance matrix never depends on the outcome.
+    zeros.  The conditional covariance matrix never depends on the outcome,
+    and one that float64 cannot hold is a NumericDegeneracyError.
     """
-    measured = list(measured_modes)
     n = state.n_modes
-    mi = _quad_indices(n, measured)  # validates range and duplicates
+    mi = _quad_indices(n, measured_modes)
+    measured = [q // 2 for q in mi[::2]]
     if len(measured) == n:
         raise ValidationError("at least one mode must be retained")
     kept = [k for k in range(n) if k not in set(measured)]

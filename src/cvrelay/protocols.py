@@ -35,6 +35,7 @@ from .gaussian import (
     NumericDegeneracyError,
     ValidationError,
     _as_matrix,
+    _built,
     _check_finite,
     _condition,
     _h_arr,
@@ -76,6 +77,7 @@ class SwapInput:
     def __post_init__(self):
         if not (isinstance(self.mu, numbers.Real) and 1.0 <= self.mu <= _FLOAT_MAX):
             raise ValidationError(f"mu must be finite and >= 1, got {self.mu!r}")
+        object.__setattr__(self, "mu", float(self.mu))
         _checked_family(type(self.env))
 
 
@@ -288,10 +290,10 @@ def evolved_cm(inp, family=None, params=None) -> CovarianceMatrix:
     ``evolved_cm(SwapInput)`` builds one 8x8 state.  ``evolved_cm(mu, family,
     params)`` builds a stack in one pass: ``family`` is ``ThermalEnvironment``
     or ``AdditiveEnvironment`` and ``params`` maps its fields to
-    broadcastable values, whose broadcast shape the stack takes.  Either way
-    the result is validated as one ``CovarianceMatrix``.  A non-finite
-    parameter or a negative transmissivity raises ValidationError, entries
-    past the float64 range NumericDegeneracyError, naming mu.
+    broadcastable values, whose broadcast shape the stack takes.  A
+    non-finite parameter, a cell outside the family's physical mask or a
+    tau outside [0, 1] raises ValidationError; a result float64
+    cannot hold or validate, NumericDegeneracyError naming the largest mu.
     """
     if isinstance(inp, SwapInput):
         inp, family, params = inp.mu, type(inp.env), vars(inp.env)
@@ -302,16 +304,16 @@ def evolved_cm(inp, family=None, params=None) -> CovarianceMatrix:
     with np.errstate(over="ignore", invalid="ignore"):
         t, e, h, hp = family.links(**params)
         c, x = np.sqrt(mu * mu - 1.0) * np.sqrt(t), t * mu + e
-    if not (all(np.isfinite(v).all() for v in params.values()) and np.all(t >= 0.0)):
-        raise ValidationError("the environment parameters must be finite and the transmissivity >= 0")
-    _held(lambda: f"the evolved states at mu={np.max(mu):g} overflow float64", c, x, h, hp)
+    if not (all(np.isfinite(v).all() for v in params.values()) and np.all(family.masks(**params)[0])
+            and np.all((t >= 0.0) & (t <= 1.0))):
+        raise ValidationError("the environment parameters must be finite and physical, with tau in [0, 1]")
     entries = {(0, 0): mu, (1, 1): mu, (2, 2): mu, (3, 3): mu, (4, 4): x, (5, 5): x,
                (6, 6): x, (7, 7): x, (0, 4): c, (1, 5): -c, (2, 6): c, (3, 7): -c,
                (4, 6): h, (5, 7): hp}
     m = np.zeros(np.broadcast_shapes(*map(np.shape, entries.values())) + (8, 8))
     for (i, j), value in entries.items():
         m[..., i, j] = m[..., j, i] = value
-    return CovarianceMatrix(m)
+    return _built(m, lambda: f"the evolved states at mu={np.max(mu):g} cannot be held in float64")
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +325,15 @@ def swapped_cm(inp: SwapInput) -> CovarianceMatrix:
 
     Independent of the broadcast outcome, which only shifts the mean.  Both
     sources have variance mu; the q sector is damped by theta_q = mu + kappa
-    and the p sector by theta_p = mu + kappa'.
+    and the p sector by theta_p = mu + kappa'.  NumericDegeneracyError past float64.
     """
     mu = inp.mu
     k, kp = kappa_params(inp.env)
     tmu = math.sqrt(mu * mu - 1.0)
     dq, dp = tmu * tmu / (2 * (mu + k)), tmu * tmu / (2 * (mu + kp))  # (mu^2 - 1) / (2 theta)
-    return CovarianceMatrix(np.array([[mu - dq, 0.0, dq, 0.0], [0.0, mu - dp, 0.0, -dp],
-                                      [dq, 0.0, mu - dq, 0.0], [0.0, -dp, 0.0, mu - dp]]))
+    return _built(np.array([[mu - dq, 0.0, dq, 0.0], [0.0, mu - dp, 0.0, -dp],
+                            [dq, 0.0, mu - dq, 0.0], [0.0, -dp, 0.0, mu - dp]]),
+                  f"the swapped state at mu={mu:g} cannot be held in float64")
 
 
 def thermal_reactivation_g(tau: float, gp, omega: float | None = None):
@@ -363,6 +366,7 @@ def additive_reactivation_c(n: float, cp):
     """
     if not 0.0 < n <= _FLOAT_MAX:
         raise ValidationError("threshold curve requires finite n > 0")
+    n = float(n)
     cp = np.asarray(cp, float)
     if not np.all((cp > -1.0) & (cp < math.inf)):
         raise ValidationError("threshold curve requires finite c' > -1")

@@ -137,6 +137,31 @@ _OUT_OF_DOMAIN_CALLS = {
     "log_negativity(4x4, [0, 0])": lambda: cvrelay.log_negativity(_SWAPPED, [0, 0]),
     "ppt_min_eigenvalue(8x8, [0, 0])": lambda: cvrelay.ppt_min_eigenvalue(
         cvrelay.evolved_cm(cvrelay.SwapInput(6.5, _ADDITIVE_ENV)), [0, 0]),
+    # a mode that is not an integer, or a mode list that is not iterable
+    "partial_transpose(4x4, [0.5])": lambda: cvrelay.partial_transpose(np.eye(4), [0.5]),
+    "log_negativity(4x4, [0.5])": lambda: cvrelay.log_negativity(np.eye(4), [0.5]),
+    "quadripartite_numeric(8x8, 1.5)": lambda: cvrelay.quadripartite_numeric(np.eye(8), 1.5),
+    "CovarianceMatrix.reduced([0.5])": lambda: cvrelay.vacuum_cm(2).reduced([0.5]),
+    "GaussianState.reduced([1.0])": lambda: _STATE2.reduced([1.0]),
+    "permute_modes([1.0, 0])": lambda: cvrelay.permute_modes(_STATE2, [1.0, 0]),
+    "partial_transpose(4x4, 0)": lambda: cvrelay.partial_transpose(np.eye(4), 0),
+    "ppt_min_eigenvalue(4x4, 0)": lambda: cvrelay.ppt_min_eigenvalue(np.eye(4), 0),
+    "smallest_pts_eigenvalue(4x4, 0)": lambda: cvrelay.smallest_pts_eigenvalue(np.eye(4), 0),
+    "expand_symplectic(beam_splitter, 0, 2)": lambda: cvrelay.expand_symplectic(cvrelay.beam_splitter(0.5), 0, 2),
+    "condition_on_gaussian_measurement(modes=0)": lambda: cvrelay.condition_on_gaussian_measurement(
+        _STATE2, 0, "heterodyne"),
+    # stack cells outside the family's physical mask, or a transmissivity
+    # outside [0, 1], whose state float64 would validate: the band clamps
+    # the additive ones to their edge state, and vacuum sources (mu = 1)
+    # hide the thermal ones
+    "evolved_cm(additive stack, n=-0.5)": lambda: cvrelay.evolved_cm(
+        6.5, cvrelay.AdditiveEnvironment, {"n": -0.5, "c": 0.0, "cp": 0.0}),
+    "evolved_cm(additive stack, c=1.5)": lambda: cvrelay.evolved_cm(
+        6.5, cvrelay.AdditiveEnvironment, {"n": 1.0, "c": 1.5, "cp": 0.0}),
+    "evolved_cm(thermal stack, mu=1, g=-g'=1.9 at omega=2)": lambda: cvrelay.evolved_cm(
+        1.0, cvrelay.ThermalEnvironment, {"tau": 0.5, "omega": 2.0, "g": 1.9, "gp": -1.9}),
+    "evolved_cm(thermal stack, mu=1, tau=1.2)": lambda: cvrelay.evolved_cm(
+        1.0, cvrelay.ThermalEnvironment, {"tau": np.array([0.5, 1.2]), "omega": 1.0, "g": 0.0, "gp": 0.0}),
 }
 
 
@@ -185,6 +210,15 @@ def test_finite_input_past_float64_is_a_numeric_degeneracy_at_the_library_entry(
         call()
 
 
+def test_a_python_int_inside_float64_is_stored_as_a_float():
+    # int arithmetic on 10**200 leaves float64 (10**400, or a C long): each
+    # scalar entry stores its number as a float, so the formulas see 1e200
+    assert cvrelay.ThermalEnvironment(0.5, 10**200, 0, 0).omega == 1e200
+    assert cvrelay.SwapInput(10**200, _ADDITIVE_ENV).mu == 1e200
+    assert cvrelay.additive_reactivation_c(10**200, 0) == 1.0
+    assert [type(v) for v in vars(cvrelay.AdditiveEnvironment(1, 0, 0)).values()] == [float] * 3
+
+
 def test_an_empty_stack_passes_the_overflow_guard():
     # the texts that name the largest mu or omega of a stack are built only on failure
     params = {"n": 1.0, "c": 0.5, "cp": 0.0}
@@ -218,21 +252,36 @@ def test_a_pts_eigenvalue_lost_to_rounding_is_a_numeric_degeneracy(call):
 
 
 _BELOW_OMEGA = math.nextafter(1e30, 0.0)
-_UNHELD_ENV_CALLS = {
-    "thermal_env_cm(omega=1e30, g=g'=nextafter(1e30, 0))": lambda: cvrelay.thermal_env_cm(
-        cvrelay.ThermalEnvironment(0.9, 1e30, _BELOW_OMEGA, _BELOW_OMEGA)),
-    "thermal_env_cm(omega=1e30, g=-g'=nextafter(1e30, 0))": lambda: cvrelay.thermal_env_cm(
-        cvrelay.ThermalEnvironment(0.9, 1e30, _BELOW_OMEGA, -_BELOW_OMEGA)),
-}
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("call", _UNHELD_ENV_CALLS.values(), ids=_UNHELD_ENV_CALLS.keys())
-def test_a_bona_fide_environment_whose_matrix_float64_cannot_validate_is_a_numeric_degeneracy(call):
+_HELD = "cannot be held in float64"
+# call, and the text its error must match
+_UNHELD_STATE_CALLS = {
     # the smallest variance products are 2e28 (g' = g) and 2.8e44 (g' = -g), but
     # the Cholesky factor of [[omega I, G], [G, omega I]] loses omega - g^2/omega
     # to rounding: an error naming omega, not a bona-fide violation
-    with pytest.raises(cvrelay.NumericDegeneracyError, match="omega=1e\\+30"):
+    "thermal_env_cm(omega=1e30, g=g'=nextafter(1e30, 0))": (lambda: cvrelay.thermal_env_cm(
+        cvrelay.ThermalEnvironment(0.9, 1e30, _BELOW_OMEGA, _BELOW_OMEGA)), "omega=1e\\+30"),
+    "thermal_env_cm(omega=1e30, g=-g'=nextafter(1e30, 0))": (lambda: cvrelay.thermal_env_cm(
+        cvrelay.ThermalEnvironment(0.9, 1e30, _BELOW_OMEGA, -_BELOW_OMEGA)), "omega=1e\\+30"),
+    # mu^2 - 1 rounds to mu^2, and the Cholesky factor loses mu - (mu^2 - 1)/mu = 1/mu
+    "tmsv_cm(1e8)": (lambda: cvrelay.tmsv_cm(1e8), _HELD),
+    # the symmetrisation 0.5 (m + m^T) overflows
+    "thermal_cm(1e308)": (lambda: cvrelay.thermal_cm(1e308), _HELD),
+    "swapped_cm(mu=1e77)": (lambda: cvrelay.swapped_cm(cvrelay.SwapInput(1e77, _ADDITIVE_ENV)), _HELD),
+    "swapped_cm(mu=1e200)": (lambda: cvrelay.swapped_cm(cvrelay.SwapInput(1e200, _ADDITIVE_ENV)), _HELD),
+    "swapped_cm(mu=10**200)": (lambda: cvrelay.swapped_cm(cvrelay.SwapInput(10**200, _ADDITIVE_ENV)), _HELD),
+    "evolved_cm(mu=1e12, n=0)": (lambda: cvrelay.evolved_cm(
+        cvrelay.SwapInput(1e12, cvrelay.AdditiveEnvironment(0.0))), _HELD),
+    "apply_symplectic(vacuum, rotation @ squeezer(1e8))": (lambda: cvrelay.apply_symplectic(
+        cvrelay.GaussianState(np.zeros(2), cvrelay.vacuum_cm()),
+        cvrelay.rotation(0.3) @ cvrelay.quadrature_squeezer(1e8)), _HELD),
+}
+
+
+@pytest.mark.parametrize("call, match", _UNHELD_STATE_CALLS.values(), ids=_UNHELD_STATE_CALLS.keys())
+def test_a_state_the_library_builds_that_float64_cannot_validate_is_a_numeric_degeneracy(call, match):
+    # built from checked parameters or a valid state, so physical in exact
+    # arithmetic: a failed check is float64's, never a ValidationError
+    with pytest.raises(cvrelay.NumericDegeneracyError, match=match):
         call()
 
 

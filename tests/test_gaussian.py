@@ -530,5 +530,5 @@ def test_singular_conditioning_blocks_raise_numeric_degeneracy():
 
 def test_a_matrix_whose_symmetrisation_overflows_fails_the_cholesky_check():
     # finite entries whose symmetrisation m + m^T is past float64: a non-finite factor
-    with pytest.raises(g.NotPositiveDefiniteError):
+    with pytest.raises(g.ValidationError, match="^covariance matrix is not positive definite$"):
         g.CovarianceMatrix(np.diag([1.5e308, 1.5e308, 2.0, 2.0]))
