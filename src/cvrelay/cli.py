@@ -75,13 +75,8 @@ def _fmt(value) -> str:
 
 
 def _fmt_all(values) -> list:
-    """``_fmt`` of every entry of an array, the formatter picked once by dtype."""
-    a = np.asarray(values)
-    if a.dtype.kind == "f":
-        return [f"{x:.12g}" for x in a.tolist()]
-    if a.dtype.kind == "b":
-        return _BIT_TEXT[a.astype(np.intp)].tolist()
-    return list(map(str, a.tolist()))  # integers and text
+    """``_fmt`` of every entry of a float array."""
+    return [f"{x:.12g}" for x in np.asarray(values).tolist()]
 
 
 def _jsonable(value):
@@ -198,7 +193,8 @@ def _xi_value(args) -> float:
 def _env_summary(env) -> dict:
     """Kind, fields and separability of an environment; thermal ones add the boundary flag."""
     if isinstance(env, envs.ThermalEnvironment):
-        return {"kind": "thermal", **vars(env), "separable": env.is_separable, "boundary": env.is_boundary}
+        _, separable, boundary = env.masks(**vars(env))
+        return {"kind": "thermal", **vars(env), "separable": separable, "boundary": boundary}
     return {"kind": "additive", **vars(env), "separable": True}
 
 
@@ -325,6 +321,28 @@ def _coordinate_columns(axes: list, cells) -> list:
     return [axis[i] for axis, i in zip(axes, np.unravel_index(cells, shape))]
 
 
+def _block_rows(head, physical, columns, names) -> str:
+    """CSV rows of one scan block, rendered by one ``%`` format.
+
+    ``head`` holds each cell's coordinate text and ``columns``, named by
+    ``names``, the physical cells' values: floats as "%.12g" and integers as
+    "%d", as ``_fmt`` spells them, bools and ``_CODE_TEXT`` codes as their
+    text.  A non-physical row prints its placeholders blank, through "%.0s".
+    """
+    values = np.empty((len(physical), len(head) + len(columns)), dtype=object)
+    values[:, :len(head)] = np.column_stack(head)
+    specs = []
+    for j, (name, col) in enumerate(zip(names, columns), len(head)):
+        full = np.zeros(len(physical), col.dtype)
+        full[physical] = col
+        text = _CODE_TEXT.get(name, _BIT_TEXT if col.dtype == bool else None)
+        values[:, j] = full if text is None else text.take(full)
+        specs.append("%s" if text is not None else "%.12g" if col.dtype.kind == "f" else "%d")
+    lead = "%s," * len(head)
+    rows = np.array([f"{lead}0{',%.0s' * len(columns)}\r\n", f"{lead}1,{','.join(specs)}\r\n"], dtype=object)
+    return "".join(rows.take(physical).tolist()) % tuple(values.ravel().tolist())
+
+
 def cmd_scan(args) -> int:
     protocol = _resolve(args, "protocol")
     if protocol not in SCAN_PROTOCOLS:
@@ -350,7 +368,7 @@ def cmd_scan(args) -> int:
     # One loop evaluates the grid MATRIX_BLOCK cells at a time, in row-major
     # order, and holds only the physical cells' columns.  Every block is
     # evaluated before the first byte is written, so a failed scan writes
-    # nothing; then each printed value is formatted once, block by block.
+    # nothing; then each block's rows are rendered by one `%` format.
     size = math.prod(map(len, grid.axes))
     evaluated = []
     for at in range(0, size, MATRIX_BLOCK):
@@ -359,20 +377,13 @@ def cmd_scan(args) -> int:
         metrics = _block_columns(protocol, grid, [c[physical] for c in coords], mu, xi)
         evaluated.append((at, physical, [separable[physical], boundary[physical], *metrics]))
 
-    names = _METRIC_COLUMNS[protocol]
-    spells = [_fmt_all, _fmt_all]  # separable, boundary; flag and region codes are looked up
-    spells += [_CODE_TEXT[name].take if name in _CODE_TEXT else _fmt_all for name in names]
+    names = ["separable", "boundary", *_METRIC_COLUMNS[protocol]]
     axis_text = [np.array(_fmt_all(axis), dtype=object) for axis in grid.axes]
     with _output(args) as fh:
-        fh.write(",".join([*grid.names, "physical", "separable", "boundary", *names]) + "\r\n")
+        fh.write(",".join([*grid.names, "physical", *names]) + "\r\n")
         for at, physical, columns in evaluated:
-            cells = np.arange(at, at + len(physical))
-            block = [*_coordinate_columns(axis_text, cells), _BIT_TEXT[physical.astype(np.intp)]]
-            for col, spell in zip(columns, spells):
-                out = np.full(len(cells), "", dtype=object)
-                out[physical] = spell(col)
-                block.append(out)
-            fh.write("\r\n".join(map(",".join, zip(*(b.tolist() for b in block)))) + "\r\n")
+            fh.write(_block_rows(_coordinate_columns(axis_text, np.arange(at, at + len(physical))),
+                                 physical, columns, names))
     return 0
 
 

@@ -37,13 +37,12 @@ import contextlib
 import itertools
 import math
 import numbers
-import operator
 import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gaussian import _FLOAT_MAX, ValidationError, _condition, _held
+from .gaussian import _FLOAT_MAX, ValidationError, _condition, _count, _held
 from .environments import AdditiveEnvironment, _checked_family, additive_env_classical_cm, kappa_params
 from .protocols import _check_xi, key_rate_from_cm
 
@@ -78,10 +77,7 @@ class ExperimentConfig:
             raise ValidationError(f"modulation variance must be finite and >= 1, got {self.mu!r}")
         _checked_family(type(self.env), AdditiveEnvironment)
         for name in ("shots", "seed", "stream"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.shots < 1:
             raise ValidationError("shots must be a positive integer")
         if not (0 <= self.seed < 2**64 and 0 <= self.stream < 2**64):
@@ -160,8 +156,8 @@ def simulate_shot_batch(config: ExperimentConfig, start: int = 0, stop: int | No
     mixed min(MOMENT_BLOCK, stop - start) shots at a time into one
     (6, stop - start) array whose rows are the returned columns.
     """
-    stop = config.shots if stop is None else stop
-    if not 0 <= start < stop <= config.shots:
+    stop = config.shots if stop is None else _count(stop, "stop")
+    if not 0 <= _count(start, "start") < stop <= config.shots:
         raise ValidationError(f"shot range [{start}, {stop}) is not a non-empty part of [0, {config.shots})")
     sig = math.sqrt(config.mu - 1.0)
     t, r = math.sqrt(config.relay_efficiency), math.sqrt(1.0 - config.relay_efficiency)
@@ -307,7 +303,7 @@ def run_point(
     """
     from concurrent.futures import ThreadPoolExecutor  # here, not at the top: it adds ~4 ms to `import cvrelay.cli`
 
-    if chunk_shots < 1:
+    if _count(chunk_shots, "chunk_shots") < 1:
         raise ValidationError("chunk_shots must be a positive integer")
     if config.mu <= 1.0 + 1e-12:
         raise ValidationError("covariance reconstruction needs signal modulation (mu > 1)")
@@ -341,7 +337,7 @@ def estimate_from_second_moments(cov: np.ndarray, sample_count: int, xi: float =
     cond = _condition(cov, range(4), [4, 5], 0.0, "gamma second-moment block is singular")[0]
     cond = 0.5 * cond + 0.5 * cond.T  # halves before the sum, which could overflow
     cm_hat = cond - np.eye(4)  # heterodyne variables carry one unit of vacuum
-    count = max(sample_count, 1)
+    count = max(_count(sample_count, "sample_count"), 1)
     with np.errstate(over="ignore"):
         stderr = np.sqrt((np.outer(np.diag(cond), np.diag(cond)) + cond**2) / count)
     _held("the standard errors of the estimate overflow float64", stderr)

@@ -17,11 +17,11 @@ bit for bit as in a single call, and a single matrix is simply a stack
 without leading axes.  Stacked calls return arrays; single-matrix calls
 return Python floats.
 
-Three rules of the whole package are written here once: ``_held`` makes a
+Four rules of the whole package are written here once: ``_held`` makes a
 result that float64 cannot hold a NumericDegeneracyError, ``_built`` makes
-a state built from valid input that fails validation one too, and
+a state built from valid input that fails validation one too,
 ``_quad_indices`` rejects a mode that is not an integer, out of range or
-listed twice.
+listed twice, and ``_count`` a count that is not an integer.
 """
 
 from __future__ import annotations
@@ -71,13 +71,21 @@ def _built(m, message) -> "CovarianceMatrix":
         raise NumericDegeneracyError(message() if callable(message) else message) from None
 
 
-@functools.cache
+def _count(n, what: str) -> int:
+    """``operator.index(n)``: an integer count, else a ValidationError naming ``what``."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {n!r}") from None
+
+
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 2.0 is no cache hit for 2
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode.
 
     The array is cached per mode count and read-only.
     """
-    if n_modes < 1:
+    if _count(n_modes, "n_modes") < 1:
         raise ValidationError("n_modes must be a positive integer")
     omega = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     omega.flags.writeable = False
@@ -317,7 +325,7 @@ def thermal_cm(variance: float, n_modes: int = 1) -> CovarianceMatrix:
     """Thermal state of the given quadrature variance (vacuum at 1); NumericDegeneracyError past float64."""
     if not 1.0 - UNCERTAINTY_TOL <= variance <= _FLOAT_MAX:
         raise ValidationError(f"thermal variance must be finite and >= 1 in shot-noise units, got {variance!r}")
-    if n_modes < 1:
+    if _count(n_modes, "n_modes") < 1:
         raise ValidationError("n_modes must be a positive integer")
     return _built(variance * np.eye(2 * n_modes),
                   f"the thermal state of variance {variance:g} cannot be held in float64")
@@ -371,7 +379,7 @@ def rotation(theta: float) -> SymplecticMatrix:
 
 def expand_symplectic(s: SymplecticMatrix, modes, n_total: int) -> SymplecticMatrix:
     """Embed a k-mode symplectic matrix into n_total modes, identity elsewhere."""
-    idx = _quad_indices(n_total, modes)
+    idx = _quad_indices(_count(n_total, "n_total"), modes)
     if len(idx) != 2 * s.n_modes:
         raise ValidationError("mode list does not match the symplectic matrix size")
     out = np.eye(2 * n_total)

@@ -31,6 +31,7 @@ def test_every_name_the_benchmark_oracle_uses_is_exported():
 
 _THERMAL_ENV, _ADDITIVE_ENV = cvrelay.ThermalEnvironment(0.9, 2.0), cvrelay.AdditiveEnvironment(1.0, 0.5, 0.5)
 _STATE2 = cvrelay.GaussianState(np.zeros(4), cvrelay.vacuum_cm(2))
+_CONFIG = cvrelay.ExperimentConfig(52.0, _ADDITIVE_ENV, 10_000, 1)
 _HUGE_INT = 10**400
 _SWAPPED = cvrelay.swapped_cm(cvrelay.SwapInput(6.5, cvrelay.ThermalEnvironment(0.9, 19.38, 18.0, -18.0)))
 _NAN4, _INF4, _NAN6 = np.full((4, 4), math.nan), np.diag([math.inf, 1.0, 1.0, 1.0]), np.full((6, 6), math.nan)
@@ -150,6 +151,17 @@ _OUT_OF_DOMAIN_CALLS = {
     "expand_symplectic(beam_splitter, 0, 2)": lambda: cvrelay.expand_symplectic(cvrelay.beam_splitter(0.5), 0, 2),
     "condition_on_gaussian_measurement(modes=0)": lambda: cvrelay.condition_on_gaussian_measurement(
         _STATE2, 0, "heterodyne"),
+    # a count that is not an integer
+    "symplectic_form(1.5)": lambda: cvrelay.symplectic_form(1.5),
+    "symplectic_form(2.0), 2 cached": lambda: (cvrelay.symplectic_form(2), cvrelay.symplectic_form(2.0)),
+    "vacuum_cm(1.5)": lambda: cvrelay.vacuum_cm(1.5),
+    "thermal_cm(1, 2.5)": lambda: cvrelay.thermal_cm(1.0, 2.5),
+    "expand_symplectic(beam_splitter, [0, 1], 2.0)": lambda: cvrelay.expand_symplectic(
+        cvrelay.beam_splitter(0.5), [0, 1], 2.0),
+    "simulate_shot_batch(config, 0, 2.5)": lambda: cvrelay.simulate_shot_batch(_CONFIG, 0, 2.5),
+    "run_point(config, '4096')": lambda: cvrelay.run_point(_CONFIG, "4096"),
+    "estimate_from_second_moments(cov, 'a')": lambda: cvrelay.estimate_from_second_moments(
+        cvrelay.exact_second_moments(_CONFIG), "a"),
     # stack cells outside the family's physical mask, or a transmissivity
     # outside [0, 1], whose state float64 would validate: the band clamps
     # the additive ones to their edge state, and vacuum sources (mu = 1)

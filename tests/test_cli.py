@@ -438,14 +438,58 @@ def test_numeric_formatting_is_12_significant_digits(capsys):
 
 
 def test_column_formatter_equals_the_value_formatter():
-    from cvrelay.cli import _fmt, _fmt_all
+    from cvrelay.cli import _block_rows, _fmt, _fmt_all
 
     floats = np.array([0.25, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1.23456789012e14, 1.0 / 3.0])
     assert _fmt_all(floats) == ["0.25", "-0", "nan", "inf", "-inf", "1e-300", "1.23456789012e+14",
                                 "0.333333333333"]
-    for column in (floats, np.array([True, False]), np.array([0, -7, 2**40]),
-                   np.array([3], dtype=np.uint8), np.array(["I", "IV", ""])):
-        assert _fmt_all(column) == [_fmt(v) for v in column.tolist()]
+    assert _fmt_all(floats) == [_fmt(v) for v in floats.tolist()]
+    # the other dtypes a scan prints, through the block renderer
+    for column in (floats, np.array([True, False]), np.array([0, -7, 2**40]), np.array([3], dtype=np.uint8)):
+        head = [np.array(["x"] * len(column), dtype=object)]
+        assert _block_rows(head, np.ones(len(column), dtype=bool), [column], ["value"]) == "".join(
+            f"x,1,{_fmt(v)}\r\n" for v in column.tolist())
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                2.0**53 + 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_axes=st.sampled_from([1, 2]), n=st.integers(1, 9),
+       mask=st.sampled_from(["all", "none", "single", "any"]))
+def test_block_renderer_equals_the_value_formatter_row_by_row(data, n_axes, n, mask):
+    # every rendered row is the row of _fmt values a scan prints, with
+    # blanks for the metric cells of a non-physical row
+    from cvrelay import entanglement as ent
+    from cvrelay import protocols as prot
+    from cvrelay.cli import _block_rows, _fmt
+
+    if mask == "single":
+        physical = np.arange(n) == data.draw(st.integers(0, n - 1))
+    elif mask == "any":
+        physical = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    else:
+        physical = np.full(n, mask == "all")
+    head = [np.array(data.draw(st.lists(st.sampled_from(["-0", "0.5", "1e-300", "19.38"]), min_size=n,
+                                        max_size=n)), dtype=object) for _ in range(n_axes)]
+
+    def column(values, dtype):
+        return np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+    columns = {  # name: (every cell's value, the value _fmt prints)
+        "separable": (column(st.booleans(), bool), bool),
+        "key_rate": (column(st.floats() | st.sampled_from(_EDGE_FLOATS), float), float),
+        "tri_class": (column(st.integers(-2**62, 2**62), np.int64), int),
+        "qkd_ok": (column(st.integers(0, 2), np.int8), prot.FLAG_VALUES.__getitem__),
+        "region": (column(st.integers(0, len(ent.REGIONS) - 1), np.int8), ent.REGIONS.__getitem__),
+    }
+    rendered = _block_rows(head, physical, [values[physical] for values, _ in columns.values()], list(columns))
+    rows = []
+    for i in range(n):
+        metrics = [_fmt(value(values[i].item())) if physical[i] else "" for values, value in columns.values()]
+        rows.append(",".join([*(h[i] for h in head), _fmt(physical[i]), *metrics]) + "\r\n")
+    assert rendered == "".join(rows)
 
 
 @pytest.mark.parametrize("axes", [
