@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
-    _FLOAT_MAX,
     NumericDegeneracyError,
     ValidationError,
     _as_matrix,
+    _floats,
     _held,
+    _real,
     _transpose,
     _unstack,
     partial_transpose,
@@ -186,7 +187,7 @@ def _tripartite_core(m: np.ndarray):
 
 def tripartite_classify(cm) -> TripartiteClass:
     """Classify a three-mode Gaussian state by per-mode PPT plus witness test."""
-    m = _as_matrix(cm)  # a non-finite one fails the PPT tests' partial_transpose
+    m = _as_matrix(cm, "matrix")
     if m.shape != (6, 6):
         raise ValidationError("tripartite classification requires a three-mode state")
     class_id, ppt, certified = _tripartite_core(m[None])
@@ -220,11 +221,11 @@ def quad_sigma_functions(tau: float, r: float, g, gp) -> dict:
     and f'' are inf and sigma', sigma'' are f; a sigma' or sigma'' that
     float64 cannot hold raises NumericDegeneracyError, naming r.
     """
-    if not 0.0 < tau < 1.0:
+    if not 0.0 < (tau := _real(tau, "transmissivity")) < 1.0:
         raise ValidationError(f"transmissivity must lie in (0, 1), got {tau!r}")
-    g, gp = np.asarray(g, float), np.asarray(gp, float)  # float64 powers overflow to inf, not an error
-    if not (abs(r) <= _FLOAT_MAX and np.isfinite(g).all() and np.isfinite(gp).all()):
-        raise ValidationError("the quadripartite classifier needs finite r, g and g'")
+    g, gp = _floats(g, "g"), _floats(gp, "g'")  # float64 powers overflow to inf, not an error
+    if not math.isfinite(r := _real(r, "r")):
+        raise ValidationError("the quadripartite classifier needs a finite r")
     opt, omt, r = 1.0 + tau, 1.0 - tau, np.float64(r)
     with np.errstate(over="ignore", invalid="ignore"):
         f = opt**2 * (r * r - 1.0) - g * g * omt**2
@@ -299,7 +300,7 @@ def quadripartite_numeric(cm, grouping_mode: int | str) -> str:
             grouping_mode = _MODE_NAMES.index(grouping_mode)
         except ValueError:
             raise ValidationError(f"unknown mode name {grouping_mode!r}") from None
-    m = _as_matrix(cm)
+    m = _as_matrix(cm, "matrix")
     if m.shape != (8, 8):
         raise ValidationError("quadripartite test requires a four-mode state")
     margin, tol = _ppt_margins(m, [grouping_mode])
@@ -310,7 +311,7 @@ def quadripartite_numeric_regions(cm):
     """Finite-mu twin of ``quadripartite_regions`` over a stack of four-mode
     states: the PPT margins of modes a and A' and their region codes, which
     are the ``quadripartite_numeric`` verdicts, or "boundary" within tol."""
-    m = _as_matrix(cm)
+    m = _as_matrix(cm, "matrix")
     if m.shape[-2:] != (8, 8):
         raise ValidationError("quadripartite test requires a four-mode state")
     margins, tol = _ppt_margins(m, (0, 2))

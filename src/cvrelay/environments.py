@@ -20,12 +20,11 @@ thermal map reads the variances of a 50:50 beam splitter's two output modes.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import _FLOAT_MAX, CovarianceMatrix, ValidationError, _built, _h_arr, _held
+from .gaussian import _FLOAT_MAX, CovarianceMatrix, ValidationError, _built, _h_arr, _held, _real
 
 BOUNDARY_BAND = 1e-9
 
@@ -76,9 +75,9 @@ def holds(slacks):
 def _check_finite(env):
     """Each field of ``env`` stored as a float; a ValidationError unless it is a finite number."""
     for name, value in vars(env).items():
-        if not (isinstance(value, numbers.Real) and abs(value) <= _FLOAT_MAX):
+        if not abs(value := _real(value, name)) <= _FLOAT_MAX:
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        object.__setattr__(env, name, float(value))
+        object.__setattr__(env, name, value)
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,7 @@ def kappa_params(env) -> tuple[float, float]:
 
 def entanglement_breaking_threshold(tau: float) -> float:
     """Thermal variance (1 + tau) / (1 - tau) above which each link breaks entanglement."""
-    if not 0.0 < tau < 1.0:
+    if not 0.0 < (tau := _real(tau, "transmissivity")) < 1.0:
         raise ValidationError(f"transmissivity must lie in (0, 1), got {tau!r}")
     return (1.0 + tau) / (1.0 - tau)
 

@@ -36,13 +36,12 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import numbers
 import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gaussian import _FLOAT_MAX, ValidationError, _condition, _count, _held
+from .gaussian import _FLOAT_MAX, ValidationError, _condition, _count, _floats, _held, _real
 from .environments import AdditiveEnvironment, _checked_family, additive_env_classical_cm, kappa_params
 from .protocols import _check_xi, key_rate_from_cm
 
@@ -73,16 +72,17 @@ class ExperimentConfig:
     stream: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.mu, numbers.Real) and 1.0 <= self.mu <= _FLOAT_MAX):
+        for name, read in (("mu", _real), ("relay_efficiency", _real), ("xi", _real),
+                           ("shots", _count), ("seed", _count), ("stream", _count)):
+            object.__setattr__(self, name, read(getattr(self, name), name))
+        if not 1.0 <= self.mu <= _FLOAT_MAX:
             raise ValidationError(f"modulation variance must be finite and >= 1, got {self.mu!r}")
         _checked_family(type(self.env), AdditiveEnvironment)
-        for name in ("shots", "seed", "stream"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.shots < 1:
             raise ValidationError("shots must be a positive integer")
         if not (0 <= self.seed < 2**64 and 0 <= self.stream < 2**64):
             raise ValidationError("seed and stream must be 64-bit unsigned integers")
-        if not (isinstance(self.relay_efficiency, numbers.Real) and 0.0 < self.relay_efficiency <= 1.0):
+        if not 0.0 < self.relay_efficiency <= 1.0:
             raise ValidationError("relay efficiency must lie in (0, 1]")
         _check_xi(self.xi)
 
@@ -330,7 +330,7 @@ def estimate_from_second_moments(cov: np.ndarray, sample_count: int, xi: float =
     Separated from the sampling path so the infinite-statistics limit can be
     fed through the identical reduction.
     """
-    cov = np.asarray(cov, dtype=float)
+    cov = _floats(cov, "joint second-moment matrix", finite=False)  # moments past float64 are a NumericDegeneracyError
     if cov.shape != (6, 6):
         raise ValidationError("joint second-moment matrix must be 6x6")
     _held("joint second moments are not finite", cov)

@@ -17,17 +17,21 @@ bit for bit as in a single call, and a single matrix is simply a stack
 without leading axes.  Stacked calls return arrays; single-matrix calls
 return Python floats.
 
-Four rules of the whole package are written here once: ``_held`` makes a
+The rules of the whole package are written here once: ``_held`` makes a
 result that float64 cannot hold a NumericDegeneracyError, ``_built`` makes
 a state built from valid input that fails validation one too,
 ``_quad_indices`` rejects a mode that is not an integer, out of range or
-listed twice, and ``_count`` a count that is not an integer.
+listed twice, and ``_count`` a count that is not an integer.  Every numeric
+argument is read by one of three readers, whose ValidationError names the
+argument and its first offending entry: ``_real`` a scalar, ``_floats`` an
+array, and ``_as_matrix`` a matrix or a stack of them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -44,7 +48,7 @@ UNCERTAINTY_TOL = 1e-9
 # times that, where it exceeds UNCERTAINTY_TOL.
 _SPECTRUM_ROUNDING = 16.0
 SYMPLECTIC_TOL = 1e-10
-_FLOAT_MAX = float(np.finfo(float).max)  # a Python float, which Python compares with an int exactly
+_FLOAT_MAX = float(np.finfo(float).max)  # the largest finite float64, as a Python float
 
 
 class ValidationError(ValueError):
@@ -71,12 +75,38 @@ def _built(m, message) -> "CovarianceMatrix":
         raise NumericDegeneracyError(message() if callable(message) else message) from None
 
 
+def _real(x, what: str) -> float:
+    """``x`` as a Python float if it is a real number (a bool, an int, a float or numpy's) inside
+    float64, nan and inf left to the entry's domain test; else a ValidationError naming ``what``."""
+    try:
+        if isinstance(x, numbers.Real):
+            return float(x)
+    except OverflowError:  # an int past float64
+        pass
+    raise ValidationError(f"{what} must be a real number inside float64, got {type(x).__name__}")
+
+
+def _floats(x, what: str, finite: bool = True) -> np.ndarray:
+    """``x`` as a float64 array (not a copy where it is one) of numbers ``_real`` reads, finite
+    unless ``finite=False``; else a ValidationError naming ``what`` and its first offending entry."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # ragged nesting
+        raise ValidationError(f"{what} must be an array of real numbers, got ragged nesting") from None
+    if a.dtype.kind not in "biuf" or a.dtype.itemsize > 8:  # entry by entry: objects, floats past float64
+        a = np.array([_real(v, f"each entry of {what}") for v in a.flat]).reshape(a.shape)
+    a = np.asarray(a, dtype=float)
+    if finite and not (ok := np.isfinite(a)).all():
+        raise ValidationError(f"{what} must be finite, got {a[~ok][0]} at flat index {np.argmin(ok)}")
+    return a
+
+
 def _count(n, what: str) -> int:
     """``operator.index(n)``: an integer count, else a ValidationError naming ``what``."""
     try:
         return operator.index(n)
     except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {n!r}") from None
+        raise ValidationError(f"{what} must be an integer, got {type(n).__name__}") from None
 
 
 @functools.lru_cache(maxsize=None, typed=True)  # typed: 2.0 is no cache hit for 2
@@ -92,8 +122,18 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-def _as_matrix(cm) -> np.ndarray:
-    return cm.m if isinstance(cm, CovarianceMatrix) else np.asarray(cm, dtype=float)
+def _as_matrix(cm, what: str, symmetric: bool = False) -> np.ndarray:
+    """The entries of a CovarianceMatrix, or ``_floats(cm, what)`` shaped (..., 2n, 2n)
+    and, with ``symmetric``, every matrix symmetric; else a ValidationError."""
+    if isinstance(cm, CovarianceMatrix):
+        return cm.m
+    m = _floats(cm, what)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0 or m.shape[-1] % 2:
+        raise ValidationError(f"{what} must be 2n x 2n, got shape {m.shape}")
+    if symmetric and np.any(np.abs(m - _transpose(m)).max(axis=(-2, -1))
+                            > SYMMETRY_RTOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))):
+        raise ValidationError(f"{what} is not symmetric")
+    return m
 
 
 def _transpose(m: np.ndarray) -> np.ndarray:
@@ -104,28 +144,6 @@ def _transpose(m: np.ndarray) -> np.ndarray:
 def _unstack(x):
     """Python scalar for a 0-d result, the array itself for a stacked one."""
     return x.item() if np.ndim(x) == 0 else x
-
-
-def _check_finite(m: np.ndarray, what: str) -> np.ndarray:
-    """``m`` itself if every entry is finite; else a ValidationError."""
-    if not np.isfinite(m).all():
-        raise ValidationError(f"{what} has non-finite entries")
-    return m
-
-
-def _check_2n(m: np.ndarray, what: str) -> np.ndarray:
-    """``m`` itself if it is a stack shaped (..., 2n, 2n) of finite matrices; else a ValidationError."""
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0 or m.shape[-1] % 2:
-        raise ValidationError(f"{what} must be 2n x 2n, got shape {m.shape}")
-    return _check_finite(m, what)
-
-
-def _check_2n_symmetric(m: np.ndarray, what: str):
-    """A stack shaped (..., 2n, 2n) of finite, symmetric matrices, or a ValidationError."""
-    _check_2n(m, what)
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    if np.any(np.abs(m - _transpose(m)).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
-        raise ValidationError(f"{what} is not symmetric")
 
 
 def _check_positive_definite(m: np.ndarray, what: str) -> np.ndarray:
@@ -189,8 +207,7 @@ class CovarianceMatrix:
     __slots__ = ("m", "n_modes")
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=float)
-        _check_2n_symmetric(m, "covariance matrix")
+        m = _as_matrix(entries, "covariance matrix", symmetric=True)
         # near the float64 limit a symmetrised entry that overflows fails the
         # Cholesky check, and the spectrum's rounding band saturates at inf
         with np.errstate(over="ignore", invalid="ignore"):
@@ -239,9 +256,9 @@ class CovarianceMatrix:
 
 def _quad_indices(n_modes: int, modes) -> list[int]:
     try:
-        modes = [operator.index(k) for k in modes]
-    except TypeError:
-        raise ValidationError(f"modes must be an iterable of integers, got {modes!r}") from None
+        modes = [_count(k, "each mode") for k in modes]
+    except TypeError:  # not iterable
+        raise ValidationError(f"modes must be an iterable of integers, got {type(modes).__name__}") from None
     if len(set(modes)) != len(modes):
         raise ValidationError("duplicate mode indices")
     for k in modes:
@@ -261,13 +278,11 @@ class GaussianState:
     def __post_init__(self):
         if not isinstance(self.cm, CovarianceMatrix):
             raise ValidationError(f"cm must be a CovarianceMatrix, got {type(self.cm).__name__}")
-        mean = _check_finite(np.array(self.mean, dtype=float), "mean")
+        mean = _floats(self.mean, "mean").copy()
         mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         if mean.shape != (2 * self.cm.n_modes,):
-            raise ValidationError(
-                f"mean has length {mean.shape}, expected {2 * self.cm.n_modes}"
-            )
+            raise ValidationError(f"mean has length {mean.shape}, expected {2 * self.cm.n_modes}")
         labels = tuple(self.labels) or tuple(f"m{k}" for k in range(self.cm.n_modes))
         if len(labels) != self.cm.n_modes:
             raise ValidationError("one label per mode required")
@@ -279,9 +294,8 @@ class GaussianState:
 
     def reduced(self, modes) -> "GaussianState":
         idx = _quad_indices(self.n_modes, modes)
-        return GaussianState(
-            self.mean[idx], self.cm.reduced(modes), tuple(self.labels[k] for k in modes)
-        )
+        modes = [q // 2 for q in idx[::2]]  # read once: ``modes`` may be an iterator
+        return GaussianState(self.mean[idx], self.cm.reduced(modes), tuple(self.labels[k] for k in modes))
 
 
 class SymplecticMatrix:
@@ -290,10 +304,9 @@ class SymplecticMatrix:
     __slots__ = ("m", "n_modes")
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValidationError(f"symplectic matrix must be 2n x 2n, got {m.shape}")
-        _check_finite(m, "symplectic matrix")
+        m = np.array(_as_matrix(entries, "symplectic matrix"))  # a copy, in the layout of the entries
+        if m.ndim != 2:
+            raise ValidationError(f"symplectic matrix must be 2n x 2n, got shape {m.shape}")
         n = m.shape[0] // 2
         omega = symplectic_form(n)
         with np.errstate(over="ignore", invalid="ignore"):  # entries past ~1e154: nan or inf, rejected
@@ -323,7 +336,7 @@ def vacuum_cm(n_modes: int = 1) -> CovarianceMatrix:
 
 def thermal_cm(variance: float, n_modes: int = 1) -> CovarianceMatrix:
     """Thermal state of the given quadrature variance (vacuum at 1); NumericDegeneracyError past float64."""
-    if not 1.0 - UNCERTAINTY_TOL <= variance <= _FLOAT_MAX:
+    if not 1.0 - UNCERTAINTY_TOL <= (variance := _real(variance, "thermal variance")) <= _FLOAT_MAX:
         raise ValidationError(f"thermal variance must be finite and >= 1 in shot-noise units, got {variance!r}")
     if _count(n_modes, "n_modes") < 1:
         raise ValidationError("n_modes must be a positive integer")
@@ -333,7 +346,7 @@ def thermal_cm(variance: float, n_modes: int = 1) -> CovarianceMatrix:
 
 def tmsv_cm(mu: float) -> CovarianceMatrix:
     """Two-mode squeezed vacuum of finite quadrature variance mu >= 1; NumericDegeneracyError past float64."""
-    if not 1.0 <= mu <= _FLOAT_MAX:
+    if not 1.0 <= (mu := _real(mu, "TMSV variance")) <= _FLOAT_MAX:
         raise ValidationError(f"TMSV variance must be finite and >= 1, got {mu!r}")
     c = math.sqrt(mu - 1.0) * math.sqrt(mu + 1.0)  # sqrt(mu^2 - 1) without squaring mu
     z = np.diag([c, -c], 2)  # q-q and p-p couplings of the two modes
@@ -341,9 +354,9 @@ def tmsv_cm(mu: float) -> CovarianceMatrix:
 
 
 def direct_sum(*cms) -> CovarianceMatrix:
-    mats = [_as_matrix(c) for c in cms]
-    if not all(m.ndim == 2 and m.shape[0] == m.shape[1] for m in mats):
-        raise ValidationError("a direct sum takes square matrices")
+    mats = [_as_matrix(c, "matrix") for c in cms]
+    if not all(m.ndim == 2 for m in mats):
+        raise ValidationError("a direct sum takes single matrices, not stacks")
     total = sum(m.shape[0] for m in mats)
     out = np.zeros((total, total))
     at = 0
@@ -355,7 +368,7 @@ def direct_sum(*cms) -> CovarianceMatrix:
 
 def beam_splitter(tau: float) -> SymplecticMatrix:
     """Two-mode beam splitter of transmissivity tau."""
-    if not 0.0 <= tau <= 1.0:
+    if not 0.0 <= (tau := _real(tau, "transmissivity")) <= 1.0:
         raise ValidationError("transmissivity must lie in [0, 1]")
     i2 = np.eye(2)
     t, r = math.sqrt(tau), math.sqrt(1.0 - tau)
@@ -364,14 +377,14 @@ def beam_splitter(tau: float) -> SymplecticMatrix:
 
 def quadrature_squeezer(s: float) -> SymplecticMatrix:
     """Single-mode squeezer diag(s, 1/s) rescaling q by s and p by 1/s."""
-    if not 0.0 < s <= _FLOAT_MAX:
+    if not 0.0 < (s := _real(s, "squeezing scale")) <= _FLOAT_MAX:
         raise ValidationError(f"squeezing scale must be positive and finite, got {s!r}")
     _held(f"squeezing scale {s!r}: 1/s overflows float64", 1.0 / s)
     return SymplecticMatrix(np.diag([s, 1.0 / s]))
 
 
 def rotation(theta: float) -> SymplecticMatrix:
-    if not abs(theta) <= _FLOAT_MAX:
+    if not abs(theta := _real(theta, "rotation angle")) <= _FLOAT_MAX:
         raise ValidationError(f"rotation angle must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
     return SymplecticMatrix(np.array([[c, s], [-s, c]]))
@@ -389,10 +402,13 @@ def expand_symplectic(s: SymplecticMatrix, modes, n_total: int) -> SymplecticMat
 
 def permute_modes(state: GaussianState, order) -> GaussianState:
     """Reorder the modes of a state; `order` lists old indices in new order."""
-    order = list(order)
-    if sorted(order) != list(range(state.n_modes)):
+    try:
+        idx = _quad_indices(state.n_modes, order)
+    except ValidationError:  # not integers, one listed twice or out of range
+        idx = []
+    if len(idx) != 2 * state.n_modes:
         raise ValidationError("order must be a permutation of all mode indices")
-    return state.reduced(order)
+    return state.reduced([q // 2 for q in idx[::2]])
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +421,7 @@ def symplectic_spectrum(cm) -> np.ndarray:
     Raw arrays are accepted but must be shaped (..., 2n, 2n), finite,
     symmetric and positive definite.
     """
-    m = _as_matrix(cm)
-    if not isinstance(cm, CovarianceMatrix):
-        _check_2n_symmetric(m, "matrix")
-    return _spectrum_of(m)
+    return _spectrum_of(_as_matrix(cm, "matrix", symmetric=True))
 
 
 def _positive(nu: np.ndarray) -> np.ndarray:
@@ -431,10 +444,9 @@ def two_mode_spectrum(cm):
     ~1e77), or a root that rounding leaves at or below 0, are a
     NumericDegeneracyError.
     """
-    m = _as_matrix(cm)
+    m = _as_matrix(cm, "matrix", symmetric=True)
     if m.shape[-2:] != (4, 4):
         raise ValidationError("closed form requires a two-mode (4x4) matrix")
-    _check_2n_symmetric(m, "matrix")
     _check_positive_definite(m, "matrix")
     with np.errstate(over="ignore", invalid="ignore"):
         det_a = np.linalg.det(m[..., :2, :2])
@@ -455,7 +467,7 @@ def _h_arr(x):
     h = a log2 a - b log2 b with a = (x+1)/2, b = (x-1)/2, written
     log2 a + b log1p(1/b)/ln 2, which does not cancel as x grows; the product
     b log1p(1/b), nan at b = 0 and at b = inf, reads as 0 there (fmax drops a nan)."""
-    x = np.maximum(np.asarray(x, dtype=float), 1.0)
+    x = np.maximum(x, 1.0)
     b = (x - 1.0) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log2((x + 1.0) / 2.0) + np.fmax(b * np.log1p(1.0 / b), 0.0) / math.log(2.0)
@@ -465,7 +477,7 @@ def entropic_h(x):
     """Entropy (bits) of symplectic eigenvalues x >= 1, the checked view of
     ``_h_arr``: a float for a scalar, an array for an array; h(inf) = inf.
     ValidationError for nan or x < 1 - UNCERTAINTY_TOL."""
-    x = np.asarray(x, dtype=float)
+    x = _floats(x, "entropic argument", finite=False)
     if not (x >= 1.0 - UNCERTAINTY_TOL).all():
         raise ValidationError(f"entropic function requires x >= 1, got {float(x.min())!r}")
     return _unstack(_h_arr(x))
@@ -485,7 +497,7 @@ def partial_transpose(cm, modes) -> np.ndarray:
     twice restores the input bit-exactly.  A mode out of range or listed
     twice is a ValidationError.
     """
-    m = _check_2n(_as_matrix(cm), "matrix")
+    m = _as_matrix(cm, "matrix")
     d = np.ones(m.shape[-1])
     d[_quad_indices(m.shape[-1] // 2, modes)[1::2]] = -1.0  # the p rows of the modes
     return d[:, None] * m * d[None, :]
@@ -501,7 +513,7 @@ def smallest_pts_eigenvalue(cm, modes):
     NumericDegeneracyError.  A float for one matrix, an array over the
     leading axes for a stack.
     """
-    m = _check_2n(_as_matrix(cm), "matrix")
+    m = _as_matrix(cm, "matrix")
     modes = [q // 2 for q in _quad_indices(m.shape[-1] // 2, modes)[::2]]
     m = partial_transpose(m, modes)
     if m.shape[-2:] == (4, 4) and len(modes) == 1:
@@ -527,7 +539,7 @@ def apply_symplectic(state: GaussianState, s: SymplecticMatrix, d=None) -> Gauss
     """Gaussian unitary: mean -> S mean + d, V -> S V S^T (d finite); NumericDegeneracyError past float64."""
     if s.n_modes != state.n_modes:
         raise ValidationError("symplectic matrix and state have different mode counts")
-    d = np.zeros(2 * state.n_modes) if d is None else _check_finite(np.asarray(d, dtype=float), "displacement")
+    d = np.zeros(2 * state.n_modes) if d is None else _floats(d, "displacement")
     if d.shape != (2 * state.n_modes,):
         raise ValidationError("displacement vector has the wrong length")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -591,7 +603,7 @@ def condition_on_gaussian_measurement(
         mi, noise, what = [2 * i, 2 * j + 1], 0.0, "homodyne"
     else:
         raise ValidationError(f"unknown measurement kind {kind!r}")
-    z = np.zeros(len(mi)) if outcome is None else _check_finite(np.asarray(outcome, float), f"{kind} outcome")
+    z = np.zeros(len(mi)) if outcome is None else _floats(outcome, f"{kind} outcome")
     if z.shape != (len(mi),):
         raise ValidationError(f"{kind} outcome needs {len(mi)} entries, got shape {z.shape}")
     ki = _quad_indices(n, kept)

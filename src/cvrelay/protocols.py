@@ -24,7 +24,6 @@ reads the environment through its family's ``links`` map.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +35,11 @@ from .gaussian import (
     ValidationError,
     _as_matrix,
     _built,
-    _check_finite,
     _condition,
+    _floats,
     _h_arr,
     _held,
+    _real,
     symplectic_spectrum,
 )
 from .environments import (
@@ -75,9 +75,9 @@ class SwapInput:
     env: ThermalEnvironment | AdditiveEnvironment
 
     def __post_init__(self):
-        if not (isinstance(self.mu, numbers.Real) and 1.0 <= self.mu <= _FLOAT_MAX):
+        object.__setattr__(self, "mu", _real(self.mu, "mu"))
+        if not 1.0 <= self.mu <= _FLOAT_MAX:
             raise ValidationError(f"mu must be finite and >= 1, got {self.mu!r}")
-        object.__setattr__(self, "mu", float(self.mu))
         _checked_family(type(self.env))
 
 
@@ -173,15 +173,14 @@ def relay_metrics(mu, k, kp, xi: float = 1.0, names=None) -> dict:
     names = _METRIC_KEYS if names is None else names
     if not _KEY_SET.issuperset(names):
         raise ValidationError(f"unknown relay metrics {sorted(set(names) - _KEY_SET)}")
-    k, kp = np.asarray(k, float), np.asarray(kp, float)
+    mu, k, kp = _floats(mu, "mu", finite=False), _floats(k, "kappa", finite=False), _floats(kp, "kappa'", finite=False)
     if not (np.all(k >= 0.0) and np.all(kp >= 0.0)):
         raise ValidationError("kappa and kappa' must be >= 0, got a negative or nan value")
-    asymptotic = np.ndim(mu) == 0 and mu == math.inf
+    asymptotic = mu.ndim == 0 and mu == math.inf
     if asymptotic:
         formulas = _large_mu_formulas(k, kp)
     else:
-        _check_xi(xi)
-        mu = np.asarray(mu, float)
+        xi = _check_xi(xi)
         if not np.all(mu >= 1.0):
             raise ValidationError("mu must be >= 1")
         formulas = _finite_mu_formulas(mu, k, kp, xi)
@@ -290,23 +289,25 @@ def evolved_cm(inp, family=None, params=None) -> CovarianceMatrix:
     ``evolved_cm(SwapInput)`` builds one 8x8 state.  ``evolved_cm(mu, family,
     params)`` builds a stack in one pass: ``family`` is ``ThermalEnvironment``
     or ``AdditiveEnvironment`` and ``params`` maps its fields to
-    broadcastable values, whose broadcast shape the stack takes.  A
-    non-finite parameter, a cell outside the family's physical mask or a
-    tau outside [0, 1] raises ValidationError; a result float64
-    cannot hold or validate, NumericDegeneracyError naming the largest mu.
+    broadcastable values, whose broadcast shape the stack takes.  A missing
+    or unknown field, a non-finite parameter, a cell outside the family's
+    physical mask or a tau outside [0, 1] raises ValidationError; a result
+    float64 cannot hold or validate, NumericDegeneracyError naming the largest mu.
     """
     if isinstance(inp, SwapInput):
         inp, family, params = inp.mu, type(inp.env), vars(inp.env)
-    family = _checked_family(family)
-    mu = np.asarray(inp, dtype=float)
-    if not np.all((mu >= 1.0) & (mu < math.inf)):
+    fields = _checked_family(family).__dataclass_fields__
+    if set(params or ()) != fields.keys():
+        raise ValidationError(f"{family.__name__} takes the parameters {', '.join(fields)}")
+    params = {name: _floats(params[name], name) for name in fields}
+    mu = _floats(inp, "mu")
+    if not np.all(mu >= 1.0):
         raise ValidationError("mu must be finite and >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
         t, e, h, hp = family.links(**params)
         c, x = np.sqrt(mu * mu - 1.0) * np.sqrt(t), t * mu + e
-    if not (all(np.isfinite(v).all() for v in params.values()) and np.all(family.masks(**params)[0])
-            and np.all((t >= 0.0) & (t <= 1.0))):
-        raise ValidationError("the environment parameters must be finite and physical, with tau in [0, 1]")
+    if not (np.all(family.masks(**params)[0]) and np.all((t >= 0.0) & (t <= 1.0))):
+        raise ValidationError("the environment parameters must be physical, with tau in [0, 1]")
     entries = {(0, 0): mu, (1, 1): mu, (2, 2): mu, (3, 3): mu, (4, 4): x, (5, 5): x,
                (6, 6): x, (7, 7): x, (0, 4): c, (1, 5): -c, (2, 6): c, (3, 7): -c,
                (4, 6): h, (5, 7): hp}
@@ -345,10 +346,10 @@ def thermal_reactivation_g(tau: float, gp, omega: float | None = None):
     non-finite omega or g', or g' <= -omega, where the curve has no point,
     raises ValidationError; a g past float64 raises NumericDegeneracyError.
     """
-    w_eb = entanglement_breaking_threshold(tau)
-    omega = w_eb if omega is None else omega
-    gp = np.asarray(gp, float)
-    if not (abs(omega) <= _FLOAT_MAX and np.all((gp > -omega) & (gp < math.inf))):
+    w_eb = entanglement_breaking_threshold(tau := _real(tau, "transmissivity"))
+    omega = w_eb if omega is None else _real(omega, "omega")
+    gp = _floats(gp, "g'")
+    if not (abs(omega) <= _FLOAT_MAX and np.all(gp > -omega)):
         raise ValidationError("threshold curve requires finite omega and g' > -omega")
     f = 1.0 / tau - 1.0
     with np.errstate(divide="ignore", over="ignore"):
@@ -364,12 +365,9 @@ def additive_reactivation_c(n: float, cp):
     curve has no point, raises ValidationError; a c past float64 raises
     NumericDegeneracyError.
     """
-    if not 0.0 < n <= _FLOAT_MAX:
-        raise ValidationError("threshold curve requires finite n > 0")
-    n = float(n)
-    cp = np.asarray(cp, float)
-    if not np.all((cp > -1.0) & (cp < math.inf)):
-        raise ValidationError("threshold curve requires finite c' > -1")
+    n, cp = _real(n, "n"), _floats(cp, "c'")
+    if not (0.0 < n <= _FLOAT_MAX and np.all(cp > -1.0)):
+        raise ValidationError("threshold curve requires finite n > 0 and c' > -1")
     with np.errstate(divide="ignore", over="ignore"):
         c = 1.0 - 1.0 / (n * n * (1.0 + cp))
     _held(f"the threshold curve at n={n:g} overflows float64", c)
@@ -409,9 +407,11 @@ def teleport_correction(inp: SwapInput) -> TeleportCorrection:
 # practical QKD
 
 
-def _check_xi(xi: float):
-    if not (isinstance(xi, numbers.Real) and 0.0 < xi <= 1.0):
+def _check_xi(xi) -> float:
+    """``xi`` as a float if it lies in (0, 1]; else a ValidationError."""
+    if not 0.0 < (xi := _real(xi, "reconciliation efficiency")) <= 1.0:
         raise ValidationError(f"reconciliation efficiency must lie in (0, 1], got {xi!r}")
+    return xi
 
 
 def qkd_rate(inp: SwapInput, xi: float = 1.0) -> float:
@@ -437,8 +437,8 @@ def key_rate_from_cm(cm, xi: float = 1.0) -> dict:
 
     Returns a dict with mutual_info, holevo, rate and nu_c.
     """
-    _check_xi(xi)
-    m = _check_finite(_as_matrix(cm), "covariance matrix")
+    xi = _check_xi(xi)
+    m = _as_matrix(cm, "covariance matrix")
     if m.shape != (4, 4):
         raise ValidationError("key-rate evaluation requires a two-mode covariance matrix")
     overflow = "the key rate's 2x2 determinants overflow float64 for entries past 1e154"
@@ -478,7 +478,7 @@ def repeater_bound_phi(n: float) -> float:
     diverges as n -> 0 (noiseless links), and n inside the boundary band
     below 0 reads as 0, as in ``AdditiveEnvironment``.
     """
-    if not n >= -BOUNDARY_BAND:
+    if not (n := _real(n, "additive noise")) >= -BOUNDARY_BAND:
         raise ValidationError(f"additive noise must be >= 0, got {n!r}")
     if n <= 0.0:
         return math.inf

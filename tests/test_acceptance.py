@@ -188,11 +188,7 @@ def test_criterion_4_quadripartite_ring():
         if min(abs(reg.sigma_prime), abs(reg.sigma_double_prime)) < 1e-6 * scale:
             excluded += 1
             continue
-        try:
-            cm = prot.evolved_cm(SwapInput(mu, env))
-        except ValidationError:
-            excluded += 1  # physicality-boundary cell, evolved state singular
-            continue
+        cm = prot.evolved_cm(SwapInput(mu, env))
         num_a = ent.quadripartite_numeric(cm, "a") == "separable-PPT"
         num_ap = ent.quadripartite_numeric(cm, "Ap") == "separable-PPT"
         total += 1

@@ -1,3 +1,5 @@
+import ast
+import functools
 import importlib
 import math
 import re
@@ -174,7 +176,80 @@ _OUT_OF_DOMAIN_CALLS = {
         1.0, cvrelay.ThermalEnvironment, {"tau": 0.5, "omega": 2.0, "g": 1.9, "gp": -1.9}),
     "evolved_cm(thermal stack, mu=1, tau=1.2)": lambda: cvrelay.evolved_cm(
         1.0, cvrelay.ThermalEnvironment, {"tau": np.array([0.5, 1.2]), "omega": 1.0, "g": 0.0, "gp": 0.0}),
+    # a params dict without the family's fields, or with a value that is no number
+    "evolved_cm(additive stack, {'x': 1})": lambda: cvrelay.evolved_cm(6.5, cvrelay.AdditiveEnvironment, {"x": 1}),
+    "evolved_cm(additive stack, no cp)": lambda: cvrelay.evolved_cm(
+        6.5, cvrelay.AdditiveEnvironment, {"n": 1, "c": 0}),
+    "evolved_cm(additive stack, n='a')": lambda: cvrelay.evolved_cm(
+        6.5, cvrelay.AdditiveEnvironment, {"n": "a", "c": 0, "cp": 0}),
+    "permute_modes(state, 0)": lambda: cvrelay.permute_modes(_STATE2, 0),
+    "relay_metrics(6.5, 1j, 1)": lambda: protocols.relay_metrics(6.5, 1j, 1),
 }
+
+
+def _eye_with(v, n):
+    """The n x n identity as nested lists, with v as its first entry."""
+    rows = np.eye(n).tolist()
+    rows[0][0] = v
+    return rows
+
+
+# every array entry, called with v inside its array
+_ARRAY_ENTRIES = {
+    "CovarianceMatrix": lambda v: cvrelay.CovarianceMatrix(_eye_with(v, 2)),
+    "SymplecticMatrix": lambda v: cvrelay.SymplecticMatrix(_eye_with(v, 2)),
+    "direct_sum": lambda v: cvrelay.direct_sum(_eye_with(v, 2)),
+    "GaussianState.mean": lambda v: cvrelay.GaussianState([v, 0.0], cvrelay.vacuum_cm()),
+    "displace": lambda v: cvrelay.displace(_STATE2, [v, 0.0, 0.0, 0.0]),
+    "apply_symplectic(d)": lambda v: cvrelay.apply_symplectic(_STATE2, cvrelay.beam_splitter(0.5), [v, 0, 0, 0]),
+    "condition_on_gaussian_measurement(outcome)": lambda v: cvrelay.condition_on_gaussian_measurement(
+        _STATE2, [0], "heterodyne", [v, 0.0]),
+    "key_rate_from_cm": lambda v: cvrelay.key_rate_from_cm(_eye_with(v, 4)),
+    "estimate_from_second_moments": lambda v: cvrelay.estimate_from_second_moments(_eye_with(v, 6), 10),
+    "symplectic_spectrum": lambda v: cvrelay.symplectic_spectrum(_eye_with(v, 2)),
+    "von_neumann_entropy": lambda v: cvrelay.von_neumann_entropy(_eye_with(v, 2)),
+    "two_mode_spectrum": lambda v: cvrelay.two_mode_spectrum(_eye_with(v, 4)),
+    "partial_transpose": lambda v: cvrelay.partial_transpose(_eye_with(v, 2), [0]),
+    "smallest_pts_eigenvalue": lambda v: cvrelay.smallest_pts_eigenvalue(_eye_with(v, 4), [0]),
+    "log_negativity": lambda v: cvrelay.log_negativity(_eye_with(v, 4), [0]),
+    "ppt_min_eigenvalue": lambda v: cvrelay.ppt_min_eigenvalue(_eye_with(v, 4), [0]),
+    "tripartite_classify": lambda v: cvrelay.tripartite_classify(_eye_with(v, 6)),
+    "quadripartite_numeric": lambda v: cvrelay.quadripartite_numeric(_eye_with(v, 8), 0),
+    "entropic_h": lambda v: cvrelay.entropic_h([v, 2.0]),
+    "relay_metrics(mu)": lambda v: protocols.relay_metrics([v, 2.0], 1.0, 1.0),
+    "relay_metrics(kappa)": lambda v: protocols.relay_metrics(52.0, [v, 1.0], 1.0),
+    "relay_metrics(kappa')": lambda v: protocols.relay_metrics(52.0, 1.0, [v, 1.0]),
+    "quad_sigma_functions(g)": lambda v: cvrelay.quad_sigma_functions(0.5, 1.1, [v, 0.0], 0.0),
+    "quad_sigma_functions(g')": lambda v: cvrelay.quad_sigma_functions(0.5, 1.1, 0.0, [v, 0.0]),
+    "thermal_reactivation_g(g')": lambda v: cvrelay.thermal_reactivation_g(0.5, [v, 0.0]),
+    "additive_reactivation_c(c')": lambda v: cvrelay.additive_reactivation_c(1.0, [v, 0.0]),
+    "evolved_cm(mu stack)": lambda v: cvrelay.evolved_cm([v, 2.0], cvrelay.AdditiveEnvironment,
+                                                         {"n": 1.0, "c": 0.0, "cp": 0.0}),
+    "evolved_cm(params stack)": lambda v: cvrelay.evolved_cm(2.0, cvrelay.AdditiveEnvironment,
+                                                             {"n": [v, 1.0], "c": 0.0, "cp": 0.0}),
+}
+# every scalar entry whose domain test compared its argument as it came
+_SCALAR_ENTRIES = {
+    "thermal_cm": cvrelay.thermal_cm,
+    "tmsv_cm": cvrelay.tmsv_cm,
+    "beam_splitter": cvrelay.beam_splitter,
+    "quadrature_squeezer": cvrelay.quadrature_squeezer,
+    "rotation": cvrelay.rotation,
+    "entanglement_breaking_threshold": cvrelay.entanglement_breaking_threshold,
+    "thermal_reactivation_g(tau)": lambda v: cvrelay.thermal_reactivation_g(v, 0.0),
+    "thermal_reactivation_g(omega)": lambda v: cvrelay.thermal_reactivation_g(0.5, 0.0, v),
+    "additive_reactivation_c(n)": lambda v: cvrelay.additive_reactivation_c(v, 0.0),
+    "repeater_bound_phi": cvrelay.repeater_bound_phi,
+    "quad_sigma_functions(tau)": lambda v: cvrelay.quad_sigma_functions(v, 1.1, 0.0, 0.0),
+    "quad_sigma_functions(r)": lambda v: cvrelay.quad_sigma_functions(0.5, v, 0.0, 0.0),
+}
+# a Python int past float64 inside an array, or a string for the array
+_OUT_OF_DOMAIN_CALLS |= {f"{name}(10**400 inside)": functools.partial(call, _HUGE_INT)
+                         for name, call in _ARRAY_ENTRIES.items()}
+_OUT_OF_DOMAIN_CALLS |= {f"{name}('abc')": functools.partial(call, "abc") for name, call in _ARRAY_ENTRIES.items()}
+# anything but a real number at a scalar position (None is omega's default: the curve at omega_EB)
+_OUT_OF_DOMAIN_CALLS |= {f"{name}({v!r})": functools.partial(call, v) for name, call in _SCALAR_ENTRIES.items()
+                         for v in ("a", 1j, None, [1.0]) if (name, v) != ("thermal_reactivation_g(omega)", None)}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -229,6 +304,72 @@ def test_a_python_int_inside_float64_is_stored_as_a_float():
     assert cvrelay.SwapInput(10**200, _ADDITIVE_ENV).mu == 1e200
     assert cvrelay.additive_reactivation_c(10**200, 0) == 1.0
     assert [type(v) for v in vars(cvrelay.AdditiveEnvironment(1, 0, 0)).values()] == [float] * 3
+
+
+def test_numbers_of_every_real_kind_inside_float64_are_read_as_float64():
+    # a Python int past int64 is read entry by entry, as a scalar is, and
+    # bool, int and float32 arrays convert exactly: the bits of float64 input
+    rm = protocols.relay_metrics
+    assert rm(52.0, 10**200, 1, names=["epsilon"]) == rm(52.0, 1e200, 1.0, names=["epsilon"])
+    with pytest.raises(cvrelay.NumericDegeneracyError, match="at mu=1e\\+200,"):
+        rm(10**200, 1, 1)
+    typed = rm(np.array([2, 3]), np.array([True, False]), np.float32([0.5, 1.0]))
+    exact = rm(np.array([2.0, 3.0]), np.array([1.0, 0.0]), np.array([0.5, 1.0]))
+    assert [np.asarray(v).tolist() for v in typed.values()] == [np.asarray(v).tolist() for v in exact.values()]
+    tau = np.float32(0.9)  # a scalar is read as a float64 once, for the formula too
+    assert cvrelay.thermal_reactivation_g(tau, 1.0) == cvrelay.thermal_reactivation_g(float(tau), 1.0)
+    cm = cvrelay.vacuum_cm(1)
+    assert np.array_equal(cvrelay.CovarianceMatrix(cm).m, cm.m)
+
+
+def test_a_mode_list_is_read_once():
+    assert _STATE2.reduced(k for k in [1]).labels == ("m1",)
+    assert cvrelay.permute_modes(_STATE2, iter([1, 0])).labels == ("m1", "m0")
+
+
+def test_an_error_names_the_first_offending_entry_not_the_whole_input():
+    stack = np.tile(np.eye(4), (4096, 1, 1))
+    stack[1234, 2, 2] = math.nan
+    with pytest.raises(cvrelay.ValidationError) as err:
+        cvrelay.CovarianceMatrix(stack)
+    assert str(err.value) == "covariance matrix must be finite, got nan at flat index 19754"
+    with pytest.raises(cvrelay.ValidationError) as err:
+        protocols.relay_metrics(52.0, [1.0] * 4095 + [_HUGE_INT], 1.0)
+    assert str(err.value) == "each entry of kappa must be a real number inside float64, got int"
+
+
+def _float_dtype(node) -> bool:
+    """True where the expression ``node`` names a float dtype (``float``, ``np.float64``, "f8", ...)."""
+    try:
+        dtype = eval(compile(ast.Expression(node), "<dtype>", "eval"), {"np": np})
+        return dtype is not None and np.dtype(dtype).kind == "f"  # np.dtype(None) would be float64
+    except (NameError, AttributeError, TypeError):  # a variable, or no dtype at all
+        return False
+
+
+def test_numbers_are_converted_only_by_the_readers_in_gaussian():
+    # one rule for what counts as a real number: ``numbers`` is used, and a
+    # float array made by np.asarray, np.array or astype, only in gaussian's readers
+    found = []
+    for path in sorted(Path(cvrelay.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        if path.name == "gaussian.py":
+            readers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_floats"]
+            exempt = {id(node) for reader in readers for node in ast.walk(reader)}
+            assert readers
+        for node in ast.walk(tree):
+            if path.name != "gaussian.py" and (
+                    isinstance(node, ast.Import) and "numbers" in [alias.name for alias in node.names]
+                    or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+                    or isinstance(node, ast.Name) and node.id == "numbers"):
+                found.append(f"{path.name}:{node.lineno}: numbers")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and id(node) not in exempt
+                    and node.func.attr in ("asarray", "array", "astype")):
+                dtypes = node.args[:1] if node.func.attr == "astype" else node.args[1:2]
+                if any(map(_float_dtype, dtypes + [k.value for k in node.keywords if k.arg == "dtype"])):
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
 
 
 def test_an_empty_stack_passes_the_overflow_guard():
@@ -315,19 +456,23 @@ def test_finite_entries_whose_squares_overflow_still_get_a_ppt_verdict(call):
 
 # The exported functions fed the CLI fuzz alphabet of scalars across the
 # float64 range (with three in-domain values, so that a call of several
-# arguments gets past its first check), and matrices that are scaled
-# identities of one to four modes, a stack of them, or shapes that do not fit.
+# arguments gets past its first check), values that are no real number inside
+# float64 (an int past it, a string, a complex number, None), and matrices
+# that are scaled identities of one to four modes, a stack of them, or shapes
+# that do not fit.  Every value is also drawn inside lists and matrices.
 _X = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, 1e160, 0.0, -1.0, 1e-320,
-                      0.5, 2.0, 52.0])
+                      0.5, 2.0, 52.0, _HUGE_INT, "abc", 1j, None])
 
 
 def _matrix(v, shape):
-    """v times the identity for a square shape, else an array of v (no arithmetic: no warning)."""
-    if len(shape) < 2 or shape[-2] != shape[-1]:
-        return np.full(shape, v)
-    m, diag = np.zeros(shape), np.arange(shape[-1])
-    m[..., diag, diag] = v
-    return m
+    """v times the identity for a square shape, else an array of v (no arithmetic: no warning);
+    as nested lists where v is no float."""
+    m = np.full(shape, v, dtype=object)
+    if len(shape) >= 2 and shape[-2] == shape[-1]:
+        diag = np.arange(shape[-1])
+        m[...] = 0.0
+        m[..., diag, diag] = v
+    return m.astype(float) if isinstance(v, float) else m.tolist()
 
 
 _M = st.builds(_matrix, _X, st.sampled_from([(2, 2), (4, 4), (6, 6), (8, 8), (3, 4, 4), (3, 3), (2, 3), (4,), ()]))
@@ -453,12 +598,12 @@ def _numbers(result):
 @settings(max_examples=100)
 @given(data=st.data())
 def test_every_exported_function_ends_in_an_error_of_the_contract_or_a_number(name, data):
-    # a ValidationError, a NumericDegeneracyError, or a result with no nan:
-    # never a numpy warning, another exception or a silent nan
+    # a ValidationError, a NumericDegeneracyError, or a real result with no
+    # nan: never a numpy warning, another exception, a silent nan or a complex number
     call, args = _EXPORTED_CALLS[name]
     drawn = data.draw(st.tuples(*args))
     try:
         result = call(*drawn)
     except (cvrelay.ValidationError, cvrelay.NumericDegeneracyError):
         return
-    assert not any(np.isnan(x).any() for x in _numbers(result) if x.dtype.kind in "fc"), drawn
+    assert not any(x.dtype.kind == "c" or x.dtype.kind == "f" and np.isnan(x).any() for x in _numbers(result)), drawn
