@@ -147,10 +147,11 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace, key: str, default=None):
-    """Precedence: explicit flag > config file > default."""
-    val = getattr(args, key)
-    return val if val is not None else args._config.get(key, default)
+def _resolve(args: argparse.Namespace, key: str, default=None, parse=str):
+    """``parse`` of the text of option ``key`` (explicit flag > config file > default), or None if unset."""
+    text = getattr(args, key)
+    text = args._config.get(key, default) if text is None else text
+    return None if text is None else parse(str(text))
 
 
 def _family(args):
@@ -167,35 +168,15 @@ def _family(args):
     return envs.AdditiveEnvironment, ("n",), ("c", "cp")
 
 
-def _number(args, key: str, default=None) -> float:
-    return _parse_float(str(_resolve(args, key, default)))
-
-
-def _build_env(args):
-    family, base, correlations = _family(args)
-    return family(**{key: _number(args, key, 0.0) for key in base + correlations})
-
-
 def _mu_value(args) -> float:
-    mu = _resolve(args, "mu")
-    if mu is None:
+    if (mu := _resolve(args, "mu", parse=_parse_float)) is None:
         raise ValidationError("--mu is required")
-    return _parse_float(str(mu))
+    return mu
 
 
 def _xi_value(args) -> float:
     """--xi (default 1), in (0, 1] wherever it is given, whether or not the analysis reads it."""
-    xi = _number(args, "xi", 1.0)
-    prot._check_xi(xi)
-    return xi
-
-
-def _env_summary(env) -> dict:
-    """Kind, fields and separability of an environment; thermal ones add the boundary flag."""
-    if isinstance(env, envs.ThermalEnvironment):
-        _, separable, boundary = env.masks(**vars(env))
-        return {"kind": "thermal", **vars(env), "separable": separable, "boundary": boundary}
-    return {"kind": "additive", **vars(env), "separable": True}
+    return prot._check_xi(_resolve(args, "xi", 1.0, _parse_float))
 
 
 @contextlib.contextmanager
@@ -218,14 +199,18 @@ def _write_text(args, text: str):
 
 
 def cmd_point(args) -> int:
-    env = _build_env(args)
+    family, base, correlations = _family(args)
+    env = family(**{key: _resolve(args, key, 0.0, _parse_float) for key in base + correlations})
     mu = _mu_value(args)
     xi = _xi_value(args)
     if mu == math.inf:
         report = prot.protocol_report_asymptotic(env)
     else:
         report = prot.protocol_report(prot.SwapInput(mu, env), xi)
-    payload = {"env": _env_summary(env), "report": report.to_dict()}
+    _, separable, boundary = map(bool, env.masks(**vars(env)))
+    kind = family.__name__.removesuffix("Environment").lower()  # "thermal" or "additive"
+    payload = {"env": {"kind": kind, **vars(env), "separable": separable, "boundary": boundary},
+               "report": report.to_dict()}
     _write_text(args, json.dumps(_jsonable(payload), indent=2) + "\n")
     return 0
 
@@ -246,13 +231,6 @@ class _Grid:
     def params(self, coords) -> dict:
         return {**self.fixed, **dict(zip(self.names, coords))}
 
-    def masks(self, coords):
-        """Physical, separable and boundary masks at the swept coordinates."""
-        return self.family.masks(**self.params(coords))
-
-    def kappas(self, coords):
-        return self.family.kappas(**self.params(coords))
-
 
 def _grid(args, n_axis: bool) -> _Grid:
     """Resolve the family, the fixed parameters and the axes of a grid run.
@@ -263,13 +241,13 @@ def _grid(args, n_axis: bool) -> _Grid:
     at the origin of the swept axes.
     """
     family, fixed, swept = _family(args)
-    if family is envs.AdditiveEnvironment and len(_parse_axis(str(_resolve(args, "n")), "n")) > 1:
+    if "n" in fixed and len(_resolve(args, "n", parse=lambda t: _parse_axis(t, "n"))) > 1:
         if not n_axis:
             raise ValidationError("an n axis is not supported here; give a single --n")
         fixed, swept = swept, fixed
-    params = {key: _number(args, key, 0.0) for key in fixed}
+    params = {key: _resolve(args, key, 0.0, _parse_float) for key in fixed}
     family(**params, **dict.fromkeys(swept, 0.0))
-    axes = tuple(_parse_axis(str(_resolve(args, name, "")), name) for name in swept)
+    axes = tuple(_resolve(args, name, "", lambda t: _parse_axis(t, name)) for name in swept)
     if math.prod(len(a) for a in axes) > MAX_CELLS:
         raise ValidationError(f"grid exceeds {MAX_CELLS} cells")
     return _Grid(family, params, swept, axes)
@@ -292,8 +270,8 @@ def _block_columns(protocol, grid: _Grid, coords, mu, xi) -> list:
     """
     if protocol in _CLOSED_FORM:
         names = [_RELAY_KEYS.get(col, col) for col in _METRIC_COLUMNS[protocol]]
-        m = prot.relay_metrics(math.inf if protocol == "qkd-asymptotic" else mu, *grid.kappas(coords),
-                               xi, names)
+        m = prot.relay_metrics(math.inf if protocol == "qkd-asymptotic" else mu,
+                               *grid.family.kappas(**grid.params(coords)), xi, names)
         return [m[name] for name in names]
     if mu == math.inf:  # quad-entanglement, from the analytic classifier
         tau, omega = grid.fixed["tau"], grid.fixed["omega"]
@@ -356,7 +334,7 @@ def cmd_scan(args) -> int:
     if mu == math.inf and protocol in ("bipartite", "tripartite"):
         raise ValidationError(f"{protocol} scans need a finite --mu")
     xi = _xi_value(args)
-    threads = str(_resolve(args, "threads", 1))  # accepted and ignored: evaluation is vectorised
+    threads = _resolve(args, "threads", 1)  # accepted and ignored: evaluation is vectorised
     if not threads.isdecimal() or int(threads) < 1:
         raise ValidationError("--threads must be an integer >= 1")
 
@@ -373,7 +351,7 @@ def cmd_scan(args) -> int:
     evaluated = []
     for at in range(0, size, MATRIX_BLOCK):
         coords = _coordinate_columns(grid.axes, np.arange(at, min(at + MATRIX_BLOCK, size)))
-        physical, separable, boundary = grid.masks(coords)
+        physical, separable, boundary = grid.family.masks(**grid.params(coords))
         metrics = _block_columns(protocol, grid, [c[physical] for c in coords], mu, xi)
         evaluated.append((at, physical, [separable[physical], boundary[physical], *metrics]))
 
@@ -452,9 +430,10 @@ def cmd_thresholds(args) -> int:
     def value(x, col):
         """Signed distance to the protocol threshold (positive means active)
         and the physical mask; the distance is nan off the physical cells."""
-        physical = grid.masks((x, col))[0]
+        physical = grid.family.masks(**grid.params((x, col)))[0]
         f = np.full(x.shape, np.nan)
-        f[physical] = prot.relay_metrics(mu, *grid.kappas((x[physical], col[physical])), xi, [key])[key]
+        kappas = grid.family.kappas(**grid.params((x[physical], col[physical])))
+        f[physical] = prot.relay_metrics(mu, *kappas, xi, [key])[key]
         return (1.0 - f if metric == "swap" else f), physical
 
     # sample every column, MATRIX_BLOCK grid cells at a time column by
@@ -481,17 +460,16 @@ def cmd_thresholds(args) -> int:
 # experiment
 
 
-# the sweep's settings as (name, parser, default), in the order the report echoes them
-_EXPERIMENT_SETTINGS = (("mu", _parse_float, 52.0), ("c", _parse_float, 1.0), ("cp", _parse_float, 1.0),
-                        ("eta", _parse_float, 1.0), ("xi", _parse_float, 1.0), ("shots", _parse_int, 10**6),
-                        ("seed", _parse_int, 0))
+# the sweep's settings as (name, default, parser), in the order the report echoes them
+_EXPERIMENT_SETTINGS = (("mu", 52.0, _parse_float), ("c", 1.0, _parse_float), ("cp", 1.0, _parse_float),
+                        ("eta", 1.0, _parse_float), ("xi", 1.0, _parse_float), ("shots", 10**6, _parse_int),
+                        ("seed", 0, _parse_int))
 
 
 def cmd_experiment(args) -> int:
-    n_axis = _parse_axis(str(_resolve(args, "n", "")), "n")
-    settings = {name: parse(str(_resolve(args, name, default)))
-                for name, parse, default in _EXPERIMENT_SETTINGS}
-    chunk = _parse_int(str(_resolve(args, "chunk_shots", expmt.DEFAULT_CHUNK)))
+    n_axis = _resolve(args, "n", "", lambda t: _parse_axis(t, "n"))
+    settings = {name: _resolve(args, name, default, parse) for name, default, parse in _EXPERIMENT_SETTINGS}
+    chunk = _resolve(args, "chunk_shots", expmt.DEFAULT_CHUNK, _parse_int)
     if chunk < 1:
         raise ValidationError("chunk_shots must be a positive integer")
     if args.dump and len(n_axis) != 1:
@@ -515,7 +493,8 @@ def cmd_experiment(args) -> int:
         except (ValidationError, NumericDegeneracyError) as exc:
             point["error"] = str(exc)
         try:
-            point["key_rate_theory"] = prot.qkd_rate(prot.SwapInput(config.mu, env), config.xi)
+            report = prot.protocol_report(prot.SwapInput(config.mu, env), config.xi)
+            point["key_rate_theory"] = report.key_rate
         except NumericDegeneracyError as exc:
             point.setdefault("error", str(exc))  # the estimate's error, if any, stays
         point["repeater_bound"] = prot.repeater_bound_phi(float(nv))

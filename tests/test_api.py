@@ -4,6 +4,8 @@ import importlib
 import math
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +372,20 @@ def test_numbers_are_converted_only_by_the_readers_in_gaussian():
                 if any(map(_float_dtype, dtypes + [k.value for k in node.keywords if k.arg == "dtype"])):
                     found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def test_a_failing_property_does_not_hide_later_failures(tmp_path):
+    # under the suite's warnings filter, a failing @given test is reported as a
+    # failure, and the session goes on to report the plain test after it
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_property(x):\n    assert False\n\n\n"
+        "def test_plain():\n    assert False\n", encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-c", str(config), "-p", "no:cacheprovider",
+                          str(tmp_path / "test_two.py")], capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "2 failed" in run.stdout
 
 
 def test_an_empty_stack_passes_the_overflow_guard():

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvrelay import cli
+from cvrelay import environments as envs
 from cvrelay import experiment as expmt
 from cvrelay.cli import main
 
@@ -380,6 +383,51 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     assert doc["env"]["g"] == 10.0  # explicit flag wins
 
 
+# per subcommand, a run given by value options alone (the axes, --protocol or
+# --metric and --chunk-shots among them) and one flag that changes its output
+_CONFIG_RUNS = {
+    "scan": (["--protocol", "qkd", "--tau", "0.9", "--omega", "19.38", "--g", "-19:19:9.5", "--gp", "-19:19:9.5",
+              "--mu", "52", "--xi", "0.97", "--threads", "2"], ("--xi", "0.9")),
+    "thresholds": (["--metric", "qkd", "--n", "2.5", "--mu", "52", "--cp", "0.6:1:0.2", "--c", "0:1:0.05"],
+                   ("--cp", "0.8")),
+    "experiment": (["--n", "1:2:1", "--mu", "52", "--c", "0.6", "--cp", "0.4", "--eta", "0.98", "--xi", "0.97",
+                    "--shots", "500", "--seed", "3", "--chunk-shots", "128"], ("--seed", "4")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG_RUNS))
+def test_a_config_file_equals_its_flags_and_a_flag_wins(capsys, tmp_path, command):
+    flags, (option, value) = _CONFIG_RUNS[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{flag[2:]} {text}\n" for flag, text in zip(flags[::2], flags[1::2])))
+    by_flags = run_cli([command, *flags], capsys)
+    assert by_flags[0] == 0
+    assert run_cli([command, "--config", str(cfg)], capsys) == by_flags
+    overridden = run_cli(_with_option([command, *flags], option, value), capsys)
+    assert overridden[0] == 0 and overridden != by_flags
+    assert run_cli([command, "--config", str(cfg), option, value], capsys) == overridden
+
+
+def test_every_option_is_read_through_resolve():
+    # flag > config file > default is applied in one place: a handler reads
+    # ``args`` directly only for --out, --dump and --config, which no file
+    # sets, and the parsed file only inside _resolve and main
+    found = []
+    for top in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body:
+        scope = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args" and (
+                    node.attr not in ("out", "dump", "config", "func", "_config")
+                    or node.attr == "_config" and scope not in ("_resolve", "main")):
+                found.append(f"{scope}:{node.lineno}: {ast.unparse(node)}")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args and (
+                    node.func.id == "str" and isinstance(node.args[0], ast.Call)
+                    and ast.unparse(node.args[0].func) == "_resolve"
+                    or node.func.id == "getattr" and scope != "_resolve" and ast.unparse(node.args[0]) == "args"):
+                found.append(f"{scope}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
 README_POINT = ["point", "--n", "3", "--c", "1", "--cp", "1", "--mu", "52", "--xi", "0.97"]
 
 
@@ -516,6 +564,13 @@ def test_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     doc = json.loads(path.read_text())
     assert doc["env"]["kind"] == "additive"
+    # one env schema for both families: kind, the family's fields, separable and boundary
+    _, out = run_cli(["point", *THERMAL, "--g", "18", "--gp", "-18", "--mu", "6.5"], capsys)
+    thermal = json.loads(out)["env"]
+    shared = [[key for key in env if key not in {f.name for f in dataclasses.fields(family)}]
+              for env, family in ((doc["env"], envs.AdditiveEnvironment), (thermal, envs.ThermalEnvironment))]
+    assert shared == [["kind", "separable", "boundary"]] * 2
+    assert doc["env"]["separable"] is True and doc["env"]["boundary"] is False
 
 
 def test_thresholds_additive_family(capsys):
