@@ -80,6 +80,8 @@ def _fmt_all(values) -> list:
 
 
 def _jsonable(value):
+    if isinstance(value, (float, np.floating)):  # first, as most values are; nan, inf, -inf as text
+        return float(f"{float(value):.12g}") if math.isfinite(value) else _fmt(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -88,8 +90,6 @@ def _jsonable(value):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(_fmt(value)) if math.isfinite(value) else _fmt(value)  # nan, inf, -inf as text
     if isinstance(value, np.ndarray):  # flat, in row-major order
         return [_jsonable(v) for v in value.reshape(-1).tolist()]
     return value
@@ -207,7 +207,7 @@ def cmd_point(args) -> int:
         report = prot.protocol_report_asymptotic(env)
     else:
         report = prot.protocol_report(prot.SwapInput(mu, env), xi)
-    _, separable, boundary = map(bool, env.masks(**vars(env)))
+    _, separable, boundary = env.masks(**vars(env))
     kind = family.__name__.removesuffix("Environment").lower()  # "thermal" or "additive"
     payload = {"env": {"kind": kind, **vars(env), "separable": separable, "boundary": boundary},
                "report": report.to_dict()}
@@ -385,31 +385,32 @@ def _bisect(value, col, lo, hi, flo):
     live = hi - lo > BISECTION_TOL
     while live.any():
         idx = np.flatnonzero(live)
-        need = math.ceil(math.log2(np.max(hi[idx] - lo[idx])) - math.log2(BISECTION_TOL))
+        # this call's brackets, and its crossings still narrowing; written back after the walk
+        a, b, fa, on = lo[idx], hi[idx], flo[idx], np.ones(len(idx), dtype=bool)
+        need = math.ceil(math.log2(np.max(b - a)) - math.log2(BISECTION_TOL))
         depth = max(1, min(need, (BISECTION_BLOCK // len(idx) + 1).bit_length() - 1))
         # the next `depth` levels of midpoints as a heap: column j of `mid`
         # splits the bracket (a, b) of node j, and its children 2j + 1 and
         # 2j + 2 split (a, m) and (m, b).  `ends` holds each bracket's ends
         # in order; level l's ends are every 2**(depth - l)-th column.
         ends, mid = np.empty((len(idx), 2**depth + 1)), np.empty((len(idx), 2**depth - 1))
-        ends[:, 0], ends[:, -1] = lo[idx], hi[idx]
+        ends[:, 0], ends[:, -1] = a, b
         for level in range(depth):
             step = 2 ** (depth - level)
             mid[:, 2**level - 1:2 ** (level + 1) - 1] = ends[:, step // 2::step] = (
                 0.5 * (ends[:, :-1:step] + ends[:, step::step]))
         fm, ok = value(mid, np.broadcast_to(col[idx, None], mid.shape))
-        node = np.zeros(len(idx), dtype=np.intp)  # walk each path by the one-level rules
+        # walk each path by the one-level rules, from node j at flat index row + j
+        at = row = np.arange(len(idx)) * mid.shape[1]
         for _ in range(depth):
-            r = np.flatnonzero(live[idx])
-            at = (r, node[r])
-            k, good = idx[r], ok[at]
-            live[k[~good]] = False  # a non-physical midpoint ends that crossing
-            r, k, m, f = r[good], k[good], mid[at][good], fm[at][good]
-            same = (f > 0.0) == (flo[k] > 0.0)
-            lo[k[same]], flo[k[same]] = m[same], f[same]
-            hi[k[~same]] = m[~same]
-            node[r] = 2 * node[r] + 1 + same
-            live &= hi - lo > BISECTION_TOL
+            on &= ok.take(at)  # a non-physical midpoint ends its crossing
+            m, f = mid.take(at), fm.take(at)
+            same = (f > 0.0) == (fa > 0.0)
+            up = on & same
+            a, fa, b = np.where(up, m, a), np.where(up, f, fa), np.where(on ^ up, m, b)
+            at = 2 * at - row + 1 + same  # node 2j + 1 or 2j + 2
+            on &= b - a > BISECTION_TOL
+        lo[idx], hi[idx], flo[idx], live[idx] = a, b, fa, on
 
 
 def cmd_thresholds(args) -> int:

@@ -162,10 +162,10 @@ class AdditiveEnvironment:
 
     @staticmethod
     def masks(n, c, cp):
-        """Physical, separable and boundary masks (array-friendly); classical
-        noise is always separable, never boundary."""
+        """Physical, separable and boundary masks (array-friendly, numpy bools
+        for scalars); classical noise is always separable, never boundary."""
         physical = holds(additive_slacks(n, c, cp))
-        return physical, np.ones_like(physical), np.zeros_like(physical)
+        return physical, np.ones_like(physical)[()], np.zeros_like(physical)[()]
 
     @staticmethod
     def kappas(n, c, cp):
@@ -224,7 +224,7 @@ def thermal_mutual_information(omega, g, gp):
     g = g' = 0.  NumericDegeneracyError where the spectrum overflows float64
     (omega near 1.3e154, where a product of two variances does).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # each variance clamped at 0 for band-edge cells
         a, b, c, d = (np.maximum(v, 0.0) for v in _thermal_variances(omega, g, gp))
         nu_minus, nu_plus = np.sqrt(a * b), np.sqrt(c * d)

@@ -464,13 +464,12 @@ def two_mode_spectrum(cm):
 def _h_arr(x):
     """Entropy (bits) of symplectic eigenvalues, elementwise; x below 1 reads as 1.
 
-    h = a log2 a - b log2 b with a = (x+1)/2, b = (x-1)/2, written
-    log2 a + b log1p(1/b)/ln 2, which does not cancel as x grows; the product
-    b log1p(1/b), nan at b = 0 and at b = inf, reads as 0 there (fmax drops a nan)."""
+    h = a log2 a - b log2 b with a = (x+1)/2, b = (x-1)/2, written log2 a + b log1p(1/b)/ln 2,
+    which does not cancel as x grows; the product b log1p(1/b), nan at b = 0 and at b = inf,
+    reads as 0 there (fmax drops a nan): callers ignore numpy's divide and invalid errors."""
     x = np.maximum(x, 1.0)
     b = (x - 1.0) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log2((x + 1.0) / 2.0) + np.fmax(b * np.log1p(1.0 / b), 0.0) / math.log(2.0)
+    return np.log2((x + 1.0) / 2.0) + np.fmax(b * np.log1p(1.0 / b), 0.0) / math.log(2.0)
 
 
 def entropic_h(x):
@@ -480,7 +479,8 @@ def entropic_h(x):
     x = _floats(x, "entropic argument", finite=False)
     if not (x >= 1.0 - UNCERTAINTY_TOL).all():
         raise ValidationError(f"entropic function requires x >= 1, got {float(x.min())!r}")
-    return _unstack(_h_arr(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _unstack(_h_arr(x))
 
 
 def von_neumann_entropy(cm):

@@ -129,8 +129,8 @@ class ProtocolReport:
 def _flag(value, threshold, want_greater: bool):
     """Success flags, elementwise, as int8 codes into ``FLAG_VALUES``: 1 (True),
     0 (False), or 2 ("marginal") inside the guard band."""
-    gap = np.asarray((value - threshold) if want_greater else (threshold - value))
-    return np.where(np.abs(gap) <= FLAG_GUARD, 2, gap > 0.0).astype(np.int8)
+    gap = (value - threshold) if want_greater else (threshold - value)
+    return np.where(np.abs(gap) <= FLAG_GUARD, np.int8(2), gap > 0.0)
 
 
 def _nu_pair(mu, k, kp):
@@ -154,45 +154,43 @@ class _Lazy(dict):
 def relay_metrics(mu, k, kp, xi: float = 1.0, names=None) -> dict:
     """The closed-form relay metrics ``names`` from (mu, kappa, kappa'), array-friendly.
 
-    Returns arrays keyed like ``ProtocolReport``: epsilon, log_neg, fidelity,
-    coherent_info, mutual_info_ab, holevo_eve, key_rate, key_rate_lb and
-    the four success flags (``FLAG_KEYS``) as int8 codes into
-    ``FLAG_VALUES``; ``names=None`` returns them all.  Only the requested
-    keys and what they share are computed, each by one formula, so a key
-    has the same bits whatever else is requested.  At finite mu the
-    fidelity is pinned to 1/2 at mu = 1, where there is no entanglement
-    resource, and key_rate_lb is None.  ``mu = inf`` gives the large-mu
-    set: epsilon_opt = sqrt(kappa kappa'), ideal-reconciliation rate R_opt
-    with its epsilon-only lower bound R_LB, infinite mutual information and
-    Holevo terms, and xi is ignored.  A negative or nan kappa raises
-    ValidationError.  A requested figure, or the figure of a requested
-    flag, that float64 cannot hold (nan, or inf at finite mu, where every
-    figure is finite in exact arithmetic) raises NumericDegeneracyError,
-    naming the first such cell's mu, kappa and kappa'.
+    Returns arrays keyed like ``ProtocolReport``: epsilon, log_neg, fidelity, coherent_info,
+    mutual_info_ab, holevo_eve, key_rate, key_rate_lb and the four success flags
+    (``FLAG_KEYS``) as int8 codes into ``FLAG_VALUES``; ``names=None`` returns them all.
+    Only the requested keys and what they share are computed, each by one formula, so a
+    key has the same bits whatever else is requested.  A 0-d input runs on numpy scalars,
+    with the bits of that cell of an array call.  At finite mu the fidelity is pinned
+    to 1/2 at mu = 1, where there is no entanglement resource, and key_rate_lb is None.
+    ``mu = inf`` gives the large-mu set: epsilon_opt = sqrt(kappa kappa'),
+    ideal-reconciliation rate R_opt with its epsilon-only lower bound R_LB, infinite
+    mutual information and Holevo terms, and xi is ignored.  A negative or nan kappa
+    raises ValidationError.  A requested figure, or the figure of a requested flag, that
+    float64 cannot hold (nan, or inf at finite mu, where every figure is finite in exact
+    arithmetic) raises NumericDegeneracyError, naming the first such cell's mu, kappa
+    and kappa'.
     """
     names = _METRIC_KEYS if names is None else names
     if not _KEY_SET.issuperset(names):
         raise ValidationError(f"unknown relay metrics {sorted(set(names) - _KEY_SET)}")
-    mu, k, kp = _floats(mu, "mu", finite=False), _floats(k, "kappa", finite=False), _floats(kp, "kappa'", finite=False)
-    if not (np.all(k >= 0.0) and np.all(kp >= 0.0)):
+    mu, k, kp = (_floats(x, what, finite=False)[()] for x, what in ((mu, "mu"), (k, "kappa"), (kp, "kappa'")))
+    if not ((k >= 0.0) & (kp >= 0.0)).all():
         raise ValidationError("kappa and kappa' must be >= 0, got a negative or nan value")
     asymptotic = mu.ndim == 0 and mu == math.inf
     if asymptotic:
         formulas = _large_mu_formulas(k, kp)
     else:
         xi = _check_xi(xi)
-        if not np.all(mu >= 1.0):
+        if not (mu >= 1.0).all():
             raise ValidationError("mu must be >= 1")
         formulas = _finite_mu_formulas(mu, k, kp, xi)
     v = _Lazy({**formulas, **_SHARED_FORMULAS})
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = {name: v[name] for name in names}
         checked = [v[name] for name in {_FLAG_RULES[n][0] if n in _FLAG_RULES else n for n in names}]
-    figures = np.broadcast_arrays(*(f for f in checked if f is not None))
+    figures = [f for f in checked if f is not None]  # each of the broadcast shape of mu, kappa and kappa'
     bad = (np.isnan(figures) if asymptotic else ~np.isfinite(figures)).any(axis=0)
     if bad.any():
-        bad, *cell = np.broadcast_arrays(bad, mu, k, kp)
-        mu_bad, k_bad, kp_bad = (a[bad][0] for a in cell)
+        mu_bad, k_bad, kp_bad = (np.broadcast_to(a, bad.shape)[bad][0] for a in (mu, k, kp))
         raise NumericDegeneracyError(
             f"the closed-form metrics at mu={mu_bad:g}, kappa={k_bad:g}, kappa'={kp_bad:g} overflow float64")
     return out
@@ -458,7 +456,8 @@ def key_rate_from_cm(cm, xi: float = 1.0) -> dict:
     except ValidationError:
         raise ValidationError("conditional state is unphysical; more samples needed") from None
     nc = math.sqrt(max(np.linalg.det(b_cond), 0.0))
-    holevo = float(_h_arr(nlo) + _h_arr(nhi) - _h_arr(nc))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        holevo = float(_h_arr(nlo) + _h_arr(nhi) - _h_arr(nc))
     return {
         "mutual_info": mutual,
         "holevo": holevo,

@@ -485,6 +485,33 @@ def test_numeric_formatting_is_12_significant_digits(capsys):
     assert eps == float(f"{eps:.12g}")
 
 
+_FLOAT_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308, float(2**53 + 1), 1.0 / 3.0, 0.1]
+
+
+@given(values=st.lists(st.one_of(st.sampled_from(_FLOAT_EDGES), st.floats()), max_size=8),
+       kind=st.sampled_from([float, np.float64, np.float32]))
+def test_jsonable_renders_every_float_by_the_fmt_rule(values, kind):
+    # a float renders as float(_fmt(v)) if finite, else as the _fmt(v) text,
+    # at any depth of dicts, lists and tuples; integers and bools keep their
+    # exact value, past 2**53 too
+    from cvrelay.cli import _fmt, _jsonable
+
+    with np.errstate(over="ignore"):  # float32 rounds past its range to inf
+        values = [kind(v) for v in values]
+    ints = [2**53 + 1, np.int64(2**53 + 1), -(2**63), True, np.bool_(False)]
+
+    def rule(v):
+        return float(_fmt(v)) if math.isfinite(v) else _fmt(v)
+
+    got = _jsonable({"a": values, "b": [{"c": v, "d": (v, [v])} for v in values], "i": ints})
+    want = {"a": [rule(v) for v in values], "b": [{"c": rule(v), "d": [rule(v), [rule(v)]]} for v in values],
+            "i": [2**53 + 1, 2**53 + 1, -(2**63), True, False]}
+    assert json.dumps(got) == json.dumps(want)
+    assert [type(x) for x in got["a"]] == [type(x) for x in want["a"]]
+    assert [type(x) for x in got["i"]] == [int, int, int, bool, bool]
+
+
 def test_column_formatter_equals_the_value_formatter():
     from cvrelay.cli import _block_rows, _fmt, _fmt_all
 

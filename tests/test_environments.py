@@ -216,3 +216,17 @@ def test_thermal_verdicts_match_exact_arithmetic_near_both_boundaries(omega):
             assert exact[0], (x, y)
     # the cells straddle both verdicts and the band
     assert 0 < physical.sum() < len(g) and 0 < separable.sum() < len(g) and boundary.any()
+
+
+def test_both_families_masks_have_one_type_per_argument_kind():
+    # numpy bools at scalar arguments, bool arrays of the broadcast shape at
+    # array arguments, for each of physical, separable and boundary
+    scalar = [ThermalEnvironment.masks(0.9, 19.38, 5.0, -7.0), AdditiveEnvironment.masks(3.0, 1.0, 1.0),
+              AdditiveEnvironment.masks(-1.0, 0.0, 0.0)]
+    for masks in scalar:
+        assert [type(m) for m in masks] == [np.bool_] * 3
+    col, row = np.linspace(-0.9, 0.9, 4)[:, None], np.linspace(-0.9, 0.9, 3)
+    stacked = [ThermalEnvironment.masks(0.9, 19.38, 19.0 * col, 19.0 * row), AdditiveEnvironment.masks(3.0, col, row),
+               AdditiveEnvironment.masks(np.array([1.0, -1.0]), 0.0, 0.0)]
+    for masks, shape in zip(stacked, [(4, 3), (4, 3), (2,)]):
+        assert [(type(m), m.dtype, m.shape) for m in masks] == [(np.ndarray, np.dtype(bool), shape)] * 3

@@ -415,6 +415,41 @@ def test_relay_metrics_of_some_names_are_those_of_every_name(mu, kappas, names):
         assert (some[name] is every[name] is None) or some[name].tobytes() == every[name].tobytes(), name
 
 
+def _metrics_or_error(*args):
+    try:
+        return prot.relay_metrics(*args)
+    except (ValidationError, g.NumericDegeneracyError) as exc:
+        return type(exc)
+
+
+@given(mu=st.one_of(st.just(math.inf), st.just(1.0), st.floats(1.0, 1e6), st.floats(1e6, 1e200)),
+       kappas=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e300)),
+                                 st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e300))),
+                       min_size=1, max_size=4),
+       xi=st.floats(0.5, 1.0), as_scalar=st.sampled_from([float, np.asarray]))
+def test_relay_metrics_of_a_scalar_is_its_cell_of_a_stacked_call(mu, kappas, xi, as_scalar):
+    # a Python float or 0-d array point computes on numpy scalars and
+    # returns, for every key, the bits and dtype of its cell of a call over
+    # arrays; a point that raises raises the class the stacked call raises
+    k, kp = (np.array(v) for v in zip(*kappas))
+    stacked = _metrics_or_error(mu, k, kp, xi)
+    cells = [_metrics_or_error(as_scalar(mu), as_scalar(k[i]), as_scalar(kp[i]), xi) for i in range(len(k))]
+    raised = {cell for cell in cells if isinstance(cell, type)}
+    if isinstance(stacked, type):
+        assert raised == {stacked}
+        return
+    assert not raised
+    for i, cell in enumerate(cells):
+        assert list(cell) == list(_KEYS)
+        for name in _KEYS:
+            if stacked[name] is None:
+                assert cell[name] is None, name
+                continue
+            one = cell[name]
+            assert np.ndim(one) == 0 and one.dtype == stacked[name].dtype, name
+            assert one.tobytes() == stacked[name][i].tobytes(), (name, i)
+
+
 def test_relay_metrics_checks_only_the_figures_it_returns():
     # at mu = 1e100 coherent_info and key_rate overflow; epsilon and fidelity
     # (and the flags read from them) do not
