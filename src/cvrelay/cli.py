@@ -28,6 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -79,20 +80,27 @@ def _fmt_all(values) -> list:
     return [f"{x:.12g}" for x in np.asarray(values).tolist()]
 
 
-def _jsonable(value):
-    if isinstance(value, (float, np.floating)):  # first, as most values are; nan, inf, -inf as text
-        return float(f"{float(value):.12g}") if math.isfinite(value) else _fmt(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _json(value, pad="\n") -> str:
+    """``json.dumps(value, indent=2)`` in one pass, ``pad`` opening each line at
+    ``value``'s depth: finite floats as the float of their ``_fmt`` text, nan,
+    inf and -inf as that text, tuples as lists, ndarrays flat in row-major order."""
+    if isinstance(value, (float, np.floating)):  # first, as most values are
+        return repr(float(f"{float(value):.12g}")) if math.isfinite(value) else f'"{_fmt(value)}"'
     if isinstance(value, (bool, np.bool_)):
-        return bool(value)
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, np.ndarray):  # flat, in row-major order
-        return [_jsonable(v) for v in value.reshape(-1).tolist()]
-    return value
+        return str(int(value))
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items, ends = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()], "{}"
+    else:
+        flat = value.reshape(-1).tolist() if isinstance(value, np.ndarray) else value
+        items, ends = [_json(v, inner) for v in flat], "[]"
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}" if items else ends
 
 
 def _parse_float(text: str) -> float:
@@ -211,7 +219,7 @@ def cmd_point(args) -> int:
     kind = family.__name__.removesuffix("Environment").lower()  # "thermal" or "additive"
     payload = {"env": {"kind": kind, **vars(env), "separable": separable, "boundary": boundary},
                "report": report.to_dict()}
-    _write_text(args, json.dumps(_jsonable(payload), indent=2) + "\n")
+    _write_text(args, _json(payload) + "\n")
     return 0
 
 
@@ -431,7 +439,7 @@ def cmd_thresholds(args) -> int:
     def value(x, col):
         """Signed distance to the protocol threshold (positive means active)
         and the physical mask; the distance is nan off the physical cells."""
-        physical = grid.family.masks(**grid.params((x, col)))[0]
+        physical = grid.family.physical(**grid.params((x, col)))
         f = np.full(x.shape, np.nan)
         kappas = grid.family.kappas(**grid.params((x[physical], col[physical])))
         f[physical] = prot.relay_metrics(mu, *kappas, xi, [key])[key]
@@ -511,7 +519,7 @@ def cmd_experiment(args) -> int:
         },
         "points": points,
     }
-    _write_text(args, json.dumps(_jsonable(payload), indent=2) + "\n")
+    _write_text(args, _json(payload) + "\n")
     return 0
 
 
@@ -547,6 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         for option in ("config", "out", *options):
             p.add_argument(f"--{option}", help=_HELP.get(option))
         p.set_defaults(func=func)
+    parser.commands = sub.choices  # each subcommand's own parser, by name
     return parser
 
 
@@ -566,7 +575,10 @@ def _merge_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_merge_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    argv = _merge_negative_values(sys.argv[1:] if argv is None else list(argv))
+    # a named subcommand's parser reads its options itself, so each token is parsed once
+    command = build_parser().commands.get(argv[0]) if argv else None
+    args = build_parser().parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         args._config = _load_config(args.config) if args.config else {}
         return args.func(args)

@@ -11,10 +11,10 @@ Inequalities are evaluated with a ``BOUNDARY_BAND`` guard: parameter points
 within the band of an equality are accepted and flagged as boundary cases,
 since the interesting region extends right up to the physicality border.
 
-Each family class owns its array-friendly maps ``masks``, ``kappas`` and
-``links``: static methods taking the class's fields as keywords, so a caller
-holding a family and its parameters never branches on the family.  Every
-thermal map reads the variances of a 50:50 beam splitter's two output modes.
+Each family class owns its array-friendly maps ``physical``, ``masks``,
+``kappas`` and ``links``, static methods of the class's fields as keywords:
+a caller holding a family and its parameters never branches on it.  Every
+thermal map reads the variances of a 50:50 beam splitter's two outputs.
 """
 
 from __future__ import annotations
@@ -102,6 +102,11 @@ class ThermalEnvironment:
             raise ValidationError(f"bona-fide violation: {name} fails by {-slack:.6g}")
 
     @staticmethod
+    def physical(tau, omega, g, gp):
+        """The physical mask of ``masks`` alone (array-friendly)."""
+        return holds(thermal_slacks(omega, g, gp)[:3])
+
+    @staticmethod
     def masks(tau, omega, g, gp):
         """Physical, separable and boundary masks (array-friendly).
 
@@ -161,10 +166,15 @@ class AdditiveEnvironment:
                 raise ValidationError(f"correlation coefficient {name}={value!r} outside [-1, 1]")
 
     @staticmethod
+    def physical(n, c, cp):
+        """The physical mask of ``masks`` alone (array-friendly)."""
+        return holds(additive_slacks(n, c, cp))
+
+    @staticmethod
     def masks(n, c, cp):
         """Physical, separable and boundary masks (array-friendly, numpy bools
         for scalars); classical noise is always separable, never boundary."""
-        physical = holds(additive_slacks(n, c, cp))
+        physical = AdditiveEnvironment.physical(n, c, cp)
         return physical, np.ones_like(physical)[()], np.zeros_like(physical)[()]
 
     @staticmethod

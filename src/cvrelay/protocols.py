@@ -304,7 +304,7 @@ def evolved_cm(inp, family=None, params=None) -> CovarianceMatrix:
     with np.errstate(over="ignore", invalid="ignore"):
         t, e, h, hp = family.links(**params)
         c, x = np.sqrt(mu * mu - 1.0) * np.sqrt(t), t * mu + e
-    if not (np.all(family.masks(**params)[0]) and np.all((t >= 0.0) & (t <= 1.0))):
+    if not (np.all(family.physical(**params)) and np.all((t >= 0.0) & (t <= 1.0))):
         raise ValidationError("the environment parameters must be physical, with tau in [0, 1]")
     entries = {(0, 0): mu, (1, 1): mu, (2, 2): mu, (3, 3): mu, (4, 4): x, (5, 5): x,
                (6, 6): x, (7, 7): x, (0, 4): c, (1, 5): -c, (2, 6): c, (3, 7): -c,

@@ -459,6 +459,35 @@ def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path):
         assert _outcome(argv, capsys) == outcome, argv
 
 
+def _top_level_outcome(argv, capsys):
+    """Exit code, stdout and stderr of the top-level parser's own parse of ``argv``."""
+    try:
+        cli.build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_a_named_subcommand_parses_its_own_options_as_the_top_level_parser_did(capsys, command):
+    direct = _outcome([command, "--help"], capsys)
+    assert direct == _top_level_outcome([command, "--help"], capsys) and direct[0] == 0
+    for argv in _OPTION_BASES[command]:  # one namespace, less the top-level parser's command
+        routed = vars(cli.build_parser().parse_args(argv))
+        assert routed.pop("command") == command
+        assert vars(cli.build_parser().commands[command].parse_args(argv[1:])) == routed
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["-h"], 0), (["--help"], 0), (["nope"], 2),
+                                        (["nope", "--n", "1"], 2), (["--n", "1", "point"], 2)])
+def test_an_argv_naming_no_subcommand_gets_the_top_level_usage(capsys, argv, code):
+    outcome = _outcome(argv, capsys)
+    assert outcome == _top_level_outcome(argv, capsys) and outcome[0] == code
+    assert (outcome[1] or outcome[2]).startswith("usage: cvrelay [-h] {point,scan,thresholds,experiment}")
+
+
 def test_module_entry_point_matches_in_process_main(capsys):
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -489,27 +518,43 @@ _FLOAT_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.797693134862
                 -1.7976931348623157e308, float(2**53 + 1), 1.0 / 3.0, 0.1]
 
 
-@given(values=st.lists(st.one_of(st.sampled_from(_FLOAT_EDGES), st.floats()), max_size=8),
-       kind=st.sampled_from([float, np.float64, np.float32]))
-def test_jsonable_renders_every_float_by_the_fmt_rule(values, kind):
-    # a float renders as float(_fmt(v)) if finite, else as the _fmt(v) text,
-    # at any depth of dicts, lists and tuples; integers and bools keep their
-    # exact value, past 2**53 too
-    from cvrelay.cli import _fmt, _jsonable
+def _json_rule(value):
+    """The JSON value a report entry stands for: a float as float(_fmt(v)) if
+    finite, else as the _fmt(v) text; integers and bools exact; tuples as
+    lists and ndarrays flat in row-major order, at any depth."""
+    from cvrelay.cli import _fmt
 
-    with np.errstate(over="ignore"):  # float32 rounds past its range to inf
-        values = [kind(v) for v in values]
-    ints = [2**53 + 1, np.int64(2**53 + 1), -(2**63), True, np.bool_(False)]
+    if isinstance(value, (float, np.floating)):
+        return float(_fmt(value)) if math.isfinite(value) else _fmt(value)
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, dict):
+        return {k: _json_rule(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.reshape(-1).tolist()
+    return [_json_rule(v) for v in value] if isinstance(value, (list, tuple)) else value
 
-    def rule(v):
-        return float(_fmt(v)) if math.isfinite(v) else _fmt(v)
 
-    got = _jsonable({"a": values, "b": [{"c": v, "d": (v, [v])} for v in values], "i": ints})
-    want = {"a": [rule(v) for v in values], "b": [{"c": rule(v), "d": [rule(v), [rule(v)]]} for v in values],
-            "i": [2**53 + 1, 2**53 + 1, -(2**63), True, False]}
-    assert json.dumps(got) == json.dumps(want)
-    assert [type(x) for x in got["a"]] == [type(x) for x in want["a"]]
-    assert [type(x) for x in got["i"]] == [int, int, int, bool, bool]
+_JSON_LEAVES = st.one_of(
+    st.sampled_from(_FLOAT_EDGES), st.floats(), st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.sampled_from([2**53 + 1, np.int64(2**53 + 1), -(2**63), 0, True, False, np.bool_(True), np.bool_(False),
+                     None, "", 'quote " backslash \\ newline \n tab \t nul \x00', "κ′ ≥ 1 ω", "\ud800"]),
+    st.text(max_size=6),
+    st.lists(st.floats(), min_size=16, max_size=16).map(lambda v: np.array(v).reshape(4, 4)),
+)
+
+
+@given(st.recursive(_JSON_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), kids, max_size=4)), max_leaves=24))
+@example({"a": {}, "b": [], "c": ()})
+@example([math.nan, math.inf, -math.inf, -0.0, np.float32(0.1)])
+def test_json_writes_the_bytes_of_json_dumps_under_the_fmt_rule(value):
+    from cvrelay.cli import _json
+
+    assert _json(value) == json.dumps(_json_rule(value), indent=2)
 
 
 def test_column_formatter_equals_the_value_formatter():
@@ -858,6 +903,8 @@ def test_every_registered_option_is_read_by_its_subcommand(capsys, command):
 def test_an_option_the_subcommand_does_not_take_is_a_usage_error(capsys, argv):
     code, out, err = _outcome(argv, capsys)
     assert code == 2 and out == "" and "unrecognized arguments" in err
+    # the subcommand's own usage and error lines
+    assert err.startswith(f"usage: cvrelay {argv[0]} [-h]") and f"\ncvrelay {argv[0]}: error: " in err
 
 
 # Grids for the parity test, each with the kinds of row it must produce: cells
@@ -1252,7 +1299,7 @@ def test_thresholds_qkd_points_bracket_a_sign_change(capsys, argv):
 
 
 def test_thresholds_sample_the_grid_one_block_of_cells_at_a_time(capsys, monkeypatch):
-    # before bisecting, the masks see every grid cell once and relay_metrics
+    # before bisecting, the physical map sees every grid cell once and relay_metrics
     # every physical one, in calls of at most MATRIX_BLOCK cells; the
     # contours do not depend on the block size
     from cvrelay import environments as envs
@@ -1261,7 +1308,7 @@ def test_thresholds_sample_the_grid_one_block_of_cells_at_a_time(capsys, monkeyp
     argv = ["thresholds", "--metric", "qkd", *THERMAL, "--mu", "52", "--xi", "0.97",
             "--gp", "-19:19:2", "--g", "-19:19.3:0.1"]
     whole = run_cli(argv, capsys)
-    cells = {"masks": [], "relay_metrics": [], "bisecting": []}
+    cells = {"physical": [], "relay_metrics": [], "bisecting": []}
 
     def spy(func, name, count):
         def counted(*args, **kwargs):
@@ -1273,17 +1320,17 @@ def test_thresholds_sample_the_grid_one_block_of_cells_at_a_time(capsys, monkeyp
 
     bisect = cli._bisect
     monkeypatch.setattr(cli, "_bisect", lambda *args: (cells["bisecting"].append(True), bisect(*args)))
-    monkeypatch.setattr(envs.ThermalEnvironment, "masks",
-                        staticmethod(spy(envs.ThermalEnvironment.masks, "masks", lambda r: r[0].size)))
+    monkeypatch.setattr(envs.ThermalEnvironment, "physical",
+                        staticmethod(spy(envs.ThermalEnvironment.physical, "physical", lambda r: r.size)))
     # relay_metrics returns only the traced key: count its kappa argument
     monkeypatch.setattr(prot, "relay_metrics",
                         spy(prot.relay_metrics, "relay_metrics", lambda m, mu, k, *rest: np.size(k)))
     monkeypatch.setattr("cvrelay.cli.MATRIX_BLOCK", 7)
     assert run_cli(argv, capsys) == whole and whole[0] == 0 and cells["bisecting"]
     size = 20 * len(cli._parse_axis("-19:19.3:0.1", "g"))
-    assert len(cells["masks"]) == -(-size // 7) and max(cells["masks"]) <= 7
-    assert sum(cells["masks"]) == size
-    assert len(cells["relay_metrics"]) == len(cells["masks"]) and max(cells["relay_metrics"]) <= 7
+    assert len(cells["physical"]) == -(-size // 7) and max(cells["physical"]) <= 7
+    assert sum(cells["physical"]) == size
+    assert len(cells["relay_metrics"]) == len(cells["physical"]) and max(cells["relay_metrics"]) <= 7
 
 
 def _bisect_one_level(value, col, lo, hi, flo):

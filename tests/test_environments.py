@@ -230,3 +230,18 @@ def test_both_families_masks_have_one_type_per_argument_kind():
                AdditiveEnvironment.masks(np.array([1.0, -1.0]), 0.0, 0.0)]
     for masks, shape in zip(stacked, [(4, 3), (4, 3), (2,)]):
         assert [(type(m), m.dtype, m.shape) for m in masks] == [(np.ndarray, np.dtype(bool), shape)] * 3
+
+
+def test_each_familys_physical_map_is_the_first_of_its_masks():
+    # the same verdicts and the same type, at scalar and array arguments, on
+    # and off the physical region
+    col, row = np.linspace(-1.2, 1.2, 5)[:, None], np.linspace(-1.2, 1.2, 4)
+    cases = [(ThermalEnvironment, (0.9, 19.38, 5.0, -7.0)), (ThermalEnvironment, (0.9, 19.38, 25.0, 0.0)),
+             (ThermalEnvironment, (0.9, 19.38, 19.0 * col, 19.0 * row)), (AdditiveEnvironment, (3.0, 1.0, 1.0)),
+             (AdditiveEnvironment, (-1.0, 0.0, 0.0)), (AdditiveEnvironment, (3.0, col, row))]
+    verdicts = set()
+    for family, args in cases:
+        physical, first = family.physical(*args), family.masks(*args)[0]
+        assert type(physical) is type(first) and np.array_equal(physical, first), (family, args)
+        verdicts.update(np.ravel(physical).tolist())
+    assert verdicts == {True, False}
