@@ -144,14 +144,13 @@ def _load_config(path: str) -> dict[str, str]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, _, val = line.partition("=")
-            else:
-                key, _, val = line.partition(" ")
+            key, _, val = line.partition("=" if "=" in line else " ")
             key, val = key.strip(), val.strip()
             if not key or not val:
                 raise ValidationError(f"{path}:{lineno}: expected 'key value' or 'key=value'")
-            values[key.replace("-", "_")] = val
+            if (name := key.replace("-", "_")) not in _CONFIG_KEYS:
+                raise ValidationError(f"{path}:{lineno}: no subcommand reads the key {key!r} from a config file")
+            values[name] = val
     return values
 
 
@@ -537,6 +536,8 @@ _COMMANDS = {
     "experiment": (cmd_experiment, "shot-level simulated sweep (JSON)",
                    ("n", "c", "cp", "mu", "xi", "eta", "shots", "seed", "chunk-shots", "dump")),
 }
+# the keys a config file may set: an option some subcommand reads through _resolve
+_CONFIG_KEYS = {option.replace("-", "_") for *_, options in _COMMANDS.values() for option in options} - {"dump"}
 _HELP = {"config": "flat key-value defaults file", "out": "output path (default: stdout)",
          "dump": "CSV shot dump path (single-point sweeps)"}
 

@@ -102,12 +102,10 @@ class ShotBatch:
         return self.qa.shape[0]
 
     def write_csv(self, fileobj, header: bool = True):
-        """Dump the shots: header qa,pa,qb,pb,qg,pg (``header=False`` for a
-        later chunk of the same dump), 12 significant digits."""
-        if header:
-            fileobj.write(",".join(_COLUMNS) + "\r\n")
-        for row in zip(*(getattr(self, name) for name in _COLUMNS)):
-            fileobj.write(",".join(f"{v:.12g}" for v in row) + "\r\n")
+        """Dump the shots by ``np.savetxt``: header qa,pa,qb,pb,qg,pg (``header=False``
+        for a later chunk of the same dump), 12 significant digits, CRLF rows."""
+        np.savetxt(fileobj, np.stack([getattr(self, name) for name in _COLUMNS], axis=1), fmt="%.12g",
+                   delimiter=",", newline="\r\n", header=",".join(_COLUMNS) if header else "", comments="")
 
 
 _COLUMNS = tuple(f.name for f in fields(ShotBatch))  # the shot columns, in dump order
@@ -221,9 +219,7 @@ def _block_moments(batch: ShotBatch) -> list[tuple[int, np.ndarray, np.ndarray]]
     blocks = []
     for lo in range(0, len(batch), MOMENT_BLOCK):
         nb = min(MOMENT_BLOCK, len(batch) - lo)
-        x = scratch[:, :nb]
-        for row, name in zip(x, _COLUMNS):
-            row[...] = getattr(batch, name)[lo : lo + nb]
+        x = np.stack([getattr(batch, name)[lo : lo + nb] for name in _COLUMNS], out=scratch[:, :nb])
         mb = x.mean(axis=1)
         x -= mb[:, None]
         # a fixed-order einsum, not the gemm x @ x.T: the same bits whatever CPU kernel BLAS picks

@@ -354,16 +354,13 @@ def tmsv_cm(mu: float) -> CovarianceMatrix:
 
 
 def direct_sum(*cms) -> CovarianceMatrix:
+    """Block-diagonal state of independent modes, by ``scipy.linalg.block_diag``."""
+    from scipy.linalg import block_diag  # here, not at the top: scipy dominates import time
+
     mats = [_as_matrix(c, "matrix") for c in cms]
     if not all(m.ndim == 2 for m in mats):
         raise ValidationError("a direct sum takes single matrices, not stacks")
-    total = sum(m.shape[0] for m in mats)
-    out = np.zeros((total, total))
-    at = 0
-    for m in mats:
-        out[at : at + m.shape[0], at : at + m.shape[0]] = m
-        at += m.shape[0]
-    return CovarianceMatrix(out)
+    return CovarianceMatrix(block_diag(*mats))
 
 
 def beam_splitter(tau: float) -> SymplecticMatrix:

@@ -133,11 +133,6 @@ def _flag(value, threshold, want_greater: bool):
     return np.where(np.abs(gap) <= FLAG_GUARD, np.int8(2), gap > 0.0)
 
 
-def _nu_pair(mu, k, kp):
-    """Symplectic eigenvalues of the swapped state, kappa's then kappa''s."""
-    return np.sqrt(mu * (1.0 + mu * k) / (mu + k)), np.sqrt(mu * (1.0 + mu * kp) / (mu + kp))
-
-
 class _Lazy(dict):
     """Values computed on first lookup, each once, by ``formulas[key](self)``."""
 
@@ -237,7 +232,7 @@ def _finite_mu_formulas(mu, k, kp, xi) -> dict:
         return v["h_nu"][0] + v["h_nu"][1] - _h_arr(nc)
 
     return {
-        "h_nu": lambda v: tuple(map(_h_arr, _nu_pair(mu, k, kp))),
+        "h_nu": lambda v: tuple(_h_arr(np.sqrt(mu * (1.0 + mu * q) / (mu + q))) for q in (k, kp)),
         # swapping: smallest PTS eigenvalue
         "epsilon": lambda v: np.sqrt((1.0 + mu * k) * (1.0 + mu * kp) / ((mu + k) * (mu + kp))),
         "fidelity": fidelity,

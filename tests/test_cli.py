@@ -383,6 +383,23 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     assert doc["env"]["g"] == 10.0  # explicit flag wins
 
 
+@pytest.mark.parametrize("command, key", [("point", "xii"), ("experiment", "chunk_shot"), ("point", "out"),
+                                          ("experiment", "dump"), ("point", "config")])
+def test_a_config_key_that_no_subcommand_reads_exits_2_naming_it(capsys, tmp_path, command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n 1\nshots 100\n{key} 4096\nmu 52\n")
+    code, out = run_cli([command, "--config", str(cfg)], capsys)
+    message = json.loads(out)["error"]["message"]
+    assert code == 2 and message.startswith(f"{cfg}:3: ") and repr(key) in message
+
+
+def test_a_config_key_of_another_subcommand_is_accepted(capsys, tmp_path):
+    # one defaults file can serve every subcommand: point ignores scan's protocol
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("n 3\nc 1\ncp 1\nmu 52\nxi 0.97\nprotocol qkd\nchunk-shots 128\n")
+    assert run_cli(["point", "--config", str(cfg)], capsys) == run_cli(README_POINT, capsys)
+
+
 # per subcommand, a run given by value options alone (the axes, --protocol or
 # --metric and --chunk-shots among them) and one flag that changes its output
 _CONFIG_RUNS = {

@@ -297,3 +297,20 @@ def test_shot_dump_schema():
     for start in range(3):
         ex.simulate_shot_batch(cfg, start=start, stop=start + 1).write_csv(chunked, header=not start)
     assert chunked.getvalue() == buf.getvalue()
+
+
+def test_shot_dump_text_at_the_float_edges():
+    # values no simulated batch holds, so no golden dump covers them
+    edges = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
+             -1.7976931348623157e308, float(2**53 + 1), 1 / 3]
+    cols = [np.roll(edges, k) for k in range(6)]  # each column a different order
+    batch = ex.ShotBatch(*cols)
+    rows = ["qa,pa,qb,pb,qg,pg\r\n"] + [",".join(f"{v:.12g}" for v in row) + "\r\n" for row in zip(*cols)]
+    whole, bare, chunked = io.StringIO(), io.StringIO(), io.StringIO()
+    batch.write_csv(whole)
+    batch.write_csv(bare, header=False)
+    for lo, hi in [(0, 4), (4, 5), (5, 9)]:
+        ex.ShotBatch(*(c[lo:hi] for c in cols)).write_csv(chunked, header=not lo)
+    assert whole.getvalue() == "".join(rows)
+    assert bare.getvalue() == "".join(rows[1:])
+    assert chunked.getvalue() == whole.getvalue()

@@ -10,9 +10,12 @@ file with
 
 The finite-mu ``quad-entanglement`` digests and the README ``experiment``
 sweep's also depend on the CPU kernel that numpy's bundled OpenBLAS picks at
-run time (LAPACK eigenvalues and the key rate's conditioning), so the file
-records that kernel's name and a failure names both.  The other experiment
-outputs are checked to hold under two forced kernels.
+run time (LAPACK eigenvalues and the key rate's conditioning), and two README
+scans on numpy's SIMD dispatch (``log2`` and ``log1p`` differ without
+AVX-512).  So the file records that kernel's name and numpy's enabled
+dispatch targets, and a failure names both axes for both hosts.  The other
+experiment outputs are checked to hold under two forced kernels and without
+AVX-512.
 """
 
 from __future__ import annotations
@@ -87,6 +90,11 @@ def _openblas_core() -> str:
     return "unknown"
 
 
+def _numpy_dispatch() -> list[str]:
+    """numpy's SIMD dispatch targets enabled on this CPU (after ``NPY_DISABLE_CPU_FEATURES``)."""
+    return np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -114,8 +122,9 @@ def test_every_golden_output_is_byte_identical(tmp_path):
     moved = sorted(key for key in golden["digests"].keys() | digests.keys()
                    if golden["digests"].get(key) != digests.get(key))
     versions = f"digests from numpy {golden['numpy']}, scipy {golden['scipy']}, " \
-               f"OpenBLAS core {golden['openblas_core']}; running numpy {np.__version__}, " \
-               f"scipy {scipy.__version__}, OpenBLAS core {_openblas_core()}"
+               f"OpenBLAS core {golden['openblas_core']}, numpy dispatch {golden['numpy_dispatch']}; " \
+               f"running numpy {np.__version__}, scipy {scipy.__version__}, " \
+               f"OpenBLAS core {_openblas_core()}, numpy dispatch {_numpy_dispatch()}"
     assert moved == [], f"{len(moved)} outputs moved ({versions}):\n" + "\n".join(moved)
 
 
@@ -158,22 +167,36 @@ def kernel_free_digests(tmp_path_factory):
     return output_digests(tmp_path_factory.mktemp("default"), _kernel_free_commands())
 
 
-@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
-def test_experiment_outputs_do_not_depend_on_the_openblas_kernel(kernel_free_digests, kernel):
-    # the kernel is forced for the child process only, through OpenBLAS's own variable
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+def _moved_in_child(variable: str, value: str, digests: dict[str, str]) -> list[str]:
+    """The kernel-free commands whose digest moves in a child process run with ``variable=value``."""
+    env = {**os.environ, variable: value,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     child = subprocess.run([sys.executable, "-c", _DIGEST_CHILD, __file__, json.dumps(_kernel_free_commands())],
                            env=env, capture_output=True, text=True, check=True)
     forced = json.loads(child.stdout)
-    assert forced.keys() == kernel_free_digests.keys()
-    moved = sorted(key for key in forced if forced[key] != kernel_free_digests[key])
+    assert forced.keys() == digests.keys()
+    return sorted(key for key in forced if forced[key] != digests[key])
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_experiment_outputs_do_not_depend_on_the_openblas_kernel(kernel_free_digests, kernel):
+    # the kernel is forced for the child process only, through OpenBLAS's own variable
+    moved = _moved_in_child("OPENBLAS_CORETYPE", kernel, kernel_free_digests)
     assert moved == [], f"outputs that moved under OPENBLAS_CORETYPE={kernel}:\n" + "\n".join(moved)
+
+
+def test_experiment_outputs_do_not_depend_on_avx512(kernel_free_digests):
+    # numpy's AVX-512 dispatch is disabled for the child process only, through numpy's own variable
+    avx512 = " ".join(f for f in _numpy_dispatch() if "AVX512" in f or f == "X86_V4")
+    if not avx512:
+        pytest.skip("this CPU has no AVX-512 dispatch target to disable")
+    moved = _moved_in_child("NPY_DISABLE_CPU_FEATURES", avx512, kernel_free_digests)
+    assert moved == [], f"outputs that moved under NPY_DISABLE_CPU_FEATURES={avx512}:\n" + "\n".join(moved)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {"numpy": np.__version__, "scipy": scipy.__version__, "openblas_core": _openblas_core(),
-                  "digests": output_digests(Path(tmp))}
+                  "numpy_dispatch": _numpy_dispatch(), "digests": output_digests(Path(tmp))}
     DIGESTS.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(record['digests'])} digests to {DIGESTS}", file=sys.stderr)

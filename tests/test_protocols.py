@@ -114,7 +114,7 @@ def test_swap_epsilon_formula_and_oracle():
         eps = prot.protocol_report(inp).epsilon
         oracle = g.smallest_pts_eigenvalue(prot.swapped_cm(inp), [0])
         assert abs(eps - oracle) < 1e-10
-        nus = prot._nu_pair(inp.mu, *envs.kappa_params(inp.env))
+        nus = g.symplectic_spectrum(prot.swapped_cm(inp))  # the Gaussian oracle's nu_-, nu_+
         assert eps == pytest.approx(nus[0] * nus[1] / inp.mu, abs=1e-12)
 
 
