@@ -16,12 +16,13 @@ any chunk boundary without changing a single sample.
 The estimator streams: ``run_point`` cuts a run into chunks of whole
 MOMENT_BLOCKs and simulates them on worker threads, one chunk per worker
 per round (Philox and ``ndtri`` release the GIL), which return block
-moments only.  Draws, moments, chunks and dumps share one grid of
-MOMENT_BLOCK shots, aligned to the absolute shot index; only a run's last
-block may be short.  A worker turns each block of its chunk into its size
-n_b, mean m_b and centred co-moment M_b = sum (x - m_b)(x - m_b)^T, and
-the main thread merges the blocks in index order by the pairwise update
-of Chan, Golub & LeVeque (1983) and Pebay (SAND2008-6212):
+moments, and the shots only for a dump.  Draws, moments, chunks and dumps
+share one grid of MOMENT_BLOCK shots, aligned to the absolute shot index;
+only a run's last block may be short.  A worker turns each block of its
+chunk into its size n_b, mean m_b and centred co-moment
+M_b = sum (x - m_b)(x - m_b)^T, and the main thread merges the blocks in
+index order by the pairwise update of Chan, Golub & LeVeque (1983) and
+Pebay (SAND2008-6212):
 
     n = n_a + n_b,  d = m_b - m_a,  m = m_a + d n_b / n,
     M = M_a + M_b + d d^T n_a n_b / n.
@@ -34,7 +35,6 @@ size on any machine.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 from dataclasses import dataclass, fields
@@ -142,7 +142,7 @@ def _draw_normals(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     from scipy.special import ndtri  # here, not at the top: scipy dominates import time
 
     gen.random(out=out)
-    np.clip(out, 1e-300, np.nextafter(1.0, 0.0), out=out)
+    np.maximum(out, 1e-300, out=out)  # random() is (x >> 11) * 2**-53: at most nextafter(1, 0), but 0 is possible
     return ndtri(out, out=out)
 
 
@@ -271,10 +271,11 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_moments(config: ExperimentConfig, start: int, chunk: int):
-    """Block moments of the ``chunk`` shots from ``start`` (fewer at the end), in a worker thread."""
+def _chunk_moments(config: ExperimentConfig, start: int, chunk: int, keep: bool):
+    """In a worker: block moments of ``chunk`` shots from ``start`` (fewer at the end), and the shots if ``keep``."""
     with np.errstate(over="ignore", invalid="ignore"):  # per thread: the estimate rejects what overflows
-        return _block_moments(simulate_shot_batch(config, start=start, stop=min(start + chunk, config.shots)))
+        batch = simulate_shot_batch(config, start=start, stop=min(start + chunk, config.shots))
+        return _block_moments(batch), batch if keep else None
 
 
 def run_point(
@@ -290,9 +291,9 @@ def run_point(
     ``chunk_shots`` and any number of workers, and a point holds at most
     workers x max(chunk_shots, MOMENT_BLOCK) shots and one round of tasks,
     however many shots it runs.  ``dump`` names an optional CSV file for
-    every shot (one header).  It is opened before the first draw and
-    filled here once the pool is done, each chunk drawn again in shot
-    order: a shot depends only on the seed, the stream and its index.
+    every shot (one header).  It is opened before the first draw; then each
+    worker also returns its chunk's shots, written here in shot order as
+    they are merged, so a dump holds at most one chunk more in memory.
     The estimate needs modulation, mu > 1; a point without it is rejected
     before any shot is drawn, so it writes no dump.  Noise or moments past
     the float64 range turn non-finite, and the estimate rejects them.
@@ -310,13 +311,11 @@ def run_point(
         workers = min(_available_cpus(), -(-config.shots // chunk))
         with ThreadPoolExecutor(workers) as pool:
             for first in range(0, config.shots, workers * chunk):  # a round: one chunk per worker
-                for blocks in pool.map(_chunk_moments, itertools.repeat(config),
-                                       range(first, config.shots, chunk)[:workers], itertools.repeat(chunk)):
+                for blocks, batch in pool.map(lambda start: _chunk_moments(config, start, chunk, bool(fh)),
+                                              range(first, config.shots, chunk)[:workers]):
+                    if fh:
+                        batch.write_csv(fh, header=not moments.count)  # the header before the first chunk only
                     moments.merge(blocks)
-        if fh:
-            for start in range(0, config.shots, chunk):
-                simulate_shot_batch(config, start=start, stop=min(start + chunk, config.shots)).write_csv(
-                    fh, header=not start)
     return moments.estimate(config.mu, config.xi)
 
 

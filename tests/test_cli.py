@@ -328,6 +328,37 @@ def test_experiment_keeps_at_most_one_chunk_in_flight_per_worker(capsys, monkeyp
     assert peak["calls"] <= workers and peak["batches"] <= workers + dump
 
 
+def test_a_dumped_experiment_draws_each_chunk_once(monkeypatch, tmp_path):
+    # the dump is written from the shots that the moments came from; 70,000
+    # shots are 2 chunks of 65,536 and 18 of 4,096
+    shots, dump = 70_000, tmp_path / "shots.csv"
+    argv = ["experiment", "--n", "1.5", "--mu", "52", "--c", "0.6", "--cp", "0.4", "--shots", str(shots),
+            "--seed", "5", "--dump", str(dump)]
+    starts = []
+    simulate = expmt.simulate_shot_batch
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs["start"])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(expmt, "simulate_shot_batch", spy)
+    runs = {}
+    for chunk in (4096, 65536):
+        for workers in (1, 3):
+            starts.clear()
+            out = _experiment_at(workers, monkeypatch, argv + ["--chunk-shots", str(chunk)])
+            assert sorted(starts) == list(range(0, shots, chunk))
+            runs[chunk, workers] = out, dump.read_bytes()
+    csv = runs[4096, 1][1]
+    assert len(csv.split(b"\r\n")) == shots + 2  # header, shots and the final newline
+    assert all(dumped == csv for _, dumped in runs.values())
+    assert all(runs[chunk, 3][0] == runs[chunk, 1][0] for chunk in (4096, 65536))
+    # across chunk sizes the report differs only in its echo of --chunk-shots
+    reports = [json.loads(o) for o, _ in runs.values()]
+    assert {r["rng"].pop("chunk_shots") for r in reports} == {4096, 65536}
+    assert all(r == reports[0] for r in reports)
+
+
 def _experiment_at(workers, monkeypatch, argv) -> str:
     monkeypatch.setattr(expmt, "_available_cpus", lambda: workers)
     buf = io.StringIO()
